@@ -1,7 +1,7 @@
 """Sparse multidimensional harmonic retrieval at desk scale.
 
 Building blocks: split-plane complex arithmetic (:mod:`hunfold.cplx`),
-radix-2 FFT and Toeplitz convolution kernels (:mod:`hunfold.spectral`),
+FFT and Toeplitz convolution kernels on numpy.fft (:mod:`hunfold.spectral`),
 partial Fourier sensing models and synthetic data (:mod:`hunfold.harmonic`),
 proximal solvers (:mod:`hunfold.solvers`), unfolded shrinkage networks with
 hand-rolled training (:mod:`hunfold.nets`, :mod:`hunfold.training`), and a

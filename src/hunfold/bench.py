@@ -232,7 +232,7 @@ def time_layer_forward(arch: str, m: int, n_obs: int, repeats: int = 5,
         ir, ii = _inhibit_planes(layer, net, xr, xi)
         soft_threshold_planes(br + ir, bi + ii, layer.threshold)
 
-    one_pass()  # warm caches and twiddle tables
+    one_pass()  # warm caches
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -329,7 +329,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # plain digits for numpy scalars too
     return str(value)
 
 

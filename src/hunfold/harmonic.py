@@ -16,6 +16,7 @@ the ``(M2, M1)`` convolution grid.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -309,9 +310,10 @@ class Dataset:
 
     def take(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(ComplexArray(self.obs.re[:, idx], self.obs.im[:, idx]),
+        obs = ComplexArray(self.obs.re[:, idx], self.obs.im[:, idx])
+        return Dataset(obs,
                        ComplexArray(self.truth.re[:, idx], self.truth.im[:, idx]),
-                       self.meta)
+                       {**self.meta, "n_samples": int(obs.shape[1])})
 
 
 def gen_dataset(d: Dictionary, n_samples: int, k: int, sigma2: float,
@@ -404,13 +406,15 @@ def read_dataset(path) -> Dataset:
     kind = struct.unpack_from("<I", buf, 4)[0]
     if kind not in (1, 2):
         raise ValueError(f"{path}: unknown kind tag {kind}")
-    off = 8
-    shape = struct.unpack_from("<" + "I" * kind, buf, off)
-    off += 4 * kind
-    n_obs, n_samples, k = struct.unpack_from("<III", buf, off)
-    off += 12
-    seed, sigma2 = struct.unpack_from("<Qd", buf, off)
-    off += 16
+    off = 8 + 4 * kind + 12 + 16
+    if len(buf) < off:
+        raise ValueError(f"{path}: truncated header")
+    shape = struct.unpack_from("<" + "I" * kind, buf, 8)
+    n_obs, n_samples, k, seed, sigma2 = struct.unpack_from("<IIIQd", buf, 8 + 4 * kind)
+    want = off + 16 * n_samples * (n_obs + math.prod(shape))
+    if len(buf) != want:
+        raise ValueError(f"{path}: file holds {len(buf)} bytes but its header "
+                         f"implies {want}")
     obs, off = _pairs_from(buf, off, (n_obs, n_samples))
     truth, off = _pairs_from(buf, off, (int(np.prod(shape)), n_samples))
     meta = {

@@ -360,6 +360,11 @@ def load_network(path) -> UnfoldedNetwork:
     shape = (d1,) if rank == 1 else (d1, d2)
     total = int(np.prod(shape))
     ish = inhibition_shape(arch, shape)
+    obs_count = total + n_obs - 1 if arch == "convlista" else total * n_obs
+    want = 28 + depth * (16 * (obs_count + int(np.prod(ish))) + 8)
+    if len(buf) != want:
+        raise ValueError(f"{path}: file holds {len(buf)} bytes but its header "
+                         f"implies {want}")
     off = 28
     layers = []
     for _ in range(depth):

@@ -1,10 +1,10 @@
 """FFT kernels and Toeplitz-structured linear convolution.
 
-The transforms are iterative radix-2 with precomputed permutation/twiddle
-tables, vectorised over leading axes, so batches of rows transform in one
-call.  Linear convolution comes in a direct form and an FFT-accelerated
-form; dense expansions tie a generator vector (or matrix) to the Toeplitz
-(or doubly-block-Toeplitz) operator it induces.
+Transforms run on ``numpy.fft`` in complex128 at power-of-two lengths and
+broadcast over leading axes, so batches of rows transform in one call.
+Linear convolution comes in a direct form and an FFT-accelerated form;
+dense expansions tie a generator vector (or matrix) to the Toeplitz (or
+doubly-block-Toeplitz) operator it induces.
 
 Index conventions used throughout the package:
 
@@ -37,7 +37,6 @@ __all__ = [
     "dbt_expand",
     "dbt_extract",
     "fft",
-    "fft_planes",
     "ifft",
     "is_pow2",
     "next_pow2",
@@ -56,69 +55,13 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-# One table set per transform length: bit-reversal permutation plus the
-# half-circle twiddles cos(2*pi*k/n), sin(2*pi*k/n).  Immutable once built.
-_PLANS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _plan(n: int):
-    plan = _PLANS.get(n)
-    if plan is None:
-        bits = n.bit_length() - 1
-        perm = np.zeros(n, dtype=np.intp)
-        for i in range(1, n):
-            perm[i] = (perm[i >> 1] >> 1) | ((i & 1) << (bits - 1))
-        ang = 2.0 * np.pi * np.arange(n // 2, dtype=np.float64) / n
-        plan = (perm, np.cos(ang), np.sin(ang))
-        _PLANS[n] = plan
-    return plan
-
-
-def fft_planes(re, im, inverse: bool = False):
-    """Radix-2 transform along the last axis of a pair of float planes.
-
-    The last-axis length must be a power of two.  Forward uses the
-    e^{-j2*pi*k/n} kernel; the inverse flips the twiddle sign and divides
-    by n.  Leading axes are carried along, so (batch, n) arrays work.
-    """
-    n = re.shape[-1]
+def _check_length(name: str, x: ComplexArray, n: int) -> None:
+    if x.ndim != 1:
+        raise ValueError(f"{name} expects a rank-1 input")
     if not is_pow2(n):
         raise ValueError(f"transform length {n} is not a power of two")
-    perm, cos_t, sin_t = _plan(n)
-    re = np.ascontiguousarray(re[..., perm], dtype=np.float64)
-    im = np.ascontiguousarray(im[..., perm], dtype=np.float64)
-    sign = 1.0 if inverse else -1.0
-    m = 2
-    while m <= n:
-        half = m // 2
-        stride = n // m
-        wr = cos_t[: n // 2: stride]
-        wi = sign * sin_t[: n // 2: stride]
-        shape = re.shape[:-1] + (n // m, m)
-        re_v = re.reshape(shape)
-        im_v = im.reshape(shape)
-        ar = re_v[..., :half]
-        ai = im_v[..., :half]
-        br = re_v[..., half:]
-        bi = im_v[..., half:]
-        tr = br * wr - bi * wi
-        ti = br * wi + bi * wr
-        br[...] = ar - tr
-        bi[...] = ai - ti
-        ar += tr
-        ai += ti
-        m <<= 1
-    if inverse:
-        re = re / n
-        im = im / n
-    return re, im
-
-
-def _pad_last(arr, n):
-    out_shape = arr.shape[:-1] + (n,)
-    out = np.zeros(out_shape)
-    out[..., : arr.shape[-1]] = arr
-    return out
+    if n < x.shape[0]:
+        raise ValueError(f"transform length {n} shorter than input {x.shape[0]}")
 
 
 def fft(x: ComplexArray, n: int) -> ComplexArray:
@@ -126,26 +69,14 @@ def fft(x: ComplexArray, n: int) -> ComplexArray:
 
     n must be a power of two no smaller than the input length.
     """
-    if x.ndim != 1:
-        raise ValueError("fft expects a rank-1 input")
-    if not is_pow2(n):
-        raise ValueError(f"transform length {n} is not a power of two")
-    if n < x.shape[0]:
-        raise ValueError(f"transform length {n} shorter than input {x.shape[0]}")
-    re, im = fft_planes(_pad_last(x.re, n), _pad_last(x.im, n))
-    return ComplexArray(re, im)
+    _check_length("fft", x, n)
+    return ComplexArray.from_complex(np.fft.fft(x.to_complex(), n))
 
 
 def ifft(x: ComplexArray, n: int) -> ComplexArray:
     """Inverse of :func:`fft` (same length rules, 1/n scaling)."""
-    if x.ndim != 1:
-        raise ValueError("ifft expects a rank-1 input")
-    if not is_pow2(n):
-        raise ValueError(f"transform length {n} is not a power of two")
-    if n < x.shape[0]:
-        raise ValueError(f"transform length {n} shorter than input {x.shape[0]}")
-    re, im = fft_planes(_pad_last(x.re, n), _pad_last(x.im, n), inverse=True)
-    return ComplexArray(re, im)
+    _check_length("ifft", x, n)
+    return ComplexArray.from_complex(np.fft.ifft(x.to_complex(), n))
 
 
 @dataclass(frozen=True)
@@ -203,19 +134,17 @@ def conv1d(t: ToeplitzVec, x: ComplexArray) -> ComplexArray:
 def conv_full_planes(kr, ki, xr, xi):
     """Full complex linear convolution along the last axis, via FFT.
 
-    The kernel planes (kr, ki) are rank-1; (xr, xi) may carry leading batch
-    axes.  Returns planes of length ``len(k) + x.shape[-1] - 1``.
+    Kernel planes (kr, ki) and input planes (xr, xi) broadcast over their
+    leading axes, so a rank-1 kernel meets a batch and a batch of kernels
+    meets a batch of inputs row by row.  Both are zero-padded to the next
+    power of two at or above the full length ``len(k) + x.shape[-1] - 1``;
+    returns the real and imaginary planes of that full length.
     """
-    lk = kr.shape[-1]
-    lx = xr.shape[-1]
-    full = lk + lx - 1
+    full = kr.shape[-1] + xr.shape[-1] - 1
     n = next_pow2(full)
-    fkr, fki = fft_planes(_pad_last(kr, n), _pad_last(ki, n))
-    fxr, fxi = fft_planes(_pad_last(xr, n), _pad_last(xi, n))
-    pr = fkr * fxr - fki * fxi
-    pi = fkr * fxi + fki * fxr
-    rr, ri = fft_planes(pr, pi, inverse=True)
-    return rr[..., :full], ri[..., :full]
+    spec = np.fft.fft(kr + 1j * ki, n) * np.fft.fft(xr + 1j * xi, n)
+    out = np.fft.ifft(spec)[..., :full]
+    return out.real, out.imag
 
 
 def conv1d_fft(t: ToeplitzVec, x: ComplexArray) -> ComplexArray:
@@ -232,31 +161,18 @@ def conv1d_fft(t: ToeplitzVec, x: ComplexArray) -> ComplexArray:
     return ComplexArray(rr[lo:lo + t.size], ri[lo:lo + t.size])
 
 
-def _fft2_planes(re, im, inverse: bool = False):
-    re, im = fft_planes(re, im, inverse)
-    re = np.ascontiguousarray(re.swapaxes(-1, -2))
-    im = np.ascontiguousarray(im.swapaxes(-1, -2))
-    re, im = fft_planes(re, im, inverse)
-    return re.swapaxes(-1, -2), im.swapaxes(-1, -2)
-
-
-def _pad_last2(arr, n1, n2):
-    out = np.zeros(arr.shape[:-2] + (n1, n2))
-    out[..., : arr.shape[-2], : arr.shape[-1]] = arr
-    return out
-
-
 def conv_full2_planes(kr, ki, xr, xi):
-    """Full complex linear convolution over the last two axes, via 2-D FFT."""
+    """Full complex linear convolution over the last two axes, via 2-D FFT.
+
+    Same broadcasting and power-of-two padding as :func:`conv_full_planes`,
+    per axis.
+    """
     f1 = kr.shape[-2] + xr.shape[-2] - 1
     f2 = kr.shape[-1] + xr.shape[-1] - 1
-    n1, n2 = next_pow2(f1), next_pow2(f2)
-    fkr, fki = _fft2_planes(_pad_last2(kr, n1, n2), _pad_last2(ki, n1, n2))
-    fxr, fxi = _fft2_planes(_pad_last2(xr, n1, n2), _pad_last2(xi, n1, n2))
-    pr = fkr * fxr - fki * fxi
-    pi = fkr * fxi + fki * fxr
-    rr, ri = _fft2_planes(pr, pi, inverse=True)
-    return rr[..., :f1, :f2], ri[..., :f1, :f2]
+    s = (next_pow2(f1), next_pow2(f2))
+    spec = np.fft.fft2(kr + 1j * ki, s) * np.fft.fft2(xr + 1j * xi, s)
+    out = np.fft.ifft2(spec)[..., :f1, :f2]
+    return out.real, out.imag
 
 
 def conv2d(t: ToeplitzMat2D, x: ComplexArray) -> ComplexArray:

@@ -180,6 +180,18 @@ def test_write_csv_fixed_schema(tmp_path):
     assert text.endswith("\n") and "\r" not in text
 
 
+def test_write_csv_numpy_scalars_are_plain_numbers(tmp_path):
+    path = tmp_path / "np.csv"
+    write_csv(path, ["name", "a", "b", "c"],
+              [["x", np.float64(0.5), np.float64(-1e-300), np.int64(3)],
+               ["y", 0.25, np.float64(np.pi), None]])
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(",")[1:]:
+            if cell:
+                float(cell)
+    assert path.read_text().splitlines()[1] == "x,0.5,-1e-300,3"
+
+
 def test_manifest_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_manifest(a, {"k": 2, "shape": [16]})

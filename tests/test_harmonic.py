@@ -292,6 +292,41 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     assert np.max(np.abs(d2.phi.to_complex() - d.phi.to_complex())) < 1e-12
 
 
+def test_dataset_subset_round_trip(tmp_path):
+    d = build_dictionary((16,), draw_sampling(16, 6, seed=17))
+    ds = gen_dataset(d, 9, 2, 0.1, seed=4)
+    sub = ds.take(np.array([7, 2, 5]))
+    assert sub.meta["n_samples"] == 3 and ds.meta["n_samples"] == 9
+    path = tmp_path / "sub.hud"
+    write_dataset(path, sub)
+    back = read_dataset(path)
+    assert back.count == 3 and back.meta["n_samples"] == 3
+    assert np.array_equal(back.obs.re, sub.obs.re)
+    assert np.array_equal(back.obs.im, sub.obs.im)
+    assert np.array_equal(back.truth.re, sub.truth.re)
+    assert np.array_equal(back.truth.im, sub.truth.im)
+
+
+@pytest.mark.parametrize("keep", [-1, -16, 20])  # 20 bytes: inside the header
+def test_dataset_truncated_file_names_path(tmp_path, keep):
+    d = build_dictionary((4, 3), draw_sampling(12, 5, seed=18))
+    path = tmp_path / "short.hud"
+    write_dataset(path, gen_dataset(d, 3, 2, 0.1, seed=5))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:keep])
+    with pytest.raises(ValueError, match="short.hud"):
+        read_dataset(path)
+
+
+def test_dataset_extended_file_names_path(tmp_path):
+    d = build_dictionary((8,), draw_sampling(8, 4, seed=19))
+    path = tmp_path / "long.hud"
+    write_dataset(path, gen_dataset(d, 3, 1, 0.1, seed=6))
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match="long.hud"):
+        read_dataset(path)
+
+
 def test_dataset_bad_magic(tmp_path):
     path = tmp_path / "junk.hud"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -262,6 +262,26 @@ def test_model_round_trip_convlista(tmp_path):
         assert np.array_equal(a.inhibit.im, b.inhibit.im)
 
 
+@pytest.mark.parametrize("arch", ["toeplitz1d", "convlista"])
+def test_model_truncated_file_names_path(tmp_path, arch):
+    net = init_network(arch, dict_1d(m=10, n=4, seed=17), 2, lam=0.1)
+    path = tmp_path / "short.hun"
+    save_network(path, net)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="short.hun"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("arch", ["lista", "toeplitz2d"])
+def test_model_extended_file_names_path(tmp_path, arch):
+    net = init_network(arch, dict_2d(m1=3, m2=4, n=5, seed=18), 2, lam=0.1)
+    path = tmp_path / "long.hun"
+    save_network(path, net)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="long.hun"):
+        load_network(path)
+
+
 def test_model_bad_magic(tmp_path):
     path = tmp_path / "junk.hun"
     path.write_bytes(b"WHAT" + b"\x00" * 40)

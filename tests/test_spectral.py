@@ -5,8 +5,9 @@ import pytest
 
 from hunfold.cplx import ComplexArray
 from hunfold.spectral import (ToeplitzMat2D, ToeplitzVec, conv1d, conv1d_fft,
-                              conv2d, dbt_expand, dbt_extract, fft, ifft,
-                              next_pow2, toeplitz_expand, toeplitz_extract)
+                              conv2d, conv_full_planes, conv_full2_planes,
+                              dbt_expand, dbt_extract, fft, ifft, next_pow2,
+                              toeplitz_expand, toeplitz_extract)
 
 from conftest import rand_carray
 
@@ -153,6 +154,60 @@ def test_conv1d_size_mismatch():
         conv1d(t, rand_carray(rng, (9,)))
     with pytest.raises(ValueError):
         conv1d_fft(t, rand_carray(rng, (7,)))
+
+
+def full_conv_oracle(k, x):
+    """Row-by-row np.convolve over broadcast leading axes."""
+    lead = np.broadcast_shapes(k.shape[:-1], x.shape[:-1])
+    k = np.broadcast_to(k, lead + k.shape[-1:]).reshape(-1, k.shape[-1])
+    x = np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
+    out = np.array([np.convolve(a, b) for a, b in zip(k, x)])
+    return out.reshape(lead + (out.shape[-1],))
+
+
+def full_conv2_oracle(k, x):
+    """Nested-sum full 2-D convolution of one kernel with a batch."""
+    f1, f2 = k.shape[0] + x.shape[-2] - 1, k.shape[1] + x.shape[-1] - 1
+    out = np.zeros(x.shape[:-2] + (f1, f2), dtype=complex)
+    for p in range(k.shape[0]):
+        for q in range(k.shape[1]):
+            out[..., p:p + x.shape[-2], q:q + x.shape[-1]] += k[p, q] * x
+    return out
+
+
+def rand_c(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_planes_close(planes, ref):
+    got = planes[0] + 1j * planes[1]
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lk,lx", [(23, 12), (5, 37), (61, 31)])
+def test_conv_full_planes_kernel_against_batch(lk, lx):
+    rng = np.random.default_rng(40 + lk)
+    k, x = rand_c(rng, (lk,)), rand_c(rng, (7, lx))
+    got = conv_full_planes(k.real, k.imag, x.real, x.imag)
+    assert_planes_close(got, full_conv_oracle(k, x))
+
+
+@pytest.mark.parametrize("lk,lx", [(12, 12), (9, 21)])
+def test_conv_full_planes_batched_kernels(lk, lx):
+    # the training adjoint's shapes: one kernel row per input row
+    rng = np.random.default_rng(50 + lk)
+    k, x = rand_c(rng, (6, lk)), rand_c(rng, (6, lx))
+    got = conv_full_planes(k.real, k.imag, x.real, x.imag)
+    assert_planes_close(got, full_conv_oracle(k, x))
+
+
+@pytest.mark.parametrize("k_shape,g", [((5, 9), (3, 5)), ((11, 7), (6, 3))])
+def test_conv_full2_planes_kernel_against_batch(k_shape, g):
+    rng = np.random.default_rng(60 + k_shape[0])
+    k, x = rand_c(rng, k_shape), rand_c(rng, (4,) + g)
+    got = conv_full2_planes(k.real, k.imag, x.real, x.imag)
+    assert_planes_close(got, full_conv2_oracle(k, x))
 
 
 def test_conv2d_identity_kernel():
