@@ -1,10 +1,11 @@
 """Command-line experiment runner.
 
 Subcommands: ``gen-data``, ``train``, ``sweep``, ``single``, ``complexity``,
-``ingest``.  Every subcommand accepts ``--config FILE`` with a JSON document
-whose keys match the long flag names (underscored); explicit flags override
-the file.  All randomness flows from ``--seed``/``--sample-seed``, and data
-outputs are byte-identical across repeated runs of one configuration.
+``ingest``.  Every subcommand accepts ``--config FILE`` with a JSON object
+whose keys match the subcommand's long flag names (underscored); explicit
+flags override the file, and an unknown key is an error.  All randomness
+flows from ``--seed``/``--sample-seed``, and data outputs are
+byte-identical across repeated runs of one configuration.
 """
 
 from __future__ import annotations
@@ -283,7 +284,8 @@ def build_parser():
                    help="comma list of noise powers in dB (10*log10 sigma2)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--timing", action="store_true",
-                   help="record wall-clock per recovery (breaks byte "
+                   help="record wall-clock per recovery, the time of a "
+                        "point's block over its trials (breaks byte "
                         "reproducibility of the CSV)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
@@ -322,6 +324,27 @@ def build_parser():
     return parser, commands
 
 
+def _read_config(path, command: str, p: argparse.ArgumentParser) -> dict:
+    """The ``--config`` document: a JSON object whose keys are options of
+    ``command``; anything else stops the run with a message naming the
+    file and the key."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read config file ({exc.strerror})")
+    except ValueError as exc:
+        raise SystemExit(f"{path}: malformed JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise SystemExit(f"{path}: config must be a JSON object, "
+                         f"got {type(doc).__name__}")
+    options = {a.dest for a in p._actions if a.dest != "help"}
+    for key in doc:
+        if key not in options:
+            raise SystemExit(f"{path}: unknown key {key!r} for {command!r}")
+    return doc
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
@@ -329,11 +352,12 @@ def main(argv=None) -> int:
         i = argv.index("--config")
         if i + 1 >= len(argv):
             parser.error("--config needs a file argument")
-        with open(argv[i + 1], "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        path = argv[i + 1]
         del argv[i:i + 2]
-        for p in commands.values():
-            p.set_defaults(**overrides)
+        command = next((a for a in argv if a in commands), None)
+        if command is None:
+            parser.parse_args(argv)   # reports the missing subcommand
+        commands[command].set_defaults(**_read_config(path, command, commands[command]))
     args = parser.parse_args(argv)
     return args.func(args)
 

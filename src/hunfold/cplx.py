@@ -1,10 +1,12 @@
 """Split-plane complex arrays and the nonlinearities built on them.
 
-Complex data is carried as two float64 planes (real and imaginary) so that
-every complex product is spelled out as its four real cross-coupled
-products.  This is the numeric substrate shared by the spectral kernels,
-the iterative solvers and the unfolded networks: observations, spectra,
-dictionaries and learned weights all live in :class:`ComplexArray`.
+Complex data is carried as two float64 planes (real and imaginary).  This
+is the storage format shared by the spectral kernels, the iterative
+solvers and the unfolded networks: observations, spectra, dictionaries and
+learned weights all live in :class:`ComplexArray`.  The helpers here spell
+a complex product out as its four real cross-coupled products; the
+convolutions and the solvers instead join the planes into numpy
+``complex128`` and take one complex product.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ __all__ = [
     "soft_threshold",
     "soft_threshold_planes",
 ]
+
+
+_TINY = np.finfo(np.float64).tiny
 
 
 class NumericError(RuntimeError):
@@ -145,14 +150,19 @@ def hermitian(a: ComplexArray) -> ComplexArray:
     return ComplexArray(a.re.T.copy(), -a.im.T)
 
 
-def soft_threshold_planes(re, im, theta: float):
-    """Plane-level complex soft threshold; see :func:`soft_threshold`."""
-    if theta == 0.0:
-        return re.copy(), im.copy()
+def soft_threshold_planes(re, im, theta):
+    """Plane-level complex soft threshold; see :func:`soft_threshold`.
+
+    ``theta`` is a scalar or an array that broadcasts over the last axis,
+    e.g. one threshold per column of an ``(n, B)`` block.  Entries whose
+    threshold is zero come back unchanged.
+    """
     mag = np.hypot(re, im)
     # max(|x|, theta) in the denominator sends everything with |x| <= theta
-    # to exactly zero, including the |x| == theta boundary.
-    scale = 1.0 - theta / np.maximum(mag, theta)
+    # to exactly zero, including the |x| == theta boundary.  The floor at
+    # the smallest normal float keeps a zero threshold from dividing 0 by 0:
+    # its quotient is 0 and its entries keep their value.
+    scale = 1.0 - theta / np.maximum(mag, np.maximum(theta, _TINY))
     return re * scale, im * scale
 
 

@@ -2,9 +2,12 @@
 
     minimise  0.5 * ||y - phi x||_2^2  +  lam * sum_i |x_i|
 
-over complex spectra.  Both solvers apply the dictionary matrix-free
-(two thin products per step, never the dense Gram), start from zero and
-stop on a relative objective-change test or an iteration budget.
+over complex spectra, for one observation or a block of B columns side by
+side, in ``complex128`` and matrix-free (never the dense Gram).  An ISTA
+step takes two complex products: phi^H r, and phi x, whose residual serves
+the objective and the next step; FISTA adds the residual at its
+extrapolated point.  Each column starts from zero and stops on its own
+relative objective-change test or at the iteration budget.
 """
 
 from __future__ import annotations
@@ -28,21 +31,26 @@ __all__ = [
 # Power iteration returns a (certified) lower bound on the top eigenvalue;
 # a hair of inflation keeps the descent step non-expansive.
 _L_SAFETY = 1.0 + 1e-6
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
 class SolverConfig:
-    """Solver knobs: penalty weight, budget, stopping tolerance."""
+    """Solver knobs: penalty weight (a scalar, or one per column of an
+    observation block), budget, stopping tolerance."""
 
-    lam: float
+    lam: float | np.ndarray
     max_iter: int = 1000
     tol: float = 1e-10
     record_trace: bool = False
     lipschitz: float | None = None
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError(f"penalty weight must be >= 0, got {self.lam}")
+        lam = np.array(self.lam, dtype=np.float64)
+        if lam.ndim > 1 or lam.size == 0 or not np.all(np.isfinite(lam) & (lam >= 0.0)):
+            raise ValueError(f"penalty weight must be a finite scalar or vector "
+                             f">= 0, got {self.lam!r}")
+        self.lam = float(lam) if lam.ndim == 0 else lam
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol < 0.0:
@@ -51,11 +59,14 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
+    """A vector solve gives ``x_hat`` (total,), an int and a bool; a block
+    solve gives (total, B) and one count, flag and trace entry per column."""
+
     x_hat: ComplexArray
-    iterations_run: int
-    converged: bool
+    iterations_run: int | np.ndarray
+    converged: bool | np.ndarray
     lipschitz: float
-    objective_trace: list[float] | None = field(default=None)
+    objective_trace: list | None = field(default=None)
 
 
 def objective(d: Dictionary, x: ComplexArray, y: ComplexArray, lam: float) -> float:
@@ -63,33 +74,80 @@ def objective(d: Dictionary, x: ComplexArray, y: ComplexArray, lam: float) -> fl
     if x.shape != (d.total,) or y.shape != (d.n_obs,):
         raise ValueError(f"shapes {x.shape}/{y.shape} do not fit dictionary "
                          f"({d.n_obs} x {d.total})")
-    pr, pi = d.phi.re, d.phi.im
-    rr = y.re - (pr @ x.re - pi @ x.im)
-    ri = y.im - (pr @ x.im + pi @ x.re)
-    return float(0.5 * (rr @ rr + ri @ ri) + lam * np.sum(np.hypot(x.re, x.im)))
+    r = y.to_complex() - d.phi.to_complex() @ x.to_complex()
+    return float(0.5 * np.vdot(r, r).real + lam * np.sum(x.abs()))
 
 
-def default_lambda(d: Dictionary, y: ComplexArray, scale: float = 0.1) -> float:
-    """Scale-free penalty heuristic: scale * max |(phi^H y)_i|.
-
-    Any scale below 1 keeps the all-zero solution excluded.
-    """
-    pr, pi = d.phi.re, d.phi.im
-    gr = pr.T @ y.re + pi.T @ y.im
-    gi = pr.T @ y.im - pi.T @ y.re
-    return float(scale * np.max(np.hypot(gr, gi)))
+def default_lambda(d: Dictionary, y: ComplexArray, scale: float = 0.1):
+    """Scale-free penalty heuristic: scale * max |(phi^H y)_i|, one value per
+    column for a block.  Any scale below 1 keeps the all-zero solution out."""
+    g = d.phi.to_complex().conj().T @ y.to_complex()
+    lam = scale * np.max(np.abs(g), axis=0)
+    return float(lam) if y.ndim == 1 else lam
 
 
-def _step_scale(d: Dictionary, cfg: SolverConfig) -> float:
-    if cfg.lipschitz is not None:
-        return float(cfg.lipschitz)
-    return lipschitz_constant(d.phi).value * _L_SAFETY
-
-
-def _objective_planes(pr, pi, yr, yi, xr, xi, lam):
-    rr = yr - (pr @ xr - pi @ xi)
-    ri = yi - (pr @ xi + pi @ xr)
-    return 0.5 * (rr @ rr + ri @ ri) + lam * np.sum(np.hypot(xr, xi))
+def _solve(d: Dictionary, y: ComplexArray, cfg: SolverConfig,
+           momentum: bool) -> SolverResult:
+    """The loop both solvers share.  A column that meets the stop test is
+    written out and dropped from the working arrays."""
+    if y.ndim not in (1, 2) or y.shape[0] != d.n_obs:
+        raise ValueError(f"observation shape {y.shape}, expected ({d.n_obs},) "
+                         f"or ({d.n_obs}, B)")
+    yc = y.to_complex().reshape(d.n_obs, -1)
+    n_cols = yc.shape[1]
+    if np.ndim(cfg.lam) and len(cfg.lam) != n_cols:
+        raise ValueError(f"{len(cfg.lam)} penalty weights for {n_cols} columns")
+    lam = np.broadcast_to(cfg.lam, (n_cols,))
+    phi = d.phi.to_complex()
+    phi_h = np.ascontiguousarray(phi.conj().T)
+    big_l = (lipschitz_constant(d.phi).value * _L_SAFETY if cfg.lipschitz is None
+             else float(cfg.lipschitz))
+    thr = lam / big_l
+    x_out = np.zeros((d.total, n_cols), dtype=np.complex128)
+    iters = np.full(n_cols, cfg.max_iter)
+    converged = np.zeros(n_cols, dtype=bool)
+    cols = np.arange(n_cols)
+    x = z = x_out.copy()
+    r = yc                      # residual at the gradient point z
+    obj = 0.5 * (r.real * r.real + r.imag * r.imag).sum(axis=0)   # no penalty at x = 0
+    trace = [obj] if cfg.record_trace else None
+    t_mom = 1.0
+    for it in range(1, cfg.max_iter + 1):
+        v = z + (phi_h @ r) / big_l
+        xr, xi = soft_threshold_planes(v.real, v.imag, thr)
+        x_new = xr + 1j * xi
+        r = yc - phi @ x_new
+        new_obj = (0.5 * (r.real * r.real + r.imag * r.imag).sum(axis=0)
+                   + lam * np.hypot(xr, xi).sum(axis=0))
+        if not np.isfinite(new_obj).all():
+            raise NumericError(f"non-finite objective at iteration {it}")
+        if trace is not None:
+            trace.append(trace[-1].copy())
+            trace[-1][cols] = new_obj
+        if momentum:
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) / 2.0
+            z = x_new + ((t_mom - 1.0) / t_next) * (x_new - x)
+            t_mom = t_next
+        else:
+            z = x_new
+        stop = np.abs(new_obj - obj) <= cfg.tol * np.maximum(obj, _TINY)
+        x, obj = x_new, new_obj
+        if stop.any():
+            x_out[:, cols[stop]] = x[:, stop]
+            iters[cols[stop]] = it
+            converged[cols[stop]] = True
+            cols, yc, x, z, r, obj, lam, thr = (
+                a[..., ~stop] for a in (cols, yc, x, z, r, obj, lam, thr))
+            if cols.size == 0:
+                break
+        if momentum:
+            r = yc - phi @ z
+    x_out[:, cols] = x
+    if y.ndim == 1:
+        trace = None if trace is None else [float(o[0]) for o in trace]
+        return SolverResult(ComplexArray.from_complex(x_out[:, 0]), int(iters[0]),
+                            bool(converged[0]), big_l, trace)
+    return SolverResult(ComplexArray.from_complex(x_out), iters, converged, big_l, trace)
 
 
 def ista(d: Dictionary, y: ComplexArray, cfg: SolverConfig) -> SolverResult:
@@ -97,36 +155,9 @@ def ista(d: Dictionary, y: ComplexArray, cfg: SolverConfig) -> SolverResult:
 
     Each step moves along phi^H(y - phi x) scaled by 1/L and applies the
     complex soft threshold at lam/L; the objective never increases.
+    ``y`` is one observation of shape (n_obs,) or a block (n_obs, B).
     """
-    if y.shape != (d.n_obs,):
-        raise ValueError(f"observation shape {y.shape}, expected ({d.n_obs},)")
-    pr, pi = d.phi.re, d.phi.im
-    yr, yi = y.re, y.im
-    big_l = _step_scale(d, cfg)
-    thr = cfg.lam / big_l
-    xr = np.zeros(d.total)
-    xi = np.zeros(d.total)
-    obj = _objective_planes(pr, pi, yr, yi, xr, xi, cfg.lam)
-    trace = [obj] if cfg.record_trace else None
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        rr = yr - (pr @ xr - pi @ xi)
-        ri = yi - (pr @ xi + pi @ xr)
-        gr = pr.T @ rr + pi.T @ ri
-        gi = pr.T @ ri - pi.T @ rr
-        xr, xi = soft_threshold_planes(xr + gr / big_l, xi + gi / big_l, thr)
-        new_obj = _objective_planes(pr, pi, yr, yi, xr, xi, cfg.lam)
-        if not np.isfinite(new_obj):
-            raise NumericError(f"non-finite objective at iteration {it}")
-        if trace is not None:
-            trace.append(new_obj)
-        if abs(new_obj - obj) <= cfg.tol * max(obj, np.finfo(float).tiny):
-            obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-    return SolverResult(ComplexArray(xr, xi), it, converged, big_l, trace)
+    return _solve(d, y, cfg, momentum=False)
 
 
 def fista(d: Dictionary, y: ComplexArray, cfg: SolverConfig) -> SolverResult:
@@ -135,40 +166,4 @@ def fista(d: Dictionary, y: ComplexArray, cfg: SolverConfig) -> SolverResult:
     Classical momentum sequence t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 with
     extrapolation weight (t_k - 1) / t_{k+1}; no restarts.
     """
-    if y.shape != (d.n_obs,):
-        raise ValueError(f"observation shape {y.shape}, expected ({d.n_obs},)")
-    pr, pi = d.phi.re, d.phi.im
-    yr, yi = y.re, y.im
-    big_l = _step_scale(d, cfg)
-    thr = cfg.lam / big_l
-    xr = np.zeros(d.total)
-    xi = np.zeros(d.total)
-    zr, zi = xr.copy(), xi.copy()
-    t_mom = 1.0
-    obj = _objective_planes(pr, pi, yr, yi, xr, xi, cfg.lam)
-    trace = [obj] if cfg.record_trace else None
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        rr = yr - (pr @ zr - pi @ zi)
-        ri = yi - (pr @ zi + pi @ zr)
-        gr = pr.T @ rr + pi.T @ ri
-        gi = pr.T @ ri - pi.T @ rr
-        nxr, nxi = soft_threshold_planes(zr + gr / big_l, zi + gi / big_l, thr)
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) / 2.0
-        w = (t_mom - 1.0) / t_next
-        zr = nxr + w * (nxr - xr)
-        zi = nxi + w * (nxi - xi)
-        xr, xi = nxr, nxi
-        t_mom = t_next
-        new_obj = _objective_planes(pr, pi, yr, yi, xr, xi, cfg.lam)
-        if not np.isfinite(new_obj):
-            raise NumericError(f"non-finite objective at iteration {it}")
-        if trace is not None:
-            trace.append(new_obj)
-        if abs(new_obj - obj) <= cfg.tol * max(obj, np.finfo(float).tiny):
-            obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-    return SolverResult(ComplexArray(xr, xi), it, converged, big_l, trace)
+    return _solve(d, y, cfg, momentum=True)

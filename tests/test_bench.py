@@ -298,3 +298,46 @@ def test_cli_missing_required_flag(tmp_path):
     with pytest.raises(SystemExit):
         cli_main(["gen-data", "--problem", "1d", "--m", "8", "--n", "4",
                   "--samples", "5"])  # no --out
+
+
+@pytest.mark.parametrize("text, words", [
+    (json.dumps({"m": 16, "tirals": 5}), ["unknown key 'tirals' for 'sweep'"]),
+    (json.dumps([["m", 16]]), ["JSON object", "list"]),
+    ('{"m": 16,', ["malformed JSON"]),
+])
+def test_cli_config_rejects_bad_documents(tmp_path, text, words):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        cli_main(["sweep", "--config", str(cfg_file), "--n", "8",
+                  "--out", str(tmp_path / "s.csv")])
+    msg = str(err.value.code)
+    assert str(cfg_file) in msg
+    for word in words:
+        assert word in msg
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_config_key_of_another_subcommand_and_missing_file(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"epochs": 3}))  # a train option
+    with pytest.raises(SystemExit, match="unknown key 'epochs' for 'sweep'"):
+        cli_main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "s.csv")])
+    missing = tmp_path / "absent.json"
+    with pytest.raises(SystemExit, match="absent.json: cannot read config file"):
+        cli_main(["sweep", "--config", str(missing), "--out", str(tmp_path / "s.csv")])
+
+
+def test_run_sweep_block_matches_per_trial_recovery():
+    # the block path scores each trial as a standalone recovery would
+    d = hf.build_dictionary((16,), hf.draw_sampling(16, 8, seed=4))
+    cfg = small_cfg(methods=["fista"], trials_per_point=3)
+    (row,) = run_sweep(cfg)
+    child = np.random.SeedSequence(cfg.seed).spawn(3)
+    ratios = []
+    for seq in child:
+        inst = hf.make_instance(d, cfg.k, 10.0 ** (-1.0), seq)
+        lam = default_lambda(d, inst.y, cfg.lambda_scale)
+        x = hf.fista(d, inst.y, SolverConfig(lam=lam, max_iter=20, tol=0.0)).x_hat
+        ratios.append(hf.nmse_metric(x, inst.x_true))
+    assert abs(row.nmse_db - 20 * np.log10(np.mean(ratios))) < 1e-9

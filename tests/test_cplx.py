@@ -5,7 +5,7 @@ import pytest
 
 import hunfold as hf
 from hunfold.cplx import (ComplexArray, lipschitz_constant, matvec,
-                          soft_threshold)
+                          soft_threshold, soft_threshold_planes)
 
 from conftest import rand_carray
 
@@ -159,3 +159,19 @@ def test_complex_array_invariants():
     a = ComplexArray.from_complex(np.array([1 + 1j, 2 - 1j]))
     assert a.is_finite()
     assert abs(a.norm() - np.sqrt(7.0)) < 1e-14
+
+
+def test_soft_threshold_planes_per_column_theta():
+    rng = np.random.default_rng(6)
+    re = rng.standard_normal((20, 4))
+    im = rng.standard_normal((20, 4))
+    re[3, 1] = im[3, 1] = 0.0          # a zero entry under a zero threshold
+    theta = np.array([0.7, 0.0, 1.3, 0.2])
+    out_re, out_im = soft_threshold_planes(re, im, theta)
+    for j, t in enumerate(theta):
+        want = soft_threshold(ComplexArray(re[:, j], im[:, j]), t)
+        assert np.array_equal(out_re[:, j], want.re)
+        assert np.array_equal(out_im[:, j], want.im)
+    # the zero-threshold column, zero entry included, comes back unchanged
+    assert np.array_equal(out_re[:, 1], re[:, 1])
+    assert np.array_equal(out_im[:, 1], im[:, 1])

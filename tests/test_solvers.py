@@ -161,3 +161,95 @@ def test_solver_observation_shape_check():
     d, _, _ = small_problem()
     with pytest.raises(ValueError):
         ista(d, ComplexArray.zeros((d.n_obs + 1,)), SolverConfig(lam=0.1))
+
+
+def block_problem(b=4, m=32, n=12, k=3, seed=40, sigma2=0.1):
+    d = hf.build_dictionary((m,), hf.draw_sampling(m, n, seed=seed))
+    cols = [small_problem(m, n, k, seed=seed, sigma2=sigma2)[2]]
+    for j in range(1, b):
+        x = hf.gen_sparse_signal(m, k, seed=seed + 10 * j)
+        cols.append(hf.add_noise(matvec(d.phi, x), sigma2, seed=seed + 10 * j + 1))
+    y = ComplexArray(np.stack([c.re for c in cols], axis=1),
+                     np.stack([c.im for c in cols], axis=1))
+    return d, y, cols
+
+
+@pytest.mark.parametrize("solver", [ista, fista])
+def test_block_matches_single_solves(solver):
+    d, y, cols = block_problem()
+    lam = default_lambda(d, y)
+    assert lam.shape == (4,)
+    budget = 15  # short enough that no column meets the exact-repeat stop
+    res = solver(d, y, SolverConfig(lam=lam, max_iter=budget, tol=0.0))
+    assert res.x_hat.shape == (d.total, 4)
+    assert np.array_equal(res.iterations_run, [budget] * 4)
+    assert not res.converged.any()
+    for j, col in enumerate(cols):
+        assert abs(lam[j] - default_lambda(d, col)) <= 1e-12 * lam[j]
+        one = solver(d, col, SolverConfig(lam=float(lam[j]), max_iter=budget, tol=0.0))
+        assert isinstance(one.iterations_run, int) and one.iterations_run == budget
+        assert isinstance(one.converged, bool)
+        got = res.x_hat.to_complex()[:, j]
+        want = one.x_hat.to_complex()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("solver", [ista, fista])
+def test_block_zero_column_stops_at_once(solver):
+    d, y, _ = block_problem()
+    re, im = y.re.copy(), y.im.copy()
+    re[:, 2] = 0.0
+    im[:, 2] = 0.0
+    y = ComplexArray(re, im)
+    res = solver(d, y, SolverConfig(lam=default_lambda(d, y), max_iter=60, tol=0.0))
+    assert res.iterations_run[2] == 1 and res.converged[2]
+    assert not res.x_hat.re[:, 2].any() and not res.x_hat.im[:, 2].any()
+    assert res.x_hat.is_finite()
+    assert np.all(res.iterations_run[[0, 1, 3]] > 1)
+
+
+def reference_ista(d, y, lam, big_l, max_iter, tol):
+    """Textbook one-vector ISTA with the solvers' relative stop test."""
+    phi, yc = d.phi.to_complex(), y.to_complex()
+    x = np.zeros(d.total, dtype=complex)
+    obj = 0.5 * np.vdot(yc, yc).real
+    for it in range(1, max_iter + 1):
+        v = x + phi.conj().T @ (yc - phi @ x) / big_l
+        x = soft_threshold(ComplexArray.from_complex(v), lam / big_l).to_complex()
+        r = yc - phi @ x
+        new = 0.5 * np.vdot(r, r).real + lam * np.sum(np.abs(x))
+        if abs(new - obj) <= tol * obj:
+            return x, it
+        obj = new
+    return x, max_iter
+
+
+def test_block_trace_and_per_column_stop():
+    d, y, cols = block_problem(sigma2=0.2)
+    lam = default_lambda(d, y)
+    res = ista(d, y, SolverConfig(lam=lam, max_iter=3000, tol=1e-9, record_trace=True))
+    trace = np.asarray(res.objective_trace)
+    assert trace.shape == (int(res.iterations_run.max()) + 1, 4)
+    assert np.all(np.diff(trace, axis=0) <= 1e-10 * np.maximum(trace[:-1], 1.0))
+    assert len(set(res.iterations_run.tolist())) == 4   # the columns stop apart
+    for j, col in enumerate(cols):
+        want, stop = reference_ista(d, col, lam[j], res.lipschitz, 3000, 1e-9)
+        # a column stops on its own test and keeps the iterate it stopped with
+        assert res.converged[j] and res.iterations_run[j] == stop
+        got = res.x_hat.to_complex()[:, j]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.all(trace[stop:, j] == trace[stop, j])
+
+
+def test_block_lambda_validation():
+    d, y, _ = block_problem()
+    with pytest.raises(ValueError, match="3 penalty weights for 4 columns"):
+        ista(d, y, SolverConfig(lam=np.ones(3)))
+    with pytest.raises(ValueError):
+        SolverConfig(lam=np.array([0.1, -0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError):
+        SolverConfig(lam=np.array([0.1, np.nan, 0.2, 0.3]))
+    with pytest.raises(ValueError):
+        SolverConfig(lam=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(lam=np.ones((2, 2)))
