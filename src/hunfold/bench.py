@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, nets
-from .cplx import ComplexArray
+from .cplx import ComplexArray, soft_threshold_planes
 from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet,
                        build_dictionary, draw_sampling, make_instance,
                        synth_offgrid)
 from .metrics import hit_rate_metric, nmse_metric
-from .nets import UnfoldedNetwork
 from .solvers import SolverConfig, default_lambda, fista, ista
 
 __all__ = [
@@ -210,36 +209,26 @@ def run_single(cfg: ExperimentConfig, offgrid: bool = False,
 
 def time_layer_forward(arch: str, m: int, n_obs: int, repeats: int = 5,
                        seed: int = 0) -> float:
-    """Median seconds for one layer applied to a nonzero incoming spectrum.
+    """Median seconds for one layer of a 1-D ``arch`` network applied to a
+    nonzero incoming spectrum.
 
-    Exercises the full layer: observation branch, inhibition branch and the
-    threshold.  Parameters are random; only relative scaling is meaningful.
+    Runs the networks' own path: observation operator, inhibition operator
+    and threshold.  Parameters are random; only relative scaling is
+    meaningful.
     """
-    from .nets import Layer, _bias_planes, _inhibit_planes
-    from .cplx import soft_threshold_planes
-
+    obs_op, inhibit_op = nets.branches(arch, (m,), n_obs)
     rng = np.random.default_rng(seed)
-    if arch == "lista":
-        inhibit = ComplexArray(rng.standard_normal((m, m)),
-                               rng.standard_normal((m, m)))
-    elif arch == "toeplitz1d":
-        inhibit = ComplexArray(rng.standard_normal(2 * m - 1),
-                               rng.standard_normal(2 * m - 1))
-    else:
-        raise ValueError("timing covers the dense and 1-D structured layers")
-    layer = Layer(ComplexArray(rng.standard_normal((m, n_obs)),
-                               rng.standard_normal((m, n_obs))),
-                  None, inhibit, 0.05)
-    net = UnfoldedNetwork(arch, (m,), n_obs, [layer])
+    inhibit = ComplexArray(*rng.standard_normal((2,) + inhibit_op.shape))
+    obs = ComplexArray(*rng.standard_normal((2,) + obs_op.shape))
     yr = rng.standard_normal((1, n_obs))
     yi = rng.standard_normal((1, n_obs))
     xr = rng.standard_normal((1, m))
     xi = rng.standard_normal((1, m))
 
     def one_pass():
-        br, bi = _bias_planes(layer, arch, m, yr, yi)
-        ir, ii = _inhibit_planes(layer, net, xr, xi)
-        soft_threshold_planes(br + ir, bi + ii, layer.threshold)
+        br, bi = obs_op.apply(obs, yr, yi)
+        ir, ii = inhibit_op.apply(inhibit, xr, xi)
+        soft_threshold_planes(br + ir, bi + ii, 0.05)
 
     one_pass()  # warm caches
     times = []
@@ -327,7 +316,10 @@ def ingest_iq_grid(path, shape=None, omega=None):
         raise ValueError(f"file grid {fshape} does not match expected {tuple(shape)}")
     if omega is not None and not np.array_equal(np.asarray(omega), fomega):
         raise ValueError("file index set does not match the expected one")
-    d = build_dictionary(fshape, SamplingSet(fomega, seed=0))
+    try:
+        d = build_dictionary(fshape, SamplingSet(fomega, seed=0))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return y, d
 
 

@@ -1,37 +1,40 @@
 """Unfolded shrinkage networks with structured inhibition.
 
-Four architectures share one layer recursion
-``x <- soft_threshold(bias(y) + inhibit(x), theta)``:
+A layer is two linear branches and a complex soft threshold,
+``x <- soft_threshold(W_obs y + W_inh x, theta)``.  Each branch is an
+operator, :class:`Dense` (a matrix) or :class:`Conv` (a kernel applied by
+windowed linear convolution on a 1-D or 2-D grid); :func:`branches` maps an
+architecture to its two operators:
 
-* ``lista``       dense filter matrix, dense inhibition matrix;
-* ``toeplitz1d``  dense filter, inhibition as a length 2M-1 kernel applied
-                  by linear convolution;
-* ``toeplitz2d``  dense filter, inhibition as a two-axis kernel convolved
-                  with the spectrum reshaped onto its (M2, M1) grid;
-* ``convlista``   both branches convolutional: the observation feeds a
-                  length M+N-1 kernel whose output is cropped to the first
-                  M samples of the usual convolution window.
+* ``lista``       Dense observation, Dense inhibition;
+* ``toeplitz1d``  Dense observation, length 2M-1 Toeplitz inhibition kernel;
+* ``toeplitz2d``  Dense observation, two-axis kernel on the (M2, M1) grid;
+* ``convlista``   a length M+N-1 observation kernel and a Toeplitz kernel.
 
-Parameters are untied across layers.  Forward passes never densify a
-structured inhibition kernel.
+Parameters are untied across layers.  Forward passes never densify a kernel.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cplx import ComplexArray, hermitian, lipschitz_constant
+from .cplx import (ComplexArray, NumericError, hermitian, lipschitz_constant,
+                   soft_threshold_planes)
 from .harmonic import Dictionary
-from .spectral import ToeplitzMat2D, ToeplitzVec, conv_full_planes, conv_full2_planes
+from .spectral import conv_full_planes, conv_full2_planes
 
 __all__ = [
     "ARCHS",
+    "Conv",
+    "Dense",
     "Layer",
     "UnfoldedNetwork",
+    "branches",
     "conv_grid",
     "forward",
     "init_network",
@@ -49,10 +52,11 @@ MODEL_MAGIC = b"HUN1"
 class Layer:
     """One unfolded iteration's learnable parameters.
 
-    ``filt`` is the M x N observation filter (absent for ``convlista``,
-    which uses ``filt_kernel`` instead); ``inhibit`` carries the mutual
-    inhibition in the architecture's native shape: dense (M, M), a 1-D
-    kernel of length 2M-1, or a 2-D kernel of shape (2*g1-1, 2*g2-1).
+    ``filt`` is the M x N observation matrix (absent for ``convlista``,
+    which keeps its observation kernel in ``filt_kernel`` instead);
+    ``inhibit`` is the inhibition weight in its operator's shape: dense
+    (M, M), a 1-D kernel of length 2M-1, or a 2-D kernel of shape
+    (2*g1-1, 2*g2-1).
     """
 
     filt: ComplexArray | None
@@ -61,8 +65,18 @@ class Layer:
     threshold: float
 
     def __post_init__(self):
-        if self.threshold < 0.0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
+            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
+
+    @property
+    def obs(self) -> ComplexArray:
+        """The observation branch's weight, whichever slot holds it."""
+        return self.filt if self.filt is not None else self.filt_kernel
+
+
+def place_obs(arch: str, obs):
+    """(filt, filt_kernel) with the observation weight in its ``arch`` slot."""
+    return (None, obs) if arch == "convlista" else (obs, None)
 
 
 @dataclass
@@ -73,9 +87,8 @@ class UnfoldedNetwork:
     layers: list[Layer]
 
     def __post_init__(self):
-        if self.arch not in ARCHS:
-            raise ValueError(f"unknown architecture {self.arch!r}")
         self.shape = tuple(int(s) for s in self.shape)
+        branches(self.arch, self.shape, self.n_obs)
 
     @property
     def total(self) -> int:
@@ -97,51 +110,109 @@ def conv_grid(shape) -> tuple[int, int]:
     return int(shape[1]), int(shape[0])
 
 
-def inhibition_shape(arch: str, shape) -> tuple[int, ...]:
-    total = int(np.prod(shape))
+# -- branch operators ----------------------------------------------------------
+# Each maps batch-major planes (batch, n_in) -> (batch, n_out).  ``apply`` is
+# the branch, ``adjoint`` pulls a gradient back to the input, ``grad`` is the
+# batch-summed gradient on the weight, and ``shape`` is the weight's shape.
+
+
+@dataclass(frozen=True)
+class Dense:
+    """A matrix branch: out = W x with W of shape (n_out, n_in)."""
+
+    n_out: int
+    n_in: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n_out, self.n_in)
+
+    def apply(self, w: ComplexArray, xr, xi):
+        return xr @ w.re.T - xi @ w.im.T, xr @ w.im.T + xi @ w.re.T
+
+    def adjoint(self, w: ComplexArray, gr, gi):
+        return gr @ w.re + gi @ w.im, gi @ w.re - gr @ w.im
+
+    def grad(self, gr, gi, xr, xi) -> ComplexArray:
+        """Batch sum of g conj(x)^T."""
+        return ComplexArray(gr.T @ xr + gi.T @ xi, gi.T @ xr - gr.T @ xi)
+
+
+def _on_grid(p, grid):
+    """Flat (batch, prod(grid)) plane laid column-stacked onto a 2-D grid."""
+    if len(grid) == 1:
+        return p
+    return np.ascontiguousarray(p.reshape(-1, grid[1], grid[0]).swapaxes(1, 2))
+
+
+@dataclass(frozen=True)
+class Conv:
+    """A kernel branch: windowed linear convolution on a 1-D or 2-D grid.
+
+    The kernel has ``grid_in + grid_out - 1`` entries per axis; the output
+    is the ``grid_out`` window of the full convolution that starts
+    ``grid_in - 1`` past the kernel origin.  A 2-D grid (rows, cols) holds
+    its flat vector column-stacked, the layout of :func:`conv_grid`.
+    """
+
+    grid_in: tuple[int, ...]
+    grid_out: tuple[int, ...]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(a + b - 1 for a, b in zip(self.grid_in, self.grid_out))
+
+    def _conv(self, kr, ki, xr, xi):
+        # looked up on this module at call time, so that a wrapper installed
+        # here sees every convolution
+        conv = conv_full_planes if len(self.grid_in) == 1 else conv_full2_planes
+        return conv(kr, ki, xr, xi)
+
+    def _windowed(self, kr, ki, xr, xi, grid, size):
+        """k * x for flat x on ``grid``: the ``size`` window that starts
+        ``grid - 1`` past the kernel origin on each axis, flat."""
+        full = self._conv(kr, ki, _on_grid(xr, grid), _on_grid(xi, grid))
+        idx = (Ellipsis,) + tuple(slice(a - 1, a - 1 + n) for a, n in zip(grid, size))
+        out = tuple(p[idx] for p in full)
+        if len(size) == 1:
+            return out
+        return tuple(np.ascontiguousarray(p.swapaxes(1, 2)).reshape(len(p), -1) for p in out)
+
+    def apply(self, w: ComplexArray, xr, xi):
+        return self._windowed(w.re, w.im, xr, xi, self.grid_in, self.grid_out)
+
+    def adjoint(self, w: ComplexArray, gr, gi):
+        """The flipped conjugate kernel on the mirrored window."""
+        flip = (slice(None, None, -1),) * len(self.grid_in)
+        return self._windowed(w.re[flip], -w.im[flip], gr, gi, self.grid_out, self.grid_in)
+
+    def grad(self, gr, gi, xr, xi) -> ComplexArray:
+        """Correlation of the gradient with the conjugate input."""
+        flip = (Ellipsis,) + (slice(None, None, -1),) * len(self.grid_in)
+        rr, ri = self._conv(_on_grid(gr, self.grid_out), _on_grid(gi, self.grid_out),
+                            _on_grid(xr, self.grid_in)[flip],
+                            -_on_grid(xi, self.grid_in)[flip])
+        return ComplexArray(rr.sum(axis=0), ri.sum(axis=0))
+
+
+def branches(arch: str, shape, n_obs: int):
+    """(obs_op, inhibit_op): the two branch operators of an ``arch`` layer on
+    a spectrum grid ``shape`` observed through ``n_obs`` samples."""
+    shape = tuple(int(s) for s in shape)
+    if arch not in ARCHS:
+        raise ValueError(f"unknown architecture {arch!r}")
+    if len(shape) not in (1, 2) or min(shape) < 1 or n_obs < 1:
+        raise ValueError(f"grid {shape} with {n_obs} observations is not a problem")
+    if arch == "toeplitz1d" and len(shape) != 1:
+        raise ValueError("toeplitz1d needs a 1-D problem")
+    if arch == "toeplitz2d" and len(shape) != 2:
+        raise ValueError("toeplitz2d needs a 2-D problem")
+    total = math.prod(shape)
+    obs = Conv((n_obs,), (total,)) if arch == "convlista" else Dense(total, n_obs)
     if arch == "lista":
-        return (total, total)
-    if arch == "toeplitz1d" or (arch == "convlista" and len(shape) == 1):
-        return (2 * total - 1,)
-    g1, g2 = conv_grid(shape)
-    return (2 * g1 - 1, 2 * g2 - 1)
-
-
-def _bias_planes(layer: Layer, arch: str, total: int, yr, yi):
-    """Observation branch for a (batch, n) pair of planes -> (batch, M)."""
-    if arch == "convlista":
-        kr, ki = layer.filt_kernel.re, layer.filt_kernel.im
-        n = yr.shape[-1]
-        rr, ri = conv_full_planes(kr, ki, yr, yi)
-        lo = n - 1
-        return rr[..., lo:lo + total], ri[..., lo:lo + total]
-    fr, fi = layer.filt.re, layer.filt.im
-    return yr @ fr.T - yi @ fi.T, yr @ fi.T + yi @ fr.T
-
-
-def _inhibit_planes(layer: Layer, net: UnfoldedNetwork, xr, xi):
-    """Inhibition branch for (batch, M) planes -> (batch, M)."""
-    arch = net.arch
-    if arch == "lista":
-        wr, wi = layer.inhibit.re, layer.inhibit.im
-        return xr @ wr.T - xi @ wi.T, xr @ wi.T + xi @ wr.T
-    kr, ki = layer.inhibit.re, layer.inhibit.im
-    if kr.ndim == 1:
-        m = net.total
-        rr, ri = conv_full_planes(kr, ki, xr, xi)
-        lo = m - 1
-        return rr[..., lo:lo + m], ri[..., lo:lo + m]
-    g1, g2 = conv_grid(net.shape)
-    b = xr.shape[0]
-    # flat index = m1*g1 + m2 with m2 fast: reshape to (m1, m2) then swap
-    xr2 = np.ascontiguousarray(xr.reshape(b, g2, g1).swapaxes(1, 2))
-    xi2 = np.ascontiguousarray(xi.reshape(b, g2, g1).swapaxes(1, 2))
-    rr, ri = conv_full2_planes(kr, ki, xr2, xi2)
-    lo1, lo2 = g1 - 1, g2 - 1
-    rr = rr[..., lo1:lo1 + g1, lo2:lo2 + g2]
-    ri = ri[..., lo1:lo1 + g1, lo2:lo2 + g2]
-    return (np.ascontiguousarray(rr.swapaxes(1, 2)).reshape(b, -1),
-            np.ascontiguousarray(ri.swapaxes(1, 2)).reshape(b, -1))
+        return obs, Dense(total, total)
+    grid = (total,) if len(shape) == 1 else conv_grid(shape)
+    return obs, Conv(grid, grid)
 
 
 def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
@@ -152,31 +223,21 @@ def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
     """
     if yr.shape[-1] != net.n_obs:
         raise ValueError(f"observation length {yr.shape[-1]}, expected {net.n_obs}")
-    total = net.total
-    b = yr.shape[0]
-    xr = np.zeros((b, total))
-    xi = np.zeros((b, total))
+    obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
+    xr = np.zeros((yr.shape[0], net.total))
+    xi = np.zeros((yr.shape[0], net.total))
     cache = [] if keep_cache else None
     for t, layer in enumerate(net.layers):
-        br, bi = _bias_planes(layer, net.arch, total, yr, yi)
+        ur, ui = obs_op.apply(layer.obs, yr, yi)
         if t > 0:
-            ir, ii = _inhibit_planes(layer, net, xr, xi)
-            ur = br + ir
-            ui = bi + ii
-        else:
-            ur, ui = br, bi
+            ir, ii = inhibit_op.apply(layer.inhibit, xr, xi)
+            ur, ui = ur + ir, ui + ii
         if keep_cache:
             cache.append({"x_r": xr, "x_i": xi, "u_r": ur, "u_i": ui})
+        # a zero threshold, where training's clamp often leaves it, is the identity
         theta = layer.threshold
-        if theta == 0.0:
-            xr, xi = ur, ui
-        else:
-            mag = np.hypot(ur, ui)
-            scl = 1.0 - theta / np.maximum(mag, theta)
-            xr = ur * scl
-            xi = ui * scl
+        xr, xi = (ur, ui) if theta == 0.0 else soft_threshold_planes(ur, ui, theta)
         if not (np.all(np.isfinite(xr)) and np.all(np.isfinite(xi))):
-            from .cplx import NumericError
             raise NumericError(f"non-finite activation after layer {t}")
     return xr, xi, cache
 
@@ -189,30 +250,14 @@ def forward(net: UnfoldedNetwork, y: ComplexArray, record_layers: bool = False):
     """
     if y.ndim != 1:
         raise ValueError("forward expects a rank-1 observation")
-    outputs = []
-    xr = np.zeros((1, net.total))
-    xi = np.zeros((1, net.total))
-    yr = y.re[None, :]
-    yi = y.im[None, :]
+    xr, xi, cache = forward_planes(net, y.re[None, :], y.im[None, :],
+                                   keep_cache=record_layers)
+    final = ComplexArray(xr[0], xi[0])
     if not record_layers:
-        xr, xi, _ = forward_planes(net, yr, yi)
-        return ComplexArray(xr[0], xi[0])
-    # re-run layer by layer to expose intermediate spectra
-    total = net.total
-    for t, layer in enumerate(net.layers):
-        br, bi = _bias_planes(layer, net.arch, total, yr, yi)
-        if t > 0:
-            ir, ii = _inhibit_planes(layer, net, xr, xi)
-            br, bi = br + ir, bi + ii
-        theta = layer.threshold
-        if theta == 0.0:
-            xr, xi = br, bi
-        else:
-            mag = np.hypot(br, bi)
-            scl = 1.0 - theta / np.maximum(mag, theta)
-            xr, xi = br * scl, bi * scl
-        outputs.append(ComplexArray(xr[0].copy(), xi[0].copy()))
-    return outputs[-1], outputs
+        return final
+    # layer t's output is layer t+1's cached input
+    outputs = [ComplexArray(c["x_r"][0], c["x_i"][0]) for c in cache[1:]]
+    return final, outputs + [final]
 
 
 def _toeplitz_project(filt: ComplexArray, total: int, n_obs: int) -> ComplexArray:
@@ -242,12 +287,7 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
         raise ValueError("depth must be >= 1")
     if lam < 0.0:
         raise ValueError("penalty weight must be >= 0")
-    if arch not in ARCHS:
-        raise ValueError(f"unknown architecture {arch!r}")
-    if arch == "toeplitz1d" and d.is_2d:
-        raise ValueError("toeplitz1d needs a 1-D problem")
-    if arch == "toeplitz2d" and not d.is_2d:
-        raise ValueError("toeplitz2d needs a 2-D problem")
+    _, inhibit_op = branches(arch, d.shape, d.n_obs)
     if dataset_for_estimate is not None:
         from .training import estimate_dictionary
         phi_hat = estimate_dictionary(dataset_for_estimate)
@@ -256,26 +296,11 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
     big_l = lipschitz_constant(phi_hat).value
     filt = hermitian(phi_hat).scale(1.0 / big_l)
     theta0 = lam / big_l
-    ish = inhibition_shape(arch, d.shape)
-    kernel = _toeplitz_project(filt, d.total, d.n_obs) if arch == "convlista" else None
-    layers = []
-    for _ in range(depth):
-        layers.append(Layer(
-            filt=None if arch == "convlista" else filt.copy(),
-            filt_kernel=kernel.copy() if kernel is not None else None,
-            inhibit=ComplexArray.zeros(ish),
-            threshold=theta0,
-        ))
+    obs = _toeplitz_project(filt, d.total, d.n_obs) if arch == "convlista" else filt
+    layers = [Layer(*place_obs(arch, obs.copy()), ComplexArray.zeros(inhibit_op.shape),
+                    theta0)
+              for _ in range(depth)]
     return UnfoldedNetwork(arch, d.shape, d.n_obs, layers)
-
-
-def toeplitz_vec(layer_inhibit: ComplexArray, total: int) -> ToeplitzVec:
-    return ToeplitzVec(layer_inhibit, total)
-
-
-def toeplitz_mat(layer_inhibit: ComplexArray, shape) -> ToeplitzMat2D:
-    g1, g2 = conv_grid(shape)
-    return ToeplitzMat2D(layer_inhibit, g1, g2)
 
 
 def param_count(net: UnfoldedNetwork) -> dict:
@@ -283,12 +308,9 @@ def param_count(net: UnfoldedNetwork) -> dict:
 
     The threshold counts as one parameter per layer.
     """
-    m, n = net.total, net.n_obs
-    if net.arch == "convlista":
-        filt = m + n - 1
-    else:
-        filt = m * n
-    inhib = int(np.prod(inhibition_shape(net.arch, net.shape)))
+    obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
+    filt = int(np.prod(obs_op.shape))
+    inhib = int(np.prod(inhibit_op.shape))
     per_layer = {"filter": filt, "inhibition": inhib, "threshold": 1,
                  "total": filt + inhib + 1}
     t = net.depth
@@ -329,8 +351,7 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
     with open(path, "wb") as fh:
         fh.write(head)
         for layer in net.layers:
-            _write_planes(fh, layer.filt_kernel if net.arch == "convlista"
-                          else layer.filt)
+            _write_planes(fh, layer.obs)
             _write_planes(fh, layer.inhibit)
             fh.write(struct.pack("<d", layer.threshold))
     side = {
@@ -349,33 +370,31 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
 
 
 def load_network(path) -> UnfoldedNetwork:
+    """Read a :func:`save_network` file; a malformed one raises a ValueError
+    naming it."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 28 or buf[:4] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model file (bad magic)")
     arch_tag, depth, rank, d1, d2, n_obs = struct.unpack_from("<IIIIII", buf, 4)
-    if arch_tag >= len(ARCHS) or rank not in (1, 2):
-        raise ValueError(f"{path}: corrupt header")
-    arch = ARCHS[arch_tag]
-    shape = (d1,) if rank == 1 else (d1, d2)
-    total = int(np.prod(shape))
-    ish = inhibition_shape(arch, shape)
-    obs_count = total + n_obs - 1 if arch == "convlista" else total * n_obs
-    want = 28 + depth * (16 * (obs_count + int(np.prod(ish))) + 8)
-    if len(buf) != want:
-        raise ValueError(f"{path}: file holds {len(buf)} bytes but its header "
-                         f"implies {want}")
-    off = 28
-    layers = []
-    for _ in range(depth):
-        if arch == "convlista":
-            obs, off = _read_planes(buf, off, (total + n_obs - 1,))
-            filt, kernel = None, obs
-        else:
-            obs, off = _read_planes(buf, off, (total, n_obs))
-            filt, kernel = obs, None
-        inhibit, off = _read_planes(buf, off, ish)
-        (theta,) = struct.unpack_from("<d", buf, off)
-        off += 8
-        layers.append(Layer(filt, kernel, inhibit, theta))
-    return UnfoldedNetwork(arch, shape, n_obs, layers)
+    try:
+        if arch_tag >= len(ARCHS) or rank not in (1, 2) or (rank == 1 and d2 != 0):
+            raise ValueError("corrupt header")
+        arch = ARCHS[arch_tag]
+        shape = (d1,) if rank == 1 else (d1, d2)
+        obs_op, inhibit_op = branches(arch, shape, n_obs)
+        want = 28 + depth * (16 * (int(np.prod(obs_op.shape))
+                                   + int(np.prod(inhibit_op.shape))) + 8)
+        if len(buf) != want:
+            raise ValueError(f"file holds {len(buf)} bytes but its header implies {want}")
+        off = 28
+        layers = []
+        for _ in range(depth):
+            obs, off = _read_planes(buf, off, obs_op.shape)
+            inhibit, off = _read_planes(buf, off, inhibit_op.shape)
+            (theta,) = struct.unpack_from("<d", buf, off)
+            off += 8
+            layers.append(Layer(*place_obs(arch, obs), inhibit, theta))
+        return UnfoldedNetwork(arch, shape, n_obs, layers)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

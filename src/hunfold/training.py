@@ -4,8 +4,9 @@ The loss is the batch NMSE  sum_i ||x_i - xhat_i|| / sum_i ||x_i||  (plain
 norms, not squared).  Gradients are computed by a hand-rolled reverse pass
 in the split real/imaginary parameterisation: the complex soft threshold
 contributes its exact Jacobian away from the |u| = theta sphere and a zero
-subgradient on it, matrix adjoints are conjugate transposes, and kernel
-adjoints are correlations (convolution with the flipped conjugate).
+subgradient on it, each branch operator of a layer gives its weight gradient
+(``grad``), and the inhibition operator's ``adjoint`` carries the gradient
+to the layer before (see :mod:`hunfold.nets`).
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ import numpy as np
 
 from .cplx import ComplexArray, NumericError
 from .harmonic import Dataset
-from .nets import Layer, UnfoldedNetwork, conv_grid, forward_planes
-from .spectral import conv_full_planes, conv_full2_planes
+from .nets import Layer, UnfoldedNetwork, branches, forward_planes, place_obs
+# Not called here: every convolution runs inside the nets operators.  The
+# names stay bound because the benchmark tracer (perfbench/tracing.py) wraps
+# them on this module as well and reports a name it cannot find as absent.
+from .spectral import conv_full_planes, conv_full2_planes  # noqa: F401
 
 __all__ = [
     "AdamState",
@@ -65,6 +69,8 @@ class LayerGrads:
     filt_kernel: ComplexArray | None
     inhibit: ComplexArray
     threshold: float
+
+    obs = Layer.obs   # the observation gradient, whichever slot holds it
 
 
 @dataclass
@@ -125,31 +131,6 @@ def _soft_threshold_adjoint(gr, gi, ur, ui, theta):
     return gur, gui, gtheta
 
 
-def _dense_adjoint(gr, gi, vr, vi):
-    """Gradient of sum Re(g^H W v) style bilinear terms wrt the matrix W:
-    accumulates g conj(v)^T over the batch."""
-    return ComplexArray(gr.T @ vr + gi.T @ vi, gi.T @ vr - gr.T @ vi)
-
-
-def _kernel_grad_1d(gr, gi, vr, vi):
-    """Correlation of the layer gradient with the conjugate input: the
-    adjoint of a windowed 1-D convolution wrt its kernel."""
-    fr = vr[..., ::-1]
-    fi = -vi[..., ::-1]
-    rr, ri = conv_full_planes(gr, gi, fr, fi)
-    return ComplexArray(rr.sum(axis=0), ri.sum(axis=0))
-
-
-def _kernel_backprop_1d(kr, ki, gr, gi, out_len):
-    """Push a gradient through a windowed 1-D convolution back to its input:
-    convolve with the flipped conjugate kernel on the same window."""
-    k2r = kr[::-1].copy()
-    k2i = -ki[::-1]
-    rr, ri = conv_full_planes(k2r, k2i, gr, gi)
-    lo = (kr.shape[-1] + 1) // 2 - 1  # kernel origin: (len+1)/2 - 1
-    return rr[..., lo:lo + out_len], ri[..., lo:lo + out_len]
-
-
 def backward(net: UnfoldedNetwork, batch: Dataset) -> NetGradients:
     """Gradients of the batch NMSE wrt every layer parameter plane."""
     if batch.count == 0:
@@ -172,65 +153,23 @@ def _backward_planes(net: UnfoldedNetwork, yr, yi, tr, ti):
     gr = err_r * w[:, None]
     gi = err_i * w[:, None]
 
-    m = net.total
-    is_2d_kernel = net.arch == "toeplitz2d" or (net.arch == "convlista"
-                                                and len(net.shape) == 2)
+    obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
     grads: list[LayerGrads | None] = [None] * net.depth
     for t in range(net.depth - 1, -1, -1):
         layer = net.layers[t]
         ctx = cache[t]
         gur, gui, gtheta = _soft_threshold_adjoint(
             gr, gi, ctx["u_r"], ctx["u_i"], layer.threshold)
-
-        # observation branch
-        if net.arch == "convlista":
-            gfilt = None
-            gkernel = _kernel_grad_1d(gur, gui, yr, yi)
-        else:
-            gfilt = _dense_adjoint(gur, gui, yr, yi)
-            gkernel = None
-
-        # inhibition branch (layer 0 sees the zero spectrum: no gradient)
+        gobs = obs_op.grad(gur, gui, yr, yi)
         if t == 0:
+            # layer 0 sees the zero spectrum: no inhibition gradient
             ginhib = ComplexArray.zeros(layer.inhibit.shape)
-            new_gr = new_gi = None
-        elif net.arch == "lista":
-            ginhib = _dense_adjoint(gur, gui, ctx["x_r"], ctx["x_i"])
-            wr, wi = layer.inhibit.re, layer.inhibit.im
-            new_gr = gur @ wr + gui @ wi
-            new_gi = gui @ wr - gur @ wi
-        elif not is_2d_kernel:
-            full = _kernel_grad_1d(gur, gui, ctx["x_r"], ctx["x_i"])
-            ginhib = full
-            new_gr, new_gi = _kernel_backprop_1d(
-                layer.inhibit.re, layer.inhibit.im, gur, gui, m)
         else:
-            g1, g2 = conv_grid(net.shape)
-            b = gur.shape[0]
-            gm_r = np.ascontiguousarray(gur.reshape(b, g2, g1).swapaxes(1, 2))
-            gm_i = np.ascontiguousarray(gui.reshape(b, g2, g1).swapaxes(1, 2))
-            xm_r = np.ascontiguousarray(ctx["x_r"].reshape(b, g2, g1).swapaxes(1, 2))
-            xm_i = np.ascontiguousarray(ctx["x_i"].reshape(b, g2, g1).swapaxes(1, 2))
-            rr, ri = conv_full2_planes(gm_r, gm_i,
-                                       xm_r[..., ::-1, ::-1].copy(),
-                                       -xm_i[..., ::-1, ::-1])
-            ginhib = ComplexArray(rr.sum(axis=0), ri.sum(axis=0))
-            k2r = layer.inhibit.re[::-1, ::-1].copy()
-            k2i = -layer.inhibit.im[::-1, ::-1]
-            br, bi = conv_full2_planes(k2r, k2i, gm_r, gm_i)
-            lo1, lo2 = g1 - 1, g2 - 1
-            br = br[..., lo1:lo1 + g1, lo2:lo2 + g2]
-            bi = bi[..., lo1:lo1 + g1, lo2:lo2 + g2]
-            new_gr = np.ascontiguousarray(br.swapaxes(1, 2)).reshape(b, -1)
-            new_gi = np.ascontiguousarray(bi.swapaxes(1, 2)).reshape(b, -1)
+            ginhib = inhibit_op.grad(gur, gui, ctx["x_r"], ctx["x_i"])
+            gr, gi = inhibit_op.adjoint(layer.inhibit, gur, gui)
+        grads[t] = LayerGrads(*place_obs(net.arch, gobs), ginhib, gtheta)
 
-        grads[t] = LayerGrads(gfilt, gkernel, ginhib, gtheta)
-        if t > 0:
-            gr, gi = new_gr, new_gi
-
-    err_sum = float(np.sum(per))
-    ref_sum = den
-    return grads, err_sum, ref_sum, loss
+    return grads, float(np.sum(per)), den, loss
 
 
 # -- Adam ------------------------------------------------------------------
@@ -281,44 +220,33 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 # -- parameter flattening ----------------------------------------------------
 
 
+def _param_planes(layer):
+    """The five planes of a layer, or of its gradient, in parameter order."""
+    return (layer.obs.re, layer.obs.im, layer.inhibit.re, layer.inhibit.im,
+            np.array(layer.threshold))
+
+
 def net_param_arrays(net: UnfoldedNetwork):
     """Copy a network into a flat list of planes (thresholds as 0-d arrays).
 
     Returns (params, clamp_flags); thresholds are the only clamped entries.
     """
-    params: list[np.ndarray] = []
-    clamp: list[bool] = []
-    for layer in net.layers:
-        obs = layer.filt_kernel if net.arch == "convlista" else layer.filt
-        for arr in (obs.re, obs.im, layer.inhibit.re, layer.inhibit.im):
-            params.append(arr.copy())
-            clamp.append(False)
-        params.append(np.array(layer.threshold))
-        clamp.append(True)
-    return params, clamp
+    params = [p.copy() for layer in net.layers for p in _param_planes(layer)]
+    return params, [False, False, False, False, True] * net.depth
 
 
 def grad_arrays(grads: NetGradients, arch: str) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for g in grads.layers:
-        obs = g.filt_kernel if arch == "convlista" else g.filt
-        out.extend((obs.re, obs.im, g.inhibit.re, g.inhibit.im))
-        out.append(np.array(g.threshold))
-    return out
+    """Gradient planes in :func:`net_param_arrays` order (each layer's
+    gradient already sits in its ``arch`` slots)."""
+    return [p for g in grads.layers for p in _param_planes(g)]
 
 
 def assemble_network(arch: str, shape, n_obs: int,
                      params: list[np.ndarray]) -> UnfoldedNetwork:
     """Wrap flat parameter planes back into a network (shares the buffers)."""
-    layers = []
-    for i in range(0, len(params), 5):
-        obs = ComplexArray(params[i], params[i + 1])
-        inhibit = ComplexArray(params[i + 2], params[i + 3])
-        theta = float(params[i + 4])
-        if arch == "convlista":
-            layers.append(Layer(None, obs, inhibit, theta))
-        else:
-            layers.append(Layer(obs, None, inhibit, theta))
+    layers = [Layer(*place_obs(arch, ComplexArray(params[i], params[i + 1])),
+                    ComplexArray(params[i + 2], params[i + 3]), float(params[i + 4]))
+              for i in range(0, len(params), 5)]
     return UnfoldedNetwork(arch, tuple(shape), n_obs, layers)
 
 

@@ -341,3 +341,20 @@ def test_run_sweep_block_matches_per_trial_recovery():
         x = hf.fista(d, inst.y, SolverConfig(lam=lam, max_iter=20, tol=0.0)).x_hat
         ratios.append(hf.nmse_metric(x, inst.x_true))
     assert abs(row.nmse_db - 20 * np.log10(np.mean(ratios))) < 1e-9
+
+
+def test_iq_every_bit_flip_loads_or_names_path(tmp_path):
+    d = hf.build_dictionary((4, 4), hf.draw_sampling(16, 5, seed=7))
+    good = tmp_path / "good.hiq"
+    write_iq_grid(good, (4, 4), d.sampling.omega,
+                  ComplexArray(np.arange(5.0), -np.arange(5.0)))
+    data = bytearray(good.read_bytes())
+    path = tmp_path / "flipped.hiq"
+    for bit in range(8 * len(data)):
+        data[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(data))
+        data[bit // 8] ^= 1 << (bit % 8)
+        try:
+            ingest_iq_grid(path)
+        except ValueError as exc:
+            assert str(path) in str(exc), f"bit {bit}: {exc}"

@@ -6,9 +6,9 @@ import pytest
 import hunfold as hf
 from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant, matvec, \
     soft_threshold
-from hunfold.nets import (Layer, UnfoldedNetwork, conv_grid, forward,
-                          init_network, load_network, param_count,
-                          save_network)
+from hunfold.nets import (ARCHS, Conv, Dense, Layer, UnfoldedNetwork,
+                          branches, conv_grid, forward, init_network,
+                          load_network, param_count, save_network)
 from hunfold.solvers import SolverConfig, ista
 from hunfold.spectral import ToeplitzMat2D, ToeplitzVec, dbt_expand, \
     toeplitz_expand
@@ -282,6 +282,16 @@ def test_model_extended_file_names_path(tmp_path, arch):
         load_network(path)
 
 
+def test_model_1d_with_second_dimension_names_path(tmp_path):
+    path = tmp_path / "dim2.hun"
+    save_network(path, init_network("lista", dict_1d(m=6, n=3, seed=20), 1, lam=0.1))
+    data = bytearray(path.read_bytes())
+    data[20] = 1   # u32 dim2 at byte 20 must be 0 for a 1-D grid
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="dim2.hun: corrupt header"):
+        load_network(path)
+
+
 def test_model_bad_magic(tmp_path):
     path = tmp_path / "junk.hun"
     path.write_bytes(b"WHAT" + b"\x00" * 40)
@@ -294,3 +304,151 @@ def test_forward_shape_validation():
     net = init_network("lista", d, 2, lam=0.1)
     with pytest.raises(ValueError):
         forward(net, ComplexArray.zeros((d.n_obs + 2,)))
+
+
+# -- branch operators ---------------------------------------------------------
+
+OPERATORS = [
+    Dense(11, 7),
+    Conv((11,), (11,)),        # 1-D Toeplitz inhibition
+    Conv((7,), (11,)),         # ConvLISTA's rectangular observation kernel
+    Conv((5, 3), (5, 3)),      # 2-D Toeplitz inhibition on a (M2, M1) grid
+    Conv((3, 5), (6, 2)),      # 2-D, different in and out grids
+]
+
+
+def op_sizes(op):
+    if isinstance(op, Dense):
+        return op.n_in, op.n_out
+    return int(np.prod(op.grid_in)), int(np.prod(op.grid_out))
+
+
+def planes(rng, shape):
+    return rng.standard_normal(shape), rng.standard_normal(shape)
+
+
+def inner(ar, ai, br, bi):
+    """sum a conj(b) over all entries."""
+    a = ar + 1j * ai
+    b = br + 1j * bi
+    return np.sum(a * np.conj(b))
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=repr)
+def test_operator_adjoint_identity(op):
+    rng = np.random.default_rng(31)
+    n_in, n_out = op_sizes(op)
+    w = rand_carray(rng, op.shape)
+    xr, xi = planes(rng, (4, n_in))
+    gr, gi = planes(rng, (4, n_out))
+    lhs = inner(*op.apply(w, xr, xi), gr, gi)
+    rhs = inner(xr, xi, *op.adjoint(w, gr, gi))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def unit_matrices(op):
+    """Dense (n_out, n_in) matrix of the operator for each unit weight e_p."""
+    n_in, _ = op_sizes(op)
+    eye = np.eye(n_in)
+    mats = []
+    for p in np.ndindex(op.shape):
+        w = ComplexArray.zeros(op.shape)
+        w.re[p] = 1.0
+        mats.append(op.apply(w, eye, np.zeros_like(eye))[0].T)
+    return mats
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=repr)
+def test_operator_grad_is_mapped_batch_outer_product(op):
+    rng = np.random.default_rng(32)
+    n_in, n_out = op_sizes(op)
+    xr, xi = planes(rng, (5, n_in))
+    gr, gi = planes(rng, (5, n_out))
+    # batch sum g conj(x)^T, the gradient of a dense weight
+    outer = np.einsum("bj,bi->ji", gr + 1j * gi, np.conj(xr + 1j * xi))
+    if isinstance(op, Dense):
+        want = outer
+    else:
+        want = np.array([np.sum(outer * m) for m in unit_matrices(op)]).reshape(op.shape)
+    got = op.grad(gr, gi, xr, xi).to_complex()
+    assert got.shape == op.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_conv_rectangular_apply_matches_explicit_sum():
+    rng = np.random.default_rng(33)
+    n, m = 7, 11
+    op = Conv((n,), (m,))
+    k = rand_carray(rng, op.shape).to_complex()
+    xr, xi = planes(rng, (3, n))
+    x = xr + 1j * xi
+    want = np.array([[sum(k[j + n - 1 - i] * row[i] for i in range(n))
+                      for j in range(m)] for row in x])
+    got_r, got_i = op.apply(ComplexArray(k.real, k.imag), xr, xi)
+    assert np.max(np.abs(got_r + 1j * got_i - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("lista", (12,)), ("lista", (3, 4)), ("toeplitz1d", (12,)),
+    ("toeplitz2d", (3, 4)), ("convlista", (12,)), ("convlista", (3, 4))])
+def test_branches_shapes_match_init(arch, shape):
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 5, seed=1))
+    net = init_network(arch, d, 2, lam=0.1)
+    obs_op, inhibit_op = branches(arch, shape, 5)
+    for layer in net.layers:
+        assert layer.obs.shape == obs_op.shape
+        assert layer.inhibit.shape == inhibit_op.shape
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("lista", (10,)), ("lista", (3, 4)), ("toeplitz1d", (10,)),
+    ("toeplitz2d", (3, 4)), ("convlista", (10,)), ("convlista", (3, 4))])
+def test_record_layers_equal_truncated_networks(arch, shape):
+    rng = np.random.default_rng(34)
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 5, seed=2))
+    net = init_network(arch, d, 4, lam=0.2)
+    for layer in net.layers:
+        layer.inhibit = rand_carray(rng, layer.inhibit.shape, scale=0.1)
+    y = rand_carray(rng, (d.n_obs,))
+    final, per_layer = forward(net, y, record_layers=True)
+    assert len(per_layer) == net.depth
+    for t, out in enumerate(per_layer):
+        head = UnfoldedNetwork(arch, shape, d.n_obs, net.layers[:t + 1])
+        ref = forward(head, y)
+        assert np.array_equal(out.re, ref.re) and np.array_equal(out.im, ref.im)
+    assert np.array_equal(final.re, per_layer[-1].re)
+
+
+@pytest.mark.parametrize("theta", [-0.1, np.nan, np.inf])
+def test_layer_rejects_bad_threshold(theta):
+    with pytest.raises(ValueError, match="threshold"):
+        Layer(ComplexArray.zeros((4, 2)), None, ComplexArray.zeros((4, 4)), theta)
+
+
+def test_network_rejects_toeplitz_on_wrong_grid():
+    layer = Layer(ComplexArray.zeros((12, 5)), None, ComplexArray.zeros((23,)), 0.1)
+    with pytest.raises(ValueError, match="toeplitz1d"):
+        UnfoldedNetwork("toeplitz1d", (3, 4), 5, [layer])
+    with pytest.raises(ValueError, match="toeplitz2d"):
+        UnfoldedNetwork("toeplitz2d", (12,), 5, [layer])
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_model_every_bit_flip_loads_or_names_path(tmp_path, arch):
+    shape = (2, 3) if arch == "toeplitz2d" else (5,)
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 3, seed=19))
+    good = tmp_path / "good.hun"
+    save_network(good, init_network(arch, d, 2, lam=0.1))
+    data = bytearray(good.read_bytes())
+    path = tmp_path / "flipped.hun"
+    for bit in range(8 * len(data)):
+        data[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(data))
+        data[bit // 8] ^= 1 << (bit % 8)
+        try:
+            load_network(path)
+        except ValueError as exc:
+            assert str(path) in str(exc), f"bit {bit}: {exc}"
