@@ -1,6 +1,6 @@
 """Sparse multidimensional harmonic retrieval at desk scale.
 
-Building blocks: split-plane complex arithmetic (:mod:`hunfold.cplx`),
+Building blocks: complex128 arrays and products (:mod:`hunfold.cplx`),
 FFT and Toeplitz convolution kernels on numpy.fft (:mod:`hunfold.spectral`),
 partial Fourier sensing models and synthetic data (:mod:`hunfold.harmonic`),
 proximal solvers (:mod:`hunfold.solvers`), unfolded shrinkage networks with

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, nets
-from .cplx import ComplexArray, soft_threshold_planes
+from .cplx import ComplexArray, join_planes, soft_threshold_planes
 from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet,
-                       build_dictionary, draw_sampling, make_instance,
+                       build_dictionary, draw_sampling, gaussian, make_instance,
                        synth_offgrid)
 from .metrics import hit_rate_metric, nmse_metric
 from .solvers import SolverConfig, default_lambda, fista, ista
@@ -118,7 +118,7 @@ def _recover(method: str, d: Dictionary, y: ComplexArray,
         return solver(d, y, scfg).x_hat
     # looked up on the module, so that a wrapper installed there sees the call
     xr, xi, _ = nets.forward_planes(cfg.models[method], y.re.T, y.im.T)
-    return ComplexArray(xr.T, xi.T)
+    return ComplexArray(join_planes(xr, xi).T)
 
 
 def _instance(d: Dictionary, k: int, sigma2: float, seq: np.random.SeedSequence):
@@ -145,15 +145,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
             first = p_idx * cfg.trials_per_point
             truths, ys = zip(*(_instance(d, cfg.k, sigma2, seq)
                                for seq in children[first:first + cfg.trials_per_point]))
-            y = ComplexArray(np.stack([v.re for v in ys], axis=1),
-                             np.stack([v.im for v in ys], axis=1))
+            y = ComplexArray(np.stack([v.z for v in ys], axis=1))
             t0 = time.perf_counter()
             x_hat = _recover(method, d, y, cfg)
             elapsed = (time.perf_counter() - t0) * 1e3
             ratios = []
             hits = []
-            for x_true, xr, xi in zip(truths, x_hat.re.T, x_hat.im.T):
-                est = ComplexArray(xr, xi)
+            for x_true, column in zip(truths, x_hat.z.T):
+                est = ComplexArray(column)
                 ratios.append(nmse_metric(est, x_true))
                 hits.append(hit_rate_metric(est, x_true, cfg.k))
             rows.append(MetricRow(
@@ -182,9 +181,7 @@ def run_single(cfg: ExperimentConfig, offgrid: bool = False,
     rng = np.random.Generator(np.random.PCG64(seq))
     if offgrid:
         anchors = np.sort(rng.choice(d.total, size=cfg.k, replace=False))
-        amp = np.sqrt(0.5)
-        amps = ComplexArray(amp * rng.standard_normal(cfg.k),
-                            amp * rng.standard_normal(cfg.k))
+        amps = ComplexArray(gaussian(rng, (cfg.k,), np.sqrt(0.5)))
         y = synth_offgrid(d, anchors, frac, amps)
         truth_mag = np.zeros(d.total)
         truth_mag[anchors] = amps.abs()
@@ -193,10 +190,8 @@ def run_single(cfg: ExperimentConfig, offgrid: bool = False,
         x_true, y = _instance(d, cfg.k, 0.0, seq)
         truth_mag = x_true.abs()
     if sigma2 > 0.0:
-        s = np.sqrt(sigma2 / 2.0)
-        y = ComplexArray(y.re + s * rng.standard_normal(d.n_obs),
-                         y.im + s * rng.standard_normal(d.n_obs))
-    block = ComplexArray(y.re[:, None], y.im[:, None])
+        y = ComplexArray(y.z + gaussian(rng, (d.n_obs,), np.sqrt(sigma2 / 2.0)))
+    block = ComplexArray(y.z[:, None])
     columns = {}
     for method in cfg.methods:
         columns[method] = _recover(method, d, block, cfg).abs()[:, 0]
@@ -218,17 +213,14 @@ def time_layer_forward(arch: str, m: int, n_obs: int, repeats: int = 5,
     """
     obs_op, inhibit_op = nets.branches(arch, (m,), n_obs)
     rng = np.random.default_rng(seed)
-    inhibit = ComplexArray(*rng.standard_normal((2,) + inhibit_op.shape))
-    obs = ComplexArray(*rng.standard_normal((2,) + obs_op.shape))
-    yr = rng.standard_normal((1, n_obs))
-    yi = rng.standard_normal((1, n_obs))
-    xr = rng.standard_normal((1, m))
-    xi = rng.standard_normal((1, m))
+    inhibit = ComplexArray(gaussian(rng, inhibit_op.shape, 1.0))
+    obs = ComplexArray(gaussian(rng, obs_op.shape, 1.0))
+    y = gaussian(rng, (1, n_obs), 1.0)
+    x = gaussian(rng, (1, m), 1.0)
 
     def one_pass():
-        br, bi = obs_op.apply(obs, yr, yi)
-        ir, ii = inhibit_op.apply(inhibit, xr, xi)
-        soft_threshold_planes(br + ir, bi + ii, 0.05)
+        u = obs_op.apply(obs, y) + inhibit_op.apply(inhibit, x)
+        soft_threshold_planes(u.real, u.imag, 0.05)
 
     one_pass()  # warm caches
     times = []
@@ -272,14 +264,11 @@ def write_iq_grid(path, shape, omega, y: ComplexArray) -> None:
         raise ValueError("one sample per observed index is required")
     head = json.dumps({"m1": int(shape[0]), "m2": int(shape[1]),
                        "omega": omega}, sort_keys=True).encode("utf-8")
-    payload = np.empty((y.shape[0], 2))
-    payload[:, 0] = y.re
-    payload[:, 1] = y.im
     with open(path, "wb") as fh:
         fh.write(IQ_MAGIC)
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
-        fh.write(payload.astype("<f8").tobytes())
+        fh.write(y.z.astype("<c16", copy=False).tobytes())
 
 
 def read_iq_grid(path):
@@ -301,8 +290,7 @@ def read_iq_grid(path):
     if len(body) != omega.size * 16:
         raise ValueError(f"{path}: payload holds {len(body) // 16} samples "
                          f"but the index set lists {omega.size}")
-    arr = np.frombuffer(body, dtype="<f8").reshape(omega.size, 2)
-    return shape, omega, ComplexArray(arr[:, 0].copy(), arr[:, 1].copy())
+    return shape, omega, ComplexArray(np.frombuffer(body, dtype="<c16").astype(np.complex128))
 
 
 def ingest_iq_grid(path, shape=None, omega=None):

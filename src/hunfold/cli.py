@@ -11,6 +11,7 @@ byte-identical across repeated runs of one configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -133,7 +134,7 @@ def _cmd_gen_data(args) -> int:
         if len(shape) != 2:
             raise SystemExit("--export-iq needs a 2-D problem")
         col = args.export_index
-        y = ComplexArray(ds.obs.re[:, col].copy(), ds.obs.im[:, col].copy())
+        y = ComplexArray(ds.obs.z[:, col].copy())
         write_iq_grid(args.export_iq, shape, sampling.omega, y)
     print(f"wrote {args.out} ({ds.count} samples)")
     return 0
@@ -324,6 +325,13 @@ def build_parser():
     return parser, commands
 
 
+@functools.cache
+def _parser():
+    """The process's one :func:`build_parser` tree; :func:`main` leaves no
+    ``--config`` default in it."""
+    return build_parser()
+
+
 def _read_config(path, command: str, p: argparse.ArgumentParser) -> dict:
     """The ``--config`` document: a JSON object whose keys are options of
     ``command``; anything else stops the run with a message naming the
@@ -347,7 +355,8 @@ def _read_config(path, command: str, p: argparse.ArgumentParser) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
+    parser, commands = _parser()
+    sub, config = parser, {}
     if "--config" in argv:
         i = argv.index("--config")
         if i + 1 >= len(argv):
@@ -357,8 +366,15 @@ def main(argv=None) -> int:
         command = next((a for a in argv if a in commands), None)
         if command is None:
             parser.parse_args(argv)   # reports the missing subcommand
-        commands[command].set_defaults(**_read_config(path, command, commands[command]))
-    args = parser.parse_args(argv)
+        sub = commands[command]
+        config = _read_config(path, command, sub)
+    # the file's values are the defaults of this parse only
+    saved = {key: sub.get_default(key) for key in config}
+    sub.set_defaults(**config)
+    try:
+        args = parser.parse_args(argv)
+    finally:
+        sub.set_defaults(**saved)
     return args.func(args)
 
 

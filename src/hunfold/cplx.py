@@ -1,12 +1,12 @@
-"""Split-plane complex arrays and the nonlinearities built on them.
+"""Complex arrays and the nonlinearities built on them.
 
-Complex data is carried as two float64 planes (real and imaginary).  This
-is the storage format shared by the spectral kernels, the iterative
-solvers and the unfolded networks: observations, spectra, dictionaries and
-learned weights all live in :class:`ComplexArray`.  The helpers here spell
-a complex product out as its four real cross-coupled products; the
-convolutions and the solvers instead join the planes into numpy
-``complex128`` and take one complex product.
+Complex data is carried as one numpy ``complex128`` array wrapped in
+:class:`ComplexArray`: observations, spectra, dictionaries and learned
+weights all live in one, and every complex product is one numpy product
+on it.  This module is the only one that knows that storage.  Where a
+function still takes or returns a real and an imaginary plane (the
+plane-level soft threshold, the FFT convolutions, the networks' forward
+pass), :func:`join_planes` turns the pair back into one array.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "NumericError",
     "PowerIterEstimate",
     "hermitian",
+    "join_planes",
     "lipschitz_constant",
     "matmat",
     "matvec",
@@ -36,118 +37,134 @@ class NumericError(RuntimeError):
 
 
 class ComplexArray:
-    """A complex vector or matrix stored as separate float64 planes.
+    """A complex vector or matrix held as one ``complex128`` array, ``z``.
 
-    Both planes always share one shape; rank is at most 2.  Values are
-    treated as immutable once constructed (no method mutates the planes),
-    so instances are safe to share across concurrent readers.
+    ``re`` and ``im`` are views of ``z``.  ``ComplexArray(z)`` wraps a
+    complex128 array without copying it (other input is converted);
+    ``ComplexArray(re, im)`` builds one from two real planes of one shape.
+    Rank is at most 2.  No method mutates ``z``; assigning to ``re``
+    or ``im`` writes into it.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("z",)
 
     def __init__(self, re, im=None):
-        re = np.asarray(re, dtype=np.float64)
-        if im is None:
-            im = np.zeros_like(re)
-        else:
-            im = np.asarray(im, dtype=np.float64)
-        if re.shape != im.shape:
-            raise ValueError(f"plane shapes differ: {re.shape} vs {im.shape}")
-        if re.ndim > 2:
-            raise ValueError(f"rank {re.ndim} arrays are not supported (max 2)")
-        self.re = re
-        self.im = im
+        z = np.asarray(re, dtype=np.complex128) if im is None else join_planes(re, im)
+        if z.ndim > 2:
+            raise ValueError(f"rank {z.ndim} arrays are not supported (max 2)")
+        self.z = z
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, shape) -> "ComplexArray":
-        return cls(np.zeros(shape), np.zeros(shape))
+        return cls(np.zeros(shape, dtype=np.complex128))
 
     @classmethod
     def from_complex(cls, z) -> "ComplexArray":
-        z = np.asarray(z, dtype=np.complex128)
-        return cls(z.real.copy(), z.imag.copy())
+        """A copy of ``z``."""
+        return cls(np.array(z, dtype=np.complex128))
 
     # -- views and conversions ---------------------------------------------
 
     @property
+    def re(self) -> np.ndarray:
+        return self.z.real
+
+    @re.setter
+    def re(self, value):
+        self.z.real = value
+
+    @property
+    def im(self) -> np.ndarray:
+        return self.z.imag
+
+    @im.setter
+    def im(self, value):
+        self.z.imag = value
+
+    @property
     def shape(self):
-        return self.re.shape
+        return self.z.shape
 
     @property
     def ndim(self) -> int:
-        return self.re.ndim
+        return self.z.ndim
 
     def __len__(self) -> int:
-        return self.re.shape[0]
+        return self.z.shape[0]
 
     def copy(self) -> "ComplexArray":
-        return ComplexArray(self.re.copy(), self.im.copy())
+        return ComplexArray(self.z.copy())
 
     def conj(self) -> "ComplexArray":
-        return ComplexArray(self.re.copy(), -self.im)
+        return ComplexArray(self.z.conj())
 
     def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
+        """A copy of ``z``."""
+        return self.z.copy()
 
     def abs(self) -> np.ndarray:
         """Element-wise modulus."""
-        return np.hypot(self.re, self.im)
+        return np.hypot(self.z.real, self.z.imag)
 
     def norm(self) -> float:
-        """Euclidean norm over both planes."""
-        return float(np.sqrt(np.sum(self.re * self.re) + np.sum(self.im * self.im)))
+        """Euclidean norm."""
+        return float(np.sqrt(np.sum(self.z.real ** 2) + np.sum(self.z.imag ** 2)))
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.re)) and np.all(np.isfinite(self.im)))
+        return bool(np.all(np.isfinite(self.z)))
 
     # -- light arithmetic (element-wise, shape-checked) ---------------------
 
     def __add__(self, other: "ComplexArray") -> "ComplexArray":
-        return ComplexArray(self.re + other.re, self.im + other.im)
+        return ComplexArray(self.z + other.z)
 
     def __sub__(self, other: "ComplexArray") -> "ComplexArray":
-        return ComplexArray(self.re - other.re, self.im - other.im)
+        return ComplexArray(self.z - other.z)
 
     def scale(self, factor: float) -> "ComplexArray":
-        return ComplexArray(self.re * factor, self.im * factor)
+        return ComplexArray(self.z * factor)
 
     def __repr__(self) -> str:
         return f"ComplexArray(shape={self.shape})"
 
 
-def matvec(w: ComplexArray, x: ComplexArray) -> ComplexArray:
-    """Complex matrix-vector product through four real products.
+def join_planes(re, im) -> np.ndarray:
+    """A new complex128 array from a real and an imaginary plane of one shape."""
+    re = np.asarray(re, dtype=np.float64)
+    im = np.asarray(im, dtype=np.float64)
+    if re.shape != im.shape:
+        raise ValueError(f"plane shapes differ: {re.shape} vs {im.shape}")
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
 
-    With w = A + jB and x = u + jv the result is (Au - Bv) + j(Av + Bu),
-    the two cross-coupled real channels of a complex multiply.
-    """
+
+def matvec(w: ComplexArray, x: ComplexArray) -> ComplexArray:
+    """Complex matrix-vector product."""
     if w.ndim != 2:
         raise ValueError(f"matvec needs a rank-2 matrix, got shape {w.shape}")
     if x.ndim != 1:
         raise ValueError(f"matvec needs a rank-1 vector, got shape {x.shape}")
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: {w.shape} @ {x.shape}")
-    re = w.re @ x.re - w.im @ x.im
-    im = w.re @ x.im + w.im @ x.re
-    return ComplexArray(re, im)
+    return ComplexArray(w.z @ x.z)
 
 
 def matmat(a: ComplexArray, b: ComplexArray) -> ComplexArray:
-    """Complex matrix-matrix product (same four-product expansion)."""
+    """Complex matrix-matrix product."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    re = a.re @ b.re - a.im @ b.im
-    im = a.re @ b.im + a.im @ b.re
-    return ComplexArray(re, im)
+    return ComplexArray(a.z @ b.z)
 
 
 def hermitian(a: ComplexArray) -> ComplexArray:
     """Conjugate transpose."""
     if a.ndim != 2:
         raise ValueError("hermitian needs a rank-2 matrix")
-    return ComplexArray(a.re.T.copy(), -a.im.T)
+    return ComplexArray(np.ascontiguousarray(a.z.T.conj()))
 
 
 def soft_threshold_planes(re, im, theta):
@@ -175,8 +192,7 @@ def soft_threshold(x: ComplexArray, theta: float) -> ComplexArray:
     theta = float(theta)
     if not np.isfinite(theta) or theta < 0.0:
         raise ValueError(f"threshold must be finite and >= 0, got {theta}")
-    re, im = soft_threshold_planes(x.re, x.im, theta)
-    return ComplexArray(re, im)
+    return ComplexArray(*soft_threshold_planes(x.re, x.im, theta))
 
 
 class PowerIterEstimate(NamedTuple):
@@ -202,36 +218,30 @@ def lipschitz_constant(phi: ComplexArray, tol: float = 1e-8,
         raise ValueError("lipschitz_constant needs a rank-2 matrix")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    scale = max(np.max(np.abs(phi.re)), np.max(np.abs(phi.im)))
-    if scale == 0.0:
+    if not np.any(phi.z):
         raise ValueError("matrix must be nonzero")
 
-    m = phi.shape[1]
-    vr = np.ones(m)
-    vi = np.zeros(m)
+    a = phi.z
+    m = a.shape[1]
+    v = np.ones(m, dtype=np.complex128)
     est = 0.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        wr = phi.re @ vr - phi.im @ vi
-        wi = phi.re @ vi + phi.im @ vr
-        vnorm2 = vr @ vr + vi @ vi
-        new_est = (wr @ wr + wi @ wi) / vnorm2
+        w = a @ v
+        new_est = np.vdot(w, w).real / np.vdot(v, v).real
         if it > 1 and abs(new_est - est) <= tol * max(new_est, np.finfo(float).tiny):
             est = new_est
             converged = True
             break
         est = new_est
-        # next iterate: phi^H (phi v)
-        gr = phi.re.T @ wr + phi.im.T @ wi
-        gi = phi.re.T @ wi - phi.im.T @ wr
-        gnorm = np.sqrt(gr @ gr + gi @ gi)
+        # next iterate: phi^H (phi v), conjugating the vector, not phi
+        g = np.conj(np.conj(w) @ a)
+        gnorm = np.sqrt(np.vdot(g, g).real)
         if gnorm == 0.0:
             # start vector fell in the null space; restart from a basis vector
-            vr = np.zeros(m)
-            vi = np.zeros(m)
-            vr[it % m] = 1.0
+            v = np.zeros(m, dtype=np.complex128)
+            v[it % m] = 1.0
             continue
-        vr = gr / gnorm
-        vi = gi / gnorm
+        v = g / gnorm
     return PowerIterEstimate(float(est), converged, it)

@@ -11,6 +11,13 @@ matrix of a 1-D dictionary is Hermitian Toeplitz; for 2-D it is
 doubly-block Toeplitz with the in-block axis running over m2 (the fast
 index), which is why :func:`gram_generator` returns a two-axis kernel on
 the ``(M2, M1)`` convolution grid.
+
+Dictionaries, spectra and observations are complex128 arrays
+(:class:`~hunfold.cplx.ComplexArray`), and every product with a dictionary
+is one complex matrix product.  A complex Gaussian draw takes all its real
+parts from the generator stream before its imaginary parts
+(:func:`gaussian`).  ``HUD1`` dataset files hold the complex matrices as
+row-major (re, im) float64 pairs, which is little-endian complex128.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ def fourier_matrix(m: int) -> ComplexArray:
     if m < 1:
         raise ValueError(f"matrix order must be >= 1, got {m}")
     ang = 2.0 * np.pi / m * np.outer(np.arange(m), np.arange(m))
-    return ComplexArray(np.cos(ang), np.sin(ang))
+    return ComplexArray(np.exp(1j * ang))
 
 
 @dataclass(frozen=True)
@@ -133,15 +140,12 @@ def build_dictionary(shape, sampling: SamplingSet) -> Dictionary:
         ang = (2.0 * np.pi / m1) * i1[:, None, None] * np.arange(m1)[None, :, None] \
             + (2.0 * np.pi / m2) * i2[:, None, None] * np.arange(m2)[None, None, :]
         ang = ang.reshape(om.size, total)
-    return Dictionary(shape, sampling, ComplexArray(np.cos(ang), np.sin(ang)))
+    return Dictionary(shape, sampling, ComplexArray(np.exp(1j * ang)))
 
 
 def gram(d: Dictionary) -> ComplexArray:
     """Dense Gram matrix phi^H phi."""
-    pr, pi = d.phi.re, d.phi.im
-    re = pr.T @ pr + pi.T @ pi
-    im = pr.T @ pi - pi.T @ pr
-    return ComplexArray(re, im)
+    return ComplexArray(d.phi.z.conj().T @ d.phi.z)
 
 
 def gram_generator(d: Dictionary):
@@ -157,9 +161,7 @@ def gram_generator(d: Dictionary):
         m = d.shape[0]
         offs = np.arange(-(m - 1), m)
         ang = -2.0 * np.pi / m * np.outer(offs, om)
-        re = np.cos(ang).sum(axis=1)
-        im = np.sin(ang).sum(axis=1)
-        return ToeplitzVec(ComplexArray(re, im), m)
+        return ToeplitzVec(ComplexArray(np.exp(1j * ang).sum(axis=1)), m)
     m1, m2 = d.shape
     i1 = om // m2
     i2 = om % m2
@@ -167,12 +169,9 @@ def gram_generator(d: Dictionary):
     d2 = np.arange(-(m2 - 1), m2)
     a1 = -2.0 * np.pi / m1 * np.outer(d1, i1)
     a2 = -2.0 * np.pi / m2 * np.outer(d2, i2)
-    # sum over samples of the separable phase factors, kept complex
-    c1r, c1i = np.cos(a1), np.sin(a1)
-    c2r, c2i = np.cos(a2), np.sin(a2)
-    re = c2r @ c1r.T - c2i @ c1i.T
-    im = c2r @ c1i.T + c2i @ c1r.T
-    return ToeplitzMat2D(ComplexArray(re, im), rows=m2, cols=m1)
+    # sum over samples of the separable phase factors
+    return ToeplitzMat2D(ComplexArray(np.exp(1j * a2) @ np.exp(1j * a1).T),
+                         rows=m2, cols=m1)
 
 
 def gram_generator_from_dense(d: Dictionary):
@@ -184,22 +183,26 @@ def gram_generator_from_dense(d: Dictionary):
     return dbt_extract(g, rows=m2, cols=m1)
 
 
-def _sparse_planes(total: int, k: int, rng: np.random.Generator):
-    xr = np.zeros(total)
-    xi = np.zeros(total)
+def gaussian(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """Complex Gaussian draws with standard deviation ``std`` per real
+    component: every real part is drawn before every imaginary part."""
+    draws = std * rng.standard_normal((2, *shape))
+    return draws[0] + 1j * draws[1]
+
+
+def _sparse(total: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    x = np.zeros(total, dtype=np.complex128)
     if k:
         support = rng.choice(total, size=k, replace=False)
-        amp = np.sqrt(0.5)
-        xr[support] = amp * rng.standard_normal(k)
-        xi[support] = amp * rng.standard_normal(k)
-    return xr, xi
+        x[support] = gaussian(rng, (k,), np.sqrt(0.5))
+    return x
 
 
 def sparse_from_rng(total: int, k: int, rng: np.random.Generator) -> ComplexArray:
     """Sparse draw from a caller-owned generator stream."""
     if k > total:
         raise ValueError(f"sparsity {k} exceeds grid size {total}")
-    return ComplexArray(*_sparse_planes(total, k, rng))
+    return ComplexArray(_sparse(total, k, rng))
 
 
 def gen_sparse_signal(total: int, k: int, seed: int) -> ComplexArray:
@@ -235,10 +238,7 @@ def synth_offgrid(d: Dictionary, grid_indices, frac: float,
         f1 = (idx // m2) / m1
         f2 = (idx % m2 + frac) / m2
         ang = 2.0 * np.pi * (np.outer(i1, f1) + np.outer(i2, f2))
-    cr, ci = np.cos(ang), np.sin(ang)
-    re = cr @ amps.re - ci @ amps.im
-    im = cr @ amps.im + ci @ amps.re
-    return ComplexArray(re, im)
+    return ComplexArray(np.exp(1j * ang) @ amps.z)
 
 
 def add_noise(y: ComplexArray, sigma2: float, seed: int) -> ComplexArray:
@@ -249,9 +249,7 @@ def add_noise(y: ComplexArray, sigma2: float, seed: int) -> ComplexArray:
     if sigma2 == 0.0:
         return y.copy()
     rng = np.random.default_rng(seed)
-    s = np.sqrt(sigma2 / 2.0)
-    return ComplexArray(y.re + s * rng.standard_normal(y.shape),
-                        y.im + s * rng.standard_normal(y.shape))
+    return ComplexArray(y.z + gaussian(rng, y.shape, np.sqrt(sigma2 / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -281,14 +279,10 @@ def make_instance(d: Dictionary, k: int, sigma2: float, seed) -> SparseInstance:
         else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.PCG64(seq))
     x = sparse_from_rng(d.total, k, rng)
-    pr, pi = d.phi.re, d.phi.im
-    yr = pr @ x.re - pi @ x.im
-    yi = pr @ x.im + pi @ x.re
+    y = d.phi.z @ x.z
     if sigma2 > 0.0:
-        s = np.sqrt(sigma2 / 2.0)
-        yr = yr + s * rng.standard_normal(d.n_obs)
-        yi = yi + s * rng.standard_normal(d.n_obs)
-    return SparseInstance(x, ComplexArray(yr, yi), k, sigma2, False, seed)
+        y = y + gaussian(rng, (d.n_obs,), np.sqrt(sigma2 / 2.0))
+    return SparseInstance(x, ComplexArray(y), k, sigma2, False, seed)
 
 
 @dataclass
@@ -310,9 +304,8 @@ class Dataset:
 
     def take(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        obs = ComplexArray(self.obs.re[:, idx], self.obs.im[:, idx])
-        return Dataset(obs,
-                       ComplexArray(self.truth.re[:, idx], self.truth.im[:, idx]),
+        obs = ComplexArray(self.obs.z[:, idx])
+        return Dataset(obs, ComplexArray(self.truth.z[:, idx]),
                        {**self.meta, "n_samples": int(obs.shape[1])})
 
 
@@ -329,23 +322,13 @@ def gen_dataset(d: Dictionary, n_samples: int, k: int, sigma2: float,
     if sigma2 < 0.0:
         raise ValueError(f"noise power must be >= 0, got {sigma2}")
     total, n = d.total, d.n_obs
-    xr = np.empty((total, n_samples))
-    xi = np.empty((total, n_samples))
-    wr = np.empty((n, n_samples))
-    wi = np.empty((n, n_samples))
-    s = np.sqrt(sigma2 / 2.0)
+    x = np.empty((total, n_samples), dtype=np.complex128)
+    w = np.zeros((n, n_samples), dtype=np.complex128)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
         rng = np.random.Generator(np.random.PCG64(child))
-        xr[:, i], xi[:, i] = _sparse_planes(total, k, rng)
+        x[:, i] = _sparse(total, k, rng)
         if sigma2 > 0.0:
-            wr[:, i] = s * rng.standard_normal(n)
-            wi[:, i] = s * rng.standard_normal(n)
-        else:
-            wr[:, i] = 0.0
-            wi[:, i] = 0.0
-    pr, pi = d.phi.re, d.phi.im
-    yr = pr @ xr - pi @ xi + wr
-    yi = pr @ xi + pi @ xr + wi
+            w[:, i] = gaussian(rng, (n,), np.sqrt(sigma2 / 2.0))
     meta = {
         "kind": 2 if d.is_2d else 1,
         "shape": list(d.shape),
@@ -358,21 +341,13 @@ def gen_dataset(d: Dictionary, n_samples: int, k: int, sigma2: float,
         "omega": [int(v) for v in d.sampling.omega],
         "noise_db_convention": NOISE_DB_CONVENTION,
     }
-    return Dataset(ComplexArray(yr, yi), ComplexArray(xr, xi), meta)
-
-
-def _pairs_bytes(a: ComplexArray) -> bytes:
-    out = np.empty(a.shape + (2,))
-    out[..., 0] = a.re
-    out[..., 1] = a.im
-    return out.astype("<f8").tobytes()
+    return Dataset(ComplexArray(d.phi.z @ x + w), ComplexArray(x), meta)
 
 
 def _pairs_from(buf, offset, shape):
-    count = int(np.prod(shape)) * 2
-    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    arr = arr.reshape(shape + (2,))
-    return ComplexArray(arr[..., 0].copy(), arr[..., 1].copy()), offset + count * 8
+    count = int(np.prod(shape))
+    arr = np.frombuffer(buf, dtype="<c16", count=count, offset=offset)
+    return ComplexArray(arr.astype(np.complex128).reshape(shape)), offset + count * 16
 
 
 def write_dataset(path, ds: Dataset) -> None:
@@ -390,8 +365,8 @@ def write_dataset(path, ds: Dataset) -> None:
                         m["seed"], m["sigma2"])
     with open(path, "wb") as fh:
         fh.write(head)
-        fh.write(_pairs_bytes(ds.obs))
-        fh.write(_pairs_bytes(ds.truth))
+        for a in (ds.obs, ds.truth):
+            fh.write(a.z.astype("<c16", copy=False).tobytes())
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(m, fh, indent=2, sort_keys=True)
         fh.write("\n")

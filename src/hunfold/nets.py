@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cplx import (ComplexArray, NumericError, hermitian, lipschitz_constant,
-                   soft_threshold_planes)
+from .cplx import (ComplexArray, NumericError, hermitian, join_planes,
+                   lipschitz_constant, soft_threshold_planes)
 from .harmonic import Dictionary
 from .spectral import conv_full_planes, conv_full2_planes
 
@@ -111,7 +111,7 @@ def conv_grid(shape) -> tuple[int, int]:
 
 
 # -- branch operators ----------------------------------------------------------
-# Each maps batch-major planes (batch, n_in) -> (batch, n_out).  ``apply`` is
+# Each maps a complex batch (batch, n_in) -> (batch, n_out).  ``apply`` is
 # the branch, ``adjoint`` pulls a gradient back to the input, ``grad`` is the
 # batch-summed gradient on the weight, and ``shape`` is the weight's shape.
 
@@ -127,22 +127,25 @@ class Dense:
     def shape(self) -> tuple[int, int]:
         return (self.n_out, self.n_in)
 
-    def apply(self, w: ComplexArray, xr, xi):
-        return xr @ w.re.T - xi @ w.im.T, xr @ w.im.T + xi @ w.re.T
+    def apply(self, w: ComplexArray, x):
+        return x @ w.z.T
 
-    def adjoint(self, w: ComplexArray, gr, gi):
-        return gr @ w.re + gi @ w.im, gi @ w.re - gr @ w.im
+    def adjoint(self, w: ComplexArray, g):
+        """g conj(W), taken as conj(conj(g) W): the batch is conjugated,
+        never the (possibly large) weight."""
+        out = np.conj(g) @ w.z
+        return np.conjugate(out, out=out)
 
-    def grad(self, gr, gi, xr, xi) -> ComplexArray:
+    def grad(self, g, x) -> ComplexArray:
         """Batch sum of g conj(x)^T."""
-        return ComplexArray(gr.T @ xr + gi.T @ xi, gi.T @ xr - gr.T @ xi)
+        return ComplexArray(g.T @ np.conj(x))
 
 
-def _on_grid(p, grid):
-    """Flat (batch, prod(grid)) plane laid column-stacked onto a 2-D grid."""
+def _on_grid(x, grid):
+    """Flat (batch, prod(grid)) batch laid column-stacked onto a 2-D grid."""
     if len(grid) == 1:
-        return p
-    return np.ascontiguousarray(p.reshape(-1, grid[1], grid[0]).swapaxes(1, 2))
+        return x
+    return np.ascontiguousarray(x.reshape(-1, grid[1], grid[0]).swapaxes(1, 2))
 
 
 @dataclass(frozen=True)
@@ -162,36 +165,35 @@ class Conv:
     def shape(self) -> tuple[int, ...]:
         return tuple(a + b - 1 for a, b in zip(self.grid_in, self.grid_out))
 
-    def _conv(self, kr, ki, xr, xi):
+    def _conv(self, k, x):
         # looked up on this module at call time, so that a wrapper installed
         # here sees every convolution
         conv = conv_full_planes if len(self.grid_in) == 1 else conv_full2_planes
-        return conv(kr, ki, xr, xi)
+        return conv(k.real, k.imag, x.real, x.imag)
 
-    def _windowed(self, kr, ki, xr, xi, grid, size):
+    def _windowed(self, k, x, grid, size):
         """k * x for flat x on ``grid``: the ``size`` window that starts
         ``grid - 1`` past the kernel origin on each axis, flat."""
-        full = self._conv(kr, ki, _on_grid(xr, grid), _on_grid(xi, grid))
+        full = self._conv(k, _on_grid(x, grid))
         idx = (Ellipsis,) + tuple(slice(a - 1, a - 1 + n) for a, n in zip(grid, size))
-        out = tuple(p[idx] for p in full)
-        if len(size) == 1:
-            return out
-        return tuple(np.ascontiguousarray(p.swapaxes(1, 2)).reshape(len(p), -1) for p in out)
+        out = [p[idx] if len(size) == 1 else p[idx].swapaxes(1, 2) for p in full]
+        return join_planes(*out).reshape(len(x), -1)
 
-    def apply(self, w: ComplexArray, xr, xi):
-        return self._windowed(w.re, w.im, xr, xi, self.grid_in, self.grid_out)
+    def apply(self, w: ComplexArray, x):
+        return self._windowed(w.z, x, self.grid_in, self.grid_out)
 
-    def adjoint(self, w: ComplexArray, gr, gi):
-        """The flipped conjugate kernel on the mirrored window."""
+    def adjoint(self, w: ComplexArray, g):
+        """The flipped conjugate kernel on the mirrored window.  A kernel
+        has far fewer entries than a batch, so here the weight is the cheap
+        side to conjugate."""
         flip = (slice(None, None, -1),) * len(self.grid_in)
-        return self._windowed(w.re[flip], -w.im[flip], gr, gi, self.grid_out, self.grid_in)
+        return self._windowed(w.z[flip].conj(), g, self.grid_out, self.grid_in)
 
-    def grad(self, gr, gi, xr, xi) -> ComplexArray:
+    def grad(self, g, x) -> ComplexArray:
         """Correlation of the gradient with the conjugate input."""
         flip = (Ellipsis,) + (slice(None, None, -1),) * len(self.grid_in)
-        rr, ri = self._conv(_on_grid(gr, self.grid_out), _on_grid(gi, self.grid_out),
-                            _on_grid(xr, self.grid_in)[flip],
-                            -_on_grid(xi, self.grid_in)[flip])
+        rr, ri = self._conv(_on_grid(g, self.grid_out),
+                            np.conj(_on_grid(x, self.grid_in)[flip]))
         return ComplexArray(rr.sum(axis=0), ri.sum(axis=0))
 
 
@@ -218,28 +220,28 @@ def branches(arch: str, shape, n_obs: int):
 def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
     """Run the network on batch-major planes (batch, n_obs) -> (batch, M).
 
-    With ``keep_cache`` each layer records its input spectrum and its
-    pre-threshold activation, which the backward pass consumes.
+    Returns the output's real and imaginary planes and, with ``keep_cache``,
+    per layer its complex input spectrum ``"x"`` and pre-threshold
+    activation ``"u"``, which the backward pass consumes.
     """
-    if yr.shape[-1] != net.n_obs:
-        raise ValueError(f"observation length {yr.shape[-1]}, expected {net.n_obs}")
+    y = join_planes(yr, yi)
+    if y.shape[-1] != net.n_obs:
+        raise ValueError(f"observation length {y.shape[-1]}, expected {net.n_obs}")
     obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
-    xr = np.zeros((yr.shape[0], net.total))
-    xi = np.zeros((yr.shape[0], net.total))
+    x = np.zeros((y.shape[0], net.total), dtype=np.complex128)
     cache = [] if keep_cache else None
     for t, layer in enumerate(net.layers):
-        ur, ui = obs_op.apply(layer.obs, yr, yi)
+        u = obs_op.apply(layer.obs, y)
         if t > 0:
-            ir, ii = inhibit_op.apply(layer.inhibit, xr, xi)
-            ur, ui = ur + ir, ui + ii
+            u += inhibit_op.apply(layer.inhibit, x)
         if keep_cache:
-            cache.append({"x_r": xr, "x_i": xi, "u_r": ur, "u_i": ui})
+            cache.append({"x": x, "u": u})
         # a zero threshold, where training's clamp often leaves it, is the identity
         theta = layer.threshold
-        xr, xi = (ur, ui) if theta == 0.0 else soft_threshold_planes(ur, ui, theta)
-        if not (np.all(np.isfinite(xr)) and np.all(np.isfinite(xi))):
+        x = u if theta == 0.0 else join_planes(*soft_threshold_planes(u.real, u.imag, theta))
+        if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite activation after layer {t}")
-    return xr, xi, cache
+    return x.real, x.imag, cache
 
 
 def forward(net: UnfoldedNetwork, y: ComplexArray, record_layers: bool = False):
@@ -252,23 +254,20 @@ def forward(net: UnfoldedNetwork, y: ComplexArray, record_layers: bool = False):
         raise ValueError("forward expects a rank-1 observation")
     xr, xi, cache = forward_planes(net, y.re[None, :], y.im[None, :],
                                    keep_cache=record_layers)
-    final = ComplexArray(xr[0], xi[0])
+    final = ComplexArray(join_planes(xr, xi)[0])
     if not record_layers:
         return final
     # layer t's output is layer t+1's cached input
-    outputs = [ComplexArray(c["x_r"][0], c["x_i"][0]) for c in cache[1:]]
+    outputs = [ComplexArray(c["x"][0]) for c in cache[1:]]
     return final, outputs + [final]
 
 
 def _toeplitz_project(filt: ComplexArray, total: int, n_obs: int) -> ComplexArray:
     """Closest (per-diagonal mean) rectangular-Toeplitz kernel to a matrix."""
-    kr = np.empty(total + n_obs - 1)
-    ki = np.empty(total + n_obs - 1)
+    k = np.empty(total + n_obs - 1, dtype=np.complex128)
     for p in range(total + n_obs - 1):
-        off = n_obs - 1 - p
-        kr[p] = np.mean(np.diagonal(filt.re, offset=off))
-        ki[p] = np.mean(np.diagonal(filt.im, offset=off))
-    return ComplexArray(kr, ki)
+        k[p] = np.mean(np.diagonal(filt.z, offset=n_obs - 1 - p))
+    return ComplexArray(k)
 
 
 def init_network(arch: str, d: Dictionary, depth: int, lam: float,
@@ -330,11 +329,9 @@ def _write_planes(fh, a: ComplexArray):
 
 def _read_planes(buf, off, shape):
     cnt = int(np.prod(shape))
-    re = np.frombuffer(buf, dtype="<f8", count=cnt, offset=off).reshape(shape).copy()
-    off += cnt * 8
-    im = np.frombuffer(buf, dtype="<f8", count=cnt, offset=off).reshape(shape).copy()
-    off += cnt * 8
-    return ComplexArray(re, im), off
+    re = np.frombuffer(buf, dtype="<f8", count=cnt, offset=off).reshape(shape)
+    im = np.frombuffer(buf, dtype="<f8", count=cnt, offset=off + cnt * 8).reshape(shape)
+    return ComplexArray(re, im), off + cnt * 16
 
 
 def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> None:

@@ -74,15 +74,15 @@ def objective(d: Dictionary, x: ComplexArray, y: ComplexArray, lam: float) -> fl
     if x.shape != (d.total,) or y.shape != (d.n_obs,):
         raise ValueError(f"shapes {x.shape}/{y.shape} do not fit dictionary "
                          f"({d.n_obs} x {d.total})")
-    r = y.to_complex() - d.phi.to_complex() @ x.to_complex()
+    r = y.z - d.phi.z @ x.z
     return float(0.5 * np.vdot(r, r).real + lam * np.sum(x.abs()))
 
 
 def default_lambda(d: Dictionary, y: ComplexArray, scale: float = 0.1):
     """Scale-free penalty heuristic: scale * max |(phi^H y)_i|, one value per
     column for a block.  Any scale below 1 keeps the all-zero solution out."""
-    g = d.phi.to_complex().conj().T @ y.to_complex()
-    lam = scale * np.max(np.abs(g), axis=0)
+    # |phi^H y| = |y^H phi|: the observations are conjugated, not phi
+    lam = scale * np.max(np.abs(np.conj(y.z).T @ d.phi.z), axis=-1)
     return float(lam) if y.ndim == 1 else lam
 
 
@@ -93,12 +93,12 @@ def _solve(d: Dictionary, y: ComplexArray, cfg: SolverConfig,
     if y.ndim not in (1, 2) or y.shape[0] != d.n_obs:
         raise ValueError(f"observation shape {y.shape}, expected ({d.n_obs},) "
                          f"or ({d.n_obs}, B)")
-    yc = y.to_complex().reshape(d.n_obs, -1)
+    yc = y.z.reshape(d.n_obs, -1)
     n_cols = yc.shape[1]
     if np.ndim(cfg.lam) and len(cfg.lam) != n_cols:
         raise ValueError(f"{len(cfg.lam)} penalty weights for {n_cols} columns")
     lam = np.broadcast_to(cfg.lam, (n_cols,))
-    phi = d.phi.to_complex()
+    phi = d.phi.z
     phi_h = np.ascontiguousarray(phi.conj().T)
     big_l = (lipschitz_constant(d.phi).value * _L_SAFETY if cfg.lipschitz is None
              else float(cfg.lipschitz))
@@ -145,9 +145,9 @@ def _solve(d: Dictionary, y: ComplexArray, cfg: SolverConfig,
     x_out[:, cols] = x
     if y.ndim == 1:
         trace = None if trace is None else [float(o[0]) for o in trace]
-        return SolverResult(ComplexArray.from_complex(x_out[:, 0]), int(iters[0]),
+        return SolverResult(ComplexArray(x_out[:, 0]), int(iters[0]),
                             bool(converged[0]), big_l, trace)
-    return SolverResult(ComplexArray.from_complex(x_out), iters, converged, big_l, trace)
+    return SolverResult(ComplexArray(x_out), iters, converged, big_l, trace)
 
 
 def ista(d: Dictionary, y: ComplexArray, cfg: SolverConfig) -> SolverResult:

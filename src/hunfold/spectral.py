@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cplx import ComplexArray
+from .cplx import ComplexArray, join_planes
 
 __all__ = [
     "ToeplitzMat2D",
@@ -70,13 +70,13 @@ def fft(x: ComplexArray, n: int) -> ComplexArray:
     n must be a power of two no smaller than the input length.
     """
     _check_length("fft", x, n)
-    return ComplexArray.from_complex(np.fft.fft(x.to_complex(), n))
+    return ComplexArray(np.fft.fft(x.z, n))
 
 
 def ifft(x: ComplexArray, n: int) -> ComplexArray:
     """Inverse of :func:`fft` (same length rules, 1/n scaling)."""
     _check_length("ifft", x, n)
-    return ComplexArray.from_complex(np.fft.ifft(x.to_complex(), n))
+    return ComplexArray(np.fft.ifft(x.z, n))
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,19 @@ def conv1d(t: ToeplitzVec, x: ComplexArray) -> ComplexArray:
     """
     if x.ndim != 1 or x.shape[0] != t.size:
         raise ValueError(f"input shape {x.shape} does not match grid size {t.size}")
-    hr, hi = t.diags.re, t.diags.im
-    full_r = np.convolve(hr, x.re) - np.convolve(hi, x.im)
-    full_i = np.convolve(hr, x.im) + np.convolve(hi, x.re)
     lo = t.size - 1
-    return ComplexArray(full_r[lo:lo + t.size], full_i[lo:lo + t.size])
+    return ComplexArray(np.convolve(t.diags.z, x.z)[lo:lo + t.size])
+
+
+def _conv_full(k, x, ndim):
+    """Full linear convolution of complex arrays over their last ``ndim``
+    (1 or 2) axes via FFT, each axis zero-padded to the next power of two at
+    or above its full length; leading axes broadcast."""
+    full = [k.shape[a] + x.shape[a] - 1 for a in range(-ndim, 0)]
+    pad = [next_pow2(f) for f in full]
+    fft, ifft = (np.fft.fft, np.fft.ifft) if ndim == 1 else (np.fft.fft2, np.fft.ifft2)
+    n = pad[0] if ndim == 1 else pad
+    return ifft(fft(k, n) * fft(x, n))[(Ellipsis,) + tuple(slice(f) for f in full)]
 
 
 def conv_full_planes(kr, ki, xr, xi):
@@ -140,10 +148,7 @@ def conv_full_planes(kr, ki, xr, xi):
     power of two at or above the full length ``len(k) + x.shape[-1] - 1``;
     returns the real and imaginary planes of that full length.
     """
-    full = kr.shape[-1] + xr.shape[-1] - 1
-    n = next_pow2(full)
-    spec = np.fft.fft(kr + 1j * ki, n) * np.fft.fft(xr + 1j * xi, n)
-    out = np.fft.ifft(spec)[..., :full]
+    out = _conv_full(join_planes(kr, ki), join_planes(xr, xi), 1)
     return out.real, out.imag
 
 
@@ -156,9 +161,8 @@ def conv1d_fft(t: ToeplitzVec, x: ComplexArray) -> ComplexArray:
     """
     if x.ndim != 1 or x.shape[0] != t.size:
         raise ValueError(f"input shape {x.shape} does not match grid size {t.size}")
-    rr, ri = conv_full_planes(t.diags.re, t.diags.im, x.re, x.im)
     lo = t.size - 1
-    return ComplexArray(rr[lo:lo + t.size], ri[lo:lo + t.size])
+    return ComplexArray(_conv_full(t.diags.z, x.z, 1)[lo:lo + t.size])
 
 
 def conv_full2_planes(kr, ki, xr, xi):
@@ -167,11 +171,7 @@ def conv_full2_planes(kr, ki, xr, xi):
     Same broadcasting and power-of-two padding as :func:`conv_full_planes`,
     per axis.
     """
-    f1 = kr.shape[-2] + xr.shape[-2] - 1
-    f2 = kr.shape[-1] + xr.shape[-1] - 1
-    s = (next_pow2(f1), next_pow2(f2))
-    spec = np.fft.fft2(kr + 1j * ki, s) * np.fft.fft2(xr + 1j * xi, s)
-    out = np.fft.ifft2(spec)[..., :f1, :f2]
+    out = _conv_full(join_planes(kr, ki), join_planes(xr, xi), 2)
     return out.real, out.imag
 
 
@@ -185,17 +185,15 @@ def conv2d(t: ToeplitzMat2D, x: ComplexArray) -> ComplexArray:
     """
     if x.ndim != 2 or x.shape != (t.rows, t.cols):
         raise ValueError(f"input shape {x.shape}, expected {(t.rows, t.cols)}")
-    rr, ri = conv_full2_planes(t.diags.re, t.diags.im, x.re, x.im)
     lo1, lo2 = t.rows - 1, t.cols - 1
-    return ComplexArray(rr[lo1:lo1 + t.rows, lo2:lo2 + t.cols],
-                        ri[lo1:lo1 + t.rows, lo2:lo2 + t.cols])
+    return ComplexArray(_conv_full(t.diags.z, x.z, 2)[lo1:lo1 + t.rows, lo2:lo2 + t.cols])
 
 
 def toeplitz_expand(t: ToeplitzVec) -> ComplexArray:
     """Dense size x size matrix with entry (i, k) equal to d(i - k)."""
     m = t.size
     idx = np.arange(m)[:, None] - np.arange(m)[None, :] + (m - 1)
-    return ComplexArray(t.diags.re[idx], t.diags.im[idx])
+    return ComplexArray(t.diags.z[idx])
 
 
 def toeplitz_extract(g: ComplexArray, size: int) -> ToeplitzVec:
@@ -206,9 +204,7 @@ def toeplitz_extract(g: ComplexArray, size: int) -> ToeplitzVec:
     """
     if g.shape != (size, size):
         raise ValueError(f"matrix shape {g.shape}, expected {(size, size)}")
-    re = np.concatenate([g.re[0, :0:-1], g.re[:, 0]])
-    im = np.concatenate([g.im[0, :0:-1], g.im[:, 0]])
-    return ToeplitzVec(ComplexArray(re, im), size)
+    return ToeplitzVec(ComplexArray(np.concatenate([g.z[0, :0:-1], g.z[:, 0]])), size)
 
 
 def dbt_expand(t: ToeplitzMat2D) -> ComplexArray:
@@ -224,7 +220,7 @@ def dbt_expand(t: ToeplitzMat2D) -> ComplexArray:
     blk = flat // m1
     i1 = s[:, None] - s[None, :] + (m1 - 1)
     i2 = blk[:, None] - blk[None, :] + (m2 - 1)
-    return ComplexArray(t.diags.re[i1, i2], t.diags.im[i1, i2])
+    return ComplexArray(t.diags.z[i1, i2])
 
 
 def dbt_extract(g: ComplexArray, rows: int, cols: int) -> ToeplitzMat2D:
@@ -240,5 +236,4 @@ def dbt_extract(g: ComplexArray, rows: int, cols: int) -> ToeplitzMat2D:
     j = np.maximum(-p2, 0)
     row_idx = s[:, None] + t[None, :] * rows
     col_idx = i[:, None] + j[None, :] * rows
-    diags = ComplexArray(g.re[row_idx, col_idx], g.im[row_idx, col_idx])
-    return ToeplitzMat2D(diags, rows, cols)
+    return ToeplitzMat2D(ComplexArray(g.z[row_idx, col_idx]), rows, cols)

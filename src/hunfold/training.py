@@ -2,11 +2,13 @@
 
 The loss is the batch NMSE  sum_i ||x_i - xhat_i|| / sum_i ||x_i||  (plain
 norms, not squared).  Gradients are computed by a hand-rolled reverse pass
-in the split real/imaginary parameterisation: the complex soft threshold
-contributes its exact Jacobian away from the |u| = theta sphere and a zero
-subgradient on it, each branch operator of a layer gives its weight gradient
-(``grad``), and the inhibition operator's ``adjoint`` carries the gradient
-to the layer before (see :mod:`hunfold.nets`).
+on complex128 batches: the complex soft threshold contributes its exact
+Jacobian away from the |u| = theta sphere and a zero subgradient on it,
+each branch operator of a layer gives its weight gradient (``grad``), and
+the inhibition operator's ``adjoint`` carries the gradient to the layer
+before (see :mod:`hunfold.nets`).  A layer's parameters are its two complex
+weights and its threshold; Adam steps a complex weight through its float64
+view, one real or imaginary part per coordinate.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cplx import ComplexArray, NumericError
+from .cplx import ComplexArray, NumericError, join_planes
 from .harmonic import Dataset
 from .nets import Layer, UnfoldedNetwork, branches, forward_planes, place_obs
 # Not called here: every convolution runs inside the nets operators.  The
@@ -79,29 +81,31 @@ class NetGradients:
     loss: float
 
 
-def _batch_planes(ds: Dataset):
-    """Column-major dataset planes -> batch-major (count, dim) copies."""
-    return (np.ascontiguousarray(ds.obs.re.T), np.ascontiguousarray(ds.obs.im.T),
-            np.ascontiguousarray(ds.truth.re.T), np.ascontiguousarray(ds.truth.im.T))
+def _batches(ds: Dataset):
+    """Column-major dataset -> batch-major (count, dim) observations and
+    labels."""
+    return np.ascontiguousarray(ds.obs.z.T), np.ascontiguousarray(ds.truth.z.T)
 
 
-def _nmse_sums(xr, xi, tr, ti):
-    err = np.sqrt(np.sum((xr - tr) ** 2 + (xi - ti) ** 2, axis=1))
-    ref = np.sqrt(np.sum(tr ** 2 + ti ** 2, axis=1))
-    return float(np.sum(err)), float(np.sum(ref))
+def _row_norms(z):
+    return np.sqrt(np.sum(z.real ** 2 + z.imag ** 2, axis=1))
+
+
+def _nmse_sums(x, t):
+    return float(np.sum(_row_norms(x - t))), float(np.sum(_row_norms(t)))
 
 
 def loss_nmse(net: UnfoldedNetwork, batch: Dataset, chunk: int = 2048) -> float:
     """Batch NMSE of the network's recoveries against the labels."""
     if batch.count == 0:
         raise ValueError("empty batch")
-    yr, yi, tr, ti = _batch_planes(batch)
+    y, t = _batches(batch)
     num = 0.0
     den = 0.0
     for lo in range(0, batch.count, chunk):
         sl = slice(lo, lo + chunk)
-        xr, xi, _ = forward_planes(net, yr[sl], yi[sl])
-        e, r = _nmse_sums(xr, xi, tr[sl], ti[sl])
+        xr, xi, _ = forward_planes(net, y[sl].real, y[sl].imag)
+        e, r = _nmse_sums(join_planes(xr, xi), t[sl])
         num += e
         den += r
     if den == 0.0:
@@ -109,64 +113,62 @@ def loss_nmse(net: UnfoldedNetwork, batch: Dataset, chunk: int = 2048) -> float:
     return num / den
 
 
-def _soft_threshold_adjoint(gr, gi, ur, ui, theta):
+def _soft_threshold_adjoint(g, u, theta):
     """Pull a gradient back through the complex soft threshold at u.
 
-    Returns plane gradients on u plus the scalar gradient on theta.  The
+    Returns the gradient on u plus the scalar gradient on theta.  The
     operator is treated as constant zero on the closed ball |u| <= theta,
     so the kink contributes a zero subgradient.
     """
-    mag = np.hypot(ur, ui)
+    mag = ComplexArray(u).abs()
     active = mag > theta
     inv = np.where(active, 1.0 / np.where(active, mag, 1.0), 0.0)
-    dot = gr * ur + gi * ui
+    dot = g.real * u.real + g.imag * u.imag    # Re(conj(g) u)
     gtheta = -float(np.sum(np.where(active, dot * inv, 0.0)))
     if theta == 0.0:
         # identity map; gtheta above is the one-sided derivative at zero
-        return gr.copy(), gi.copy(), gtheta
-    c1 = 1.0 - theta * inv
-    inv3 = inv ** 3
-    gur = np.where(active, gr * c1 + theta * ur * inv3 * dot, 0.0)
-    gui = np.where(active, gi * c1 + theta * ui * inv3 * dot, 0.0)
-    return gur, gui, gtheta
+        return g.copy(), gtheta
+    # g (1 - theta/|u|) + u theta Re(conj(g) u) / |u|^3 on the active set
+    return (g * np.where(active, 1.0 - theta * inv, 0.0)
+            + u * (theta * inv ** 3 * dot)), gtheta
 
 
 def backward(net: UnfoldedNetwork, batch: Dataset) -> NetGradients:
-    """Gradients of the batch NMSE wrt every layer parameter plane."""
+    """Gradients of the batch NMSE wrt every layer parameter."""
     if batch.count == 0:
         raise ValueError("empty batch")
-    yr, yi, tr, ti = _batch_planes(batch)
-    grads, _, _, loss = _backward_planes(net, yr, yi, tr, ti)
+    y, t = _batches(batch)
+    grads, _, _, loss = _backward_planes(net, y.real, y.imag, t.real, t.imag)
     return NetGradients(grads, loss)
 
 
 def _backward_planes(net: UnfoldedNetwork, yr, yi, tr, ti):
+    """Layer gradients, error-norm sum, reference-norm sum and loss of one
+    batch given as batch-major planes."""
     xr, xi, cache = forward_planes(net, yr, yi, keep_cache=True)
-    err_r = xr - tr
-    err_i = xi - ti
-    per = np.sqrt(np.sum(err_r ** 2 + err_i ** 2, axis=1))
-    den = float(np.sum(np.sqrt(np.sum(tr ** 2 + ti ** 2, axis=1))))
+    y, truth = join_planes(yr, yi), join_planes(tr, ti)
+    err = join_planes(xr, xi) - truth
+    per = _row_norms(err)
+    den = float(np.sum(_row_norms(truth)))
     if den == 0.0:
         raise ValueError("loss undefined: all-zero ground truth batch")
     loss = float(np.sum(per)) / den
     w = np.where(per > 0.0, 1.0 / (np.where(per > 0.0, per, 1.0) * den), 0.0)
-    gr = err_r * w[:, None]
-    gi = err_i * w[:, None]
+    g = err * w[:, None]
 
     obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
     grads: list[LayerGrads | None] = [None] * net.depth
     for t in range(net.depth - 1, -1, -1):
         layer = net.layers[t]
         ctx = cache[t]
-        gur, gui, gtheta = _soft_threshold_adjoint(
-            gr, gi, ctx["u_r"], ctx["u_i"], layer.threshold)
-        gobs = obs_op.grad(gur, gui, yr, yi)
+        gu, gtheta = _soft_threshold_adjoint(g, ctx["u"], layer.threshold)
+        gobs = obs_op.grad(gu, y)
         if t == 0:
             # layer 0 sees the zero spectrum: no inhibition gradient
             ginhib = ComplexArray.zeros(layer.inhibit.shape)
         else:
-            ginhib = inhibit_op.grad(gur, gui, ctx["x_r"], ctx["x_i"])
-            gr, gi = inhibit_op.adjoint(layer.inhibit, gur, gui)
+            ginhib = inhibit_op.grad(gu, ctx["x"])
+            g = inhibit_op.adjoint(layer.inhibit, gu)
         grads[t] = LayerGrads(*place_obs(net.arch, gobs), ginhib, gtheta)
 
     return grads, float(np.sum(per)), den, loss
@@ -183,15 +185,16 @@ class AdamState:
 
 
 def init_adam_state(params: list[np.ndarray]) -> AdamState:
-    return AdamState(0, [np.zeros_like(p) for p in params],
-                     [np.zeros_like(p) for p in params])
+    return AdamState(0, [np.zeros_like(p.view(np.float64)) for p in params],
+                     [np.zeros_like(p.view(np.float64)) for p in params])
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: AdamState, cfg: TrainConfig,
               clamp_nonneg: list[bool] | None = None,
               learning_rate: float | None = None):
-    """Bias-corrected moment update applied to every plane.
+    """Bias-corrected moment update applied to every float64 coordinate
+    (a complex128 parameter steps through its float64 view).
 
     Updates ``params`` and ``state`` in place and returns them.  Entries
     flagged in ``clamp_nonneg`` are projected onto [0, inf) after the step
@@ -205,6 +208,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for i, (p, g) in enumerate(zip(params, grads)):
+        p, g = p.view(np.float64), g.view(np.float64)
         m = state.mom1[i]
         v = state.mom2[i]
         m *= b1
@@ -220,33 +224,32 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 # -- parameter flattening ----------------------------------------------------
 
 
-def _param_planes(layer):
-    """The five planes of a layer, or of its gradient, in parameter order."""
-    return (layer.obs.re, layer.obs.im, layer.inhibit.re, layer.inhibit.im,
-            np.array(layer.threshold))
+def _layer_params(layer):
+    """The observation weight, inhibition weight and threshold (0-d) of a
+    layer, or of its gradient."""
+    return layer.obs.z, layer.inhibit.z, np.array(layer.threshold)
 
 
 def net_param_arrays(net: UnfoldedNetwork):
-    """Copy a network into a flat list of planes (thresholds as 0-d arrays).
+    """Copy a network into a flat list of parameters, three per layer.
 
     Returns (params, clamp_flags); thresholds are the only clamped entries.
     """
-    params = [p.copy() for layer in net.layers for p in _param_planes(layer)]
-    return params, [False, False, False, False, True] * net.depth
+    params = [p.copy() for layer in net.layers for p in _layer_params(layer)]
+    return params, [False, False, True] * net.depth
 
 
-def grad_arrays(grads: NetGradients, arch: str) -> list[np.ndarray]:
-    """Gradient planes in :func:`net_param_arrays` order (each layer's
-    gradient already sits in its ``arch`` slots)."""
-    return [p for g in grads.layers for p in _param_planes(g)]
+def grad_arrays(grads: NetGradients) -> list[np.ndarray]:
+    """Gradients in :func:`net_param_arrays` order."""
+    return [p for g in grads.layers for p in _layer_params(g)]
 
 
 def assemble_network(arch: str, shape, n_obs: int,
                      params: list[np.ndarray]) -> UnfoldedNetwork:
-    """Wrap flat parameter planes back into a network (shares the buffers)."""
-    layers = [Layer(*place_obs(arch, ComplexArray(params[i], params[i + 1])),
-                    ComplexArray(params[i + 2], params[i + 3]), float(params[i + 4]))
-              for i in range(0, len(params), 5)]
+    """Wrap a flat parameter list back into a network (shares the arrays)."""
+    layers = [Layer(*place_obs(arch, ComplexArray(params[i])),
+                    ComplexArray(params[i + 1]), float(params[i + 2]))
+              for i in range(0, len(params), 3)]
     return UnfoldedNetwork(arch, tuple(shape), n_obs, layers)
 
 
@@ -268,7 +271,7 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
     if cfg.epochs == 0:
         return net, report
 
-    yr, yi, tr, ti = _batch_planes(train_ds)
+    y, truth = _batches(train_ds)
     params, clamp = net_param_arrays(net)
     state = init_adam_state(params)
     rng = np.random.default_rng(cfg.seed)
@@ -286,15 +289,16 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
             idx = order[lo:lo + cfg.batch_size]
             work = assemble_network(net.arch, net.shape, net.n_obs, params)
             try:
+                yb, tb = y[idx], truth[idx]
                 grads, e_sum, r_sum, loss = _backward_planes(
-                    work, yr[idx], yi[idx], tr[idx], ti[idx])
+                    work, yb.real, yb.imag, tb.real, tb.imag)
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch}, batch {lo // cfg.batch_size}: {exc}") from exc
             if not np.isfinite(loss):
                 raise NumericError(
                     f"epoch {epoch}, batch {lo // cfg.batch_size}: loss diverged")
-            flat = grad_arrays(NetGradients(grads, loss), net.arch)
+            flat = grad_arrays(NetGradients(grads, loss))
             adam_step(params, flat, state, cfg, clamp, learning_rate=lr)
             num += e_sum
             den += r_sum
@@ -329,8 +333,8 @@ def estimate_dictionary(ds: Dataset) -> ComplexArray:
     Needs at least as many samples as grid cells and a full-rank label
     matrix.
     """
-    x = ds.truth.to_complex()
-    y = ds.obs.to_complex()
+    x = ds.truth.z
+    y = ds.obs.z
     m = x.shape[0]
     if ds.count < m:
         raise ValueError(f"need at least {m} samples to estimate, got {ds.count}")
@@ -341,6 +345,4 @@ def estimate_dictionary(ds: Dataset) -> ComplexArray:
         raise ValueError("label matrix is rank deficient; cannot estimate")
     ridge = 1e-10 * np.trace(g).real / m
     g += ridge * np.eye(m)
-    est = np.linalg.solve(g.T, b.T).T
-    return ComplexArray(np.ascontiguousarray(est.real),
-                        np.ascontiguousarray(est.imag))
+    return ComplexArray(np.ascontiguousarray(np.linalg.solve(g.T, b.T).T))

@@ -1,6 +1,7 @@
 """Experiment runner: sweeps, dumps, complexity, IQ grids, CLI determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import hunfold as hf
 from hunfold.bench import (ExperimentConfig, complexity_report, ingest_iq_grid,
                            metric_rows_table, read_iq_grid, run_single,
                            run_sweep, write_csv, write_iq_grid, write_manifest)
+from hunfold import cli
 from hunfold.cli import main as cli_main
 from hunfold.cplx import ComplexArray, matvec
 from hunfold.metrics import hit_rate_metric
@@ -358,3 +360,35 @@ def test_iq_every_bit_flip_loads_or_names_path(tmp_path):
             ingest_iq_grid(path)
         except ValueError as exc:
             assert str(path) in str(exc), f"bit {bit}: {exc}"
+
+
+def test_iq_file_layout(tmp_path):
+    # magic, u32 header length, the JSON header, then (re, im) f64 pairs
+    y = ComplexArray(np.array([1.5, -2.0, 0.25]), np.array([0.0, 3.0, -1.0]))
+    path = tmp_path / "layout.hiq"
+    write_iq_grid(path, (4, 2), [1, 4, 6], y)
+    head = json.dumps({"m1": 4, "m2": 2, "omega": [1, 4, 6]}, sort_keys=True).encode()
+    want = b"HIQ1" + struct.pack("<I", len(head)) + head
+    want += b"".join(struct.pack("<dd", r, i) for r, i in zip(y.re, y.im))
+    assert path.read_bytes() == want
+
+
+def test_cli_config_values_do_not_outlive_their_run(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 2, "budget_ista": 7, "k": 1}))
+    flags = ["sweep", "--m", "16", "--n", "8", "--methods", "ista"]
+    a = tmp_path / "a.csv"
+    assert cli_main(flags + ["--config", str(cfg_file), "--out", str(a)]) == 0
+    b = tmp_path / "b.csv"
+    assert cli_main(flags + ["--out", str(b)]) == 0
+    first = json.loads((tmp_path / "a.csv.manifest.json").read_text())["config"]
+    plain = json.loads((tmp_path / "b.csv.manifest.json").read_text())["config"]
+    assert (first["trials"], first["budget_ista"], first["k"]) == (2, 7, 1)
+    assert (plain["trials"], plain["budget_ista"], plain["k"]) == (100, 1000, 5)
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert cli_main(["complexity", "--sizes", "64", "--no-timing",
+                     "--out", str(tmp_path / "cx.csv")]) == 0

@@ -175,3 +175,11 @@ def test_soft_threshold_planes_per_column_theta():
     # the zero-threshold column, zero entry included, comes back unchanged
     assert np.array_equal(out_re[:, 1], re[:, 1])
     assert np.array_equal(out_im[:, 1], im[:, 1])
+
+
+def test_complex_array_wraps_complex_without_copying():
+    z = np.arange(6.0).reshape(2, 3) * (1 + 2j)
+    assert ComplexArray(z).z is z
+    joined = ComplexArray(z.T.real, z.T.imag)
+    assert joined.z is not z and np.array_equal(joined.z, z.T)
+    assert np.array_equal(ComplexArray(z.real).z, z.real + 0j)

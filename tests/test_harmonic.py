@@ -1,5 +1,7 @@
 """Dictionaries, Gram structure, synthetic instances and dataset files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -332,3 +334,36 @@ def test_dataset_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         read_dataset(path)
+
+
+def test_dataset_file_layout(tmp_path):
+    # the documented header, then the observation and truth matrices
+    # row-major as (re, im) f64 pairs
+    d = build_dictionary((3, 2), draw_sampling(6, 4, seed=20))
+    ds = gen_dataset(d, 3, 2, 0.1, seed=7)
+    path = tmp_path / "layout.hud"
+    write_dataset(path, ds)
+    want = struct.pack("<4sIIIIIIQd", b"HUD1", 2, 3, 2, 4, 3, 2, 7, 0.1)
+    for a in (ds.obs, ds.truth):
+        for i in range(a.shape[0]):
+            for j in range(a.shape[1]):
+                want += struct.pack("<dd", a.re[i, j], a.im[i, j])
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_dataset_every_bit_flip_loads_or_names_path(tmp_path, shape):
+    total = int(np.prod(shape))
+    d = build_dictionary(shape, draw_sampling(total, 3, seed=21))
+    good = tmp_path / "good.hud"
+    write_dataset(good, gen_dataset(d, 2, 2, 0.1, seed=8))
+    data = bytearray(good.read_bytes())
+    path = tmp_path / "flipped.hud"
+    for bit in range(8 * len(data)):
+        data[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(data))
+        data[bit // 8] ^= 1 << (bit % 8)
+        try:
+            read_dataset(path)
+        except ValueError as exc:
+            assert str(path) in str(exc), f"bit {bit}: {exc}"

@@ -1,5 +1,7 @@
 """Forward-pass identities, initialization, parameter counts, model files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -323,14 +325,12 @@ def op_sizes(op):
     return int(np.prod(op.grid_in)), int(np.prod(op.grid_out))
 
 
-def planes(rng, shape):
-    return rng.standard_normal(shape), rng.standard_normal(shape)
+def batch(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def inner(ar, ai, br, bi):
+def inner(a, b):
     """sum a conj(b) over all entries."""
-    a = ar + 1j * ai
-    b = br + 1j * bi
     return np.sum(a * np.conj(b))
 
 
@@ -339,22 +339,22 @@ def test_operator_adjoint_identity(op):
     rng = np.random.default_rng(31)
     n_in, n_out = op_sizes(op)
     w = rand_carray(rng, op.shape)
-    xr, xi = planes(rng, (4, n_in))
-    gr, gi = planes(rng, (4, n_out))
-    lhs = inner(*op.apply(w, xr, xi), gr, gi)
-    rhs = inner(xr, xi, *op.adjoint(w, gr, gi))
+    x = batch(rng, (4, n_in))
+    g = batch(rng, (4, n_out))
+    lhs = inner(op.apply(w, x), g)
+    rhs = inner(x, op.adjoint(w, g))
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def unit_matrices(op):
     """Dense (n_out, n_in) matrix of the operator for each unit weight e_p."""
     n_in, _ = op_sizes(op)
-    eye = np.eye(n_in)
+    eye = np.eye(n_in, dtype=complex)
     mats = []
     for p in np.ndindex(op.shape):
         w = ComplexArray.zeros(op.shape)
         w.re[p] = 1.0
-        mats.append(op.apply(w, eye, np.zeros_like(eye))[0].T)
+        mats.append(op.apply(w, eye).real.T)
     return mats
 
 
@@ -362,15 +362,15 @@ def unit_matrices(op):
 def test_operator_grad_is_mapped_batch_outer_product(op):
     rng = np.random.default_rng(32)
     n_in, n_out = op_sizes(op)
-    xr, xi = planes(rng, (5, n_in))
-    gr, gi = planes(rng, (5, n_out))
+    x = batch(rng, (5, n_in))
+    g = batch(rng, (5, n_out))
     # batch sum g conj(x)^T, the gradient of a dense weight
-    outer = np.einsum("bj,bi->ji", gr + 1j * gi, np.conj(xr + 1j * xi))
+    outer = np.einsum("bj,bi->ji", g, np.conj(x))
     if isinstance(op, Dense):
         want = outer
     else:
         want = np.array([np.sum(outer * m) for m in unit_matrices(op)]).reshape(op.shape)
-    got = op.grad(gr, gi, xr, xi).to_complex()
+    got = op.grad(g, x).to_complex()
     assert got.shape == op.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -380,12 +380,11 @@ def test_conv_rectangular_apply_matches_explicit_sum():
     n, m = 7, 11
     op = Conv((n,), (m,))
     k = rand_carray(rng, op.shape).to_complex()
-    xr, xi = planes(rng, (3, n))
-    x = xr + 1j * xi
+    x = batch(rng, (3, n))
     want = np.array([[sum(k[j + n - 1 - i] * row[i] for i in range(n))
                       for j in range(m)] for row in x])
-    got_r, got_i = op.apply(ComplexArray(k.real, k.imag), xr, xi)
-    assert np.max(np.abs(got_r + 1j * got_i - want)) <= 1e-12 * np.max(np.abs(want))
+    got = op.apply(ComplexArray(k), x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("arch, shape", [
@@ -452,3 +451,25 @@ def test_model_every_bit_flip_loads_or_names_path(tmp_path, arch):
             load_network(path)
         except ValueError as exc:
             assert str(path) in str(exc), f"bit {bit}: {exc}"
+
+
+@pytest.mark.parametrize("arch, shape", [("toeplitz2d", (2, 3)), ("convlista", (5,))])
+def test_model_file_layout(tmp_path, arch, shape):
+    # the documented header, then per layer the observation re and im
+    # planes, the inhibition re and im planes (row-major) and the threshold
+    rng = np.random.default_rng(41)
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 4, seed=22))
+    net = init_network(arch, d, 2, lam=0.2)
+    for layer in net.layers:
+        layer.inhibit = rand_carray(rng, layer.inhibit.shape)
+    path = tmp_path / "layout.hun"
+    save_network(path, net)
+    dims = shape if len(shape) == 2 else (shape[0], 0)
+    want = struct.pack("<4sIIIIII", b"HUN1", ARCHS.index(arch), 2, len(shape), *dims, 4)
+    for layer in net.layers:
+        for a in (layer.obs, layer.inhibit):
+            for plane in (a.re, a.im):
+                want += struct.pack(f"<{plane.size}d", *plane.ravel())
+        want += struct.pack("<d", layer.threshold)
+    assert path.read_bytes() == want

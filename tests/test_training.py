@@ -31,7 +31,8 @@ def perturbed_net(arch, d, depth, seed, jitter=0.05, theta_shift=0.03):
         if p.ndim == 0:
             p += theta_shift
         else:
-            p += jitter * rng.standard_normal(p.shape)
+            p.real += jitter * rng.standard_normal(p.shape)
+            p.imag += jitter * rng.standard_normal(p.shape)
     return assemble_network(arch, d.shape, d.n_obs, params), params
 
 
@@ -43,7 +44,7 @@ def kink_margin(net, ds):
     _, _, cache = forward_planes(net, yr, yi, keep_cache=True)
     margin = np.inf
     for layer, ctx in zip(net.layers, cache):
-        mag = np.hypot(ctx["u_r"], ctx["u_i"])
+        mag = np.abs(ctx["u"])
         margin = min(margin, float(np.min(np.abs(mag - layer.threshold))))
     return margin
 
@@ -58,16 +59,16 @@ def place_thresholds(arch, shape, n, params, ds, lo=0.4, hi=0.9):
     from hunfold.nets import forward_planes
     yr = np.ascontiguousarray(ds.obs.re.T)
     yi = np.ascontiguousarray(ds.obs.im.T)
-    depth = len(params) // 5
+    depth = len(params) // 3
     for t in range(depth):
         net = assemble_network(arch, shape, n, params)
         _, _, cache = forward_planes(net, yr, yi, keep_cache=True)
-        mags = np.sort(np.hypot(cache[t]["u_r"], cache[t]["u_i"]).ravel())
+        mags = np.sort(np.abs(cache[t]["u"]).ravel())
         a = int(len(mags) * lo)
         b = max(a + 2, int(len(mags) * hi))
         gaps = np.diff(mags[a:b])
         pick = a + int(np.argmax(gaps))
-        params[5 * t + 4].fill(0.5 * (mags[pick] + mags[pick + 1]))
+        params[3 * t + 2].fill(0.5 * (mags[pick] + mags[pick + 1]))
     return assemble_network(arch, shape, n, params)
 
 
@@ -76,9 +77,11 @@ def fd_check(arch, shape, n, depth=3, seed=5, eps=1e-5, tol=1e-4):
     _, params = perturbed_net(arch, d, depth, seed)
     net = place_thresholds(arch, shape, n, params, ds)
     assert kink_margin(net, ds) > 1e-2, "no test point clear of threshold kinks"
-    flat = grad_arrays(backward(net, ds), arch)
+    flat = [g.view(np.float64) for g in grad_arrays(backward(net, ds))]
     worst = 0.0
-    for pi, p in enumerate(params):
+    # every real coordinate: a complex weight entry is its real part
+    # followed by its imaginary part
+    for pi, p in enumerate(p.view(np.float64) for p in params):
         indices = list(np.ndindex(p.shape)) if p.ndim else [()]
         for idx in indices:
             orig = p[idx] if p.ndim else float(p)
@@ -105,9 +108,8 @@ def test_loss_perfect_prediction_zero(desk_dict):
     ds = hf.gen_dataset(desk_dict, 8, 2, 0.0, seed=1)
     # a network cannot be exact, so check the formula directly on sums
     from hunfold.training import _nmse_sums
-    tr = np.ascontiguousarray(ds.truth.re.T)
-    ti = np.ascontiguousarray(ds.truth.im.T)
-    num, den = _nmse_sums(tr, ti, tr, ti)
+    t = np.ascontiguousarray(ds.truth.z.T)
+    num, den = _nmse_sums(t, t)
     assert num == 0.0 and den > 0.0
 
 
@@ -234,6 +236,21 @@ def test_adam_clamps_thresholds():
     state = init_adam_state(params)
     adam_step(params, [np.array(5.0)], state, cfg, clamp_nonneg=[True])
     assert float(params[0]) == 0.0
+
+
+def test_adam_steps_complex_parameters_in_the_network(desk_dict):
+    net = init_network("toeplitz1d", desk_dict, 2, lam=0.1)
+    params, clamp = net_param_arrays(net)
+    assert len(params) == 3 * net.depth
+    work = assemble_network("toeplitz1d", desk_dict.shape, desk_dict.n_obs, params)
+    grads = [np.full_like(p, 1 - 2j) if p.ndim else np.array(0.0) for p in params]
+    adam_step(params, grads, init_adam_state(params), TrainConfig(learning_rate=0.1),
+              clamp)
+    # every real and imaginary part moved by the learning rate against its
+    # gradient's sign, in the arrays the network holds
+    inhibit = work.layers[0].inhibit.z
+    assert inhibit is params[1]
+    assert np.max(np.abs(inhibit - (-0.1 + 0.1j))) < 1e-6
 
 
 def test_train_zero_epochs_is_identity(desk_dict):
