@@ -23,7 +23,7 @@ from .bench import (ExperimentConfig, complexity_report, ingest_iq_grid,
 from .cplx import ComplexArray
 from .harmonic import (build_dictionary, dictionary_from_meta, draw_sampling,
                        gen_dataset, read_dataset, write_dataset)
-from .nets import forward, init_network, load_network, save_network
+from .nets import ARCHS, forward, init_network, load_network, save_network
 from .solvers import SolverConfig, default_lambda, ista
 from .training import TrainConfig, loss_nmse, train
 
@@ -126,15 +126,18 @@ def _echo_config(args, skip=("func",)) -> dict:
 def _cmd_gen_data(args) -> int:
     _require(args, "n", "samples", "out")
     shape = _shape_from(args)
+    if args.export_iq:
+        if len(shape) != 2:
+            raise SystemExit("--export-iq needs a 2-D problem")
+        if not 0 <= args.export_index < args.samples:
+            raise SystemExit(f"--export-index {args.export_index} is outside "
+                             f"0 .. {args.samples - 1} (--samples {args.samples})")
     sampling = draw_sampling(int(np.prod(shape)), args.n, args.sample_seed)
     d = build_dictionary(shape, sampling)
     ds = gen_dataset(d, args.samples, args.k, args.sigma2, args.seed)
     write_dataset(args.out, ds)
     if args.export_iq:
-        if len(shape) != 2:
-            raise SystemExit("--export-iq needs a 2-D problem")
-        col = args.export_index
-        y = ComplexArray(ds.obs.z[:, col].copy())
+        y = ComplexArray(ds.obs.z[:, args.export_index].copy())
         write_iq_grid(args.export_iq, shape, sampling.omega, y)
     print(f"wrote {args.out} ({ds.count} samples)")
     return 0
@@ -147,7 +150,12 @@ def _cmd_train(args) -> int:
         val_ds = read_dataset(args.val)
     else:
         count = train_ds.count
+        if not 0.0 <= args.val_frac < 1.0:
+            raise SystemExit(f"--val-frac {args.val_frac} is outside [0, 1)")
         n_val = max(1, int(count * args.val_frac))
+        if n_val >= count:
+            raise SystemExit(f"--val-frac {args.val_frac} leaves no training sample "
+                             f"of the {count} in {args.data}")
         val_ds = train_ds.take(np.arange(count - n_val, count))
         train_ds = train_ds.take(np.arange(count - n_val))
     d = dictionary_from_meta(train_ds.meta)
@@ -262,8 +270,7 @@ def build_parser():
     p.add_argument("--data")
     p.add_argument("--val", help="validation dataset (default: split from --data)")
     p.add_argument("--val-frac", type=float, default=0.1)
-    p.add_argument("--arch",
-                   choices=("lista", "toeplitz1d", "toeplitz2d", "convlista"))
+    p.add_argument("--arch", choices=ARCHS)
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--lam", type=float, default=0.1,
                    help="penalty weight setting the initial threshold")

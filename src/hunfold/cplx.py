@@ -22,7 +22,6 @@ __all__ = [
     "hermitian",
     "join_planes",
     "lipschitz_constant",
-    "matmat",
     "matvec",
     "soft_threshold",
     "soft_threshold_planes",
@@ -151,13 +150,6 @@ def matvec(w: ComplexArray, x: ComplexArray) -> ComplexArray:
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: {w.shape} @ {x.shape}")
     return ComplexArray(w.z @ x.z)
-
-
-def matmat(a: ComplexArray, b: ComplexArray) -> ComplexArray:
-    """Complex matrix-matrix product."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return ComplexArray(a.z @ b.z)
 
 
 def hermitian(a: ComplexArray) -> ComplexArray:

@@ -89,6 +89,8 @@ class UnfoldedNetwork:
     def __post_init__(self):
         self.shape = tuple(int(s) for s in self.shape)
         branches(self.arch, self.shape, self.n_obs)
+        if not self.layers:
+            raise ValueError("a network needs at least one layer")
 
     @property
     def total(self) -> int:

@@ -12,6 +12,7 @@ relative objective-change test or at the iteration budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,9 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.tol < 0.0:
             raise ValueError("tol must be >= 0")
+        if self.lipschitz is not None and not (math.isfinite(self.lipschitz)
+                                               and self.lipschitz > 0.0):
+            raise ValueError(f"lipschitz must be finite and > 0, got {self.lipschitz!r}")
 
 
 @dataclass

@@ -1,9 +1,11 @@
-"""FFT kernels and Toeplitz-structured linear convolution.
+"""Toeplitz generators, their dense expansions and full FFT convolution.
 
-Transforms run on ``numpy.fft`` in complex128 at power-of-two lengths and
-broadcast over leading axes, so batches of rows transform in one call.
-Linear convolution comes in a direct form and an FFT-accelerated form;
-dense expansions tie a generator vector (or matrix) to the Toeplitz (or
+:func:`conv_full_planes` and :func:`conv_full2_planes` are full linear
+convolutions on ``numpy.fft`` in complex128, padded to power-of-two lengths
+and broadcast over leading axes, so batches of rows transform in one call;
+the network layers' windowed convolution, :class:`hunfold.nets.Conv`, is
+built on them.  :func:`conv1d` is the direct windowed form, and dense
+expansions tie a generator vector (or matrix) to the Toeplitz (or
 doubly-block-Toeplitz) operator it induces.
 
 Index conventions used throughout the package:
@@ -30,53 +32,20 @@ __all__ = [
     "ToeplitzMat2D",
     "ToeplitzVec",
     "conv1d",
-    "conv1d_fft",
-    "conv2d",
     "conv_full_planes",
     "conv_full2_planes",
     "dbt_expand",
     "dbt_extract",
-    "fft",
-    "ifft",
-    "is_pow2",
     "next_pow2",
     "toeplitz_expand",
     "toeplitz_extract",
 ]
 
 
-def is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def next_pow2(n: int) -> int:
     if n <= 1:
         return 1
     return 1 << (n - 1).bit_length()
-
-
-def _check_length(name: str, x: ComplexArray, n: int) -> None:
-    if x.ndim != 1:
-        raise ValueError(f"{name} expects a rank-1 input")
-    if not is_pow2(n):
-        raise ValueError(f"transform length {n} is not a power of two")
-    if n < x.shape[0]:
-        raise ValueError(f"transform length {n} shorter than input {x.shape[0]}")
-
-
-def fft(x: ComplexArray, n: int) -> ComplexArray:
-    """n-point DFT of a vector, zero-padded up to n.
-
-    n must be a power of two no smaller than the input length.
-    """
-    _check_length("fft", x, n)
-    return ComplexArray(np.fft.fft(x.z, n))
-
-
-def ifft(x: ComplexArray, n: int) -> ComplexArray:
-    """Inverse of :func:`fft` (same length rules, 1/n scaling)."""
-    _check_length("ifft", x, n)
-    return ComplexArray(np.fft.ifft(x.z, n))
 
 
 @dataclass(frozen=True)
@@ -152,19 +121,6 @@ def conv_full_planes(kr, ki, xr, xi):
     return out.real, out.imag
 
 
-def conv1d_fft(t: ToeplitzVec, x: ComplexArray) -> ComplexArray:
-    """FFT-accelerated :func:`conv1d` (identical contract).
-
-    Pads to the next power of two at or above 3*size - 2 so the circular
-    product realises the linear convolution, then extracts the window that
-    starts size - 1 past the stored kernel origin.
-    """
-    if x.ndim != 1 or x.shape[0] != t.size:
-        raise ValueError(f"input shape {x.shape} does not match grid size {t.size}")
-    lo = t.size - 1
-    return ComplexArray(_conv_full(t.diags.z, x.z, 1)[lo:lo + t.size])
-
-
 def conv_full2_planes(kr, ki, xr, xi):
     """Full complex linear convolution over the last two axes, via 2-D FFT.
 
@@ -173,20 +129,6 @@ def conv_full2_planes(kr, ki, xr, xi):
     """
     out = _conv_full(join_planes(kr, ki), join_planes(xr, xi), 2)
     return out.real, out.imag
-
-
-def conv2d(t: ToeplitzMat2D, x: ComplexArray) -> ComplexArray:
-    """Windowed 2-D linear convolution:
-    out[s, t] = sum_{i,j} d(s - i, t - j) x[i, j].
-
-    Output indices run over the ``rows x cols`` grid; column-stacking the
-    output equals the expanded doubly-block-Toeplitz matrix acting on the
-    column-stacked input.
-    """
-    if x.ndim != 2 or x.shape != (t.rows, t.cols):
-        raise ValueError(f"input shape {x.shape}, expected {(t.rows, t.cols)}")
-    lo1, lo2 = t.rows - 1, t.cols - 1
-    return ComplexArray(_conv_full(t.diags.z, x.z, 2)[lo1:lo1 + t.rows, lo2:lo2 + t.cols])
 
 
 def toeplitz_expand(t: ToeplitzVec) -> ComplexArray:

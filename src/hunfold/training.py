@@ -267,6 +267,8 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
     """
     if train_ds.obs.shape[0] != net.n_obs or train_ds.truth.shape[0] != net.total:
         raise ValueError("training data dimensions do not match the network")
+    if train_ds.count == 0:
+        raise ValueError("training set is empty")
     report = TrainReport()
     if cfg.epochs == 0:
         return net, report

@@ -17,11 +17,11 @@ from hunfold.harmonic import (build_dictionary, draw_sampling, gram,
                               gram_generator_from_dense, sparse_from_rng,
                               synth_offgrid)
 from hunfold.metrics import hit_rate_metric, nmse_metric
-from hunfold.nets import (Layer, UnfoldedNetwork, conv_grid, forward,
+from hunfold.nets import (Conv, Layer, UnfoldedNetwork, conv_grid, forward,
                           init_network, param_count)
 from hunfold.solvers import SolverConfig, default_lambda, fista, ista, objective
-from hunfold.spectral import (ToeplitzMat2D, ToeplitzVec, conv1d, conv1d_fft,
-                              conv2d, dbt_expand, toeplitz_expand)
+from hunfold.spectral import (ToeplitzMat2D, ToeplitzVec, conv1d, dbt_expand,
+                              toeplitz_expand)
 from hunfold.training import TrainConfig, train
 
 from conftest import (DESK_K, DESK_M, DESK_N, rand_carray)
@@ -83,9 +83,9 @@ def test_criterion_03_convolution_equivalences():
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_dense = max(worst_dense, float(
             np.max(np.abs(conv1d(t, x).to_complex() - ref))) / scale)
+        got = Conv((m,), (m,)).apply(t.diags, x.z[None])[0]
         worst_fft = max(worst_fft, float(
-            np.max(np.abs(conv1d_fft(t, x).to_complex()
-                          - conv1d(t, x).to_complex()))) / scale)
+            np.max(np.abs(got - conv1d(t, x).to_complex()))) / scale)
     for _ in range(200):  # 2-D cases
         m1 = int(rng.integers(1, 17))
         m2 = int(rng.integers(1, 17))
@@ -93,8 +93,9 @@ def test_criterion_03_convolution_equivalences():
             m2 = max(1, 256 // m1)
         t = ToeplitzMat2D(rand_carray(rng, (2 * m1 - 1, 2 * m2 - 1)), m1, m2)
         x = rand_carray(rng, (m1, m2))
-        ref = dbt_expand(t).to_complex() @ x.to_complex().flatten(order="F")
-        got = conv2d(t, x).to_complex().flatten(order="F")
+        vec = x.to_complex().flatten(order="F")
+        ref = dbt_expand(t).to_complex() @ vec
+        got = Conv((m1, m2), (m1, m2)).apply(t.diags, vec[None])[0]
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_dense = max(worst_dense, float(np.max(np.abs(got - ref))) / scale)
     ok = worst_dense < 1e-10 and worst_fft < 1e-9

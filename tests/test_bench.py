@@ -302,6 +302,32 @@ def test_cli_missing_required_flag(tmp_path):
                   "--samples", "5"])  # no --out
 
 
+@pytest.mark.parametrize("frac", ["1.0", "1.5", "nan"])
+def test_cli_train_val_frac_must_leave_both_splits(tmp_path, frac):
+    data = tmp_path / "d.hud"
+    model = tmp_path / "n.hun"
+    assert cli_main(["gen-data", "--m", "8", "--n", "4", "--k", "1",
+                     "--samples", "20", "--out", str(data)]) == 0
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", str(data), "--arch", "lista",
+                  "--val-frac", frac, "--depth", "1", "--epochs", "1",
+                  "--out", str(model)])
+    assert "--val-frac" in str(err.value.code)
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("index", ["2", "5", "-1"])
+def test_cli_export_index_must_name_a_sample(tmp_path, index):
+    data = tmp_path / "d.hud"
+    iq = tmp_path / "g.hiq"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["gen-data", "--problem", "2d", "--m1", "4", "--m2", "4",
+                  "--n", "6", "--k", "1", "--samples", "2", "--out", str(data),
+                  "--export-iq", str(iq), f"--export-index={index}"])
+    assert "--export-index" in str(err.value.code)
+    assert not data.exists() and not iq.exists()
+
+
 @pytest.mark.parametrize("text, words", [
     (json.dumps({"m": 16, "tirals": 5}), ["unknown key 'tirals' for 'sweep'"]),
     (json.dumps([["m", 16]]), ["JSON object", "list"]),

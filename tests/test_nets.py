@@ -294,6 +294,16 @@ def test_model_1d_with_second_dimension_names_path(tmp_path):
         load_network(path)
 
 
+def test_model_with_no_layers_names_path(tmp_path):
+    path = tmp_path / "empty.hun"
+    save_network(path, init_network("lista", dict_1d(m=6, n=3, seed=21), 1, lam=0.1))
+    data = bytearray(path.read_bytes()[:28])   # the header alone
+    data[8] = 0   # u32 depth at byte 8
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="empty.hun: a network needs at least one layer"):
+        load_network(path)
+
+
 def test_model_bad_magic(tmp_path):
     path = tmp_path / "junk.hun"
     path.write_bytes(b"WHAT" + b"\x00" * 40)

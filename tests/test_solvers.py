@@ -155,6 +155,9 @@ def test_solver_config_validation():
         SolverConfig(lam=0.0, max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(lam=0.0, tol=-1e-3)
+    for big_l in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lipschitz"):
+            SolverConfig(lam=0.1, lipschitz=big_l)
 
 
 def test_solver_observation_shape_check():

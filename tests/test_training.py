@@ -262,6 +262,13 @@ def test_train_zero_epochs_is_identity(desk_dict):
     assert report.best_epoch is None
 
 
+def test_train_rejects_empty_training_set(desk_dict):
+    ds = hf.gen_dataset(desk_dict, 8, 2, 0.1, seed=27)
+    net = init_network("toeplitz1d", desk_dict, 2, lam=0.1)
+    with pytest.raises(ValueError, match="training set is empty"):
+        train(net, ds.take(np.arange(0)), ds, TrainConfig(epochs=1))
+
+
 def test_train_deterministic_histories():
     m, n = 24, 8
     d = hf.build_dictionary((m,), hf.draw_sampling(m, n, seed=21))
