@@ -23,7 +23,7 @@ from .harmonic import (Dataset, Dictionary, SamplingSet, SparseInstance,
 from .solvers import SolverConfig, SolverResult, default_lambda, fista, ista, objective
 from .nets import (ARCHS, Layer, UnfoldedNetwork, forward, init_network,
                    load_network, param_count, save_network)
-from .training import (AdamState, NetGradients, TrainConfig, TrainReport,
-                       adam_step, backward, estimate_dictionary,
-                       init_adam_state, loss_nmse, train)
+from .training import (AdamState, TrainConfig, TrainReport, adam_step,
+                       backward, estimate_dictionary, init_adam_state,
+                       loss_nmse, train)
 from .metrics import hit_rate_metric, nmse_metric

@@ -13,25 +13,34 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
 
-from .bench import (ExperimentConfig, complexity_report, ingest_iq_grid,
-                    metric_rows_table, run_single, run_sweep, write_csv,
-                    write_iq_grid, write_manifest)
+from .bench import (LEARNED_METHODS, SOLVER_METHODS, ExperimentConfig,
+                    complexity_report, ingest_iq_grid, metric_rows_table,
+                    run_single, run_sweep, write_csv, write_iq_grid,
+                    write_manifest)
 from .cplx import ComplexArray
 from .harmonic import (build_dictionary, dictionary_from_meta, draw_sampling,
                        gen_dataset, read_dataset, write_dataset)
 from .nets import ARCHS, forward, init_network, load_network, save_network
 from .solvers import SolverConfig, default_lambda, ista
-from .training import TrainConfig, loss_nmse, train
+from .training import TrainConfig, estimate_dictionary, loss_nmse, train
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
             raise SystemExit(f"missing required option --{name.replace('_', '-')}")
+
+
+def _check(args, name, ok, want):
+    """Stop with a message naming --name unless ``ok`` holds for its value."""
+    value = getattr(args, name)
+    if not ok(value):
+        raise SystemExit(f"--{name.replace('_', '-')} {value}: must be {want}")
 
 
 def _shape_from(args) -> tuple[int, ...]:
@@ -81,9 +90,15 @@ def _add_method_flags(p: argparse.ArgumentParser):
 def _load_models(args, methods) -> dict:
     paths = {"lista": args.model_lista, "convlista": args.model_convlista,
              "lista-toeplitz": args.model_lista_toeplitz}
+    known = SOLVER_METHODS + LEARNED_METHODS
+    if not methods:
+        raise SystemExit(f"--methods names no method; choose from {', '.join(known)}")
     models = {}
     for name in methods:
-        if name in ("ista", "fista"):
+        if name not in known:
+            raise SystemExit(f"--methods: unknown method {name!r}; "
+                             f"choose from {', '.join(known)}")
+        if name in SOLVER_METHODS:
             continue
         path = paths.get(name)
         if not path:
@@ -125,6 +140,7 @@ def _echo_config(args, skip=("func",)) -> dict:
 
 def _cmd_gen_data(args) -> int:
     _require(args, "n", "samples", "out")
+    _check(args, "samples", lambda v: v >= 1, ">= 1")
     shape = _shape_from(args)
     if args.export_iq:
         if len(shape) != 2:
@@ -145,6 +161,11 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     _require(args, "data", "arch", "out")
+    _check(args, "depth", lambda v: v >= 1, ">= 1")
+    _check(args, "lam", lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+    _check(args, "lr", lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+    _check(args, "batch", lambda v: v >= 1, ">= 1")
+    _check(args, "epochs", lambda v: v >= 0, ">= 0")
     train_ds = read_dataset(args.data)
     if args.val:
         val_ds = read_dataset(args.val)
@@ -159,9 +180,8 @@ def _cmd_train(args) -> int:
         val_ds = train_ds.take(np.arange(count - n_val, count))
         train_ds = train_ds.take(np.arange(count - n_val))
     d = dictionary_from_meta(train_ds.meta)
-    est = train_ds if args.estimate_dict else None
-    net = init_network(args.arch, d, args.depth, args.lam,
-                       dataset_for_estimate=est)
+    phi_hat = estimate_dictionary(train_ds) if args.estimate_dict else None
+    net = init_network(args.arch, d, args.depth, args.lam, phi_hat)
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch,
                       epochs=args.epochs, lr_decay_patience=args.patience,
                       seed=args.seed)
@@ -211,6 +231,7 @@ def _cmd_single(args) -> int:
 
 def _cmd_complexity(args) -> int:
     _require(args, "out")
+    _check(args, "repeats", lambda v: v >= 1, ">= 1")
     header, rows = complexity_report(_int_list(args.sizes), n_obs=args.n,
                                      repeats=args.repeats,
                                      timing=not args.no_timing)

@@ -138,9 +138,9 @@ class Dense:
         out = np.conj(g) @ w.z
         return np.conjugate(out, out=out)
 
-    def grad(self, g, x) -> ComplexArray:
+    def grad(self, g, x):
         """Batch sum of g conj(x)^T."""
-        return ComplexArray(g.T @ np.conj(x))
+        return g.T @ np.conj(x)
 
 
 def _on_grid(x, grid):
@@ -191,12 +191,12 @@ class Conv:
         flip = (slice(None, None, -1),) * len(self.grid_in)
         return self._windowed(w.z[flip].conj(), g, self.grid_out, self.grid_in)
 
-    def grad(self, g, x) -> ComplexArray:
+    def grad(self, g, x):
         """Correlation of the gradient with the conjugate input."""
         flip = (Ellipsis,) + (slice(None, None, -1),) * len(self.grid_in)
         rr, ri = self._conv(_on_grid(g, self.grid_out),
                             np.conj(_on_grid(x, self.grid_in)[flip]))
-        return ComplexArray(rr.sum(axis=0), ri.sum(axis=0))
+        return join_planes(rr.sum(axis=0), ri.sum(axis=0))
 
 
 def branches(arch: str, shape, n_obs: int):
@@ -273,27 +273,25 @@ def _toeplitz_project(filt: ComplexArray, total: int, n_obs: int) -> ComplexArra
 
 
 def init_network(arch: str, d: Dictionary, depth: int, lam: float,
-                 dataset_for_estimate=None) -> UnfoldedNetwork:
+                 phi_hat: ComplexArray | None = None) -> UnfoldedNetwork:
     """Starting point for training.
 
     Every layer gets the filter (1/L) phi_hat^H, an all-zero inhibition
     kernel and threshold lam / L, where L estimates the top eigenvalue of
-    the Gram operator.  When a dataset is supplied, phi_hat is the
-    least-squares dictionary estimate from its labelled pairs; otherwise
-    the true operator is used.  The convolutional baseline cannot start
-    from a zero observation kernel (its gradient would vanish), so it gets
-    the per-diagonal mean of the same filter instead.
+    the Gram operator.  phi_hat is the true operator unless one of its
+    shape is supplied, such as a least-squares estimate.  The convolutional
+    baseline cannot start from a zero observation kernel (its gradient
+    would vanish), so it gets the per-diagonal mean of the same filter
+    instead.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if lam < 0.0:
-        raise ValueError("penalty weight must be >= 0")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"penalty weight must be finite and >= 0, got {lam}")
     _, inhibit_op = branches(arch, d.shape, d.n_obs)
-    if dataset_for_estimate is not None:
-        from .training import estimate_dictionary
-        phi_hat = estimate_dictionary(dataset_for_estimate)
-    else:
-        phi_hat = d.phi
+    phi_hat = d.phi if phi_hat is None else phi_hat
+    if phi_hat.shape != d.phi.shape:
+        raise ValueError(f"operator of shape {phi_hat.shape}, expected {d.phi.shape}")
     big_l = lipschitz_constant(phi_hat).value
     filt = hermitian(phi_hat).scale(1.0 / big_l)
     theta0 = lam / big_l

@@ -6,13 +6,15 @@ on complex128 batches: the complex soft threshold contributes its exact
 Jacobian away from the |u| = theta sphere and a zero subgradient on it,
 each branch operator of a layer gives its weight gradient (``grad``), and
 the inhibition operator's ``adjoint`` carries the gradient to the layer
-before (see :mod:`hunfold.nets`).  A layer's parameters are its two complex
-weights and its threshold; Adam steps a complex weight through its float64
-view, one real or imaginary part per coordinate.
+before (see :mod:`hunfold.nets`).  Parameters and their gradients share
+one flat layout, :func:`net_param_arrays`: per layer the two complex
+weights and the 0-d threshold.  Adam steps a complex weight through its
+float64 view, one real or imaginary part per coordinate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +29,6 @@ from .spectral import conv_full_planes, conv_full2_planes  # noqa: F401
 
 __all__ = [
     "AdamState",
-    "LayerGrads",
-    "NetGradients",
     "TrainConfig",
     "TrainReport",
     "adam_step",
@@ -54,8 +54,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise ValueError("Adam moment factors must lie in (0, 1)")
-        if self.learning_rate <= 0.0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("bad training configuration")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 @dataclass
@@ -63,22 +67,6 @@ class TrainReport:
     loss_history: list[float] = field(default_factory=list)
     val_history: list[float] = field(default_factory=list)
     best_epoch: int | None = None
-
-
-@dataclass
-class LayerGrads:
-    filt: ComplexArray | None
-    filt_kernel: ComplexArray | None
-    inhibit: ComplexArray
-    threshold: float
-
-    obs = Layer.obs   # the observation gradient, whichever slot holds it
-
-
-@dataclass
-class NetGradients:
-    layers: list[LayerGrads]
-    loss: float
 
 
 def _batches(ds: Dataset):
@@ -133,18 +121,20 @@ def _soft_threshold_adjoint(g, u, theta):
             + u * (theta * inv ** 3 * dot)), gtheta
 
 
-def backward(net: UnfoldedNetwork, batch: Dataset) -> NetGradients:
-    """Gradients of the batch NMSE wrt every layer parameter."""
+def backward(net: UnfoldedNetwork, batch: Dataset):
+    """Gradients of the batch NMSE wrt every parameter, in
+    :func:`net_param_arrays` order, and the loss: ``(grads, loss)``."""
     if batch.count == 0:
         raise ValueError("empty batch")
     y, t = _batches(batch)
     grads, _, _, loss = _backward_planes(net, y.real, y.imag, t.real, t.imag)
-    return NetGradients(grads, loss)
+    return grads, loss
 
 
 def _backward_planes(net: UnfoldedNetwork, yr, yi, tr, ti):
-    """Layer gradients, error-norm sum, reference-norm sum and loss of one
-    batch given as batch-major planes."""
+    """Parameter gradients (in :func:`net_param_arrays` order), error-norm
+    sum, reference-norm sum and loss of one batch given as batch-major
+    planes."""
     xr, xi, cache = forward_planes(net, yr, yi, keep_cache=True)
     y, truth = join_planes(yr, yi), join_planes(tr, ti)
     err = join_planes(xr, xi) - truth
@@ -157,19 +147,18 @@ def _backward_planes(net: UnfoldedNetwork, yr, yi, tr, ti):
     g = err * w[:, None]
 
     obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
-    grads: list[LayerGrads | None] = [None] * net.depth
+    grads = [None] * (3 * net.depth)
     for t in range(net.depth - 1, -1, -1):
         layer = net.layers[t]
         ctx = cache[t]
         gu, gtheta = _soft_threshold_adjoint(g, ctx["u"], layer.threshold)
-        gobs = obs_op.grad(gu, y)
         if t == 0:
             # layer 0 sees the zero spectrum: no inhibition gradient
-            ginhib = ComplexArray.zeros(layer.inhibit.shape)
+            ginhib = np.zeros(inhibit_op.shape, dtype=np.complex128)
         else:
             ginhib = inhibit_op.grad(gu, ctx["x"])
             g = inhibit_op.adjoint(layer.inhibit, gu)
-        grads[t] = LayerGrads(*place_obs(net.arch, gobs), ginhib, gtheta)
+        grads[3 * t:3 * t + 3] = obs_op.grad(gu, y), ginhib, np.array(gtheta)
 
     return grads, float(np.sum(per)), den, loss
 
@@ -224,24 +213,15 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 # -- parameter flattening ----------------------------------------------------
 
 
-def _layer_params(layer):
-    """The observation weight, inhibition weight and threshold (0-d) of a
-    layer, or of its gradient."""
-    return layer.obs.z, layer.inhibit.z, np.array(layer.threshold)
-
-
 def net_param_arrays(net: UnfoldedNetwork):
-    """Copy a network into a flat list of parameters, three per layer.
+    """Copy a network into a flat list of parameters, three per layer: the
+    observation weight, the inhibition weight and the threshold (0-d).
 
     Returns (params, clamp_flags); thresholds are the only clamped entries.
     """
-    params = [p.copy() for layer in net.layers for p in _layer_params(layer)]
+    params = [p.copy() for layer in net.layers
+              for p in (layer.obs.z, layer.inhibit.z, np.array(layer.threshold))]
     return params, [False, False, True] * net.depth
-
-
-def grad_arrays(grads: NetGradients) -> list[np.ndarray]:
-    """Gradients in :func:`net_param_arrays` order."""
-    return [p for g in grads.layers for p in _layer_params(g)]
 
 
 def assemble_network(arch: str, shape, n_obs: int,
@@ -300,8 +280,7 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
             if not np.isfinite(loss):
                 raise NumericError(
                     f"epoch {epoch}, batch {lo // cfg.batch_size}: loss diverged")
-            flat = grad_arrays(NetGradients(grads, loss))
-            adam_step(params, flat, state, cfg, clamp, learning_rate=lr)
+            adam_step(params, grads, state, cfg, clamp, learning_rate=lr)
             num += e_sum
             den += r_sum
         report.loss_history.append(num / den)

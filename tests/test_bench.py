@@ -316,6 +316,75 @@ def test_cli_train_val_frac_must_leave_both_splits(tmp_path, frac):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("arch, problem", [
+    ("lista", ["--m", "12"]), ("toeplitz1d", ["--m", "12"]),
+    ("convlista", ["--m", "12"]),
+    ("toeplitz2d", ["--problem", "2d", "--m1", "3", "--m2", "4"]),
+    ("convlista", ["--problem", "2d", "--m1", "3", "--m2", "4"])])
+def test_cli_train_byte_identical(tmp_path, arch, problem):
+    data = tmp_path / "d.hud"
+    assert cli_main(["gen-data", *problem, "--n", "6", "--k", "2",
+                     "--sigma2", "0.05", "--samples", "120", "--seed", "3",
+                     "--out", str(data)]) == 0
+    outs = []
+    for name in ("a.hun", "b.hun"):
+        model = tmp_path / name
+        assert cli_main(["train", "--data", str(data), "--arch", arch,
+                         "--depth", "3", "--epochs", "2", "--batch", "32",
+                         "--seed", "4", "--out", str(model)]) == 0
+        outs.append((model.read_bytes(),
+                     (tmp_path / (name + ".json")).read_bytes()))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lam", "nan"),
+    ("--lam", "-1"), ("--batch", "0"), ("--epochs", "-1"), ("--depth", "0")])
+def test_cli_train_names_a_bad_flag(tmp_path, flag, value):
+    data = tmp_path / "d.hud"
+    model = tmp_path / "n.hun"
+    assert cli_main(["gen-data", "--m", "8", "--n", "4", "--k", "1",
+                     "--samples", "20", "--out", str(data)]) == 0
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", str(data), "--arch", "lista",
+                  "--depth", "1", "--epochs", "1", "--out", str(model),
+                  f"{flag}={value}"])
+    assert str(err.value.code).startswith(flag + " ")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_gen_data_needs_a_sample(tmp_path, samples):
+    data = tmp_path / "d.hud"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["gen-data", "--m", "8", "--n", "4", "--k", "1",
+                  f"--samples={samples}", "--out", str(data)])
+    assert "--samples" in str(err.value.code)
+    assert not data.exists() and not (tmp_path / "d.hud.json").exists()
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_cli_complexity_needs_a_repeat(tmp_path, repeats):
+    out = tmp_path / "cx.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["complexity", "--sizes", "16", "--n", "4",
+                  f"--repeats={repeats}", "--out", str(out)])
+    assert "--repeats" in str(err.value.code)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods", ["foo", "ista,foo", ","])
+def test_cli_sweep_rejects_an_unknown_method(tmp_path, methods):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["sweep", "--m", "8", "--n", "4", "--methods", methods,
+                  "--trials", "1", "--out", str(out)])
+    msg = str(err.value.code)
+    assert msg.startswith("--methods") and "ista, fista, lista" in msg
+    assert "--model-" not in msg
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("index", ["2", "5", "-1"])
 def test_cli_export_index_must_name_a_sample(tmp_path, index):
     data = tmp_path / "d.hud"

@@ -14,6 +14,7 @@ from hunfold.nets import (ARCHS, Conv, Dense, Layer, UnfoldedNetwork,
 from hunfold.solvers import SolverConfig, ista
 from hunfold.spectral import ToeplitzMat2D, ToeplitzVec, dbt_expand, \
     toeplitz_expand
+from hunfold.training import estimate_dictionary
 
 from conftest import rand_carray
 
@@ -169,12 +170,24 @@ def test_init_network_zero_lambda_zero_threshold():
 def test_init_network_from_estimated_dictionary():
     d = dict_1d(m=16, n=8, seed=11)
     ds = hf.gen_dataset(d, 400, 4, 0.0, seed=12)
-    net = init_network("toeplitz1d", d, 2, lam=0.1, dataset_for_estimate=ds)
+    net = init_network("toeplitz1d", d, 2, lam=0.1, phi_hat=estimate_dictionary(ds))
     big_l = lipschitz_constant(d.phi).value
     ref = hermitian(d.phi).scale(1.0 / big_l)
     # noiseless estimate reproduces the true operator, so the filters agree
     diff = np.max(np.abs(net.layers[0].filt.to_complex() - ref.to_complex()))
     assert diff < 1e-6
+
+
+def test_init_network_rejects_a_misshapen_operator():
+    d = dict_1d()
+    with pytest.raises(ValueError, match="operator of shape"):
+        init_network("lista", d, 2, lam=0.1, phi_hat=hermitian(d.phi))
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
+def test_init_network_rejects_a_bad_penalty(lam):
+    with pytest.raises(ValueError, match="penalty weight"):
+        init_network("lista", dict_1d(), 2, lam=lam)
 
 
 def test_init_network_arch_validation():
@@ -380,8 +393,8 @@ def test_operator_grad_is_mapped_batch_outer_product(op):
         want = outer
     else:
         want = np.array([np.sum(outer * m) for m in unit_matrices(op)]).reshape(op.shape)
-    got = op.grad(g, x).to_complex()
-    assert got.shape == op.shape
+    got = op.grad(g, x)
+    assert got.shape == op.shape and got.dtype == np.complex128
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

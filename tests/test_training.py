@@ -9,8 +9,8 @@ from hunfold.harmonic import Dataset
 from hunfold.nets import Layer, UnfoldedNetwork, forward, init_network
 from hunfold.training import (TrainConfig, adam_step,
                               assemble_network, backward, estimate_dictionary,
-                              grad_arrays, init_adam_state, loss_nmse,
-                              net_param_arrays, train)
+                              init_adam_state, loss_nmse, net_param_arrays,
+                              train)
 
 from conftest import rand_carray
 
@@ -77,7 +77,8 @@ def fd_check(arch, shape, n, depth=3, seed=5, eps=1e-5, tol=1e-4):
     _, params = perturbed_net(arch, d, depth, seed)
     net = place_thresholds(arch, shape, n, params, ds)
     assert kink_margin(net, ds) > 1e-2, "no test point clear of threshold kinks"
-    flat = [g.view(np.float64) for g in grad_arrays(backward(net, ds))]
+    grads, _ = backward(net, ds)
+    flat = [g.view(np.float64) for g in grads]
     worst = 0.0
     # every real coordinate: a complex weight entry is its real part
     # followed by its imaginary part
@@ -153,9 +154,35 @@ def test_backward_zero_net_zero_theta_gradient():
     layers = [Layer(ComplexArray.zeros((m, n)), None,
                     ComplexArray.zeros((2 * m - 1,)), 0.5) for _ in range(2)]
     net = UnfoldedNetwork("toeplitz1d", (m,), n, layers)
-    grads = backward(net, ds)
-    for g in grads.layers:
-        assert g.threshold == 0.0
+    grads, _ = backward(net, ds)
+    for g in grads[2::3]:
+        assert g == 0.0
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("lista", (6,)), ("toeplitz1d", (6,)), ("convlista", (6,)),
+    ("toeplitz2d", (2, 3)), ("convlista", (2, 3))])
+def test_backward_returns_one_gradient_per_parameter(arch, shape):
+    d, ds = make_problem(shape, 4, seed=12)
+    net, params = perturbed_net(arch, d, 3, seed=13)
+    grads, loss = backward(net, ds)
+    assert loss == pytest.approx(loss_nmse(net, ds), rel=1e-12)
+    assert len(grads) == len(params) == 3 * net.depth
+    for g, p in zip(grads, params):
+        assert type(g) is np.ndarray
+        assert g.shape == p.shape and g.dtype == p.dtype
+    # layer 0 sees the zero spectrum, so its inhibition gradient is zero
+    assert not np.any(grads[1])
+
+
+def test_train_config_names_the_bad_field():
+    for kwargs, field in [({"learning_rate": float("nan")}, "learning_rate"),
+                          ({"learning_rate": float("inf")}, "learning_rate"),
+                          ({"learning_rate": 0.0}, "learning_rate"),
+                          ({"batch_size": 0}, "batch_size"),
+                          ({"epochs": -1}, "epochs")]:
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**kwargs)
 
 
 def test_gradients_match_finite_differences_toeplitz1d():
@@ -186,7 +213,7 @@ def test_filter_gradient_matches_closed_form():
     filt = rand_carray(rng, (9, 5))
     net = UnfoldedNetwork("lista", (9,), 5,
                           [Layer(filt, None, ComplexArray.zeros((9, 9)), 0.0)])
-    g = backward(net, ds).layers[0].filt.to_complex()
+    g = backward(net, ds)[0][0]
     yc = ds.obs.to_complex()
     xc = ds.truth.to_complex()
     pred = filt.to_complex() @ yc
