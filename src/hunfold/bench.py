@@ -11,6 +11,7 @@ runtime field stays empty.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -78,6 +79,12 @@ class ExperimentConfig:
         for name, it in self.budgets.items():
             if it < 1:
                 raise ValueError(f"iteration budget for {name} must be positive")
+        if not all(math.isfinite(db) for db in self.noise_powers_db):
+            raise ValueError(f"noise powers must be finite dB values, "
+                             f"got {self.noise_powers_db}")
+        if not (math.isfinite(self.lambda_scale) and self.lambda_scale >= 0.0):
+            raise ValueError(f"lambda_scale must be finite and >= 0, "
+                             f"got {self.lambda_scale}")
         allowed_arch = {"lista": ("lista",), "convlista": ("convlista",),
                         "lista-toeplitz": ("toeplitz1d", "toeplitz2d")}
         for name in self.methods:

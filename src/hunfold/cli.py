@@ -43,6 +43,10 @@ def _check(args, name, ok, want):
         raise SystemExit(f"--{name.replace('_', '-')} {value}: must be {want}")
 
 
+def _finite_nonneg(v) -> bool:
+    return math.isfinite(v) and v >= 0
+
+
 def _shape_from(args) -> tuple[int, ...]:
     if args.problem == "2d":
         _require(args, "m1", "m2")
@@ -109,6 +113,13 @@ def _load_models(args, methods) -> dict:
 
 def _experiment_config(args) -> ExperimentConfig:
     _require(args, "n")
+    for name in ("trials", "budget_ista", "budget_fista"):
+        if hasattr(args, name):
+            _check(args, name, lambda v: v >= 1, ">= 1")
+    _check(args, "lambda_scale", _finite_nonneg, "finite and >= 0")
+    if hasattr(args, "noise_db"):
+        _check(args, "noise_db",
+               lambda v: all(math.isfinite(db) for db in _float_list(v)), "finite")
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
     return ExperimentConfig(
         shape=_shape_from(args),
@@ -141,6 +152,7 @@ def _echo_config(args, skip=("func",)) -> dict:
 def _cmd_gen_data(args) -> int:
     _require(args, "n", "samples", "out")
     _check(args, "samples", lambda v: v >= 1, ">= 1")
+    _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
     shape = _shape_from(args)
     if args.export_iq:
         if len(shape) != 2:
@@ -162,7 +174,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     _require(args, "data", "arch", "out")
     _check(args, "depth", lambda v: v >= 1, ">= 1")
-    _check(args, "lam", lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+    _check(args, "lam", _finite_nonneg, "finite and >= 0")
     _check(args, "lr", lambda v: math.isfinite(v) and v > 0, "finite and > 0")
     _check(args, "batch", lambda v: v >= 1, ">= 1")
     _check(args, "epochs", lambda v: v >= 0, ">= 0")
@@ -220,6 +232,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_single(args) -> int:
     _require(args, "out")
+    _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
     cfg = _experiment_config(args)
     header, rows = run_single(cfg, offgrid=args.offgrid, frac=args.frac,
                               sigma2=args.sigma2, seed=args.seed)

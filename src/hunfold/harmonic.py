@@ -241,11 +241,15 @@ def synth_offgrid(d: Dictionary, grid_indices, frac: float,
     return ComplexArray(np.exp(1j * ang) @ amps.z)
 
 
+def _check_noise_power(sigma2: float) -> None:
+    if not (math.isfinite(sigma2) and sigma2 >= 0.0):
+        raise ValueError(f"noise power must be finite and >= 0, got {sigma2}")
+
+
 def add_noise(y: ComplexArray, sigma2: float, seed: int) -> ComplexArray:
     """Circularly symmetric complex Gaussian noise with per-entry power
     sigma2 (sigma2/2 in each plane)."""
-    if sigma2 < 0.0:
-        raise ValueError(f"noise power must be >= 0, got {sigma2}")
+    _check_noise_power(sigma2)
     if sigma2 == 0.0:
         return y.copy()
     rng = np.random.default_rng(seed)
@@ -273,8 +277,7 @@ class SparseInstance:
 def make_instance(d: Dictionary, k: int, sigma2: float, seed) -> SparseInstance:
     """Fresh on-grid instance: sparse draw, clean observation, noise draw,
     all from one child stream of ``seed``."""
-    if sigma2 < 0.0:
-        raise ValueError(f"noise power must be >= 0, got {sigma2}")
+    _check_noise_power(sigma2)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.PCG64(seq))
@@ -319,8 +322,7 @@ def gen_dataset(d: Dictionary, n_samples: int, k: int, sigma2: float,
     """
     if k > d.total:
         raise ValueError(f"sparsity {k} exceeds grid size {d.total}")
-    if sigma2 < 0.0:
-        raise ValueError(f"noise power must be >= 0, got {sigma2}")
+    _check_noise_power(sigma2)
     total, n = d.total, d.n_obs
     x = np.empty((total, n_samples), dtype=np.complex128)
     w = np.zeros((n, n_samples), dtype=np.complex128)

@@ -26,7 +26,7 @@ import numpy as np
 from .cplx import (ComplexArray, NumericError, hermitian, join_planes,
                    lipschitz_constant, soft_threshold_planes)
 from .harmonic import Dictionary
-from .spectral import conv_full_planes, conv_full2_planes
+from .spectral import conv_full_planes, conv_full2_planes, next_pow2
 
 __all__ = [
     "ARCHS",
@@ -154,10 +154,16 @@ def _on_grid(x, grid):
 class Conv:
     """A kernel branch: windowed linear convolution on a 1-D or 2-D grid.
 
-    The kernel has ``grid_in + grid_out - 1`` entries per axis; the output
-    is the ``grid_out`` window of the full convolution that starts
+    The kernel has K = ``grid_in + grid_out - 1`` entries per axis; the
+    output is the ``grid_out`` window of the full convolution that starts
     ``grid_in - 1`` past the kernel origin.  A 2-D grid (rows, cols) holds
     its flat vector column-stacked, the layout of :func:`conv_grid`.
+
+    ``apply``, ``adjoint`` and ``grad`` all transform ``next_pow2(K)``
+    points per axis, not the power of two of the full linear length.  No
+    kept entry aliases: with a circular length n >= K, window index w in
+    [grid_in-1, K-1] could only pick up linear index w+n >= 2*grid_in +
+    grid_out - 2, past the last one, and ``grad``'s full length is K.
     """
 
     grid_in: tuple[int, ...]
@@ -170,15 +176,17 @@ class Conv:
     def _conv(self, k, x):
         # looked up on this module at call time, so that a wrapper installed
         # here sees every convolution
-        conv = conv_full_planes if len(self.grid_in) == 1 else conv_full2_planes
-        return conv(k.real, k.imag, x.real, x.imag)
+        n = tuple(next_pow2(s) for s in self.shape)
+        if len(n) == 1:
+            return conv_full_planes(k.real, k.imag, x.real, x.imag, n[0])
+        return conv_full2_planes(k.real, k.imag, x.real, x.imag, n)
 
     def _windowed(self, k, x, grid, size):
         """k * x for flat x on ``grid``: the ``size`` window that starts
         ``grid - 1`` past the kernel origin on each axis, flat."""
-        full = self._conv(k, _on_grid(x, grid))
+        planes = self._conv(k, _on_grid(x, grid))
         idx = (Ellipsis,) + tuple(slice(a - 1, a - 1 + n) for a, n in zip(grid, size))
-        out = [p[idx] if len(size) == 1 else p[idx].swapaxes(1, 2) for p in full]
+        out = [p[idx] if len(size) == 1 else p[idx].swapaxes(1, 2) for p in planes]
         return join_planes(*out).reshape(len(x), -1)
 
     def apply(self, w: ComplexArray, x):

@@ -1,12 +1,14 @@
-"""Toeplitz generators, their dense expansions and full FFT convolution.
+"""Toeplitz generators, their dense expansions and FFT convolution.
 
-:func:`conv_full_planes` and :func:`conv_full2_planes` are full linear
-convolutions on ``numpy.fft`` in complex128, padded to power-of-two lengths
-and broadcast over leading axes, so batches of rows transform in one call;
-the network layers' windowed convolution, :class:`hunfold.nets.Conv`, is
-built on them.  :func:`conv1d` is the direct windowed form, and dense
-expansions tie a generator vector (or matrix) to the Toeplitz (or
-doubly-block-Toeplitz) operator it induces.
+:func:`conv_full_planes` and :func:`conv_full2_planes` are linear
+convolutions on ``numpy.fft`` in complex128, broadcast over leading axes so
+batches of rows transform in one call.  By default each axis is padded to
+the power of two at or above its full linear length; a caller that keeps
+only part of the result passes a shorter transform length instead, as the
+network layers' windowed convolution, :class:`hunfold.nets.Conv`, does.
+:func:`conv1d` is the direct windowed form, and dense expansions tie a
+generator vector (or matrix) to the Toeplitz (or doubly-block-Toeplitz)
+operator it induces.
 
 Index conventions used throughout the package:
 
@@ -97,37 +99,53 @@ def conv1d(t: ToeplitzVec, x: ComplexArray) -> ComplexArray:
     return ComplexArray(np.convolve(t.diags.z, x.z)[lo:lo + t.size])
 
 
-def _conv_full(k, x, ndim):
-    """Full linear convolution of complex arrays over their last ``ndim``
-    (1 or 2) axes via FFT, each axis zero-padded to the next power of two at
-    or above its full length; leading axes broadcast."""
+def _conv_full(k, x, n):
+    """Convolution of complex arrays over their last ``len(n)`` (1 or 2)
+    axes via FFT at ``n`` points per axis; leading axes broadcast.
+
+    Each axis of the result is the ``n``-point circular convolution, cut to
+    the full linear length ``k.shape[a] + x.shape[a] - 1`` where that is
+    shorter: the full linear convolution whenever ``n`` reaches it, and an
+    aliased one otherwise, whose entries are exact only where the caller
+    knows no wrapped term lands.
+    """
+    ndim = len(n)
     full = [k.shape[a] + x.shape[a] - 1 for a in range(-ndim, 0)]
-    pad = [next_pow2(f) for f in full]
     fft, ifft = (np.fft.fft, np.fft.ifft) if ndim == 1 else (np.fft.fft2, np.fft.ifft2)
-    n = pad[0] if ndim == 1 else pad
-    return ifft(fft(k, n) * fft(x, n))[(Ellipsis,) + tuple(slice(f) for f in full)]
+    s = n[0] if ndim == 1 else n
+    out = ifft(fft(k, s) * fft(x, s))
+    return out[(Ellipsis,) + tuple(slice(min(f, m)) for f, m in zip(full, n))]
 
 
-def conv_full_planes(kr, ki, xr, xi):
-    """Full complex linear convolution along the last axis, via FFT.
+def conv_full_planes(kr, ki, xr, xi, n=None):
+    """Complex linear convolution along the last axis, via FFT.
 
     Kernel planes (kr, ki) and input planes (xr, xi) broadcast over their
     leading axes, so a rank-1 kernel meets a batch and a batch of kernels
-    meets a batch of inputs row by row.  Both are zero-padded to the next
-    power of two at or above the full length ``len(k) + x.shape[-1] - 1``;
-    returns the real and imaginary planes of that full length.
+    meets a batch of inputs row by row.  Without ``n`` both are zero-padded
+    to the next power of two at or above the full length
+    ``len(k) + x.shape[-1] - 1`` and the full convolution comes back; with
+    ``n`` they are transformed at ``n`` points (see :func:`_conv_full`).
+    Returns the real and imaginary planes.
     """
-    out = _conv_full(join_planes(kr, ki), join_planes(xr, xi), 1)
+    k, x = join_planes(kr, ki), join_planes(xr, xi)
+    if n is None:
+        n = next_pow2(k.shape[-1] + x.shape[-1] - 1)
+    out = _conv_full(k, x, (n,))
     return out.real, out.imag
 
 
-def conv_full2_planes(kr, ki, xr, xi):
-    """Full complex linear convolution over the last two axes, via 2-D FFT.
+def conv_full2_planes(kr, ki, xr, xi, n=None):
+    """Complex linear convolution over the last two axes, via 2-D FFT.
 
-    Same broadcasting and power-of-two padding as :func:`conv_full_planes`,
-    per axis.
+    Same broadcasting as :func:`conv_full_planes`; ``n``, a pair of
+    per-axis transform lengths, defaults to the power of two at or above
+    each axis's full length.
     """
-    out = _conv_full(join_planes(kr, ki), join_planes(xr, xi), 2)
+    k, x = join_planes(kr, ki), join_planes(xr, xi)
+    if n is None:
+        n = tuple(next_pow2(k.shape[a] + x.shape[a] - 1) for a in (-2, -1))
+    out = _conv_full(k, x, tuple(n))
     return out.real, out.imag
 
 

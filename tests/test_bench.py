@@ -363,6 +363,39 @@ def test_cli_gen_data_needs_a_sample(tmp_path, samples):
     assert not data.exists() and not (tmp_path / "d.hud.json").exists()
 
 
+@pytest.mark.parametrize("sigma2", ["nan", "inf", "-1"])
+def test_cli_gen_data_rejects_a_bad_noise_power(tmp_path, sigma2):
+    data = tmp_path / "d.hud"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["gen-data", "--m", "8", "--n", "4", "--k", "2", "--samples", "2",
+                  f"--sigma2={sigma2}", "--out", str(data)])
+    assert str(err.value.code).startswith("--sigma2 ")
+    assert not data.exists() and not (tmp_path / "d.hud.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--noise-db", "nan"), ("sweep", "--noise-db", "0,inf"),
+    ("sweep", "--trials", "0"), ("sweep", "--budget-ista", "0"),
+    ("sweep", "--budget-fista", "0"), ("sweep", "--lambda-scale", "nan"),
+    ("single", "--budget-ista", "0"), ("single", "--budget-fista", "0"),
+    ("single", "--lambda-scale", "nan"), ("single", "--sigma2", "nan")])
+def test_cli_sweep_and_single_name_a_bad_flag(tmp_path, command, flag, value):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main([command, "--m", "8", "--n", "4", "--k", "1",
+                  "--out", str(out), f"{flag}={value}"])
+    assert str(err.value.code).startswith(flag + " ")
+    assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("kw", [{"noise_powers_db": [0.0, float("nan")]},
+                                {"lambda_scale": float("nan")},
+                                {"lambda_scale": -0.1}])
+def test_experiment_config_rejects_non_finite_settings(kw):
+    with pytest.raises(ValueError, match="finite"):
+        small_cfg(**kw)
+
+
 @pytest.mark.parametrize("repeats", ["0", "-2"])
 def test_cli_complexity_needs_a_repeat(tmp_path, repeats):
     out = tmp_path / "cx.csv"

@@ -10,7 +10,8 @@ from hunfold.cplx import ComplexArray
 from hunfold.harmonic import (add_noise, build_dictionary, dictionary_from_meta,
                               draw_sampling, fourier_matrix, gen_dataset,
                               gen_sparse_signal, gram, gram_generator,
-                              gram_generator_from_dense, read_dataset,
+                              gram_generator_from_dense, make_instance,
+                              read_dataset,
                               synth_offgrid, write_dataset)
 from hunfold.spectral import dbt_expand, toeplitz_expand
 
@@ -238,6 +239,17 @@ def test_add_noise_zero_power_and_determinism():
     assert np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
     with pytest.raises(ValueError):
         add_noise(y, -0.1, seed=0)
+
+
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -0.1])
+def test_noise_power_must_be_finite_and_non_negative(sigma2):
+    d = build_dictionary((8,), draw_sampling(8, 4, seed=2))
+    y = ComplexArray.zeros((4,))
+    for make in (lambda: add_noise(y, sigma2, seed=0),
+                 lambda: make_instance(d, 2, sigma2, seed=0),
+                 lambda: gen_dataset(d, 2, 2, sigma2, seed=0)):
+        with pytest.raises(ValueError, match="noise power must be finite"):
+            make()
 
 
 def test_add_noise_power_statistics():

@@ -13,7 +13,7 @@ from hunfold.nets import (ARCHS, Conv, Dense, Layer, UnfoldedNetwork,
                           load_network, param_count, save_network)
 from hunfold.solvers import SolverConfig, ista
 from hunfold.spectral import ToeplitzMat2D, ToeplitzVec, dbt_expand, \
-    toeplitz_expand
+    next_pow2, toeplitz_expand
 from hunfold.training import estimate_dictionary
 
 from conftest import rand_carray
@@ -339,6 +339,10 @@ OPERATORS = [
     Conv((7,), (11,)),         # ConvLISTA's rectangular observation kernel
     Conv((5, 3), (5, 3)),      # 2-D Toeplitz inhibition on a (M2, M1) grid
     Conv((3, 5), (6, 2)),      # 2-D, different in and out grids
+    Conv((8,), (9,)),          # kernel of 16 = 2^4 entries
+    Conv((9,), (9,)),          # kernel of 17 = 2^4 + 1 entries
+    Conv((16,), (3,)),         # long input, short output
+    Conv((9, 8), (8, 9)),      # 2-D kernel of 16 x 16
 ]
 
 
@@ -400,14 +404,41 @@ def test_operator_grad_is_mapped_batch_outer_product(op):
 
 def test_conv_rectangular_apply_matches_explicit_sum():
     rng = np.random.default_rng(33)
-    n, m = 7, 11
-    op = Conv((n,), (m,))
-    k = rand_carray(rng, op.shape).to_complex()
-    x = batch(rng, (3, n))
-    want = np.array([[sum(k[j + n - 1 - i] * row[i] for i in range(n))
-                      for j in range(m)] for row in x])
-    got = op.apply(ComplexArray(k), x)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for n, m in [(7, 11), (9, 9)]:     # the second kernel has 2^4 + 1 entries
+        op = Conv((n,), (m,))
+        k = rand_carray(rng, op.shape).to_complex()
+        x = batch(rng, (3, n))
+        want = np.array([[sum(k[j + n - 1 - i] * row[i] for i in range(n))
+                          for j in range(m)] for row in x])
+        got = op.apply(ComplexArray(k), x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("op", [op for op in OPERATORS if isinstance(op, Conv)],
+                         ids=repr)
+def test_conv_transforms_at_the_kernel_power_of_two(op, monkeypatch):
+    """apply, adjoint and grad each take three transforms (kernel, batch,
+    product) of next_pow2(K) points per axis for a K-entry kernel axis, not
+    the power of two of the full linear length."""
+    ndim = len(op.shape)
+    seen = []
+    for name in ("fft", "ifft", "fft2", "ifft2"):
+        def spy(*args, _orig=getattr(np.fft, name), **kwargs):
+            out = _orig(*args, **kwargs)
+            seen.append(out.shape[-ndim:])
+            return out
+        monkeypatch.setattr(np.fft, name, spy)
+    rng = np.random.default_rng(34)
+    n_in, n_out = op_sizes(op)
+    w = rand_carray(rng, op.shape)
+    x = batch(rng, (2, n_in))
+    g = batch(rng, (2, n_out))
+    want = [tuple(next_pow2(k) for k in op.shape)] * 3
+    for call in (lambda: op.apply(w, x), lambda: op.adjoint(w, g),
+                 lambda: op.grad(g, x)):
+        seen.clear()
+        call()
+        assert seen == want
 
 
 @pytest.mark.parametrize("arch, shape", [
