@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__, nets
 from .cplx import ComplexArray, join_planes, soft_threshold_planes
 from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet,
-                       build_dictionary, draw_sampling, gaussian, make_instance,
-                       synth_offgrid)
+                       _check_noise_power, build_dictionary, db_to_sigma2,
+                       draw_sampling, gaussian, make_instance, synth_offgrid)
 from .metrics import hit_rate_metric, nmse_metric
 from .solvers import SolverConfig, default_lambda, fista, ista
 
@@ -79,9 +79,11 @@ class ExperimentConfig:
         for name, it in self.budgets.items():
             if it < 1:
                 raise ValueError(f"iteration budget for {name} must be positive")
-        if not all(math.isfinite(db) for db in self.noise_powers_db):
-            raise ValueError(f"noise powers must be finite dB values, "
-                             f"got {self.noise_powers_db}")
+        try:
+            for db in self.noise_powers_db:
+                db_to_sigma2(db)
+        except ValueError as exc:
+            raise ValueError(f"noise_powers_db {self.noise_powers_db}: {exc}") from None
         if not (math.isfinite(self.lambda_scale) and self.lambda_scale >= 0.0):
             raise ValueError(f"lambda_scale must be finite and >= 0, "
                              f"got {self.lambda_scale}")
@@ -148,7 +150,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
     rows: list[MetricRow] = []
     for method in cfg.methods:
         for p_idx, db in enumerate(cfg.noise_powers_db):
-            sigma2 = 10.0 ** (db / 10.0)
+            sigma2 = db_to_sigma2(db)
             first = p_idx * cfg.trials_per_point
             truths, ys = zip(*(_instance(d, cfg.k, sigma2, seq)
                                for seq in children[first:first + cfg.trials_per_point]))
@@ -174,7 +176,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
 
 
 def run_single(cfg: ExperimentConfig, offgrid: bool = False,
-               frac: float = 0.25, sigma2: float = 0.0, seed: int | None = None):
+               frac: float = 0.25, sigma2: float = 0.0):
     """One recovery per method on a shared instance; returns stem-plot rows.
 
     Each row is (grid index, true magnitude, one magnitude column per
@@ -182,9 +184,10 @@ def run_single(cfg: ExperimentConfig, offgrid: bool = False,
     past their anchor index (second axis only in 2-D) and the truth column
     marks the anchors.
     """
+    _check_noise_power(sigma2)
     sampling = draw_sampling(int(np.prod(cfg.shape)), cfg.n_obs, cfg.sample_seed)
     d = build_dictionary(cfg.shape, sampling)
-    seq = np.random.SeedSequence(cfg.seed if seed is None else seed)
+    seq = np.random.SeedSequence(cfg.seed)
     rng = np.random.Generator(np.random.PCG64(seq))
     if offgrid:
         anchors = np.sort(rng.choice(d.total, size=cfg.k, replace=False))
@@ -209,8 +212,7 @@ def run_single(cfg: ExperimentConfig, offgrid: bool = False,
     return header, rows
 
 
-def time_layer_forward(arch: str, m: int, n_obs: int, repeats: int = 5,
-                       seed: int = 0) -> float:
+def time_layer_forward(arch: str, m: int, n_obs: int, repeats: int = 5) -> float:
     """Median seconds for one layer of a 1-D ``arch`` network applied to a
     nonzero incoming spectrum.
 
@@ -219,7 +221,7 @@ def time_layer_forward(arch: str, m: int, n_obs: int, repeats: int = 5,
     meaningful.
     """
     obs_op, inhibit_op = nets.branches(arch, (m,), n_obs)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     inhibit = ComplexArray(gaussian(rng, inhibit_op.shape, 1.0))
     obs = ComplexArray(gaussian(rng, obs_op.shape, 1.0))
     y = gaussian(rng, (1, n_obs), 1.0)

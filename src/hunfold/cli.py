@@ -23,8 +23,8 @@ from .bench import (LEARNED_METHODS, SOLVER_METHODS, ExperimentConfig,
                     run_single, run_sweep, write_csv, write_iq_grid,
                     write_manifest)
 from .cplx import ComplexArray
-from .harmonic import (build_dictionary, dictionary_from_meta, draw_sampling,
-                       gen_dataset, read_dataset, write_dataset)
+from .harmonic import (build_dictionary, db_to_sigma2, dictionary_from_meta,
+                       draw_sampling, gen_dataset, read_dataset, write_dataset)
 from .nets import ARCHS, forward, init_network, load_network, save_network
 from .solvers import SolverConfig, default_lambda, ista
 from .training import TrainConfig, estimate_dictionary, loss_nmse, train
@@ -37,9 +37,14 @@ def _require(args, *names):
 
 
 def _check(args, name, ok, want):
-    """Stop with a message naming --name unless ``ok`` holds for its value."""
+    """Stop with a message naming --name unless ``ok`` holds for its value
+    (a ValueError from ``ok`` counts as not holding)."""
     value = getattr(args, name)
-    if not ok(value):
+    try:
+        good = ok(value)
+    except ValueError:
+        good = False
+    if not good:
         raise SystemExit(f"--{name.replace('_', '-')} {value}: must be {want}")
 
 
@@ -119,7 +124,8 @@ def _experiment_config(args) -> ExperimentConfig:
     _check(args, "lambda_scale", _finite_nonneg, "finite and >= 0")
     if hasattr(args, "noise_db"):
         _check(args, "noise_db",
-               lambda v: all(math.isfinite(db) for db in _float_list(v)), "finite")
+               lambda v: all(math.isfinite(db_to_sigma2(db)) for db in _float_list(v)),
+               "finite dB values whose powers 10**(dB/10) are finite")
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
     return ExperimentConfig(
         shape=_shape_from(args),
@@ -235,7 +241,7 @@ def _cmd_single(args) -> int:
     _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
     cfg = _experiment_config(args)
     header, rows = run_single(cfg, offgrid=args.offgrid, frac=args.frac,
-                              sigma2=args.sigma2, seed=args.seed)
+                              sigma2=args.sigma2)
     write_csv(args.out, header, rows)
     write_manifest(args.out + ".manifest.json", _echo_config(args))
     print(f"wrote {args.out} ({len(rows)} rows)")

@@ -39,6 +39,7 @@ __all__ = [
     "SparseInstance",
     "add_noise",
     "build_dictionary",
+    "db_to_sigma2",
     "draw_sampling",
     "fourier_matrix",
     "gen_dataset",
@@ -244,6 +245,19 @@ def synth_offgrid(d: Dictionary, grid_indices, frac: float,
 def _check_noise_power(sigma2: float) -> None:
     if not (math.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"noise power must be finite and >= 0, got {sigma2}")
+
+
+def db_to_sigma2(db: float) -> float:
+    """The noise power 10**(db/10) of a value quoted in dB (see
+    ``NOISE_DB_CONVENTION``); a ValueError unless both are finite."""
+    try:
+        sigma2 = 10.0 ** (db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not (math.isfinite(db) and math.isfinite(sigma2)):
+        raise ValueError(f"noise power of {db} dB must be finite, "
+                         f"and so must its power 10**(dB/10)")
+    return sigma2
 
 
 def add_noise(y: ComplexArray, sigma2: float, seed: int) -> ComplexArray:

@@ -254,22 +254,16 @@ def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
     return x.real, x.imag, cache
 
 
-def forward(net: UnfoldedNetwork, y: ComplexArray, record_layers: bool = False):
-    """Recover a spectrum from one observation vector.
+def forward(net: UnfoldedNetwork, y: ComplexArray) -> ComplexArray:
+    """Recover the length-M spectrum of one observation vector.
 
-    Returns the length-M estimate; with ``record_layers`` also the list of
-    per-layer outputs.
+    Per-layer outputs come from :func:`forward_planes` with ``keep_cache``:
+    layer t's output is layer t+1's cached input ``"x"``.
     """
     if y.ndim != 1:
         raise ValueError("forward expects a rank-1 observation")
-    xr, xi, cache = forward_planes(net, y.re[None, :], y.im[None, :],
-                                   keep_cache=record_layers)
-    final = ComplexArray(join_planes(xr, xi)[0])
-    if not record_layers:
-        return final
-    # layer t's output is layer t+1's cached input
-    outputs = [ComplexArray(c["x"][0]) for c in cache[1:]]
-    return final, outputs + [final]
+    xr, xi, _ = forward_planes(net, y.re[None, :], y.im[None, :])
+    return ComplexArray(join_planes(xr, xi)[0])
 
 
 def _toeplitz_project(filt: ComplexArray, total: int, n_obs: int) -> ComplexArray:

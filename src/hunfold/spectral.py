@@ -1,11 +1,12 @@
 """Toeplitz generators, their dense expansions and FFT convolution.
 
-:func:`conv_full_planes` and :func:`conv_full2_planes` are linear
-convolutions on ``numpy.fft`` in complex128, broadcast over leading axes so
-batches of rows transform in one call.  By default each axis is padded to
-the power of two at or above its full linear length; a caller that keeps
-only part of the result passes a shorter transform length instead, as the
-network layers' windowed convolution, :class:`hunfold.nets.Conv`, does.
+:func:`conv_full_planes` and :func:`conv_full2_planes` are convolutions
+on ``numpy.fft`` in complex128, broadcast over leading axes so batches of
+rows transform in one call, at a transform length per axis that the caller
+gives.  The network layers' windowed convolution,
+:class:`hunfold.nets.Conv`, gives the power of two at or above its kernel
+length, shorter than the full linear length, because it keeps only a
+window that cannot alias.
 :func:`conv1d` is the direct windowed form, and dense expansions tie a
 generator vector (or matrix) to the Toeplitz (or doubly-block-Toeplitz)
 operator it induces.
@@ -117,35 +118,24 @@ def _conv_full(k, x, n):
     return out[(Ellipsis,) + tuple(slice(min(f, m)) for f, m in zip(full, n))]
 
 
-def conv_full_planes(kr, ki, xr, xi, n=None):
-    """Complex linear convolution along the last axis, via FFT.
+def conv_full_planes(kr, ki, xr, xi, n):
+    """Complex convolution along the last axis, via FFT at ``n`` points
+    (see :func:`_conv_full`).
 
     Kernel planes (kr, ki) and input planes (xr, xi) broadcast over their
     leading axes, so a rank-1 kernel meets a batch and a batch of kernels
-    meets a batch of inputs row by row.  Without ``n`` both are zero-padded
-    to the next power of two at or above the full length
-    ``len(k) + x.shape[-1] - 1`` and the full convolution comes back; with
-    ``n`` they are transformed at ``n`` points (see :func:`_conv_full`).
-    Returns the real and imaginary planes.
+    meets a batch of inputs row by row.  Returns the real and imaginary
+    planes.
     """
-    k, x = join_planes(kr, ki), join_planes(xr, xi)
-    if n is None:
-        n = next_pow2(k.shape[-1] + x.shape[-1] - 1)
-    out = _conv_full(k, x, (n,))
+    out = _conv_full(join_planes(kr, ki), join_planes(xr, xi), (n,))
     return out.real, out.imag
 
 
-def conv_full2_planes(kr, ki, xr, xi, n=None):
-    """Complex linear convolution over the last two axes, via 2-D FFT.
-
-    Same broadcasting as :func:`conv_full_planes`; ``n``, a pair of
-    per-axis transform lengths, defaults to the power of two at or above
-    each axis's full length.
-    """
-    k, x = join_planes(kr, ki), join_planes(xr, xi)
-    if n is None:
-        n = tuple(next_pow2(k.shape[a] + x.shape[a] - 1) for a in (-2, -1))
-    out = _conv_full(k, x, tuple(n))
+def conv_full2_planes(kr, ki, xr, xi, n):
+    """Complex convolution over the last two axes, via 2-D FFT at ``n``, a
+    pair of per-axis transform lengths; same broadcasting as
+    :func:`conv_full_planes`."""
+    out = _conv_full(join_planes(kr, ki), join_planes(xr, xi), tuple(n))
     return out.real, out.imag
 
 

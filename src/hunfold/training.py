@@ -8,8 +8,8 @@ each branch operator of a layer gives its weight gradient (``grad``), and
 the inhibition operator's ``adjoint`` carries the gradient to the layer
 before (see :mod:`hunfold.nets`).  Parameters and their gradients share
 one flat layout, :func:`net_param_arrays`: per layer the two complex
-weights and the 0-d threshold.  Adam steps a complex weight through its
-float64 view, one real or imaginary part per coordinate.
+weights and the 0-d threshold.  Adam (Kingma & Ba, 2015) steps a complex
+weight through its float64 view, one real or imaginary part per coordinate.
 """
 
 from __future__ import annotations
@@ -39,21 +39,19 @@ __all__ = [
     "train",
 ]
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's constants
+LOSS_CHUNK = 2048   # rows per forward pass in loss_nmse
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 128
     epochs: int = 30
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     lr_decay_patience: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise ValueError("Adam moment factors must lie in (0, 1)")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -83,15 +81,15 @@ def _nmse_sums(x, t):
     return float(np.sum(_row_norms(x - t))), float(np.sum(_row_norms(t)))
 
 
-def loss_nmse(net: UnfoldedNetwork, batch: Dataset, chunk: int = 2048) -> float:
+def loss_nmse(net: UnfoldedNetwork, batch: Dataset) -> float:
     """Batch NMSE of the network's recoveries against the labels."""
     if batch.count == 0:
         raise ValueError("empty batch")
     y, t = _batches(batch)
     num = 0.0
     den = 0.0
-    for lo in range(0, batch.count, chunk):
-        sl = slice(lo, lo + chunk)
+    for lo in range(0, batch.count, LOSS_CHUNK):
+        sl = slice(lo, lo + LOSS_CHUNK)
         xr, xi, _ = forward_planes(net, y[sl].real, y[sl].imag)
         e, r = _nmse_sums(join_planes(xr, xi), t[sl])
         num += e
@@ -179,33 +177,29 @@ def init_adam_state(params: list[np.ndarray]) -> AdamState:
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState, cfg: TrainConfig,
-              clamp_nonneg: list[bool] | None = None,
-              learning_rate: float | None = None):
-    """Bias-corrected moment update applied to every float64 coordinate
-    (a complex128 parameter steps through its float64 view).
+              state: AdamState, lr: float):
+    """Bias-corrected moment update at learning rate ``lr`` applied to every
+    float64 coordinate (a complex128 parameter steps through its float64 view).
 
-    Updates ``params`` and ``state`` in place and returns them.  Entries
-    flagged in ``clamp_nonneg`` are projected onto [0, inf) after the step
-    (used for per-layer thresholds).
+    Updates ``params`` and ``state`` in place and returns them.  A 0-d
+    parameter, in the flat layout a threshold, is projected onto [0, inf)
+    after its step.
     """
     if len(params) != len(grads):
         raise ValueError("parameter/gradient lists differ in length")
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
     state.step += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for i, (p, g) in enumerate(zip(params, grads)):
         p, g = p.view(np.float64), g.view(np.float64)
         m = state.mom1[i]
         v = state.mom2[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
-        if clamp_nonneg is not None and clamp_nonneg[i]:
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        if p.ndim == 0:
             np.maximum(p, 0.0, out=p)
     return params, state
 
@@ -215,13 +209,10 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 
 def net_param_arrays(net: UnfoldedNetwork):
     """Copy a network into a flat list of parameters, three per layer: the
-    observation weight, the inhibition weight and the threshold (0-d).
-
-    Returns (params, clamp_flags); thresholds are the only clamped entries.
-    """
-    params = [p.copy() for layer in net.layers
-              for p in (layer.obs.z, layer.inhibit.z, np.array(layer.threshold))]
-    return params, [False, False, True] * net.depth
+    observation weight, the inhibition weight and the threshold, the only
+    0-d entry."""
+    return [p.copy() for layer in net.layers
+            for p in (layer.obs.z, layer.inhibit.z, np.array(layer.threshold))]
 
 
 def assemble_network(arch: str, shape, n_obs: int,
@@ -254,7 +245,7 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
         return net, report
 
     y, truth = _batches(train_ds)
-    params, clamp = net_param_arrays(net)
+    params = net_param_arrays(net)
     state = init_adam_state(params)
     rng = np.random.default_rng(cfg.seed)
     count = train_ds.count
@@ -280,7 +271,7 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
             if not np.isfinite(loss):
                 raise NumericError(
                     f"epoch {epoch}, batch {lo // cfg.batch_size}: loss diverged")
-            adam_step(params, grads, state, cfg, clamp, learning_rate=lr)
+            adam_step(params, grads, state, lr)
             num += e_sum
             den += r_sum
         report.loss_history.append(num / den)

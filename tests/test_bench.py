@@ -375,6 +375,7 @@ def test_cli_gen_data_rejects_a_bad_noise_power(tmp_path, sigma2):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("sweep", "--noise-db", "nan"), ("sweep", "--noise-db", "0,inf"),
+    ("sweep", "--noise-db", "4000"),
     ("sweep", "--trials", "0"), ("sweep", "--budget-ista", "0"),
     ("sweep", "--budget-fista", "0"), ("sweep", "--lambda-scale", "nan"),
     ("single", "--budget-ista", "0"), ("single", "--budget-fista", "0"),
@@ -394,6 +395,19 @@ def test_cli_sweep_and_single_name_a_bad_flag(tmp_path, command, flag, value):
 def test_experiment_config_rejects_non_finite_settings(kw):
     with pytest.raises(ValueError, match="finite"):
         small_cfg(**kw)
+
+
+@pytest.mark.parametrize("db", [4000.0, float("inf"), float("nan")])
+def test_experiment_config_names_noise_powers_db(db):
+    # 4000 dB is finite, but its power 10**400 overflows a float
+    with pytest.raises(ValueError, match="noise_powers_db"):
+        small_cfg(noise_powers_db=[0.0, db])
+
+
+@pytest.mark.parametrize("sigma2", [float("nan"), -1.0])
+def test_run_single_rejects_a_bad_noise_power(sigma2):
+    with pytest.raises(ValueError, match="noise power must be finite"):
+        run_single(small_cfg(), sigma2=sigma2)
 
 
 @pytest.mark.parametrize("repeats", ["0", "-2"])

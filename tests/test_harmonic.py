@@ -7,8 +7,8 @@ import pytest
 
 import hunfold as hf
 from hunfold.cplx import ComplexArray
-from hunfold.harmonic import (add_noise, build_dictionary, dictionary_from_meta,
-                              draw_sampling, fourier_matrix, gen_dataset,
+from hunfold.harmonic import (add_noise, build_dictionary, db_to_sigma2,
+                              dictionary_from_meta, draw_sampling, fourier_matrix, gen_dataset,
                               gen_sparse_signal, gram, gram_generator,
                               gram_generator_from_dense, make_instance,
                               read_dataset,
@@ -250,6 +250,18 @@ def test_noise_power_must_be_finite_and_non_negative(sigma2):
                  lambda: gen_dataset(d, 2, 2, sigma2, seed=0)):
         with pytest.raises(ValueError, match="noise power must be finite"):
             make()
+
+
+def test_db_to_sigma2_follows_the_convention():
+    assert db_to_sigma2(10.0) == 10.0
+    assert db_to_sigma2(-20.0) == pytest.approx(0.01, rel=1e-15)
+    assert db_to_sigma2(-4000.0) == 0.0   # underflows to a noiseless power
+
+
+@pytest.mark.parametrize("db", [4000.0, float("inf"), float("-inf"), float("nan")])
+def test_db_to_sigma2_rejects_a_power_that_is_not_finite(db):
+    with pytest.raises(ValueError, match="must be finite"):
+        db_to_sigma2(db)
 
 
 def test_add_noise_power_statistics():

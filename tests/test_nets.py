@@ -9,8 +9,8 @@ import hunfold as hf
 from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant, matvec, \
     soft_threshold
 from hunfold.nets import (ARCHS, Conv, Dense, Layer, UnfoldedNetwork,
-                          branches, conv_grid, forward, init_network,
-                          load_network, param_count, save_network)
+                          branches, conv_grid, forward, forward_planes,
+                          init_network, load_network, param_count, save_network)
 from hunfold.solvers import SolverConfig, ista
 from hunfold.spectral import ToeplitzMat2D, ToeplitzVec, dbt_expand, \
     next_pow2, toeplitz_expand
@@ -25,6 +25,14 @@ def dict_1d(m=16, n=8, seed=7):
 
 def dict_2d(m1=3, m2=4, n=6, seed=7):
     return hf.build_dictionary((m1, m2), hf.draw_sampling(m1 * m2, n, seed=seed))
+
+
+def layer_outputs(net, y):
+    """Every layer's output on one observation, read off the forward cache:
+    layer t's output is layer t+1's cached input."""
+    xr, xi, cache = forward_planes(net, y.re[None, :], y.im[None, :], keep_cache=True)
+    return ([ComplexArray(c["x"][0]) for c in cache[1:]]
+            + [ComplexArray(xr[0] + 1j * xi[0])])
 
 
 def ista_embedding_net(d, depth, lam):
@@ -143,7 +151,7 @@ def test_forward_record_layers():
     d = dict_1d()
     net = init_network("toeplitz1d", d, 4, lam=0.1)
     y = matvec(d.phi, hf.gen_sparse_signal(d.total, 2, seed=8))
-    final, per_layer = forward(net, y, record_layers=True)
+    final, per_layer = forward(net, y), layer_outputs(net, y)
     assert len(per_layer) == 4
     assert np.array_equal(per_layer[-1].re, final.re)
 
@@ -465,7 +473,7 @@ def test_record_layers_equal_truncated_networks(arch, shape):
     for layer in net.layers:
         layer.inhibit = rand_carray(rng, layer.inhibit.shape, scale=0.1)
     y = rand_carray(rng, (d.n_obs,))
-    final, per_layer = forward(net, y, record_layers=True)
+    final, per_layer = forward(net, y), layer_outputs(net, y)
     assert len(per_layer) == net.depth
     for t, out in enumerate(per_layer):
         head = UnfoldedNetwork(arch, shape, d.n_obs, net.layers[:t + 1])

@@ -133,7 +133,7 @@ def assert_planes_close(planes, ref):
 def test_conv_full_planes_kernel_against_batch(lk, lx):
     rng = np.random.default_rng(40 + lk)
     k, x = rand_c(rng, (lk,)), rand_c(rng, (7, lx))
-    got = conv_full_planes(k.real, k.imag, x.real, x.imag)
+    got = conv_full_planes(k.real, k.imag, x.real, x.imag, next_pow2(lk + lx - 1))
     assert_planes_close(got, full_conv_oracle(k, x))
 
 
@@ -142,7 +142,7 @@ def test_conv_full_planes_batched_kernels(lk, lx):
     # the training adjoint's shapes: one kernel row per input row
     rng = np.random.default_rng(50 + lk)
     k, x = rand_c(rng, (6, lk)), rand_c(rng, (6, lx))
-    got = conv_full_planes(k.real, k.imag, x.real, x.imag)
+    got = conv_full_planes(k.real, k.imag, x.real, x.imag, next_pow2(lk + lx - 1))
     assert_planes_close(got, full_conv_oracle(k, x))
 
 
@@ -150,7 +150,8 @@ def test_conv_full_planes_batched_kernels(lk, lx):
 def test_conv_full2_planes_kernel_against_batch(k_shape, g):
     rng = np.random.default_rng(60 + k_shape[0])
     k, x = rand_c(rng, k_shape), rand_c(rng, (4,) + g)
-    got = conv_full2_planes(k.real, k.imag, x.real, x.imag)
+    n = tuple(next_pow2(a + b - 1) for a, b in zip(k_shape, g))
+    got = conv_full2_planes(k.real, k.imag, x.real, x.imag, n)
     assert_planes_close(got, full_conv2_oracle(k, x))
 
 

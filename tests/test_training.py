@@ -26,7 +26,7 @@ def perturbed_net(arch, d, depth, seed, jitter=0.05, theta_shift=0.03):
     """Initialised network nudged to a generic smooth point."""
     rng = np.random.default_rng(seed)
     net = init_network(arch, d, depth, lam=0.8)
-    params, _ = net_param_arrays(net)
+    params = net_param_arrays(net)
     for p in params:
         if p.ndim == 0:
             p += theta_shift
@@ -230,49 +230,56 @@ def test_adam_zero_gradient_keeps_parameters():
     params = [np.ones((3, 3)), np.array(0.5)]
     grads = [np.zeros((3, 3)), np.array(0.0)]
     state = init_adam_state(params)
-    adam_step(params, grads, state, TrainConfig())
+    adam_step(params, grads, state, TrainConfig().learning_rate)
     assert state.step == 1
     assert np.array_equal(params[0], np.ones((3, 3)))
     assert float(params[1]) == 0.5
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
-    cfg = TrainConfig(learning_rate=1e-3)
+    lr = 1e-3
     params = [np.zeros(4)]
     grads = [np.full(4, 0.37)]
     state = init_adam_state(params)
-    adam_step(params, grads, state, cfg)
+    adam_step(params, grads, state, lr)
     # bias-corrected ratio m/sqrt(v) = sign(g) at step one
-    assert np.max(np.abs(params[0] + cfg.learning_rate)) < 1e-6
+    assert np.max(np.abs(params[0] + lr)) < 1e-6
 
 
 def test_adam_quadratic_descent():
     target = np.array([1.5, -2.0, 0.25])
     params = [np.zeros(3)]
     state = init_adam_state(params)
-    cfg = TrainConfig(learning_rate=0.05)
     for _ in range(600):
         grads = [params[0] - target]
-        adam_step(params, grads, state, cfg)
+        adam_step(params, grads, state, 0.05)
     assert np.max(np.abs(params[0] - target)) < 1e-3
 
 
 def test_adam_clamps_thresholds():
-    cfg = TrainConfig(learning_rate=1.0)
     params = [np.array(0.01)]
     state = init_adam_state(params)
-    adam_step(params, [np.array(5.0)], state, cfg, clamp_nonneg=[True])
+    adam_step(params, [np.array(5.0)], state, 1.0)
     assert float(params[0]) == 0.0
+
+
+def test_adam_clamps_only_the_0d_parameter():
+    # both gradients drive their parameter below zero; only the 0-d one,
+    # a threshold in the flat layout, is projected back onto [0, inf)
+    params = [np.array(0.01), np.array([0.01 + 0.01j, 0.02 - 0.0j])]
+    grads = [np.array(5.0), np.array([5.0 + 5.0j, 5.0 + 0.0j])]
+    adam_step(params, grads, init_adam_state(params), 1.0)
+    assert float(params[0]) == 0.0
+    assert np.all(params[1].real < -0.9) and params[1].imag[0] < -0.9
 
 
 def test_adam_steps_complex_parameters_in_the_network(desk_dict):
     net = init_network("toeplitz1d", desk_dict, 2, lam=0.1)
-    params, clamp = net_param_arrays(net)
+    params = net_param_arrays(net)
     assert len(params) == 3 * net.depth
     work = assemble_network("toeplitz1d", desk_dict.shape, desk_dict.n_obs, params)
     grads = [np.full_like(p, 1 - 2j) if p.ndim else np.array(0.0) for p in params]
-    adam_step(params, grads, init_adam_state(params), TrainConfig(learning_rate=0.1),
-              clamp)
+    adam_step(params, grads, init_adam_state(params), 0.1)
     # every real and imaginary part moved by the learning rate against its
     # gradient's sign, in the arrays the network holds
     inhibit = work.layers[0].inhibit.z
