@@ -79,6 +79,8 @@ class ExperimentConfig:
         for name, it in self.budgets.items():
             if it < 1:
                 raise ValueError(f"iteration budget for {name} must be positive")
+        if not self.noise_powers_db:
+            raise ValueError("noise_powers_db needs at least one entry")
         try:
             for db in self.noise_powers_db:
                 db_to_sigma2(db)
@@ -246,6 +248,8 @@ def complexity_report(sizes, n_obs: int = 64, repeats: int = 5,
     header = ["m", "n_obs", "dense_inhib_params", "toeplitz_inhib_params",
               "storage_ratio", "dense_layer_ms", "toeplitz_layer_ms",
               "time_ratio"]
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"sizes must hold at least one grid size >= 1, got {list(sizes)}")
     rows = []
     for m in sizes:
         dense = m * m

@@ -124,8 +124,10 @@ def _experiment_config(args) -> ExperimentConfig:
     _check(args, "lambda_scale", _finite_nonneg, "finite and >= 0")
     if hasattr(args, "noise_db"):
         _check(args, "noise_db",
-               lambda v: all(math.isfinite(db_to_sigma2(db)) for db in _float_list(v)),
-               "finite dB values whose powers 10**(dB/10) are finite")
+               lambda v: _float_list(v) and all(math.isfinite(db_to_sigma2(db))
+                                                for db in _float_list(v)),
+               "a comma list of at least one finite dB value whose power "
+               "10**(dB/10) is finite")
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
     return ExperimentConfig(
         shape=_shape_from(args),
@@ -251,6 +253,8 @@ def _cmd_single(args) -> int:
 def _cmd_complexity(args) -> int:
     _require(args, "out")
     _check(args, "repeats", lambda v: v >= 1, ">= 1")
+    _check(args, "sizes", lambda v: _int_list(v) and min(_int_list(v)) >= 1,
+           "a comma list of at least one grid size >= 1")
     header, rows = complexity_report(_int_list(args.sizes), n_obs=args.n,
                                      repeats=args.repeats,
                                      timing=not args.no_timing)

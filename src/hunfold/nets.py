@@ -4,7 +4,10 @@ A layer is two linear branches and a complex soft threshold,
 ``x <- soft_threshold(W_obs y + W_inh x, theta)``.  Each branch is an
 operator, :class:`Dense` (a matrix) or :class:`Conv` (a kernel applied by
 windowed linear convolution on a 1-D or 2-D grid); :func:`branches` maps an
-architecture to its two operators:
+architecture to its two operators.  Operators act on spectra, the identity
+for :class:`Dense` and FFTs for :class:`Conv`, so :func:`forward_planes`
+transforms the observations once for every layer and can hand the backward
+pass each layer's input and kernel spectra.  The architectures:
 
 * ``lista``       Dense observation, Dense inhibition;
 * ``toeplitz1d``  Dense observation, length 2M-1 Toeplitz inhibition kernel;
@@ -16,6 +19,7 @@ Parameters are untied across layers.  Forward passes never densify a kernel.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -113,14 +117,37 @@ def conv_grid(shape) -> tuple[int, int]:
 
 
 # -- branch operators ----------------------------------------------------------
-# Each maps a complex batch (batch, n_in) -> (batch, n_out).  ``apply`` is
-# the branch, ``adjoint`` pulls a gradient back to the input, ``grad`` is the
-# batch-summed gradient on the weight, and ``shape`` is the weight's shape.
+# Each maps a complex batch (batch, n_in) -> (batch, n_out).  ``shape`` is the
+# weight's shape.  An operator works on spectra: ``weight_spectrum``,
+# ``in_spectrum`` and ``out_spectrum`` transform a weight, an input batch and
+# an output-side gradient batch, and ``apply_hat`` (the branch),
+# ``adjoint_hat`` (a gradient pulled back to the input) and ``grad_hat`` (the
+# batch-summed gradient on the weight) take those spectra.  ``apply``,
+# ``adjoint`` and ``grad`` compose the two (``Conv.apply`` computes the same
+# in one shot), so a caller that holds a spectrum (the forward cache, the
+# backward pass) reuses it instead of transforming the same data again.
+# Two operators with equal ``out_transform`` give one gradient batch the
+# same ``out_spectrum``.
+
+
+class _Branch:
+    """The branch maps on untransformed data: spectra, then the product."""
+
+    def apply(self, w: ComplexArray, x):
+        return self.apply_hat(self.weight_spectrum(w), self.in_spectrum(x))
+
+    def adjoint(self, w: ComplexArray, g):
+        return self.adjoint_hat(self.weight_spectrum(w), self.out_spectrum(g))
+
+    def grad(self, g, x):
+        return self.grad_hat(self.out_spectrum(g), self.in_spectrum(x))
 
 
 @dataclass(frozen=True)
-class Dense:
-    """A matrix branch: out = W x with W of shape (n_out, n_in)."""
+class Dense(_Branch):
+    """A matrix branch: out = W x with W of shape (n_out, n_in).  Its
+    spectrum is the identity: the weight's is the matrix, a batch's the
+    batch."""
 
     n_out: int
     n_in: int
@@ -129,29 +156,54 @@ class Dense:
     def shape(self) -> tuple[int, int]:
         return (self.n_out, self.n_in)
 
-    def apply(self, w: ComplexArray, x):
-        return x @ w.z.T
+    out_transform = None   # out_spectrum is the identity
 
-    def adjoint(self, w: ComplexArray, g):
+    def weight_spectrum(self, w: ComplexArray):
+        return w.z
+
+    def in_spectrum(self, x):
+        return x
+
+    out_spectrum = in_spectrum
+
+    def apply_hat(self, w, x):
+        return x @ w.T
+
+    def adjoint_hat(self, w, g):
         """g conj(W), taken as conj(conj(g) W): the batch is conjugated,
         never the (possibly large) weight."""
-        out = np.conj(g) @ w.z
+        out = np.conj(g) @ w
         return np.conjugate(out, out=out)
 
-    def grad(self, g, x):
+    def grad_hat(self, g, x):
         """Batch sum of g conj(x)^T."""
         return g.T @ np.conj(x)
 
 
 def _on_grid(x, grid):
-    """Flat (batch, prod(grid)) batch laid column-stacked onto a 2-D grid."""
+    """Flat (batch, prod(grid)) batch laid column-stacked onto a 2-D grid, a
+    view: the transform reads it without a copy."""
     if len(grid) == 1:
         return x
-    return np.ascontiguousarray(x.reshape(-1, grid[1], grid[0]).swapaxes(1, 2))
+    return x.reshape(-1, grid[1], grid[0]).swapaxes(1, 2)
+
+
+@functools.lru_cache(maxsize=256)
+def _window_index(start, size, n):
+    """Per axis, the index of ``size`` points from ``start`` mod ``n``: a
+    slice where the window does not wrap round, else a read-only index
+    array (every caller shares it)."""
+    def axis(s, m, p):
+        if s >= 0:
+            return slice(s, s + m)
+        idx = np.arange(s, s + m) % p
+        idx.flags.writeable = False
+        return idx
+    return tuple(axis(s, m, p) for s, m, p in zip(start, size, n))
 
 
 @dataclass(frozen=True)
-class Conv:
+class Conv(_Branch):
     """A kernel branch: windowed linear convolution on a 1-D or 2-D grid.
 
     The kernel has K = ``grid_in + grid_out - 1`` entries per axis; the
@@ -159,52 +211,111 @@ class Conv:
     ``grid_in - 1`` past the kernel origin.  A 2-D grid (rows, cols) holds
     its flat vector column-stacked, the layout of :func:`conv_grid`.
 
-    ``apply``, ``adjoint`` and ``grad`` all transform ``next_pow2(K)``
-    points per axis, not the power of two of the full linear length.  No
-    kept entry aliases: with a circular length n >= K, window index w in
-    [grid_in-1, K-1] could only pick up linear index w+n >= 2*grid_in +
-    grid_out - 2, past the last one, and ``grad``'s full length is K.
+    Everything runs on spectra of ``n = next_pow2(K)`` points per axis, the
+    transform of a kernel or of a batch laid on its grid, and one inverse
+    transform read at a window whose start is taken mod n:
+
+    * ``apply``   window(K^ X^, start ``grid_in - 1``, size ``grid_out``);
+    * ``adjoint`` window(conj(K^) G^, start ``-(grid_in - 1)``, size
+      ``grid_in``), a correlation with the kernel;
+    * ``grad``    window(sum_b G^_b conj(X^_b), start ``-(grid_in - 1)``,
+      size K), a correlation with the input, summed over the batch before
+      the single inverse.
+
+    A caller that keeps no spectra (inference, validation) calls ``apply``,
+    which runs the same transforms and product as one
+    :func:`~hunfold.spectral.conv_full_planes` call.
+
+    No kept entry aliases at n >= K.  The convolution's linear index runs
+    over [0, K + grid_in - 2], and a kept index w in [grid_in - 1, K - 1]
+    could only pick up w + n >= K + grid_in - 1, past the last one.  Both
+    correlations have linear lags in [-(grid_in - 1), grid_out - 1], K
+    values, so an n-point circle holds them without overlap.
     """
 
     grid_in: tuple[int, ...]
     grid_out: tuple[int, ...]
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(a + b - 1 for a, b in zip(self.grid_in, self.grid_out))
 
-    def _conv(self, k, x):
-        # looked up on this module at call time, so that a wrapper installed
-        # here sees every convolution
-        n = tuple(next_pow2(s) for s in self.shape)
-        if len(n) == 1:
-            return conv_full_planes(k.real, k.imag, x.real, x.imag, n[0])
-        return conv_full2_planes(k.real, k.imag, x.real, x.imag, n)
+    @functools.cached_property
+    def n(self) -> tuple[int, ...]:
+        """Transform points per axis."""
+        return tuple(next_pow2(s) for s in self.shape)
 
-    def _windowed(self, k, x, grid, size):
-        """k * x for flat x on ``grid``: the ``size`` window that starts
-        ``grid - 1`` past the kernel origin on each axis, flat."""
-        planes = self._conv(k, _on_grid(x, grid))
-        idx = (Ellipsis,) + tuple(slice(a - 1, a - 1 + n) for a, n in zip(grid, size))
-        out = [p[idx] if len(size) == 1 else p[idx].swapaxes(1, 2) for p in planes]
-        return join_planes(*out).reshape(len(x), -1)
+    def _spectrum(self, a):
+        """``n``-point transform over the last one or two axes."""
+        n = self.n
+        return np.fft.fft(a, n[0]) if len(n) == 1 else np.fft.fft2(a, n)
+
+    def _read(self, z, start, size, flat=True):
+        """``z`` read at ``size`` points per axis from ``start`` (mod n, so
+        a negative start wraps round), a view where it can be.  A batch
+        (``flat``) comes back as flat column-stacked rows."""
+        lead = z.ndim - len(size)
+        for axis, idx in enumerate(_window_index(start, size, self.n), start=lead):
+            z = z[(slice(None),) * axis + (idx,)]
+        if flat and len(size) == 2:
+            z = z.swapaxes(1, 2)
+        return z.reshape(len(z), -1) if flat else z
+
+    def _window(self, spec, start, size, flat=True):
+        """Inverse transform of ``spec``, read as :meth:`_read` does into a
+        contiguous array, which later element-wise passes run faster on."""
+        z = np.fft.ifft(spec) if len(size) == 1 else np.fft.ifft2(spec)
+        return np.ascontiguousarray(self._read(z, start, size, flat))
 
     def apply(self, w: ComplexArray, x):
-        return self._windowed(w.z, x, self.grid_in, self.grid_out)
+        """The branch in one shot, for a caller that keeps no spectra: one
+        :func:`~hunfold.spectral.conv_full_planes` convolution at n points
+        per axis.  It takes the very transforms and product of
+        ``apply_hat`` on ``weight_spectrum`` and ``in_spectrum`` and reads
+        the same window, so the two agree bit for bit.  The benchmark
+        tracer (perfbench/tracing.py) counts these calls as
+        ``spectral.conv``."""
+        k, x = w.z, _on_grid(x, self.grid_in)
+        n = self.n
+        if len(n) == 1:
+            planes = conv_full_planes(k.real, k.imag, x.real, x.imag, n[0])
+        else:
+            planes = conv_full2_planes(k.real, k.imag, x.real, x.imag, n)
+        return join_planes(*(self._read(p, self._apply_start, self.grid_out)
+                             for p in planes))
 
-    def adjoint(self, w: ComplexArray, g):
-        """The flipped conjugate kernel on the mirrored window.  A kernel
-        has far fewer entries than a batch, so here the weight is the cheap
-        side to conjugate."""
-        flip = (slice(None, None, -1),) * len(self.grid_in)
-        return self._windowed(w.z[flip].conj(), g, self.grid_out, self.grid_in)
+    @property
+    def out_transform(self):
+        """What ``out_spectrum`` does to a batch: operators with equal
+        values give equal spectra of one gradient."""
+        return self.grid_out, self.n
 
-    def grad(self, g, x):
-        """Correlation of the gradient with the conjugate input."""
-        flip = (Ellipsis,) + (slice(None, None, -1),) * len(self.grid_in)
-        rr, ri = self._conv(_on_grid(g, self.grid_out),
-                            np.conj(_on_grid(x, self.grid_in)[flip]))
-        return join_planes(rr.sum(axis=0), ri.sum(axis=0))
+    def weight_spectrum(self, w: ComplexArray):
+        return self._spectrum(w.z)
+
+    def in_spectrum(self, x):
+        return self._spectrum(_on_grid(x, self.grid_in))
+
+    def out_spectrum(self, g):
+        return self._spectrum(_on_grid(g, self.grid_out))
+
+    @functools.cached_property
+    def _apply_start(self) -> tuple[int, ...]:
+        return tuple(a - 1 for a in self.grid_in)
+
+    @functools.cached_property
+    def _correlation_start(self) -> tuple[int, ...]:
+        return tuple(1 - a for a in self.grid_in)
+
+    def apply_hat(self, k, x):
+        return self._window(k * x, self._apply_start, self.grid_out)
+
+    def adjoint_hat(self, k, g):
+        return self._window(np.conj(k) * g, self._correlation_start, self.grid_in)
+
+    def grad_hat(self, g, x):
+        return self._window(np.sum(g * np.conj(x), axis=0), self._correlation_start,
+                            self.shape, flat=False)
 
 
 def branches(arch: str, shape, n_obs: int):
@@ -230,22 +341,32 @@ def branches(arch: str, shape, n_obs: int):
 def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
     """Run the network on batch-major planes (batch, n_obs) -> (batch, M).
 
-    Returns the output's real and imaginary planes and, with ``keep_cache``,
-    per layer its complex input spectrum ``"x"`` and pre-threshold
-    activation ``"u"``, which the backward pass consumes.
+    The observations are transformed once, for every layer.  Returns the
+    output's real and imaginary planes and, with ``keep_cache``, per layer
+    its complex input spectrum ``"x"``, pre-threshold activation ``"u"``,
+    the inhibition branch's input and kernel spectra ``"xh"`` and ``"kh"``
+    (None in layer 0, which has no inhibition) and the observation
+    spectrum ``"yh"``, which the backward pass consumes.  Without
+    ``keep_cache`` the inhibition branch runs the one-shot ``apply``, which
+    gives the same numbers bit for bit.
     """
     y = join_planes(yr, yi)
     if y.shape[-1] != net.n_obs:
         raise ValueError(f"observation length {y.shape[-1]}, expected {net.n_obs}")
     obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
+    yh = obs_op.in_spectrum(y)
     x = np.zeros((y.shape[0], net.total), dtype=np.complex128)
     cache = [] if keep_cache else None
     for t, layer in enumerate(net.layers):
-        u = obs_op.apply(layer.obs, y)
-        if t > 0:
+        u = obs_op.apply_hat(obs_op.weight_spectrum(layer.obs), yh)
+        kh = xh = None
+        if t > 0 and keep_cache:
+            kh, xh = inhibit_op.weight_spectrum(layer.inhibit), inhibit_op.in_spectrum(x)
+            u += inhibit_op.apply_hat(kh, xh)
+        elif t > 0:
             u += inhibit_op.apply(layer.inhibit, x)
         if keep_cache:
-            cache.append({"x": x, "u": u})
+            cache.append({"x": x, "u": u, "xh": xh, "kh": kh, "yh": yh})
         # a zero threshold, where training's clamp often leaves it, is the identity
         theta = layer.threshold
         x = u if theta == 0.0 else join_planes(*soft_threshold_planes(u.real, u.imag, theta))

@@ -1,12 +1,14 @@
 """Toeplitz generators, their dense expansions and FFT convolution.
 
-:func:`conv_full_planes` and :func:`conv_full2_planes` are convolutions
-on ``numpy.fft`` in complex128, broadcast over leading axes so batches of
-rows transform in one call, at a transform length per axis that the caller
-gives.  The network layers' windowed convolution,
-:class:`hunfold.nets.Conv`, gives the power of two at or above its kernel
-length, shorter than the full linear length, because it keeps only a
-window that cannot alias.
+:func:`conv_full_planes` and :func:`conv_full2_planes` are standalone
+convolutions on ``numpy.fft`` in complex128, broadcast over leading axes so
+batches of rows transform in one call, at a transform length per axis that
+the caller gives.  The network layers' windowed convolution,
+:class:`hunfold.nets.Conv`, calls them for a one-shot ``apply`` at the
+power of two at or above its kernel length per axis, shorter than the full
+linear length, because it keeps only a window that cannot alias.  A
+training step instead transforms through ``numpy.fft`` in ``Conv`` itself,
+so that it can keep the spectra and reuse them in the backward pass.
 :func:`conv1d` is the direct windowed form, and dense expansions tie a
 generator vector (or matrix) to the Toeplitz (or doubly-block-Toeplitz)
 operator it induces.

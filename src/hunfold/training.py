@@ -6,10 +6,15 @@ on complex128 batches: the complex soft threshold contributes its exact
 Jacobian away from the |u| = theta sphere and a zero subgradient on it,
 each branch operator of a layer gives its weight gradient (``grad``), and
 the inhibition operator's ``adjoint`` carries the gradient to the layer
-before (see :mod:`hunfold.nets`).  Parameters and their gradients share
-one flat layout, :func:`net_param_arrays`: per layer the two complex
-weights and the 0-d threshold.  Adam (Kingma & Ba, 2015) steps a complex
-weight through its float64 view, one real or imaginary part per coordinate.
+before (see :mod:`hunfold.nets`).  Both run on spectra: the forward pass
+caches each layer's input and kernel spectra, and the backward pass
+transforms a layer's incoming gradient once per branch (once for both
+when they transform alike) and uses that spectrum for the weight gradient
+and the adjoint alike.  No spectrum outlives its forward/backward pair.
+Parameters and their gradients share one flat layout,
+:func:`net_param_arrays`: per layer the two complex weights and the 0-d
+threshold.  Adam (Kingma & Ba, 2015) steps a complex weight through its
+float64 view, one real or imaginary part per coordinate.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from .cplx import ComplexArray, NumericError, join_planes
 from .harmonic import Dataset
 from .nets import Layer, UnfoldedNetwork, branches, forward_planes, place_obs
-# Not called here: every convolution runs inside the nets operators.  The
+# Not called here: every transform runs inside the nets operators.  The
 # names stay bound because the benchmark tracer (perfbench/tracing.py) wraps
 # them on this module as well and reports a name it cannot find as absent.
 from .spectral import conv_full_planes, conv_full2_planes  # noqa: F401
@@ -134,7 +139,7 @@ def _backward_planes(net: UnfoldedNetwork, yr, yi, tr, ti):
     sum, reference-norm sum and loss of one batch given as batch-major
     planes."""
     xr, xi, cache = forward_planes(net, yr, yi, keep_cache=True)
-    y, truth = join_planes(yr, yi), join_planes(tr, ti)
+    truth = join_planes(tr, ti)
     err = join_planes(xr, xi) - truth
     per = _row_norms(err)
     den = float(np.sum(_row_norms(truth)))
@@ -150,13 +155,18 @@ def _backward_planes(net: UnfoldedNetwork, yr, yi, tr, ti):
         layer = net.layers[t]
         ctx = cache[t]
         gu, gtheta = _soft_threshold_adjoint(g, ctx["u"], layer.threshold)
+        gh = obs_op.out_spectrum(gu)
+        gobs = obs_op.grad_hat(gh, ctx["yh"])
         if t == 0:
             # layer 0 sees the zero spectrum: no inhibition gradient
             ginhib = np.zeros(inhibit_op.shape, dtype=np.complex128)
         else:
-            ginhib = inhibit_op.grad(gu, ctx["x"])
-            g = inhibit_op.adjoint(layer.inhibit, gu)
-        grads[3 * t:3 * t + 3] = obs_op.grad(gu, y), ginhib, np.array(gtheta)
+            # gu's spectrum serves both branches when they transform alike
+            if inhibit_op.out_transform != obs_op.out_transform:
+                gh = inhibit_op.out_spectrum(gu)
+            ginhib = inhibit_op.grad_hat(gh, ctx["xh"])
+            g = inhibit_op.adjoint_hat(ctx["kh"], gh)
+        grads[3 * t:3 * t + 3] = gobs, ginhib, np.array(gtheta)
 
     return grads, float(np.sum(per)), den, loss
 

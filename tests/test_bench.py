@@ -375,7 +375,8 @@ def test_cli_gen_data_rejects_a_bad_noise_power(tmp_path, sigma2):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("sweep", "--noise-db", "nan"), ("sweep", "--noise-db", "0,inf"),
-    ("sweep", "--noise-db", "4000"),
+    ("sweep", "--noise-db", "4000"), ("sweep", "--noise-db", ""),
+    ("sweep", "--noise-db", ","),
     ("sweep", "--trials", "0"), ("sweep", "--budget-ista", "0"),
     ("sweep", "--budget-fista", "0"), ("sweep", "--lambda-scale", "nan"),
     ("single", "--budget-ista", "0"), ("single", "--budget-fista", "0"),
@@ -418,6 +419,27 @@ def test_cli_complexity_needs_a_repeat(tmp_path, repeats):
                   f"--repeats={repeats}", "--out", str(out)])
     assert "--repeats" in str(err.value.code)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", ["", ",", "-4", "0", "16,0", "abc"])
+def test_cli_complexity_names_bad_sizes(tmp_path, sizes):
+    out = tmp_path / "cx.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["complexity", f"--sizes={sizes}", "--n", "4", "--no-timing",
+                  "--out", str(out)])
+    assert str(err.value.code).startswith("--sizes ")
+    assert not out.exists()
+
+
+def test_experiment_config_needs_a_noise_power():
+    with pytest.raises(ValueError, match="noise_powers_db needs at least one entry"):
+        small_cfg(noise_powers_db=[])
+
+
+@pytest.mark.parametrize("sizes", [[], [0], [16, -4]])
+def test_complexity_report_rejects_sizes_below_one(sizes):
+    with pytest.raises(ValueError, match="sizes"):
+        complexity_report(sizes, n_obs=4, timing=False)
 
 
 @pytest.mark.parametrize("methods", ["foo", "ista,foo", ","])

@@ -449,6 +449,35 @@ def test_conv_transforms_at_the_kernel_power_of_two(op, monkeypatch):
         assert seen == want
 
 
+@pytest.mark.parametrize("op", OPERATORS, ids=repr)
+def test_apply_equals_its_spectral_composition_bit_for_bit(op):
+    """The one-shot ``apply`` (inference) and ``apply_hat`` on the spectra
+    (training, which caches them) are one computation."""
+    rng = np.random.default_rng(35)
+    n_in, _ = op_sizes(op)
+    w = rand_carray(rng, op.shape)
+    x = batch(rng, (3, n_in))
+    want = op.apply_hat(op.weight_spectrum(w), op.in_spectrum(x))
+    assert np.array_equal(op.apply(w, x), want)
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("lista", (12,)), ("toeplitz1d", (12,)), ("toeplitz2d", (3, 4)),
+    ("convlista", (12,)), ("convlista", (3, 4))])
+def test_forward_with_and_without_cache_agree_bit_for_bit(arch, shape):
+    rng = np.random.default_rng(36)
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 5, seed=1))
+    net = init_network(arch, d, 3, lam=0.1)
+    for layer in net.layers:
+        layer.inhibit = rand_carray(rng, layer.inhibit.shape)
+    y = batch(rng, (4, 5))
+    plain = forward_planes(net, y.real, y.imag)
+    cached = forward_planes(net, y.real, y.imag, keep_cache=True)
+    assert plain[2] is None and len(cached[2]) == 3
+    assert np.array_equal(plain[0], cached[0]) and np.array_equal(plain[1], cached[1])
+
+
 @pytest.mark.parametrize("arch, shape", [
     ("lista", (12,)), ("lista", (3, 4)), ("toeplitz1d", (12,)),
     ("toeplitz2d", (3, 4)), ("convlista", (12,)), ("convlista", (3, 4))])

@@ -6,8 +6,10 @@ import pytest
 import hunfold as hf
 from hunfold.cplx import ComplexArray
 from hunfold.harmonic import Dataset
-from hunfold.nets import Layer, UnfoldedNetwork, forward, init_network
-from hunfold.training import (TrainConfig, adam_step,
+from hunfold.nets import (Layer, UnfoldedNetwork, branches, forward,
+                          forward_planes, init_network, place_obs)
+from hunfold.training import (TrainConfig, _backward_planes,
+                              _soft_threshold_adjoint, adam_step,
                               assemble_network, backward, estimate_dictionary,
                               init_adam_state, loss_nmse, net_param_arrays,
                               train)
@@ -370,3 +372,91 @@ def test_estimate_dictionary_rank_deficient_rejected():
     with pytest.raises(ValueError):
         estimate_dictionary(Dataset(ComplexArray.zeros((4, 5)),
                                     ComplexArray.zeros((8, 5)), {}))
+
+
+# -- the spectral cache of the backward pass -----------------------------------
+
+
+def random_net(arch, shape, n_obs, depth, rng, theta=0.3):
+    """Random weights in every slot, so no gradient vanishes."""
+    obs_op, inhibit_op = branches(arch, shape, n_obs)
+    layers = [Layer(*place_obs(arch, rand_carray(rng, obs_op.shape)),
+                    rand_carray(rng, inhibit_op.shape), theta)
+              for _ in range(depth)]
+    return UnfoldedNetwork(arch, shape, n_obs, layers)
+
+
+def reference_backward(net, y, truth):
+    """The backward pass through each operator's own ``grad`` and
+    ``adjoint`` on the cached inputs, transforming everything afresh."""
+    xr, xi, cache = forward_planes(net, y.real, y.imag, keep_cache=True)
+    err = (xr + 1j * xi) - truth
+    per = np.linalg.norm(err, axis=1)
+    g = err / (per[:, None] * np.sum(np.linalg.norm(truth, axis=1)))
+    obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
+    grads = [None] * (3 * net.depth)
+    for t in range(net.depth - 1, -1, -1):
+        layer = net.layers[t]
+        gu, gtheta = _soft_threshold_adjoint(g, cache[t]["u"], layer.threshold)
+        ginhib = np.zeros(inhibit_op.shape, dtype=np.complex128)
+        if t > 0:
+            ginhib = inhibit_op.grad(gu, cache[t]["x"])
+            g = inhibit_op.adjoint(layer.inhibit, gu)
+        grads[3 * t:3 * t + 3] = obs_op.grad(gu, y), ginhib, np.array(gtheta)
+    return grads
+
+
+@pytest.mark.parametrize("arch, shape, n_obs", [
+    ("lista", (12,), 5), ("lista", (3, 4), 5), ("toeplitz1d", (12,), 5),
+    ("toeplitz2d", (3, 4), 5), ("convlista", (12,), 5), ("convlista", (3, 4), 5),
+    ("convlista", (3,), 16)])   # observation Conv((16,), (3,)): grad window from -15
+def test_backward_spectra_match_a_fresh_reference_across_adam_steps(arch, shape, n_obs):
+    rng = np.random.default_rng(41)
+    total = int(np.prod(shape))
+    net = random_net(arch, shape, n_obs, 3, rng)
+    y = rng.standard_normal((6, n_obs)) + 1j * rng.standard_normal((6, n_obs))
+    truth = rng.standard_normal((6, total)) + 1j * rng.standard_normal((6, total))
+    params = net_param_arrays(net)
+    net = assemble_network(arch, shape, n_obs, params)   # shares the weights
+    state = init_adam_state(params)
+    for _ in range(3):
+        grads, _, _, _ = _backward_planes(net, y.real, y.imag, truth.real, truth.imag)
+        for got, want in zip(grads, reference_backward(net, y, truth)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+        # steps the weights in place, under the same network object
+        adam_step(params, grads, state, 0.05)
+        for layer, theta in zip(net.layers, params[2::3]):
+            layer.threshold = float(theta)
+
+
+@pytest.mark.parametrize("arch, shape, depth, batch, want", [
+    ("lista", (8,), 5, 128, 0),
+    ("toeplitz1d", (8,), 5, 128, 4 * (4 * 128 + 2)),
+    ("toeplitz2d", (2, 4), 5, 128, 4 * (4 * 128 + 2)),
+    ("toeplitz1d", (8,), 3, 7, 2 * (4 * 7 + 2)),
+    # per layer 2B+2 rows on the observation branch, and the observations
+    # once; on a 1-D grid both branches transform gu alike and share it
+    ("convlista", (8,), 5, 128, 5 * (2 * 128 + 2) + 128 + 4 * (3 * 128 + 2)),
+    ("convlista", (2, 4), 3, 7, 3 * (2 * 7 + 2) + 7 + 2 * (4 * 7 + 2))])
+def test_backward_transforms_each_activation_once(arch, shape, depth, batch, want,
+                                                  monkeypatch):
+    """One training step transforms, per structured layer, the kernel, the
+    inhibition input and gu once each, and inverts the forward product, the
+    adjoint and the batch-summed weight gradient: (T-1)(4B+2) rows."""
+    rows = []
+    for name, ndim in (("fft", 1), ("ifft", 1), ("fft2", 2), ("ifft2", 2)):
+        def spy(*args, _orig=getattr(np.fft, name), _ndim=ndim, **kwargs):
+            out = _orig(*args, **kwargs)
+            rows.append(int(np.prod(out.shape[:-_ndim])))
+            return out
+        monkeypatch.setattr(np.fft, name, spy)
+    rng = np.random.default_rng(42)
+    total = int(np.prod(shape))
+    net = random_net(arch, shape, 4, depth, rng)
+    ds = Dataset(ComplexArray(rng.standard_normal((4, batch)),
+                              rng.standard_normal((4, batch))),
+                 ComplexArray(rng.standard_normal((total, batch)),
+                              rng.standard_normal((total, batch))), {})
+    backward(net, ds)
+    assert sum(rows) == want
