@@ -25,7 +25,8 @@ from .bench import (LEARNED_METHODS, SOLVER_METHODS, ExperimentConfig,
 from .cplx import ComplexArray
 from .harmonic import (build_dictionary, db_to_sigma2, dictionary_from_meta,
                        draw_sampling, gen_dataset, read_dataset, write_dataset)
-from .nets import ARCHS, forward, init_network, load_network, save_network
+from .nets import (ARCHS, branches, forward, init_network, load_network,
+                   save_network)
 from .solvers import SolverConfig, default_lambda, ista
 from .training import TrainConfig, estimate_dictionary, loss_nmse, train
 
@@ -145,6 +146,17 @@ def _experiment_config(args) -> ExperimentConfig:
     )
 
 
+def _read_problem_data(args, name):
+    """The dataset file that --name gives, with the sampling indices that
+    its JSON sidecar carries."""
+    path = getattr(args, name)
+    ds = read_dataset(path)
+    if "omega" not in ds.meta:
+        raise SystemExit(f"--{name} {path}: no sampling indices "
+                         f"(the sidecar {path}.json is missing)")
+    return ds
+
+
 def _echo_config(args, skip=("func",)) -> dict:
     doc = {}
     for key, val in sorted(vars(args).items()):
@@ -186,9 +198,22 @@ def _cmd_train(args) -> int:
     _check(args, "lr", lambda v: math.isfinite(v) and v > 0, "finite and > 0")
     _check(args, "batch", lambda v: v >= 1, ">= 1")
     _check(args, "epochs", lambda v: v >= 0, ">= 0")
-    train_ds = read_dataset(args.data)
+    train_ds = _read_problem_data(args, "data")
+    shape = tuple(train_ds.meta["shape"])
+    try:
+        branches(args.arch, shape, train_ds.meta["n_obs"])
+    except ValueError as exc:
+        raise SystemExit(f"--arch {args.arch}: {exc}, but --data {args.data} "
+                         f"holds the {len(shape)}-D grid {shape}") from None
     if args.val:
-        val_ds = read_dataset(args.val)
+        val_ds = _read_problem_data(args, "val")
+        for key in ("shape", "n_obs", "omega"):
+            mine, theirs = val_ds.meta[key], train_ds.meta[key]
+            if mine != theirs:
+                detail = ("the sampling indices differ" if key == "omega"
+                          else f"{key} {mine} against {theirs}")
+                raise SystemExit(f"--val {args.val} and --data {args.data} hold "
+                                 f"different problems: {detail}")
     else:
         count = train_ds.count
         if not 0.0 <= args.val_frac < 1.0:

@@ -30,7 +30,10 @@ import numpy as np
 from .cplx import (ComplexArray, NumericError, hermitian, join_planes,
                    lipschitz_constant, soft_threshold_planes)
 from .harmonic import Dictionary
-from .spectral import conv_full_planes, conv_full2_planes, next_pow2
+# conv_full2_planes is not called here.  It stays bound because the benchmark
+# tracer (perfbench/tracing.py) wraps it on this module as well and reports a
+# name it cannot find as absent.
+from .spectral import conv_full_planes, conv_full2_planes, next_pow2  # noqa: F401
 
 __all__ = [
     "ARCHS",
@@ -180,26 +183,16 @@ class Dense(_Branch):
         return g.T @ np.conj(x)
 
 
-def _on_grid(x, grid):
-    """Flat (batch, prod(grid)) batch laid column-stacked onto a 2-D grid, a
-    view: the transform reads it without a copy."""
-    if len(grid) == 1:
-        return x
-    return x.reshape(-1, grid[1], grid[0]).swapaxes(1, 2)
-
-
 @functools.lru_cache(maxsize=256)
-def _window_index(start, size, n):
-    """Per axis, the index of ``size`` points from ``start`` mod ``n``: a
-    slice where the window does not wrap round, else a read-only index
-    array (every caller shares it)."""
-    def axis(s, m, p):
-        if s >= 0:
-            return slice(s, s + m)
-        idx = np.arange(s, s + m) % p
-        idx.flags.writeable = False
-        return idx
-    return tuple(axis(s, m, p) for s, m, p in zip(start, size, n))
+def _flat_index(start, size, n):
+    """Positions of the window of ``size`` cells per axis from ``start`` on
+    a grid laid at strides (1, n[0], n[0]*n[1], ...), mod prod(n): a
+    read-only index array, axes slowest first, that every caller shares."""
+    strides = np.cumprod((1,) + n[:-1])
+    axes = [np.arange(s, s + m) * st for s, m, st in zip(start, size, strides)]
+    idx = functools.reduce(np.add.outer, reversed(axes)) % math.prod(n)
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass(frozen=True)
@@ -211,9 +204,10 @@ class Conv(_Branch):
     ``grid_in - 1`` past the kernel origin.  A 2-D grid (rows, cols) holds
     its flat vector column-stacked, the layout of :func:`conv_grid`.
 
-    Everything runs on spectra of ``n = next_pow2(K)`` points per axis, the
-    transform of a kernel or of a batch laid on its grid, and one inverse
-    transform read at a window whose start is taken mod n:
+    Everything runs on 1-D transforms of ``prod(n)`` points, ``n =
+    next_pow2(K)`` per axis.  A grid (a batch row, or the kernel through
+    its transposed view) is laid with cell (r, c) at ``r + c*n[0]``; one
+    inverse is read at the window of cells ``start + (i, j)`` mod prod(n):
 
     * ``apply``   window(K^ X^, start ``grid_in - 1``, size ``grid_out``);
     * ``adjoint`` window(conj(K^) G^, start ``-(grid_in - 1)``, size
@@ -222,15 +216,13 @@ class Conv(_Branch):
       size K), a correlation with the input, summed over the batch before
       the single inverse.
 
-    A caller that keeps no spectra (inference, validation) calls ``apply``,
-    which runs the same transforms and product as one
-    :func:`~hunfold.spectral.conv_full_planes` call.
-
-    No kept entry aliases at n >= K.  The convolution's linear index runs
-    over [0, K + grid_in - 2], and a kept index w in [grid_in - 1, K - 1]
-    could only pick up w + n >= K + grid_in - 1, past the last one.  Both
-    correlations have linear lags in [-(grid_in - 1), grid_out - 1], K
-    values, so an n-point circle holds them without overlap.
+    No kept entry aliases.  Per axis, every term differs from a kept entry
+    by less than K <= n (apply: kept [grid_in - 1, K - 1] of linear
+    [0, K + grid_in - 2]; adjoint: kept lags [-(grid_in - 1), 0] of
+    [-(K - 1), grid_out - 1]; grad: both [-(grid_in - 1), grid_out - 1]),
+    and indices equal mod n that differ by less than n are equal.  On the
+    flat circle a term (r, c), whose r may run past n[0], lands on a kept
+    (a, b) only if r = a mod n[0], so r = a; then c = b mod n[1], so c = b.
     """
 
     grid_in: tuple[int, ...]
@@ -242,45 +234,50 @@ class Conv(_Branch):
 
     @functools.cached_property
     def n(self) -> tuple[int, ...]:
-        """Transform points per axis."""
+        """Points per grid axis on the transform's circle."""
         return tuple(next_pow2(s) for s in self.shape)
 
-    def _spectrum(self, a):
-        """``n``-point transform over the last one or two axes."""
-        n = self.n
-        return np.fft.fft(a, n[0]) if len(n) == 1 else np.fft.fft2(a, n)
+    def _lay(self, a, grid):
+        """Flat column-stacked rows on ``grid`` laid at the transform's
+        strides, each column zero-padded to ``n[0]`` cells (1-D: as it is)."""
+        if len(grid) == 1:
+            return a
+        lead = a.shape[:-1]
+        buf = np.zeros(lead + self.n[::-1], dtype=np.complex128)
+        cells = tuple(slice(g) for g in grid[::-1])
+        buf[(Ellipsis,) + cells] = a.reshape(lead + grid[::-1])
+        return buf.reshape(lead + (-1,))
 
-    def _read(self, z, start, size, flat=True):
-        """``z`` read at ``size`` points per axis from ``start`` (mod n, so
-        a negative start wraps round), a view where it can be.  A batch
-        (``flat``) comes back as flat column-stacked rows."""
-        lead = z.ndim - len(size)
-        for axis, idx in enumerate(_window_index(start, size, self.n), start=lead):
-            z = z[(slice(None),) * axis + (idx,)]
-        if flat and len(size) == 2:
-            z = z.swapaxes(1, 2)
-        return z.reshape(len(z), -1) if flat else z
+    def _spectrum(self, a, grid):
+        return np.fft.fft(self._lay(a, grid), math.prod(self.n))
 
-    def _window(self, spec, start, size, flat=True):
+    def _read(self, z, start, size, batch=True):
+        """Laid rows ``z`` read at the window of ``size`` cells per axis from
+        ``start``: a strided slice, or the cached index where a start is
+        negative; a batch as flat column-stacked rows, a kernel in its shape."""
+        lead = z.shape[:-1]
+        if min(start) >= 0:
+            cut = tuple(slice(s, s + m) for s, m in zip(start[::-1], size[::-1]))
+            z = z.reshape(lead + (-1,) + self.n[-2::-1])[(Ellipsis,) + cut]
+        else:
+            z = z[..., _flat_index(start, size, self.n)]
+        return z.reshape(lead + (-1,)) if batch else z.T
+
+    def _window(self, spec, start, size, batch=True):
         """Inverse transform of ``spec``, read as :meth:`_read` does into a
         contiguous array, which later element-wise passes run faster on."""
-        z = np.fft.ifft(spec) if len(size) == 1 else np.fft.ifft2(spec)
-        return np.ascontiguousarray(self._read(z, start, size, flat))
+        return np.ascontiguousarray(self._read(np.fft.ifft(spec), start, size, batch))
 
     def apply(self, w: ComplexArray, x):
         """The branch in one shot, for a caller that keeps no spectra: one
-        :func:`~hunfold.spectral.conv_full_planes` convolution at n points
-        per axis.  It takes the very transforms and product of
-        ``apply_hat`` on ``weight_spectrum`` and ``in_spectrum`` and reads
-        the same window, so the two agree bit for bit.  The benchmark
-        tracer (perfbench/tracing.py) counts these calls as
-        ``spectral.conv``."""
-        k, x = w.z, _on_grid(x, self.grid_in)
-        n = self.n
-        if len(n) == 1:
-            planes = conv_full_planes(k.real, k.imag, x.real, x.imag, n[0])
-        else:
-            planes = conv_full2_planes(k.real, k.imag, x.real, x.imag, n)
+        :func:`~hunfold.spectral.conv_full_planes` convolution of the laid
+        kernel and batch at ``prod(n)`` points.  It takes the very
+        transforms and product of ``apply_hat`` on ``weight_spectrum`` and
+        ``in_spectrum`` and reads the same window, so the two agree bit for
+        bit.  The benchmark tracer (perfbench/tracing.py) counts these
+        calls as ``spectral.conv``."""
+        k, x = self._lay(w.z.T.ravel(), self.shape), self._lay(x, self.grid_in)
+        planes = conv_full_planes(k.real, k.imag, x.real, x.imag, math.prod(self.n))
         return join_planes(*(self._read(p, self._apply_start, self.grid_out)
                              for p in planes))
 
@@ -291,13 +288,13 @@ class Conv(_Branch):
         return self.grid_out, self.n
 
     def weight_spectrum(self, w: ComplexArray):
-        return self._spectrum(w.z)
+        return self._spectrum(w.z.T.ravel(), self.shape)
 
     def in_spectrum(self, x):
-        return self._spectrum(_on_grid(x, self.grid_in))
+        return self._spectrum(x, self.grid_in)
 
     def out_spectrum(self, g):
-        return self._spectrum(_on_grid(g, self.grid_out))
+        return self._spectrum(g, self.grid_out)
 
     @functools.cached_property
     def _apply_start(self) -> tuple[int, ...]:
@@ -315,7 +312,7 @@ class Conv(_Branch):
 
     def grad_hat(self, g, x):
         return self._window(np.sum(g * np.conj(x), axis=0), self._correlation_start,
-                            self.shape, flat=False)
+                            self.shape, batch=False)
 
 
 def branches(arch: str, shape, n_obs: int):

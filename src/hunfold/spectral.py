@@ -4,11 +4,14 @@
 convolutions on ``numpy.fft`` in complex128, broadcast over leading axes so
 batches of rows transform in one call, at a transform length per axis that
 the caller gives.  The network layers' windowed convolution,
-:class:`hunfold.nets.Conv`, calls them for a one-shot ``apply`` at the
-power of two at or above its kernel length per axis, shorter than the full
-linear length, because it keeps only a window that cannot alias.  A
-training step instead transforms through ``numpy.fft`` in ``Conv`` itself,
-so that it can keep the spectra and reuse them in the backward pass.
+:class:`hunfold.nets.Conv`, calls :func:`conv_full_planes` for a one-shot
+``apply``: on a 1-D grid at the power of two at or above its kernel length,
+shorter than the full linear length, because it keeps only a window that
+cannot alias; on a 2-D grid at the product of those powers of two, with
+the grid laid flat at a row stride of the first axis's power of two, so
+that one 1-D transform does the work of a 2-D one.  A training step
+instead transforms through ``numpy.fft`` in ``Conv`` itself, so that it
+can keep the spectra and reuse them in the backward pass.
 :func:`conv1d` is the direct windowed form, and dense expansions tie a
 generator vector (or matrix) to the Toeplitz (or doubly-block-Toeplitz)
 operator it induces.

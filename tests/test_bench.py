@@ -317,6 +317,56 @@ def test_cli_train_val_frac_must_leave_both_splits(tmp_path, frac):
 
 
 @pytest.mark.parametrize("arch, problem", [
+    ("toeplitz2d", ["--m", "12"]),
+    ("toeplitz1d", ["--problem", "2d", "--m1", "3", "--m2", "4"])])
+def test_cli_train_arch_must_fit_the_data_grid(tmp_path, arch, problem):
+    data = tmp_path / "d.hud"
+    model = tmp_path / "n.hun"
+    assert cli_main(["gen-data", *problem, "--n", "4", "--k", "1",
+                     "--samples", "20", "--out", str(data)]) == 0
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", str(data), "--arch", arch, "--depth", "1",
+                  "--epochs", "1", "--out", str(model)])
+    msg = str(err.value.code)
+    assert msg.startswith(f"--arch {arch}: ") and f"--data {data}" in msg
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("val_flags, detail", [
+    (["--m", "8", "--sample-seed", "11"], "shape [8] against [16]"),
+    (["--m", "16", "--n", "5", "--sample-seed", "11"], "n_obs 5 against 4"),
+    (["--m", "16", "--sample-seed", "12"], "the sampling indices differ")])
+def test_cli_train_val_must_hold_the_data_problem(tmp_path, val_flags, detail):
+    data, val = tmp_path / "d.hud", tmp_path / "v.hud"
+    model = tmp_path / "n.hun"
+    assert cli_main(["gen-data", "--m", "16", "--n", "4", "--k", "1",
+                     "--sample-seed", "11", "--samples", "20", "--out", str(data)]) == 0
+    assert cli_main(["gen-data", "--n", "4", "--k", "1", *val_flags,
+                     "--samples", "20", "--seed", "1", "--out", str(val)]) == 0
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", str(data), "--val", str(val), "--arch", "lista",
+                  "--depth", "1", "--epochs", "1", "--out", str(model)])
+    assert str(err.value.code) == (f"--val {val} and --data {data} hold different "
+                                   f"problems: {detail}")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("flag", ["data", "val"])
+def test_cli_train_data_needs_its_sampling_indices(tmp_path, flag):
+    model = tmp_path / "n.hun"
+    paths = {"data": tmp_path / "d.hud", "val": tmp_path / "v.hud"}
+    for path in paths.values():
+        assert cli_main(["gen-data", "--m", "8", "--n", "4", "--k", "1",
+                         "--samples", "20", "--out", str(path)]) == 0
+    (tmp_path / (paths[flag].name + ".json")).unlink()
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", str(paths["data"]), "--val", str(paths["val"]),
+                  "--arch", "lista", "--depth", "1", "--epochs", "1", "--out", str(model)])
+    assert str(err.value.code).startswith(f"--{flag} {paths[flag]}: no sampling indices")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("arch, problem", [
     ("lista", ["--m", "12"]), ("toeplitz1d", ["--m", "12"]),
     ("convlista", ["--m", "12"]),
     ("toeplitz2d", ["--problem", "2d", "--m1", "3", "--m2", "4"]),

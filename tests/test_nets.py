@@ -351,6 +351,9 @@ OPERATORS = [
     Conv((9,), (9,)),          # kernel of 17 = 2^4 + 1 entries
     Conv((16,), (3,)),         # long input, short output
     Conv((9, 8), (8, 9)),      # 2-D kernel of 16 x 16
+    Conv((9, 2), (9, 2)),      # 2-D kernel of 17 = 2^4 + 1 rows, 3 columns
+    Conv((2, 9), (2, 9)),      # 2-D kernel of 3 rows, 17 = 2^4 + 1 columns
+    Conv((1, 8), (1, 8)),      # a grid one cell wide
 ]
 
 
@@ -422,18 +425,48 @@ def test_conv_rectangular_apply_matches_explicit_sum():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def grid_cells(grid):
+    """Per-axis indices of a grid's cells in flat column-stacked order."""
+    return [cell[::-1] for cell in np.ndindex(grid[::-1])]
+
+
+@pytest.mark.parametrize("op", [op for op in OPERATORS if isinstance(op, Conv)],
+                         ids=repr)
+def test_conv_matches_explicit_sums(op):
+    """apply, adjoint and grad against sums over every (output, input) cell
+    pair: output cell j takes kernel entry j - i + grid_in - 1 per axis
+    times input cell i."""
+    rng = np.random.default_rng(37)
+    n_in, n_out = op_sizes(op)
+    k = rand_carray(rng, op.shape)
+    x = batch(rng, (3, n_in))
+    g = batch(rng, (3, n_out))
+    taps = [[tuple(a - b + s - 1 for a, b, s in zip(j, i, op.grid_in))
+             for i in grid_cells(op.grid_in)] for j in grid_cells(op.grid_out)]
+    mat = np.array([[k.z[p] for p in row] for row in taps])
+    outer = g.T @ np.conj(x)
+    want_grad = np.zeros(op.shape, dtype=complex)
+    for row, out_row in zip(taps, outer):
+        for p, v in zip(row, out_row):
+            want_grad[p] += v
+    for got, want in ((op.apply(k, x), x @ mat.T), (op.adjoint(k, g), g @ np.conj(mat)),
+                      (op.grad(g, x), want_grad)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("op", [op for op in OPERATORS if isinstance(op, Conv)],
                          ids=repr)
 def test_conv_transforms_at_the_kernel_power_of_two(op, monkeypatch):
-    """apply, adjoint and grad each take three transforms (kernel, batch,
-    product) of next_pow2(K) points per axis for a K-entry kernel axis, not
-    the power of two of the full linear length."""
-    ndim = len(op.shape)
+    """apply, adjoint and grad each take three 1-D transforms (kernel,
+    batch, product) of prod(next_pow2(K)) points for a kernel of K entries
+    per axis, not the power of two of the full linear length, and a 2-D
+    grid runs no 2-D transform."""
     seen = []
     for name in ("fft", "ifft", "fft2", "ifft2"):
-        def spy(*args, _orig=getattr(np.fft, name), **kwargs):
+        def spy(*args, _orig=getattr(np.fft, name), _name=name, **kwargs):
             out = _orig(*args, **kwargs)
-            seen.append(out.shape[-ndim:])
+            seen.append((_name.rstrip("2"), out.shape[-1], _name.endswith("2")))
             return out
         monkeypatch.setattr(np.fft, name, spy)
     rng = np.random.default_rng(34)
@@ -441,7 +474,8 @@ def test_conv_transforms_at_the_kernel_power_of_two(op, monkeypatch):
     w = rand_carray(rng, op.shape)
     x = batch(rng, (2, n_in))
     g = batch(rng, (2, n_out))
-    want = [tuple(next_pow2(k) for k in op.shape)] * 3
+    points = int(np.prod([next_pow2(k) for k in op.shape]))
+    want = [("fft", points, False)] * 2 + [("ifft", points, False)]
     for call in (lambda: op.apply(w, x), lambda: op.adjoint(w, g),
                  lambda: op.grad(g, x)):
         seen.clear()
