@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, nets
-from .cplx import ComplexArray, join_planes, soft_threshold_planes
+from .cplx import ComplexArray, join_planes, shrink
 from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet,
                        _check_noise_power, build_dictionary, db_to_sigma2,
                        draw_sampling, gaussian, make_instance, synth_offgrid)
@@ -231,7 +231,7 @@ def time_layer_forward(arch: str, m: int, n_obs: int, repeats: int = 5) -> float
 
     def one_pass():
         u = obs_op.apply(obs, y) + inhibit_op.apply(inhibit, x)
-        soft_threshold_planes(u.real, u.imag, 0.05)
+        shrink(u, 0.05)
 
     one_pass()  # warm caches
     times = []

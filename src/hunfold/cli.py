@@ -97,9 +97,22 @@ def _add_method_flags(p: argparse.ArgumentParser):
     p.add_argument("--model-lista-toeplitz")
 
 
+def _read_input(args, name, reader):
+    """``reader`` applied to the file that --name gives.  A file it cannot
+    open or parse stops the run with a message naming the flag and the file."""
+    flag, path = f"--{name.replace('_', '-')}", getattr(args, name)
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise SystemExit(f"{flag} {path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:
+        msg = str(exc)
+        if not msg.startswith(f"{path}: "):
+            msg = f"{path}: {msg}"
+        raise SystemExit(f"{flag} {msg}") from None
+
+
 def _load_models(args, methods) -> dict:
-    paths = {"lista": args.model_lista, "convlista": args.model_convlista,
-             "lista-toeplitz": args.model_lista_toeplitz}
     known = SOLVER_METHODS + LEARNED_METHODS
     if not methods:
         raise SystemExit(f"--methods names no method; choose from {', '.join(known)}")
@@ -110,10 +123,10 @@ def _load_models(args, methods) -> dict:
                              f"choose from {', '.join(known)}")
         if name in SOLVER_METHODS:
             continue
-        path = paths.get(name)
-        if not path:
+        attr = "model_" + name.replace("-", "_")
+        if not getattr(args, attr, None):
             raise SystemExit(f"method {name} needs --model-{name}")
-        models[name] = load_network(path)
+        models[name] = _read_input(args, attr, load_network)
     return models
 
 
@@ -150,7 +163,7 @@ def _read_problem_data(args, name):
     """The dataset file that --name gives, with the sampling indices that
     its JSON sidecar carries."""
     path = getattr(args, name)
-    ds = read_dataset(path)
+    ds = _read_input(args, name, read_dataset)
     if "omega" not in ds.meta:
         raise SystemExit(f"--{name} {path}: no sampling indices "
                          f"(the sidecar {path}.json is missing)")
@@ -290,11 +303,14 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_ingest(args) -> int:
     _require(args, "path", "out")
-    y, d = ingest_iq_grid(args.path)
+    y, d = _read_input(args, "path", ingest_iq_grid)
     if args.model:
-        net = load_network(args.model)
+        net = _read_input(args, "model", load_network)
         if net.shape != d.shape or net.n_obs != d.n_obs:
-            raise SystemExit("model dimensions do not match the IQ grid")
+            raise SystemExit(f"--model {args.model}: model dimensions do not match "
+                             f"the IQ grid of --path {args.path} (grid {net.shape} "
+                             f"with {net.n_obs} observations against {d.shape} "
+                             f"with {d.n_obs})")
         x_hat = forward(net, y)
         method = f"model:{net.arch}"
     else:

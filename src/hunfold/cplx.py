@@ -7,6 +7,12 @@ on it.  This module is the only one that knows that storage.  Where a
 function still takes or returns a real and an imaginary plane (the
 plane-level soft threshold, the FFT convolutions, the networks' forward
 pass), :func:`join_planes` turns the pair back into one array.
+
+The soft threshold's shrink rule is written once, :func:`shrink_factor`.
+:func:`shrink` applies it to a complex128 array with one ``np.abs`` and
+hands the modulus back for reuse (the networks); :func:`soft_threshold_planes`
+applies it to planes with ``np.hypot`` (the solvers, and
+:func:`soft_threshold`).
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ __all__ = [
     "join_planes",
     "lipschitz_constant",
     "matvec",
+    "shrink",
+    "shrink_factor",
     "soft_threshold",
     "soft_threshold_planes",
 ]
@@ -159,6 +167,31 @@ def hermitian(a: ComplexArray) -> ComplexArray:
     return ComplexArray(np.ascontiguousarray(a.z.T.conj()))
 
 
+def shrink_factor(mag, theta):
+    """The complex soft threshold's real factor at modulus ``mag``: the rule
+    every soft threshold in the package applies, ``x = u * factor``.
+
+    ``theta`` is a scalar or an array that broadcasts against ``mag``.
+    """
+    # max(|u|, theta) in the denominator sends everything with |u| <= theta
+    # to exactly zero, including the |u| == theta boundary.  The floor at
+    # the smallest normal float keeps a zero threshold from dividing 0 by 0:
+    # its quotient is 0 and its entries keep their value.
+    return 1.0 - theta / np.maximum(mag, np.maximum(theta, _TINY))
+
+
+def shrink(z, theta: float):
+    """Complex soft threshold of a complex128 array and its modulus:
+    ``(z * shrink_factor(|z|, theta), |z|)``.
+
+    The modulus is computed once, for a caller (the networks' backward
+    pass) that reuses it.  A zero ``theta`` returns ``z`` itself, the
+    identity the factor gives.
+    """
+    mag = np.abs(z)
+    return (z if theta == 0.0 else z * shrink_factor(mag, theta)), mag
+
+
 def soft_threshold_planes(re, im, theta):
     """Plane-level complex soft threshold; see :func:`soft_threshold`.
 
@@ -166,12 +199,7 @@ def soft_threshold_planes(re, im, theta):
     e.g. one threshold per column of an ``(n, B)`` block.  Entries whose
     threshold is zero come back unchanged.
     """
-    mag = np.hypot(re, im)
-    # max(|x|, theta) in the denominator sends everything with |x| <= theta
-    # to exactly zero, including the |x| == theta boundary.  The floor at
-    # the smallest normal float keeps a zero threshold from dividing 0 by 0:
-    # its quotient is 0 and its entries keep their value.
-    scale = 1.0 - theta / np.maximum(mag, np.maximum(theta, _TINY))
+    scale = shrink_factor(np.hypot(re, im), theta)
     return re * scale, im * scale
 
 
@@ -179,7 +207,10 @@ def soft_threshold(x: ComplexArray, theta: float) -> ComplexArray:
     """Complex soft threshold: shrink the modulus by theta, keep the phase.
 
     Entries with modulus at most theta map to exactly zero; the others keep
-    their phase and lose theta of magnitude.
+    their phase and lose theta of magnitude.  The modulus is the solvers'
+    (:func:`soft_threshold_planes`), so a result equals theirs bit for bit
+    and a network layer's (:func:`shrink`, ``np.abs``) to within the last
+    bit of the modulus.
     """
     theta = float(theta)
     if not np.isfinite(theta) or theta < 0.0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cplx import (ComplexArray, NumericError, hermitian, join_planes,
-                   lipschitz_constant, soft_threshold_planes)
+                   lipschitz_constant, shrink)
 from .harmonic import Dictionary
 # conv_full2_planes is not called here.  It stays bound because the benchmark
 # tracer (perfbench/tracing.py) wraps it on this module as well and reports a
@@ -340,7 +340,8 @@ def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
 
     The observations are transformed once, for every layer.  Returns the
     output's real and imaginary planes and, with ``keep_cache``, per layer
-    its complex input spectrum ``"x"``, pre-threshold activation ``"u"``,
+    its complex input ``"x"``, pre-threshold activation ``"u"`` and that
+    activation's modulus ``"mag"`` (computed once, by the threshold),
     the inhibition branch's input and kernel spectra ``"xh"`` and ``"kh"``
     (None in layer 0, which has no inhibition) and the observation
     spectrum ``"yh"``, which the backward pass consumes.  Without
@@ -362,11 +363,10 @@ def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
             u += inhibit_op.apply_hat(kh, xh)
         elif t > 0:
             u += inhibit_op.apply(layer.inhibit, x)
+        x_in = x
+        x, mag = shrink(u, layer.threshold)
         if keep_cache:
-            cache.append({"x": x, "u": u, "xh": xh, "kh": kh, "yh": yh})
-        # a zero threshold, where training's clamp often leaves it, is the identity
-        theta = layer.threshold
-        x = u if theta == 0.0 else join_planes(*soft_threshold_planes(u.real, u.imag, theta))
+            cache.append({"x": x_in, "u": u, "mag": mag, "xh": xh, "kh": kh, "yh": yh})
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite activation after layer {t}")
     return x.real, x.imag, cache

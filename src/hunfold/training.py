@@ -6,8 +6,11 @@ on complex128 batches: the complex soft threshold contributes its exact
 Jacobian away from the |u| = theta sphere and a zero subgradient on it,
 each branch operator of a layer gives its weight gradient (``grad``), and
 the inhibition operator's ``adjoint`` carries the gradient to the layer
-before (see :mod:`hunfold.nets`).  Both run on spectra: the forward pass
-caches each layer's input and kernel spectra, and the backward pass
+before (see :mod:`hunfold.nets`).  The forward pass caches each layer's
+pre-threshold activation with its modulus (``"u"``, ``"mag"``), so the
+threshold's adjoint computes no modulus again.  The branches run on
+spectra: the forward pass caches each layer's input and kernel spectra
+(``"xh"``, ``"kh"``, ``"yh"``), and the backward pass
 transforms a layer's incoming gradient once per branch (once for both
 when they transform alike) and uses that spectrum for the weight gradient
 and the adjoint alike.  No spectrum outlives its forward/backward pair.
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cplx import ComplexArray, NumericError, join_planes
+from .cplx import ComplexArray, NumericError, join_planes, shrink_factor
 from .harmonic import Dataset
 from .nets import Layer, UnfoldedNetwork, branches, forward_planes, place_obs
 # Not called here: every transform runs inside the nets operators.  The
@@ -46,6 +49,7 @@ __all__ = [
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's constants
 LOSS_CHUNK = 2048   # rows per forward pass in loss_nmse
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -104,24 +108,34 @@ def loss_nmse(net: UnfoldedNetwork, batch: Dataset) -> float:
     return num / den
 
 
-def _soft_threshold_adjoint(g, u, theta):
-    """Pull a gradient back through the complex soft threshold at u.
+def _soft_threshold_adjoint(g, u, mag, theta):
+    """Pull a gradient back through the complex soft threshold at u, whose
+    modulus ``mag`` the forward pass kept.
 
     Returns the gradient on u plus the scalar gradient on theta.  The
     operator is treated as constant zero on the closed ball |u| <= theta,
     so the kink contributes a zero subgradient.
     """
-    mag = ComplexArray(u).abs()
     active = mag > theta
-    inv = np.where(active, 1.0 / np.where(active, mag, 1.0), 0.0)
-    dot = g.real * u.real + g.imag * u.imag    # Re(conj(g) u)
-    gtheta = -float(np.sum(np.where(active, dot * inv, 0.0)))
+    # 1/|u| on the active set, 0 off it; the floor keeps |u| = 0 finite
+    inv = np.maximum(mag, _TINY)
+    np.divide(1.0, inv, out=inv)
+    inv *= active
+    dot = np.multiply(g.real, u.real)
+    dot += g.imag * u.imag      # Re(conj(g) u)
+    dot *= inv
+    gtheta = -float(np.sum(dot))
     if theta == 0.0:
         # identity map; gtheta above is the one-sided derivative at zero
         return g.copy(), gtheta
-    # g (1 - theta/|u|) + u theta Re(conj(g) u) / |u|^3 on the active set
-    return (g * np.where(active, 1.0 - theta * inv, 0.0)
-            + u * (theta * inv ** 3 * dot)), gtheta
+    # g (1 - theta/|u|) + u theta Re(conj(g) u) / |u|^3 on the active set;
+    # the forward pass's factor is exactly 0 off it
+    dot *= inv
+    dot *= inv
+    dot *= theta
+    gu = g * shrink_factor(mag, theta)
+    gu += u * dot
+    return gu, gtheta
 
 
 def backward(net: UnfoldedNetwork, batch: Dataset):
@@ -154,7 +168,7 @@ def _backward_planes(net: UnfoldedNetwork, yr, yi, tr, ti):
     for t in range(net.depth - 1, -1, -1):
         layer = net.layers[t]
         ctx = cache[t]
-        gu, gtheta = _soft_threshold_adjoint(g, ctx["u"], layer.threshold)
+        gu, gtheta = _soft_threshold_adjoint(g, ctx["u"], ctx["mag"], layer.threshold)
         gh = obs_op.out_spectrum(gu)
         gobs = obs_op.grad_hat(gh, ctx["yh"])
         if t == 0:

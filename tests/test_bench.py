@@ -366,6 +366,81 @@ def test_cli_train_data_needs_its_sampling_indices(tmp_path, flag):
     assert not model.exists()
 
 
+def junk_file(tmp_path):
+    """A file of no hunfold format: its magic bytes match none."""
+    path = tmp_path / "j.hud"
+    path.write_bytes(b"JUNK" + bytes(60))
+    return path
+
+
+@pytest.mark.parametrize("flag", ["--data", "--val"])
+def test_cli_train_names_an_unreadable_input(tmp_path, flag):
+    data, model = tmp_path / "d.hud", tmp_path / "n.hun"
+    assert cli_main(["gen-data", "--m", "8", "--n", "4", "--k", "1",
+                     "--samples", "20", "--out", str(data)]) == 0
+    files = {"--data": str(data), "--val": str(data), flag: str(junk_file(tmp_path))}
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", *(a for kv in files.items() for a in kv), "--arch", "lista",
+                  "--depth", "1", "--epochs", "1", "--out", str(model)])
+    assert str(err.value.code) == f"{flag} {files[flag]}: not a dataset file (bad magic)"
+    assert not model.exists()
+
+
+def test_cli_train_names_a_missing_data_file(tmp_path):
+    missing, model = tmp_path / "absent.hud", tmp_path / "n.hun"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", str(missing), "--arch", "lista",
+                  "--depth", "1", "--epochs", "1", "--out", str(model)])
+    assert str(err.value.code).startswith(f"--data {missing}: cannot read (")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("method", ["lista", "convlista", "lista-toeplitz"])
+def test_cli_sweep_names_an_unreadable_model(tmp_path, method):
+    junk, out = junk_file(tmp_path), tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["sweep", "--m", "8", "--n", "4", "--k", "1", "--trials", "1",
+                  "--methods", method, f"--model-{method}", str(junk), "--out", str(out)])
+    assert str(err.value.code) == f"--model-{method} {junk}: not a model file (bad magic)"
+    assert not out.exists()
+
+
+def iq_and_model(tmp_path, model_shape=(4, 6)):
+    """An exported 4x6 IQ grid of 12 samples and an untrained toeplitz2d
+    model file on ``model_shape`` with the same count."""
+    data, iq, model = tmp_path / "pairs.hud", tmp_path / "grid.hiq", tmp_path / "n.hun"
+    assert cli_main(["gen-data", "--problem", "2d", "--m1", "4", "--m2", "6",
+                     "--n", "12", "--k", "2", "--samples", "2", "--sample-seed", "3",
+                     "--out", str(data), "--export-iq", str(iq)]) == 0
+    total = int(np.prod(model_shape))
+    d = hf.build_dictionary(model_shape, hf.draw_sampling(total, 12, seed=3))
+    hf.save_network(model, init_network("toeplitz2d", d, 1, lam=0.1))
+    return iq, model
+
+
+@pytest.mark.parametrize("flag", ["--path", "--model"])
+def test_cli_ingest_names_an_unreadable_input(tmp_path, flag):
+    iq, model = iq_and_model(tmp_path)
+    files = {"--path": str(iq), "--model": str(model), flag: str(junk_file(tmp_path))}
+    out = tmp_path / "rec.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["ingest", *(a for kv in files.items() for a in kv), "--out", str(out)])
+    kind = "an IQ grid" if flag == "--path" else "a model"
+    assert str(err.value.code) == f"{flag} {files[flag]}: not {kind} file (bad magic)"
+    assert not out.exists()
+
+
+def test_cli_ingest_names_both_files_when_the_model_does_not_fit(tmp_path):
+    iq, model = iq_and_model(tmp_path, model_shape=(6, 4))
+    out = tmp_path / "rec.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["ingest", "--path", str(iq), "--model", str(model), "--out", str(out)])
+    msg = str(err.value.code)
+    assert msg.startswith(f"--model {model}: model dimensions do not match")
+    assert f"--path {iq}" in msg and "(6, 4)" in msg and "(4, 6)" in msg
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("arch, problem", [
     ("lista", ["--m", "12"]), ("toeplitz1d", ["--m", "12"]),
     ("convlista", ["--m", "12"]),

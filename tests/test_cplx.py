@@ -5,7 +5,7 @@ import pytest
 
 import hunfold as hf
 from hunfold.cplx import (ComplexArray, lipschitz_constant, matvec,
-                          soft_threshold, soft_threshold_planes)
+                          shrink, soft_threshold, soft_threshold_planes)
 
 from conftest import rand_carray
 
@@ -175,6 +175,22 @@ def test_soft_threshold_planes_per_column_theta():
     # the zero-threshold column, zero entry included, comes back unchanged
     assert np.array_equal(out_re[:, 1], re[:, 1])
     assert np.array_equal(out_im[:, 1], im[:, 1])
+
+
+def test_shrink_agrees_with_the_planes_on_every_column():
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
+    z[3, 1] = 0.0
+    z[4, 2] = 0.75 + 1j               # modulus 1.25, on the column's boundary
+    theta = np.array([0.7, 0.0, 1.25, 0.2])
+    out_re, out_im = soft_threshold_planes(z.real, z.imag, theta)
+    for j, t in enumerate(theta):
+        got, mag = shrink(z[:, j], t)
+        assert np.array_equal(mag, np.abs(z[:, j]))
+        assert np.array_equal(got == 0.0, (out_re[:, j] == 0.0) & (out_im[:, j] == 0.0))
+        # the moduli (np.abs against np.hypot) may differ in the last bit
+        assert np.max(np.abs(got - (out_re[:, j] + 1j * out_im[:, j]))) <= 4e-16 * np.max(mag)
+    assert shrink(z, 0.0)[0] is z and shrink(z[4:5, 2], 1.25)[0][0] == 0.0
 
 
 def test_complex_array_wraps_complex_without_copying():

@@ -7,7 +7,7 @@ import pytest
 
 import hunfold as hf
 from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant, matvec, \
-    soft_threshold
+    shrink, shrink_factor, soft_threshold
 from hunfold.nets import (ARCHS, Conv, Dense, Layer, UnfoldedNetwork,
                           branches, conv_grid, forward, forward_planes,
                           init_network, load_network, param_count, save_network)
@@ -510,6 +510,44 @@ def test_forward_with_and_without_cache_agree_bit_for_bit(arch, shape):
     cached = forward_planes(net, y.real, y.imag, keep_cache=True)
     assert plain[2] is None and len(cached[2]) == 3
     assert np.array_equal(plain[0], cached[0]) and np.array_equal(plain[1], cached[1])
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("lista", (12,)), ("toeplitz1d", (12,)), ("toeplitz2d", (3, 4)),
+    ("convlista", (12,)), ("convlista", (3, 4))])
+def test_forward_cache_keeps_each_layers_modulus(arch, shape):
+    rng = np.random.default_rng(37)
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 5, seed=1))
+    net = init_network(arch, d, 3, lam=0.1)
+    net.layers[1].threshold = 0.0     # the identity layer keeps its modulus too
+    for layer in net.layers:
+        layer.inhibit = rand_carray(rng, layer.inhibit.shape)
+    y = batch(rng, (4, 5))
+    _, _, cache = forward_planes(net, y.real, y.imag, keep_cache=True)
+    for ctx in cache:
+        assert ctx["mag"].dtype == np.float64
+        assert np.array_equal(ctx["mag"], np.abs(ctx["u"]))
+
+
+def test_layer_threshold_is_the_cplx_rule_bit_for_bit():
+    rng = np.random.default_rng(38)
+    d = dict_1d()
+    obs = rand_carray(rng, (d.total, d.n_obs))
+    theta = 1.5                     # about half the entries fall in the ball
+    net = UnfoldedNetwork("lista", d.shape, d.n_obs,
+                          [Layer(obs, None, ComplexArray.zeros((d.total, d.total)), theta)])
+    y = batch(rng, (6, d.n_obs))
+    xr, xi, cache = forward_planes(net, y.real, y.imag, keep_cache=True)
+    u, out = cache[0]["u"], xr + 1j * xi
+    assert 0 < np.count_nonzero(out) < out.size
+    assert np.array_equal(out, shrink(u, theta)[0])
+    assert np.array_equal(out, u * shrink_factor(np.abs(u), theta))
+    # the public soft threshold takes the solvers' np.hypot modulus, which
+    # may differ from np.abs in the last bit
+    public = soft_threshold(ComplexArray(u), theta).z
+    assert np.array_equal(public == 0.0, out == 0.0)
+    assert np.max(np.abs(public - out)) <= 4e-16 * np.max(np.abs(u))
 
 
 @pytest.mark.parametrize("arch, shape", [

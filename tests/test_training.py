@@ -161,6 +161,61 @@ def test_backward_zero_net_zero_theta_gradient():
         assert g == 0.0
 
 
+def adjoint_by_entry(g, u, theta):
+    """The soft threshold's adjoint, one entry at a time: the Jacobian off
+    the closed ball |u| <= theta, a zero subgradient on it (the identity at
+    theta = 0), and the one-sided theta derivative.  Returns the gradient
+    on u, the one on theta, and the sum of its terms' moduli."""
+    gu = np.zeros_like(g)
+    gtheta = scale = 0.0
+    for i in np.ndindex(u.shape):
+        m, dot = abs(u[i]), (g[i].conjugate() * u[i]).real
+        if m > theta:
+            gu[i] = g[i] * (1.0 - theta / m) + u[i] * (theta * dot / m ** 3)
+            gtheta -= dot / m
+            scale += abs(dot / m)
+        elif theta == 0.0:
+            gu[i] = g[i]
+    return gu, gtheta, scale
+
+
+def threshold_batch(rng, theta):
+    """A (6, 8) batch around modulus theta, with entries exactly on
+    |u| = theta (along the axes and at 3-4-5 points) and an exact zero."""
+    u = (rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))) * max(theta, 1.0)
+    u[0, :5] = [theta, -theta, 1j * theta, theta * (0.6 + 0.8j), theta * (-0.8 + 0.6j)]
+    u[1, 0] = 0.0
+    return u
+
+
+@pytest.mark.parametrize("theta, kind", [
+    (5.0, "mixed"), (0.0, "mixed"), (5.0, "inactive"), (5.0, "active")])
+def test_soft_threshold_adjoint_matches_the_per_entry_formula(theta, kind):
+    rng = np.random.default_rng(17)
+    u = threshold_batch(rng, theta)
+    if kind == "inactive":
+        u *= theta / (1.0 + np.max(np.abs(u)))
+    elif kind == "active":
+        u = u[2:] * (2.0 * theta / np.min(np.abs(u[2:])))
+    g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    mag = np.abs(u)
+    got, gtheta = _soft_threshold_adjoint(g, u, mag, theta)
+    want, want_theta, scale = adjoint_by_entry(g, u, theta)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)) + 1e-300
+    assert abs(gtheta - want_theta) <= 1e-14 * max(scale, 1e-300)
+    active = mag > theta
+    assert {"inactive": not active.any(), "active": active.all(),
+            "mixed": 0 < active.sum() < active.size}[kind]
+    if theta == 0.0:
+        assert np.array_equal(got, g)
+    else:
+        # the ball, its boundary included, passes back exactly zero
+        assert np.all(got[~active] == 0.0)
+        if kind == "mixed":
+            assert np.all(mag[0, :5] == theta) and np.all(got[0, :5] == 0.0)
+
+
 @pytest.mark.parametrize("arch, shape", [
     ("lista", (6,)), ("toeplitz1d", (6,)), ("convlista", (6,)),
     ("toeplitz2d", (2, 3)), ("convlista", (2, 3))])
@@ -397,7 +452,8 @@ def reference_backward(net, y, truth):
     grads = [None] * (3 * net.depth)
     for t in range(net.depth - 1, -1, -1):
         layer = net.layers[t]
-        gu, gtheta = _soft_threshold_adjoint(g, cache[t]["u"], layer.threshold)
+        gu, gtheta = _soft_threshold_adjoint(g, cache[t]["u"], cache[t]["mag"],
+                                             layer.threshold)
         ginhib = np.zeros(inhibit_op.shape, dtype=np.complex128)
         if t > 0:
             ginhib = inhibit_op.grad(gu, cache[t]["x"])
