@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .cplx import (ComplexArray, NumericError, PowerIterEstimate, hermitian,
                    lipschitz_constant, matvec, soft_threshold)
-from .spectral import (ToeplitzMat2D, ToeplitzVec, conv1d, dbt_expand,
-                       dbt_extract, toeplitz_expand, toeplitz_extract)
+from .spectral import Toeplitz, conv1d, toeplitz_expand, toeplitz_extract
 from .harmonic import (Dataset, Dictionary, SamplingSet, SparseInstance,
                        add_noise, build_dictionary, draw_sampling,
                        fourier_matrix, gen_dataset, gen_sparse_signal, gram,

@@ -30,6 +30,7 @@ __all__ = [
     "ExperimentConfig",
     "IQ_MAGIC",
     "MetricRow",
+    "check_model",
     "complexity_report",
     "ingest_iq_grid",
     "read_iq_grid",
@@ -45,6 +46,21 @@ IQ_MAGIC = b"HIQ1"
 
 SOLVER_METHODS = ("ista", "fista")
 LEARNED_METHODS = ("lista", "convlista", "lista-toeplitz")
+_METHOD_ARCHS = {"lista": ("lista",), "convlista": ("convlista",),
+                 "lista-toeplitz": ("toeplitz1d", "toeplitz2d")}
+
+
+def check_model(method: str, net, shape, n_obs: int):
+    """``net`` if it can serve learned ``method`` on a ``shape`` grid
+    observed through ``n_obs`` samples, else a ValueError saying why."""
+    if net.shape != tuple(shape) or net.n_obs != n_obs:
+        raise ValueError(f"model is for grid {net.shape} with {net.n_obs} "
+                         f"observations, the experiment is grid {tuple(shape)} "
+                         f"with {n_obs}")
+    if net.arch not in _METHOD_ARCHS[method]:
+        raise ValueError(f"model architecture {net.arch!r} cannot serve "
+                         f"method {method!r}")
+    return net
 
 
 @dataclass
@@ -89,8 +105,6 @@ class ExperimentConfig:
         if not (math.isfinite(self.lambda_scale) and self.lambda_scale >= 0.0):
             raise ValueError(f"lambda_scale must be finite and >= 0, "
                              f"got {self.lambda_scale}")
-        allowed_arch = {"lista": ("lista",), "convlista": ("convlista",),
-                        "lista-toeplitz": ("toeplitz1d", "toeplitz2d")}
         for name in self.methods:
             if name in SOLVER_METHODS:
                 continue
@@ -99,13 +113,10 @@ class ExperimentConfig:
             net = self.models.get(name)
             if net is None:
                 raise ValueError(f"method {name!r} needs a trained model")
-            if net.shape != self.shape or net.n_obs != self.n_obs:
-                raise ValueError(
-                    f"model for {name!r} is {net.shape}/{net.n_obs}, "
-                    f"experiment is {self.shape}/{self.n_obs}")
-            if net.arch not in allowed_arch[name]:
-                raise ValueError(f"model architecture {net.arch!r} cannot "
-                                 f"serve method {name!r}")
+            try:
+                check_model(name, net, self.shape, self.n_obs)
+            except ValueError as exc:
+                raise ValueError(f"method {name!r}: {exc}") from None
 
 
 @dataclass

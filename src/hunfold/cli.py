@@ -14,14 +14,15 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from .bench import (LEARNED_METHODS, SOLVER_METHODS, ExperimentConfig,
-                    complexity_report, ingest_iq_grid, metric_rows_table,
-                    run_single, run_sweep, write_csv, write_iq_grid,
-                    write_manifest)
+                    check_model, complexity_report, ingest_iq_grid,
+                    metric_rows_table, run_single, run_sweep, write_csv,
+                    write_iq_grid, write_manifest)
 from .cplx import ComplexArray
 from .harmonic import (build_dictionary, db_to_sigma2, dictionary_from_meta,
                        draw_sampling, gen_dataset, read_dataset, write_dataset)
@@ -112,7 +113,28 @@ def _read_input(args, name, reader):
         raise SystemExit(f"{flag} {msg}") from None
 
 
-def _load_models(args, methods) -> dict:
+def _writable(args, *names):
+    """Stop with a message naming --name and its path unless that output
+    path can be written; called before a run does any work or writes."""
+    for name in names:
+        path = getattr(args, name)
+        if not path:
+            continue
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            why = "it is a directory"
+        elif not os.path.isdir(folder):
+            why = f"no directory {folder}"
+        elif not os.access(folder, os.W_OK):
+            why = f"directory {folder} is not writable"
+        else:
+            continue
+        raise SystemExit(f"--{name.replace('_', '-')} {path}: cannot write ({why})")
+
+
+def _load_models(args, methods, shape) -> dict:
+    """The model file of every learned method in ``methods``, each checked
+    to fit the ``shape`` grid that --n observes."""
     known = SOLVER_METHODS + LEARNED_METHODS
     if not methods:
         raise SystemExit(f"--methods names no method; choose from {', '.join(known)}")
@@ -126,7 +148,8 @@ def _load_models(args, methods) -> dict:
         attr = "model_" + name.replace("-", "_")
         if not getattr(args, attr, None):
             raise SystemExit(f"method {name} needs --model-{name}")
-        models[name] = _read_input(args, attr, load_network)
+        models[name] = _read_input(
+            args, attr, lambda path: check_model(name, load_network(path), shape, args.n))
     return models
 
 
@@ -143,8 +166,9 @@ def _experiment_config(args) -> ExperimentConfig:
                "a comma list of at least one finite dB value whose power "
                "10**(dB/10) is finite")
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
+    shape = _shape_from(args)
     return ExperimentConfig(
-        shape=_shape_from(args),
+        shape=shape,
         n_obs=args.n,
         k=args.k,
         noise_powers_db=_float_list(getattr(args, "noise_db", [0.0])),
@@ -154,7 +178,7 @@ def _experiment_config(args) -> ExperimentConfig:
         sample_seed=args.sample_seed,
         budgets={"ista": args.budget_ista, "fista": args.budget_fista},
         lambda_scale=args.lambda_scale,
-        models=_load_models(args, methods),
+        models=_load_models(args, methods, shape),
         timing=getattr(args, "timing", False),
     )
 
@@ -184,6 +208,7 @@ def _echo_config(args, skip=("func",)) -> dict:
 
 def _cmd_gen_data(args) -> int:
     _require(args, "n", "samples", "out")
+    _writable(args, "out", "export_iq")
     _check(args, "samples", lambda v: v >= 1, ">= 1")
     _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
     shape = _shape_from(args)
@@ -206,6 +231,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     _require(args, "data", "arch", "out")
+    _writable(args, "out")
     _check(args, "depth", lambda v: v >= 1, ">= 1")
     _check(args, "lam", _finite_nonneg, "finite and >= 0")
     _check(args, "lr", lambda v: math.isfinite(v) and v > 0, "finite and > 0")
@@ -267,6 +293,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _require(args, "out")
+    _writable(args, "out")
     cfg = _experiment_config(args)
     rows = run_sweep(cfg)
     header, table = metric_rows_table(rows)
@@ -278,6 +305,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_single(args) -> int:
     _require(args, "out")
+    _writable(args, "out")
     _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
     cfg = _experiment_config(args)
     header, rows = run_single(cfg, offgrid=args.offgrid, frac=args.frac,
@@ -290,6 +318,7 @@ def _cmd_single(args) -> int:
 
 def _cmd_complexity(args) -> int:
     _require(args, "out")
+    _writable(args, "out")
     _check(args, "repeats", lambda v: v >= 1, ">= 1")
     _check(args, "sizes", lambda v: _int_list(v) and min(_int_list(v)) >= 1,
            "a comma list of at least one grid size >= 1")
@@ -303,6 +332,7 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_ingest(args) -> int:
     _require(args, "path", "out")
+    _writable(args, "out")
     y, d = _read_input(args, "path", ingest_iq_grid)
     if args.model:
         net = _read_input(args, "model", load_network)

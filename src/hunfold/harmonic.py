@@ -5,12 +5,16 @@ rows of the unnormalised M x M Fourier matrix, the rows picked by a random
 index set.  The two-dimensional analogue observes an (M1, M2) grid through
 rows of the Kronecker product of the two per-axis Fourier matrices.
 
-Grid cells are numbered with the second axis fastest: cell (m1, m2) has
-flat index ``m1*M2 + m2``, matching the Kronecker column order.  The Gram
-matrix of a 1-D dictionary is Hermitian Toeplitz; for 2-D it is
-doubly-block Toeplitz with the in-block axis running over m2 (the fast
-index), which is why :func:`gram_generator` returns a two-axis kernel on
-the ``(M2, M1)`` convolution grid.
+Grid cells are numbered with the last axis fastest: cell (m1, m2) has
+flat index ``m1*M2 + m2``, matching the Kronecker column order.  A
+convolution grid runs its first axis fastest, so that numbering is the
+column-stacked one of :func:`conv_grid`, the axes reversed: (M,) in 1-D,
+(M2, M1) in 2-D.  The Gram matrix is Toeplitz on that grid (Hermitian
+Toeplitz in 1-D, doubly-block Toeplitz in 2-D with the in-block axis
+running over m2), and :func:`gram_generator` returns its
+:class:`~hunfold.spectral.Toeplitz` generator there.  The dictionary, the
+Gram generator and off-grid observations are each built by one loop over
+the axes of ``np.unravel_index(omega, shape)``.
 
 Dictionaries, spectra and observations are complex128 arrays
 (:class:`~hunfold.cplx.ComplexArray`), and every product with a dictionary
@@ -22,6 +26,7 @@ row-major (re, im) float64 pairs, which is little-endian complex128.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cplx import ComplexArray
-from .spectral import ToeplitzMat2D, ToeplitzVec, dbt_extract, toeplitz_extract
+from .spectral import Toeplitz, toeplitz_extract
 
 __all__ = [
     "Dataset",
@@ -39,6 +44,7 @@ __all__ = [
     "SparseInstance",
     "add_noise",
     "build_dictionary",
+    "conv_grid",
     "db_to_sigma2",
     "draw_sampling",
     "fourier_matrix",
@@ -116,32 +122,34 @@ class Dictionary:
     def n_obs(self) -> int:
         return self.sampling.count
 
-    @property
-    def is_2d(self) -> bool:
-        return len(self.shape) == 2
+
+def conv_grid(shape) -> tuple[int, ...]:
+    """The convolution grid of a spectrum grid ``shape``: its axes reversed.
+
+    Flat index ``m1*M2 + m2`` makes the last spectrum axis the fastest, and a
+    convolution grid (:class:`~hunfold.spectral.Toeplitz`) runs its first
+    axis fastest; (M,) stays (M,) and (M1, M2) becomes (M2, M1).
+    """
+    return tuple(int(s) for s in shape[::-1])
 
 
 def build_dictionary(shape, sampling: SamplingSet) -> Dictionary:
-    """Materialise the selected rows without forming the full square matrix."""
+    """Materialise the selected rows without forming the full square matrix.
+
+    A row is the Kronecker product of one row of each axis's Fourier
+    matrix, the row ``i_a`` with phase ``(2 pi / M_a) * i_a * j_a`` at
+    column ``j_a``.
+    """
     shape = tuple(int(s) for s in shape)
     if len(shape) not in (1, 2) or any(s < 1 for s in shape):
         raise ValueError(f"grid shape must be (M,) or (M1, M2), got {shape}")
-    total = int(np.prod(shape))
-    if sampling.count and int(sampling.omega[-1]) >= total:
+    if sampling.count and int(sampling.omega[-1]) >= math.prod(shape):
         raise ValueError("sampling index exceeds grid size")
-    om = sampling.omega
-    if len(shape) == 1:
-        m = shape[0]
-        ang = 2.0 * np.pi / m * np.outer(om, np.arange(m))
-    else:
-        m1, m2 = shape
-        i1 = om // m2
-        i2 = om % m2
-        # row of the Kronecker product = (row i1 of F_M1) kron (row i2 of F_M2)
-        ang = (2.0 * np.pi / m1) * i1[:, None, None] * np.arange(m1)[None, :, None] \
-            + (2.0 * np.pi / m2) * i2[:, None, None] * np.arange(m2)[None, None, :]
-        ang = ang.reshape(om.size, total)
-    return Dictionary(shape, sampling, ComplexArray(np.exp(1j * ang)))
+    rows = [np.exp(1j * (2.0 * np.pi / m * np.outer(i, np.arange(m))))
+            for i, m in zip(np.unravel_index(sampling.omega, shape), shape)]
+    phi = functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(
+        sampling.count, a.shape[1] * b.shape[1]), rows)
+    return Dictionary(shape, sampling, ComplexArray(phi))
 
 
 def gram(d: Dictionary) -> ComplexArray:
@@ -149,39 +157,28 @@ def gram(d: Dictionary) -> ComplexArray:
     return ComplexArray(d.phi.z.conj().T @ d.phi.z)
 
 
-def gram_generator(d: Dictionary):
+def gram_generator(d: Dictionary) -> Toeplitz:
     """Structured generator of the Gram matrix, computed from the index set.
 
-    For 1-D returns a :class:`ToeplitzVec` of grid size M; for 2-D a
-    :class:`ToeplitzMat2D` on the (M2, M1) convolution grid (fast axis
-    inside blocks).  Expanding it reproduces :func:`gram` exactly up to
-    rounding.
+    A :class:`~hunfold.spectral.Toeplitz` on :func:`conv_grid`: the entry
+    at offsets ``(p_a)`` sums, over the samples, the product of the axes'
+    phase factors ``exp(-j (2 pi / M_a) p_a i_a)``.  That sum is one
+    matrix product: the row-wise Kronecker product of the other axes'
+    factors (last axis slowest; a row of ones in 1-D) times the first
+    axis's.  Expanding it reproduces :func:`gram` up to rounding.
     """
-    om = d.sampling.omega
-    if not d.is_2d:
-        m = d.shape[0]
-        offs = np.arange(-(m - 1), m)
-        ang = -2.0 * np.pi / m * np.outer(offs, om)
-        return ToeplitzVec(ComplexArray(np.exp(1j * ang).sum(axis=1)), m)
-    m1, m2 = d.shape
-    i1 = om // m2
-    i2 = om % m2
-    d1 = np.arange(-(m1 - 1), m1)
-    d2 = np.arange(-(m2 - 1), m2)
-    a1 = -2.0 * np.pi / m1 * np.outer(d1, i1)
-    a2 = -2.0 * np.pi / m2 * np.outer(d2, i2)
-    # sum over samples of the separable phase factors
-    return ToeplitzMat2D(ComplexArray(np.exp(1j * a2) @ np.exp(1j * a1).T),
-                         rows=m2, cols=m1)
+    factors = [np.exp(1j * (-2.0 * np.pi / m * np.outer(np.arange(1 - m, m), i)))
+               for i, m in zip(np.unravel_index(d.sampling.omega, d.shape), d.shape)]
+    rest = functools.reduce(lambda a, b: (a[:, None, :] * b[None, :, :]).reshape(
+        a.shape[0] * b.shape[0], d.n_obs), factors[:0:-1], np.ones((1, d.n_obs)))
+    grid = conv_grid(d.shape)
+    diags = (rest @ factors[0].T).reshape(tuple(2 * g - 1 for g in grid))
+    return Toeplitz(ComplexArray(diags), grid)
 
 
-def gram_generator_from_dense(d: Dictionary):
+def gram_generator_from_dense(d: Dictionary) -> Toeplitz:
     """Same generator, read back out of the dense Gram matrix."""
-    g = gram(d)
-    if not d.is_2d:
-        return toeplitz_extract(g, d.shape[0])
-    m1, m2 = d.shape
-    return dbt_extract(g, rows=m2, cols=m1)
+    return toeplitz_extract(gram(d), conv_grid(d.shape))
 
 
 def gaussian(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -216,9 +213,9 @@ def synth_offgrid(d: Dictionary, grid_indices, frac: float,
                   amps: ComplexArray) -> ComplexArray:
     """Observation of sinusoids displaced off the grid by ``frac`` of a cell.
 
-    The displacement applies to the single axis in 1-D and to the second
-    axis only in 2-D.  ``frac = 0`` reduces to the on-grid product with the
-    dictionary columns.
+    The displacement applies to the last axis only (the single axis in
+    1-D).  ``frac = 0`` reduces to the on-grid product with the dictionary
+    columns.
     """
     if not (0.0 <= frac < 1.0):
         raise ValueError(f"fractional offset must lie in [0, 1), got {frac}")
@@ -227,18 +224,10 @@ def synth_offgrid(d: Dictionary, grid_indices, frac: float,
         raise ValueError("need one amplitude per grid index")
     if idx.size and (idx.min() < 0 or idx.max() >= d.total):
         raise ValueError("grid index out of range")
-    om = d.sampling.omega
-    if not d.is_2d:
-        m = d.shape[0]
-        freqs = (idx + frac) / m
-        ang = 2.0 * np.pi * np.outer(om, freqs)
-    else:
-        m1, m2 = d.shape
-        i1 = om // m2
-        i2 = om % m2
-        f1 = (idx // m2) / m1
-        f2 = (idx % m2 + frac) / m2
-        ang = 2.0 * np.pi * (np.outer(i1, f1) + np.outer(i2, f2))
+    anchors = list(np.unravel_index(idx, d.shape))
+    anchors[-1] = anchors[-1] + frac
+    ang = 2.0 * np.pi * sum(np.outer(i, j / m) for i, j, m in zip(
+        np.unravel_index(d.sampling.omega, d.shape), anchors, d.shape))
     return ComplexArray(np.exp(1j * ang) @ amps.z)
 
 
@@ -346,7 +335,7 @@ def gen_dataset(d: Dictionary, n_samples: int, k: int, sigma2: float,
         if sigma2 > 0.0:
             w[:, i] = gaussian(rng, (n,), np.sqrt(sigma2 / 2.0))
     meta = {
-        "kind": 2 if d.is_2d else 1,
+        "kind": len(d.shape),
         "shape": list(d.shape),
         "n_obs": n,
         "n_samples": int(n_samples),

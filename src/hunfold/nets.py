@@ -29,7 +29,7 @@ import numpy as np
 
 from .cplx import (ComplexArray, NumericError, hermitian, join_planes,
                    lipschitz_constant, shrink)
-from .harmonic import Dictionary
+from .harmonic import Dictionary, conv_grid
 # conv_full2_planes is not called here.  It stays bound because the benchmark
 # tracer (perfbench/tracing.py) wraps it on this module as well and reports a
 # name it cannot find as absent.
@@ -42,7 +42,6 @@ __all__ = [
     "Layer",
     "UnfoldedNetwork",
     "branches",
-    "conv_grid",
     "forward",
     "init_network",
     "load_network",
@@ -106,17 +105,6 @@ class UnfoldedNetwork:
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-
-def conv_grid(shape) -> tuple[int, int]:
-    """Convolution grid of a 2-D spectrum: (rows, cols) = (M2, M1).
-
-    Flat spectrum index m1*M2 + m2 makes m2 the fast axis, so the kernel's
-    in-block axis runs over m2.
-    """
-    if len(shape) != 2:
-        raise ValueError("conv_grid is only defined for 2-D problems")
-    return int(shape[1]), int(shape[0])
 
 
 # -- branch operators ----------------------------------------------------------
@@ -202,7 +190,8 @@ class Conv(_Branch):
     The kernel has K = ``grid_in + grid_out - 1`` entries per axis; the
     output is the ``grid_out`` window of the full convolution that starts
     ``grid_in - 1`` past the kernel origin.  A 2-D grid (rows, cols) holds
-    its flat vector column-stacked, the layout of :func:`conv_grid`.
+    its flat vector column-stacked, the layout of
+    :func:`~hunfold.harmonic.conv_grid`.
 
     Everything runs on 1-D transforms of ``prod(n)`` points, ``n =
     next_pow2(K)`` per axis.  A grid (a batch row, or the kernel through
@@ -323,15 +312,13 @@ def branches(arch: str, shape, n_obs: int):
         raise ValueError(f"unknown architecture {arch!r}")
     if len(shape) not in (1, 2) or min(shape) < 1 or n_obs < 1:
         raise ValueError(f"grid {shape} with {n_obs} observations is not a problem")
-    if arch == "toeplitz1d" and len(shape) != 1:
-        raise ValueError("toeplitz1d needs a 1-D problem")
-    if arch == "toeplitz2d" and len(shape) != 2:
-        raise ValueError("toeplitz2d needs a 2-D problem")
+    if arch.startswith("toeplitz") and arch != f"toeplitz{len(shape)}d":
+        raise ValueError(f"{arch} needs a {arch[-2]}-D problem")
     total = math.prod(shape)
     obs = Conv((n_obs,), (total,)) if arch == "convlista" else Dense(total, n_obs)
     if arch == "lista":
         return obs, Dense(total, total)
-    grid = (total,) if len(shape) == 1 else conv_grid(shape)
+    grid = conv_grid(shape)
     return obs, Conv(grid, grid)
 
 
@@ -463,8 +450,8 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
     kernel, re then im), the inhibition planes, and the threshold as f64.
     """
     head = struct.pack("<4sIIIIII", MODEL_MAGIC, ARCHS.index(net.arch),
-                       net.depth, len(net.shape), net.shape[0],
-                       net.shape[1] if len(net.shape) == 2 else 0, net.n_obs)
+                       net.depth, len(net.shape), *(net.shape + (0,))[:2],
+                       net.n_obs)
     with open(path, "wb") as fh:
         fh.write(head)
         for layer in net.layers:
@@ -498,7 +485,7 @@ def load_network(path) -> UnfoldedNetwork:
         if arch_tag >= len(ARCHS) or rank not in (1, 2) or (rank == 1 and d2 != 0):
             raise ValueError("corrupt header")
         arch = ARCHS[arch_tag]
-        shape = (d1,) if rank == 1 else (d1, d2)
+        shape = (d1, d2)[:rank]
         obs_op, inhibit_op = branches(arch, shape, n_obs)
         want = 28 + depth * (16 * (int(np.prod(obs_op.shape))
                                    + int(np.prod(inhibit_op.shape))) + 8)

@@ -12,24 +12,25 @@ the grid laid flat at a row stride of the first axis's power of two, so
 that one 1-D transform does the work of a 2-D one.  A training step
 instead transforms through ``numpy.fft`` in ``Conv`` itself, so that it
 can keep the spectra and reuse them in the backward pass.
-:func:`conv1d` is the direct windowed form, and dense expansions tie a
-generator vector (or matrix) to the Toeplitz (or doubly-block-Toeplitz)
-operator it induces.
+:func:`conv1d` is the direct windowed form on a 1-D grid, and
+:func:`toeplitz_expand` ties a generator to the dense operator it induces.
 
-Index conventions used throughout the package:
+Index conventions used throughout the package, one rule per grid axis:
 
-* a length ``2*size - 1`` kernel stores diagonal value d(p) at position
-  ``p + size - 1`` for offsets p in ``-(size-1) .. size-1``;
-* ``toeplitz_expand`` places d(i - k) at matrix entry (i, k);
-* the two-axis kernel stores d(p, q) at ``(p + rows - 1, q + cols - 1)``
-  and ``dbt_expand`` places d(s - i, t - j) at entry
-  ``(s + t*rows, i + j*rows)`` -- the first kernel axis runs inside blocks,
-  the second across blocks, matching a column-stacked vectorisation of a
-  ``rows x cols`` array.
+* a :class:`Toeplitz` generator on ``grid`` stores diagonal value d(p) of
+  an axis of g cells at position ``p + g - 1`` for offsets p in
+  ``-(g-1) .. g-1``: ``2*g - 1`` entries per axis;
+* the operator acts on the grid's column-stacked vector, the first axis
+  fastest: cell ``(c0, c1, ...)`` sits at ``c0 + c1*g0 + ...``;
+* ``toeplitz_expand`` places d(s - i), one offset per axis, at the entry
+  of flat cells (s, i).  On one axis that is a Toeplitz matrix; on two,
+  the first axis runs inside blocks and the second across them, a
+  doubly-block-Toeplitz matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,10 @@ import numpy as np
 from .cplx import ComplexArray, join_planes
 
 __all__ = [
-    "ToeplitzMat2D",
-    "ToeplitzVec",
+    "Toeplitz",
     "conv1d",
     "conv_full_planes",
     "conv_full2_planes",
-    "dbt_expand",
-    "dbt_extract",
     "next_pow2",
     "toeplitz_expand",
     "toeplitz_extract",
@@ -57,52 +55,45 @@ def next_pow2(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class ToeplitzVec:
-    """Generator of a size x size Toeplitz matrix.
+class Toeplitz:
+    """Generator of a Toeplitz operator on a grid of any rank.
 
-    ``diags`` has length ``2*size - 1``; position p holds the value of
-    diagonal offset ``p - (size - 1)``.
+    ``grid`` gives the cells per axis, the first axis fastest: the operator
+    acts on the grid's column-stacked vector, cell ``(c0, c1, ...)`` at flat
+    index ``c0 + c1*grid[0] + ...``.  ``diags`` has ``2*g - 1`` entries per
+    axis; position ``p + g - 1`` on an axis holds offset ``p``.  On one axis
+    the operator is plain Toeplitz, on two doubly-block Toeplitz.
     """
 
     diags: ComplexArray
-    size: int
+    grid: tuple[int, ...]
 
     def __post_init__(self):
-        if self.diags.ndim != 1 or self.diags.shape[0] != 2 * self.size - 1:
-            raise ValueError(
-                f"generator length {self.diags.shape} does not match size {self.size}")
-
-
-@dataclass(frozen=True)
-class ToeplitzMat2D:
-    """Generator of a doubly-block-Toeplitz matrix.
-
-    ``diags`` has shape ``(2*rows - 1, 2*cols - 1)``: the first axis indexes
-    offsets inside an individual Toeplitz block, the second axis offsets
-    between blocks.  The expanded operator acts on column-stacked
-    ``rows x cols`` arrays.
-    """
-
-    diags: ComplexArray
-    rows: int
-    cols: int
-
-    def __post_init__(self):
-        want = (2 * self.rows - 1, 2 * self.cols - 1)
+        grid = tuple(int(g) for g in self.grid)
+        object.__setattr__(self, "grid", grid)
+        want = tuple(2 * g - 1 for g in grid)
         if self.diags.shape != want:
-            raise ValueError(f"generator shape {self.diags.shape}, expected {want}")
+            raise ValueError(f"generator shape {self.diags.shape} does not "
+                             f"match grid {grid} (expected {want})")
 
 
-def conv1d(t: ToeplitzVec, x: ComplexArray) -> ComplexArray:
-    """Windowed linear convolution: out[i] = sum_k d(i - k) x[k].
+# Kept as the 1-D constructor because perfbench/workloads.py (dense_twin)
+# imports it by this name.
+def ToeplitzVec(diags: ComplexArray, size: int) -> Toeplitz:
+    """The generator of a size x size Toeplitz matrix."""
+    return Toeplitz(diags, (size,))
+
+
+def conv1d(t: Toeplitz, x: ComplexArray) -> ComplexArray:
+    """Windowed linear convolution on a 1-D grid: out[i] = sum_k d(i - k) x[k].
 
     Output index i runs over 0 .. size-1, exactly the action of the
     expanded Toeplitz matrix on x.  Direct summation.
     """
-    if x.ndim != 1 or x.shape[0] != t.size:
-        raise ValueError(f"input shape {x.shape} does not match grid size {t.size}")
-    lo = t.size - 1
-    return ComplexArray(np.convolve(t.diags.z, x.z)[lo:lo + t.size])
+    if len(t.grid) != 1 or x.ndim != 1 or x.shape[0] != t.grid[0]:
+        raise ValueError(f"input shape {x.shape} does not match grid {t.grid}")
+    lo = t.grid[0] - 1
+    return ComplexArray(np.convolve(t.diags.z, x.z)[lo:lo + t.grid[0]])
 
 
 def _conv_full(k, x, n):
@@ -144,51 +135,31 @@ def conv_full2_planes(kr, ki, xr, xi, n):
     return out.real, out.imag
 
 
-def toeplitz_expand(t: ToeplitzVec) -> ComplexArray:
-    """Dense size x size matrix with entry (i, k) equal to d(i - k)."""
-    m = t.size
-    idx = np.arange(m)[:, None] - np.arange(m)[None, :] + (m - 1)
+def _cells(grid):
+    """Per-axis cell index of every flat column-stacked position on ``grid``."""
+    return np.unravel_index(np.arange(math.prod(grid)), grid, order="F")
+
+
+def toeplitz_expand(t: Toeplitz) -> ComplexArray:
+    """Dense operator of a generator: the entry at (flat s, flat i) is the
+    diagonal d(s - i), one offset per grid axis."""
+    idx = tuple(s[:, None] - s[None, :] + (g - 1)
+                for s, g in zip(_cells(t.grid), t.grid))
     return ComplexArray(t.diags.z[idx])
 
 
-def toeplitz_extract(g: ComplexArray, size: int) -> ToeplitzVec:
-    """Read a Toeplitz generator back out of a dense matrix.
+def toeplitz_extract(g: ComplexArray, grid) -> Toeplitz:
+    """Read a generator back out of a dense operator on ``grid``.
 
-    Takes the first row (negative offsets) and first column (non-negative
-    offsets); exact only when the matrix really is Toeplitz.
+    Offset p on an axis is read at cells (max(p, 0), max(-p, 0)): the first
+    block row and block column.  Exact only when the matrix really is
+    Toeplitz on every axis.
     """
-    if g.shape != (size, size):
-        raise ValueError(f"matrix shape {g.shape}, expected {(size, size)}")
-    return ToeplitzVec(ComplexArray(np.concatenate([g.z[0, :0:-1], g.z[:, 0]])), size)
-
-
-def dbt_expand(t: ToeplitzMat2D) -> ComplexArray:
-    """Dense doubly-block-Toeplitz matrix of a two-axis generator.
-
-    Entry at (s + t*rows, i + j*rows) is d(s - i, t - j): an expanded grid
-    of cols x cols Toeplitz-arranged blocks, each block a rows x rows
-    Toeplitz matrix.
-    """
-    m1, m2 = t.rows, t.cols
-    flat = np.arange(m1 * m2)
-    s = flat % m1
-    blk = flat // m1
-    i1 = s[:, None] - s[None, :] + (m1 - 1)
-    i2 = blk[:, None] - blk[None, :] + (m2 - 1)
-    return ComplexArray(t.diags.z[i1, i2])
-
-
-def dbt_extract(g: ComplexArray, rows: int, cols: int) -> ToeplitzMat2D:
-    """Read a doubly-block-Toeplitz generator back out of a dense matrix."""
-    total = rows * cols
+    grid = tuple(int(n) for n in grid)
+    total = math.prod(grid)
     if g.shape != (total, total):
         raise ValueError(f"matrix shape {g.shape}, expected {(total, total)}")
-    p1 = np.arange(-(rows - 1), rows)
-    p2 = np.arange(-(cols - 1), cols)
-    s = np.maximum(p1, 0)
-    i = np.maximum(-p1, 0)
-    t = np.maximum(p2, 0)
-    j = np.maximum(-p2, 0)
-    row_idx = s[:, None] + t[None, :] * rows
-    col_idx = i[:, None] + j[None, :] * rows
-    return ToeplitzMat2D(ComplexArray(g.z[row_idx, col_idx]), rows, cols)
+    offs = np.ix_(*(np.arange(1 - n, n) for n in grid))
+    rows, cols = (np.ravel_multi_index(tuple(np.maximum(sign * p, 0) for p in offs),
+                                       grid, order="F") for sign in (1, -1))
+    return Toeplitz(ComplexArray(g.z[rows, cols]), grid)

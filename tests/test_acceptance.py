@@ -20,8 +20,7 @@ from hunfold.metrics import hit_rate_metric, nmse_metric
 from hunfold.nets import (Conv, Layer, UnfoldedNetwork, conv_grid, forward,
                           init_network, param_count)
 from hunfold.solvers import SolverConfig, default_lambda, fista, ista, objective
-from hunfold.spectral import (ToeplitzMat2D, ToeplitzVec, conv1d, dbt_expand,
-                              toeplitz_expand)
+from hunfold.spectral import Toeplitz, conv1d, toeplitz_expand
 from hunfold.training import TrainConfig, train
 
 from conftest import (DESK_K, DESK_M, DESK_N, rand_carray)
@@ -64,7 +63,7 @@ def test_criterion_02_gram_is_doubly_block_toeplitz_2d():
         d = build_dictionary((m1, m2),
                              draw_sampling(m1 * m2, n, seed=int(rng.integers(1 << 31))))
         g = gram(d)
-        back = dbt_expand(gram_generator_from_dense(d))
+        back = toeplitz_expand(gram_generator_from_dense(d))
         worst = max(worst, float(np.max(np.abs(back.to_complex() - g.to_complex()))))
     ok = worst < 1e-10
     report(2, "2-D Gram equals the expansion of its extracted generator", ok,
@@ -77,7 +76,7 @@ def test_criterion_03_convolution_equivalences():
     worst_fft = 0.0
     for _ in range(300):  # 1-D cases
         m = int(rng.integers(2, 65))
-        t = ToeplitzVec(rand_carray(rng, (2 * m - 1,)), m)
+        t = Toeplitz(rand_carray(rng, (2 * m - 1,)), (m,))
         x = rand_carray(rng, (m,))
         ref = toeplitz_expand(t).to_complex() @ x.to_complex()
         scale = max(1.0, float(np.max(np.abs(ref))))
@@ -91,10 +90,10 @@ def test_criterion_03_convolution_equivalences():
         m2 = int(rng.integers(1, 17))
         if m1 * m2 > 256:
             m2 = max(1, 256 // m1)
-        t = ToeplitzMat2D(rand_carray(rng, (2 * m1 - 1, 2 * m2 - 1)), m1, m2)
+        t = Toeplitz(rand_carray(rng, (2 * m1 - 1, 2 * m2 - 1)), (m1, m2))
         x = rand_carray(rng, (m1, m2))
         vec = x.to_complex().flatten(order="F")
-        ref = dbt_expand(t).to_complex() @ vec
+        ref = toeplitz_expand(t).to_complex() @ vec
         got = Conv((m1, m2), (m1, m2)).apply(t.diags, vec[None])[0]
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_dense = max(worst_dense, float(np.max(np.abs(got - ref))) / scale)
@@ -163,7 +162,7 @@ def test_criterion_05_structured_forward_equals_dense():
             th = float(rng.uniform(0, 0.2))
             lt.append(Layer(f.copy(), None, kvec.copy(), th))
             ld.append(Layer(f.copy(), None,
-                            toeplitz_expand(ToeplitzVec(kvec, m)), th))
+                            toeplitz_expand(Toeplitz(kvec, (m,))), th))
         y = rand_carray(rng, (n,))
         a = forward(UnfoldedNetwork("toeplitz1d", (m,), n, lt), y).to_complex()
         b = forward(UnfoldedNetwork("lista", (m,), n, ld), y).to_complex()
@@ -178,7 +177,7 @@ def test_criterion_05_structured_forward_equals_dense():
             th = float(rng.uniform(0, 0.2))
             lt.append(Layer(f.copy(), None, kmat.copy(), th))
             ld.append(Layer(f.copy(), None,
-                            dbt_expand(ToeplitzMat2D(kmat, g1, g2)), th))
+                            toeplitz_expand(Toeplitz(kmat, (g1, g2))), th))
         y = rand_carray(rng, (n2,))
         a = forward(UnfoldedNetwork("toeplitz2d", (m1, m2), n2, lt), y).to_complex()
         b = forward(UnfoldedNetwork("lista", (m1, m2), n2, ld), y).to_complex()

@@ -405,6 +405,54 @@ def test_cli_sweep_names_an_unreadable_model(tmp_path, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "single"])
+def test_cli_sweep_and_single_name_a_model_of_another_grid(tmp_path, command):
+    model, out = tmp_path / "lista.hun", tmp_path / "s.csv"
+    d = hf.build_dictionary((32,), hf.draw_sampling(32, 12, seed=3))
+    hf.save_network(model, init_network("lista", d, 1, lam=0.1))
+    with pytest.raises(SystemExit) as err:
+        cli_main([command, "--m", "8", "--n", "4", "--k", "1", "--methods", "lista",
+                  "--model-lista", str(model), "--out", str(out)])
+    assert str(err.value.code) == (f"--model-lista {model}: model is for grid (32,) "
+                                   f"with 12 observations, the experiment is grid "
+                                   f"(8,) with 4")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen-data", "--out"), ("gen-data", "--export-iq"), ("train", "--out"),
+    ("sweep", "--out"), ("single", "--out"), ("complexity", "--out"),
+    ("ingest", "--out")])
+def test_cli_names_an_unwritable_output(tmp_path, monkeypatch, command, flag):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    data, iq = inputs / "d.hud", inputs / "g.hiq"
+    assert cli_main(["gen-data", "--problem", "2d", "--m1", "2", "--m2", "4", "--n", "4",
+                     "--k", "1", "--samples", "20", "--out", str(data),
+                     "--export-iq", str(iq)]) == 0
+    out = str(tmp_path / "o")
+    argv = {
+        "gen-data": ["gen-data", "--problem", "2d", "--m1", "2", "--m2", "4", "--n", "4",
+                     "--k", "1", "--samples", "3", "--out", out,
+                     "--export-iq", out + ".hiq"],
+        "train": ["train", "--data", str(data), "--arch", "lista", "--depth", "1",
+                  "--epochs", "1", "--out", out],
+        "sweep": ["sweep", "--m", "8", "--n", "4", "--k", "1", "--trials", "1",
+                  "--out", out],
+        "single": ["single", "--m", "8", "--n", "4", "--k", "1", "--out", out],
+        "complexity": ["complexity", "--sizes", "8", "--no-timing", "--out", out],
+        "ingest": ["ingest", "--path", str(iq), "--out", out],
+    }[command]
+    bad = str(tmp_path / "missing" / "o")
+    argv[argv.index(flag) + 1] = bad
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained first"))
+    with pytest.raises(SystemExit) as err:
+        cli_main(argv)
+    missing = tmp_path / "missing"
+    assert str(err.value.code) == f"{flag} {bad}: cannot write (no directory {missing})"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]   # nothing written
+
+
 def iq_and_model(tmp_path, model_shape=(4, 6)):
     """An exported 4x6 IQ grid of 12 samples and an untrained toeplitz2d
     model file on ``model_shape`` with the same count."""

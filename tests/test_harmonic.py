@@ -13,7 +13,7 @@ from hunfold.harmonic import (add_noise, build_dictionary, db_to_sigma2,
                               gram_generator_from_dense, make_instance,
                               read_dataset,
                               synth_offgrid, write_dataset)
-from hunfold.spectral import dbt_expand, toeplitz_expand
+from hunfold.spectral import toeplitz_expand
 
 
 def test_fourier_matrix_small_orders():
@@ -129,7 +129,7 @@ def test_gram_2d_doubly_block_toeplitz():
         g = gram(d).to_complex()
         gen = gram_generator(d)
         assert gen.diags.shape == (2 * m2 - 1, 2 * m1 - 1)
-        back = dbt_expand(gen).to_complex()
+        back = toeplitz_expand(gen).to_complex()
         assert np.max(np.abs(back - g)) < 1e-10 * max(1.0, n)
         dense_gen = gram_generator_from_dense(d)
         assert np.max(np.abs(dense_gen.diags.to_complex()
@@ -217,6 +217,25 @@ def test_synth_offgrid_matches_direct_sum_2d():
             # off-grid displacement on the second axis only
             ref[j] += ac[kk] * np.exp(2j * np.pi * (g1 / m1 * i1
                                                     + (g2 + 0.25) / m2 * i2))
+    assert np.max(np.abs(y - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", [(16,), (4, 6), (6, 4)])
+def test_synth_offgrid_displaces_the_last_axis_only(shape):
+    total = int(np.prod(shape))
+    d = build_dictionary(shape, draw_sampling(total, 9, seed=13))
+    rng = np.random.default_rng(14)
+    idx = np.sort(rng.choice(total, size=3, replace=False))
+    amps = ComplexArray(rng.standard_normal(3), rng.standard_normal(3))
+    on_grid = d.phi.to_complex()[:, idx] @ amps.to_complex()
+    y0 = synth_offgrid(d, idx, 0.0, amps).to_complex()
+    assert np.max(np.abs(y0 - on_grid)) < 1e-12 * np.max(np.abs(on_grid))
+    # a shift of frac cells on the last axis turns every term by the phase
+    # of that shift at the sample's last-axis cell, and nothing else
+    frac = 0.3
+    last = d.sampling.omega % shape[-1]
+    ref = np.exp(2j * np.pi * frac * last / shape[-1]) * on_grid
+    y = synth_offgrid(d, idx, frac, amps).to_complex()
     assert np.max(np.abs(y - ref)) < 1e-12 * np.max(np.abs(ref))
 
 

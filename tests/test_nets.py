@@ -8,12 +8,12 @@ import pytest
 import hunfold as hf
 from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant, matvec, \
     shrink, shrink_factor, soft_threshold
+from hunfold.harmonic import conv_grid
 from hunfold.nets import (ARCHS, Conv, Dense, Layer, UnfoldedNetwork,
-                          branches, conv_grid, forward, forward_planes,
-                          init_network, load_network, param_count, save_network)
+                          branches, forward, forward_planes, init_network,
+                          load_network, param_count, save_network)
 from hunfold.solvers import SolverConfig, ista
-from hunfold.spectral import ToeplitzMat2D, ToeplitzVec, dbt_expand, \
-    next_pow2, toeplitz_expand
+from hunfold.spectral import Toeplitz, next_pow2, toeplitz_expand
 from hunfold.training import estimate_dictionary
 
 from conftest import rand_carray
@@ -41,17 +41,10 @@ def ista_embedding_net(d, depth, lam):
     filt = hermitian(d.phi).scale(1.0 / big_l)
     gen = hf.gram_generator(d)
     diags = gen.diags.scale(-1.0 / big_l)
-    if not d.is_2d:
-        re = diags.re.copy()
-        re[d.shape[0] - 1] += 1.0
-        inhibit = ComplexArray(re, diags.im.copy())
-        arch = "toeplitz1d"
-    else:
-        g1, g2 = conv_grid(d.shape)
-        re = diags.re.copy()
-        re[g1 - 1, g2 - 1] += 1.0
-        inhibit = ComplexArray(re, diags.im.copy())
-        arch = "toeplitz2d"
+    re = diags.re.copy()
+    re[tuple(g - 1 for g in gen.grid)] += 1.0   # the zero offset
+    inhibit = ComplexArray(re, diags.im.copy())
+    arch = f"toeplitz{len(d.shape)}d"
     theta = lam / big_l
     layers = [Layer(filt.copy(), None, inhibit.copy(), theta)
               for _ in range(depth)]
@@ -115,7 +108,7 @@ def test_toeplitz1d_equals_dense_lista():
             k = rand_carray(rng, (2 * m - 1,), scale=0.2)
             th = float(rng.uniform(0, 0.2))
             lt.append(Layer(f.copy(), None, k.copy(), th))
-            dense = toeplitz_expand(ToeplitzVec(k, m))
+            dense = toeplitz_expand(Toeplitz(k, (m,)))
             ld.append(Layer(f.copy(), None, dense, th))
         nt = UnfoldedNetwork("toeplitz1d", (m,), n, lt)
         nd = UnfoldedNetwork("lista", (m,), n, ld)
@@ -137,7 +130,7 @@ def test_toeplitz2d_equals_dense_lista():
             k = rand_carray(rng, (2 * g1 - 1, 2 * g2 - 1), scale=0.15)
             th = float(rng.uniform(0, 0.2))
             lt.append(Layer(f.copy(), None, k.copy(), th))
-            dense = dbt_expand(ToeplitzMat2D(k, g1, g2))
+            dense = toeplitz_expand(Toeplitz(k, (g1, g2)))
             ld.append(Layer(f.copy(), None, dense, th))
         nt = UnfoldedNetwork("toeplitz2d", (m1, m2), n, lt)
         nd = UnfoldedNetwork("lista", (m1, m2), n, ld)

@@ -9,30 +9,26 @@ import pytest
 
 from hunfold.cplx import ComplexArray
 from hunfold.nets import Conv
-from hunfold.spectral import (ToeplitzMat2D, ToeplitzVec, conv1d,
-                              conv_full_planes, conv_full2_planes, dbt_expand,
-                              dbt_extract, next_pow2, toeplitz_expand,
+from hunfold.spectral import (Toeplitz, ToeplitzVec, conv1d, conv_full_planes,
+                              conv_full2_planes, next_pow2, toeplitz_expand,
                               toeplitz_extract)
 
 from conftest import rand_carray
 
 
 def conv_apply(t, x):
-    """``Conv.apply`` of a generator on one vector, or on one rows x cols
-    grid column-stacked and read back into the grid."""
-    if isinstance(t, ToeplitzVec):
-        return Conv((t.size,), (t.size,)).apply(t.diags, x.z[None])[0]
-    grid = (t.rows, t.cols)
-    out = Conv(grid, grid).apply(t.diags, x.z.flatten(order="F")[None])[0]
-    return out.reshape(grid, order="F")
+    """``Conv.apply`` of a generator on one grid, column-stacked and read
+    back into the grid."""
+    out = Conv(t.grid, t.grid).apply(t.diags, x.z.flatten(order="F")[None])[0]
+    return out.reshape(t.grid, order="F")
 
 
 def rand_toeplitz(rng, m):
-    return ToeplitzVec(rand_carray(rng, (2 * m - 1,)), m)
+    return Toeplitz(rand_carray(rng, (2 * m - 1,)), (m,))
 
 
 def rand_toeplitz2(rng, m1, m2):
-    return ToeplitzMat2D(rand_carray(rng, (2 * m1 - 1, 2 * m2 - 1)), m1, m2)
+    return Toeplitz(rand_carray(rng, (2 * m1 - 1, 2 * m2 - 1)), (m1, m2))
 
 
 def test_next_pow2():
@@ -44,7 +40,7 @@ def test_conv1d_identity_kernel():
     m = 9
     diags = ComplexArray.zeros((2 * m - 1,))
     diags.re[m - 1] = 1.0  # offset-zero tap only
-    t = ToeplitzVec(diags, m)
+    t = Toeplitz(diags, (m,))
     x = rand_carray(rng, (m,))
     out = conv1d(t, x)
     assert np.max(np.abs(out.to_complex() - x.to_complex())) < 1e-15
@@ -54,7 +50,7 @@ def test_conv1d_shift_kernel():
     m = 3
     diags = ComplexArray.zeros((2 * m - 1,))
     diags.re[m] = 1.0  # offset +1: one-step shift
-    t = ToeplitzVec(diags, m)
+    t = Toeplitz(diags, (m,))
     x = ComplexArray.from_complex(np.array([1 + 1j, 2.0, 3 - 1j]))
     out = conv1d(t, x).to_complex()
     assert np.array_equal(out, np.array([0, 1 + 1j, 2.0]))
@@ -87,9 +83,9 @@ def test_conv1d_fft_identity_and_zero_kernels():
     x = rand_carray(rng, (m,))
     ident = ComplexArray.zeros((2 * m - 1,))
     ident.re[m - 1] = 1.0
-    out = conv_apply(ToeplitzVec(ident, m), x)
+    out = conv_apply(Toeplitz(ident, (m,)), x)
     assert np.max(np.abs(out - x.to_complex())) < 1e-12
-    zero = ToeplitzVec(ComplexArray.zeros((2 * m - 1,)), m)
+    zero = Toeplitz(ComplexArray.zeros((2 * m - 1,)), (m,))
     assert np.linalg.norm(conv_apply(zero, x)) < 1e-14
 
 
@@ -98,6 +94,8 @@ def test_conv1d_size_mismatch():
     t = rand_toeplitz(rng, 8)
     with pytest.raises(ValueError):
         conv1d(t, rand_carray(rng, (9,)))
+    with pytest.raises(ValueError):
+        conv1d(rand_toeplitz2(rng, 2, 4), rand_carray(rng, (8,)))
 
 
 def full_conv_oracle(k, x):
@@ -161,13 +159,13 @@ def test_conv2d_identity_kernel():
     diags = ComplexArray.zeros((2 * m1 - 1, 2 * m2 - 1))
     diags.re[m1 - 1, m2 - 1] = 1.0
     x = rand_carray(rng, (m1, m2))
-    out = conv_apply(ToeplitzMat2D(diags, m1, m2), x)
+    out = conv_apply(Toeplitz(diags, (m1, m2)), x)
     assert np.max(np.abs(out - x.to_complex())) < 1e-12
 
 
 def test_conv2d_zero_kernel():
     rng = np.random.default_rng(20)
-    t = ToeplitzMat2D(ComplexArray.zeros((5, 7)), 3, 4)
+    t = Toeplitz(ComplexArray.zeros((5, 7)), (3, 4))
     assert np.linalg.norm(conv_apply(t, rand_carray(rng, (3, 4)))) < 1e-14
 
 
@@ -176,7 +174,7 @@ def test_conv2d_matches_dense_expansion():
     m1, m2 = 5, 7
     t = rand_toeplitz2(rng, m1, m2)
     x = rand_carray(rng, (m1, m2))
-    w = dbt_expand(t).to_complex()
+    w = toeplitz_expand(t).to_complex()
     vec = x.to_complex().flatten(order="F")
     ref = (w @ vec).reshape((m2, m1)).T  # invert the column stacking
     got = conv_apply(t, x)
@@ -185,56 +183,66 @@ def test_conv2d_matches_dense_expansion():
 
 def test_toeplitz_expand_small_example():
     diags = ComplexArray.from_complex(np.array([5.0, 1.0, 7.0], dtype=complex))
-    out = toeplitz_expand(ToeplitzVec(diags, 2)).to_complex()
+    out = toeplitz_expand(Toeplitz(diags, (2,))).to_complex()
     assert np.array_equal(out, np.array([[1.0, 5.0], [7.0, 1.0]]))
+    vec = ToeplitzVec(diags, 2)
+    assert isinstance(vec, Toeplitz) and vec.grid == (2,) and vec.diags is diags
 
 
 def test_toeplitz_expand_zero():
-    t = ToeplitzVec(ComplexArray.zeros((9,)), 5)
+    t = Toeplitz(ComplexArray.zeros((9,)), (5,))
     assert toeplitz_expand(t).norm() == 0.0
 
 
 def test_toeplitz_extract_round_trip():
     rng = np.random.default_rng(23)
     t = rand_toeplitz(rng, 12)
-    back = toeplitz_extract(toeplitz_expand(t), 12)
+    back = toeplitz_extract(toeplitz_expand(t), (12,))
     assert np.array_equal(back.diags.re, t.diags.re)
     assert np.array_equal(back.diags.im, t.diags.im)
 
 
+def test_toeplitz_rejects_a_generator_of_another_grid():
+    with pytest.raises(ValueError, match="does not match grid"):
+        Toeplitz(ComplexArray.zeros((5, 7)), (4, 3))
+    with pytest.raises(ValueError, match="expected"):
+        toeplitz_extract(ComplexArray.zeros((12, 12)), (4, 4))
+
+
 def test_dbt_expand_degenerate_cases():
-    one = ToeplitzMat2D(ComplexArray.from_complex(np.array([[3 + 1j]])), 1, 1)
-    assert dbt_expand(one).to_complex()[0, 0] == 3 + 1j
+    one = Toeplitz(ComplexArray.from_complex(np.array([[3 + 1j]])), (1, 1))
+    assert toeplitz_expand(one).to_complex()[0, 0] == 3 + 1j
     # single block column: plain Toeplitz of the kernel's only column
     rng = np.random.default_rng(24)
     diags = rand_carray(rng, (3, 1))
-    t = ToeplitzMat2D(diags, 2, 1)
+    t = Toeplitz(diags, (2, 1))
     expect = toeplitz_expand(
-        ToeplitzVec(ComplexArray(diags.re[:, 0], diags.im[:, 0]), 2))
-    assert np.array_equal(dbt_expand(t).re, expect.re)
-    assert np.array_equal(dbt_expand(t).im, expect.im)
+        Toeplitz(ComplexArray(diags.re[:, 0], diags.im[:, 0]), (2,)))
+    assert np.array_equal(toeplitz_expand(t).re, expect.re)
+    assert np.array_equal(toeplitz_expand(t).im, expect.im)
 
 
 def test_dbt_expand_index_relation_exhaustive():
     rng = np.random.default_rng(25)
-    m1, m2 = 3, 4
-    t = rand_toeplitz2(rng, m1, m2)
-    w = dbt_expand(t).to_complex()
-    dk = t.diags.to_complex()
-    for s in range(m1):
-        for tt in range(m2):
-            for i in range(m1):
-                for j in range(m2):
-                    assert w[s + tt * m1, i + j * m1] == \
-                        dk[s - i + m1 - 1, tt - j + m2 - 1]
+    for m1, m2 in ((3, 4), (3, 5), (1, 4), (4, 1)):
+        t = rand_toeplitz2(rng, m1, m2)
+        w = toeplitz_expand(t).to_complex()
+        dk = t.diags.to_complex()
+        for s in range(m1):
+            for tt in range(m2):
+                for i in range(m1):
+                    for j in range(m2):
+                        assert w[s + tt * m1, i + j * m1] == \
+                            dk[s - i + m1 - 1, tt - j + m2 - 1]
 
 
 def test_dbt_extract_round_trip():
     rng = np.random.default_rng(26)
-    t = rand_toeplitz2(rng, 4, 5)
-    back = dbt_extract(dbt_expand(t), 4, 5)
-    assert np.array_equal(back.diags.re, t.diags.re)
-    assert np.array_equal(back.diags.im, t.diags.im)
+    for grid in ((4, 5), (3, 5), (1, 4), (4, 1)):
+        t = rand_toeplitz2(rng, *grid)
+        back = toeplitz_extract(toeplitz_expand(t), grid)
+        assert np.array_equal(back.diags.re, t.diags.re)
+        assert np.array_equal(back.diags.im, t.diags.im)
 
 
 def test_equivalence_sweep_random_sizes():
@@ -252,7 +260,7 @@ def test_equivalence_sweep_random_sizes():
         m2 = max(1, min(m2, 256 // m1))
         t = rand_toeplitz2(rng, m1, m2)
         x = rand_carray(rng, (m1, m2))
-        w = dbt_expand(t).to_complex()
+        w = toeplitz_expand(t).to_complex()
         ref = w @ x.to_complex().flatten(order="F")
         got = conv_apply(t, x).flatten(order="F")
         assert np.max(np.abs(got - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
