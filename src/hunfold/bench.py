@@ -143,49 +143,36 @@ def _recover(method: str, d: Dictionary, y: ComplexArray,
     return ComplexArray(join_planes(xr, xi).T)
 
 
-def _instance(d: Dictionary, k: int, sigma2: float, seq: np.random.SeedSequence):
-    inst = make_instance(d, k, sigma2, seq)
-    return inst.x_true, inst.y
-
-
 def run_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
     """Noise sweep over every configured method.
 
-    All methods see the same instances at a given noise point; each method
-    recovers all of a point's trials in one block.  Reported error is
-    20*log10 of the trial-averaged norm ratio; the hit rate is averaged
+    Each noise point's trials are drawn once, as one block of instances,
+    and every method recovers that same block in one call; rows come method
+    by method, each method's in noise-point order.  Reported error
+    is 20*log10 of the trial-averaged norm ratio; the hit rate is averaged
     over trials, and the runtime is the block's time over the trials.
     """
     sampling = draw_sampling(int(np.prod(cfg.shape)), cfg.n_obs, cfg.sample_seed)
     d = build_dictionary(cfg.shape, sampling)
-    children = np.random.SeedSequence(cfg.seed).spawn(
-        len(cfg.noise_powers_db) * cfg.trials_per_point)
-    rows: list[MetricRow] = []
-    for method in cfg.methods:
-        for p_idx, db in enumerate(cfg.noise_powers_db):
-            sigma2 = db_to_sigma2(db)
-            first = p_idx * cfg.trials_per_point
-            truths, ys = zip(*(_instance(d, cfg.k, sigma2, seq)
-                               for seq in children[first:first + cfg.trials_per_point]))
-            y = ComplexArray(np.stack([v.z for v in ys], axis=1))
+    trials = cfg.trials_per_point
+    children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.noise_powers_db) * trials)
+    per_method: list[list[MetricRow]] = [[] for _ in cfg.methods]
+    for p_idx, db in enumerate(cfg.noise_powers_db):
+        inst = make_instance(d, cfg.k, db_to_sigma2(db),
+                             children[p_idx * trials:(p_idx + 1) * trials])
+        for rows, method in zip(per_method, cfg.methods):
             t0 = time.perf_counter()
-            x_hat = _recover(method, d, y, cfg)
+            x_hat = _recover(method, d, inst.y, cfg)
             elapsed = (time.perf_counter() - t0) * 1e3
-            ratios = []
-            hits = []
-            for x_true, column in zip(truths, x_hat.z.T):
-                est = ComplexArray(column)
-                ratios.append(nmse_metric(est, x_true))
-                hits.append(hit_rate_metric(est, x_true, cfg.k))
             rows.append(MetricRow(
                 method=method,
                 noise_power_db=float(db),
-                nmse_db=float(20.0 * np.log10(np.mean(ratios))),
-                hit_rate=float(np.mean(hits)),
-                mean_runtime_ms=elapsed / cfg.trials_per_point if cfg.timing else None,
-                trials=cfg.trials_per_point,
+                nmse_db=float(20.0 * np.log10(np.mean(nmse_metric(x_hat, inst.x_true)))),
+                hit_rate=float(np.mean(hit_rate_metric(x_hat, inst.x_true, cfg.k))),
+                mean_runtime_ms=elapsed / trials if cfg.timing else None,
+                trials=trials,
             ))
-    return rows
+    return [row for rows in per_method for row in rows]
 
 
 def run_single(cfg: ExperimentConfig, offgrid: bool = False,
@@ -208,10 +195,9 @@ def run_single(cfg: ExperimentConfig, offgrid: bool = False,
         y = synth_offgrid(d, anchors, frac, amps)
         truth_mag = np.zeros(d.total)
         truth_mag[anchors] = amps.abs()
-        x_true = None
     else:
-        x_true, y = _instance(d, cfg.k, 0.0, seq)
-        truth_mag = x_true.abs()
+        inst = make_instance(d, cfg.k, 0.0, seq)
+        y, truth_mag = inst.y, inst.x_true.abs()
     if sigma2 > 0.0:
         y = ComplexArray(y.z + gaussian(rng, (d.n_obs,), np.sqrt(sigma2 / 2.0)))
     block = ComplexArray(y.z[:, None])

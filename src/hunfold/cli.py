@@ -113,9 +113,10 @@ def _read_input(args, name, reader):
         raise SystemExit(f"{flag} {msg}") from None
 
 
-def _writable(args, *names):
+def _writable(args, *names, sidecar=""):
     """Stop with a message naming --name and its path unless that output
-    path can be written; called before a run does any work or writes."""
+    path, and the file ``path + sidecar`` that its writer adds beside it,
+    can be written; called before a run does any work or writes."""
     for name in names:
         path = getattr(args, name)
         if not path:
@@ -127,6 +128,8 @@ def _writable(args, *names):
             why = f"no directory {folder}"
         elif not os.access(folder, os.W_OK):
             why = f"directory {folder} is not writable"
+        elif sidecar and os.path.isdir(path + sidecar):
+            why = f"its sidecar {path + sidecar} is a directory"
         else:
             continue
         raise SystemExit(f"--{name.replace('_', '-')} {path}: cannot write ({why})")
@@ -208,7 +211,8 @@ def _echo_config(args, skip=("func",)) -> dict:
 
 def _cmd_gen_data(args) -> int:
     _require(args, "n", "samples", "out")
-    _writable(args, "out", "export_iq")
+    _writable(args, "out", sidecar=".json")
+    _writable(args, "export_iq")
     _check(args, "samples", lambda v: v >= 1, ">= 1")
     _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
     shape = _shape_from(args)
@@ -231,7 +235,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     _require(args, "data", "arch", "out")
-    _writable(args, "out")
+    _writable(args, "out", sidecar=".json")
     _check(args, "depth", lambda v: v >= 1, ">= 1")
     _check(args, "lam", _finite_nonneg, "finite and >= 0")
     _check(args, "lr", lambda v: math.isfinite(v) and v > 0, "finite and > 0")
@@ -293,7 +297,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _require(args, "out")
-    _writable(args, "out")
+    _writable(args, "out", sidecar=".manifest.json")
     cfg = _experiment_config(args)
     rows = run_sweep(cfg)
     header, table = metric_rows_table(rows)
@@ -305,7 +309,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_single(args) -> int:
     _require(args, "out")
-    _writable(args, "out")
+    _writable(args, "out", sidecar=".manifest.json")
     _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
     cfg = _experiment_config(args)
     header, rows = run_single(cfg, offgrid=args.offgrid, frac=args.frac,
@@ -332,7 +336,7 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_ingest(args) -> int:
     _require(args, "path", "out")
-    _writable(args, "out")
+    _writable(args, "out", sidecar=".manifest.json")
     y, d = _read_input(args, "path", ingest_iq_grid)
     if args.model:
         net = _read_input(args, "model", load_network)

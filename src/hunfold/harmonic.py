@@ -20,7 +20,8 @@ Dictionaries, spectra and observations are complex128 arrays
 (:class:`~hunfold.cplx.ComplexArray`), and every product with a dictionary
 is one complex matrix product.  A complex Gaussian draw takes all its real
 parts from the generator stream before its imaginary parts
-(:func:`gaussian`).  ``HUD1`` dataset files hold the complex matrices as
+(:func:`gaussian`).  Instances and datasets are drawn a block at a time by
+one routine, each column from its own seed's stream (:func:`_draw`).  ``HUD1`` dataset files hold the complex matrices as
 row-major (re, im) float64 pairs, which is little-endian complex128.
 """
 
@@ -188,19 +189,46 @@ def gaussian(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return draws[0] + 1j * draws[1]
 
 
-def _sparse(total: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    x = np.zeros(total, dtype=np.complex128)
-    if k:
-        support = rng.choice(total, size=k, replace=False)
-        x[support] = gaussian(rng, (k,), np.sqrt(0.5))
-    return x
+def _draw(total: int, n: int, k: int, sigma2: float, seeds):
+    """A block of B draws, column i from its own stream:
+    ``Generator(PCG64(seeds[i]))``, or ``seeds[i]`` itself if it is a
+    generator.  Per column: the support,
+    ``choice(total, K, replace=False)``, then one ``standard_normal(2K + 2N)``
+    call holding the amplitudes' real parts, their imaginary parts, then the
+    noise's real and imaginary parts; N counts as 0 when ``sigma2 == 0``.
+
+    Returns the (total, B) spectra and the (N, B) noise (zero when
+    ``sigma2 == 0``).  Scaling, the complex join and the scatter run once
+    per block.
+    """
+    _check_noise_power(sigma2)
+    if k > total:
+        raise ValueError(f"sparsity {k} exceeds grid size {total}")
+    b = len(seeds)
+    noisy = sigma2 > 0.0
+    support = np.empty((b, k), dtype=np.int64)
+    draws = np.empty((b, 2 * k + (2 * n if noisy else 0)))
+    for i, seed in enumerate(seeds):
+        rng = seed if isinstance(seed, np.random.Generator) \
+            else np.random.Generator(np.random.PCG64(seed))
+        if k:
+            support[i] = rng.choice(total, size=k, replace=False)
+        rng.standard_normal(out=draws[i])
+    amps, noise = draws[:, :2 * k], draws[:, 2 * k:]
+    amps *= np.sqrt(0.5)
+    x = np.zeros((total, b), dtype=np.complex128)
+    x[support, np.arange(b)[:, None]] = amps[:, :k] + 1j * amps[:, k:]
+    if not noisy:
+        return x, np.zeros((n, b), dtype=np.complex128)
+    noise *= np.sqrt(sigma2 / 2.0)
+    return x, (noise[:, :n] + 1j * noise[:, n:]).T
 
 
 def sparse_from_rng(total: int, k: int, rng: np.random.Generator) -> ComplexArray:
-    """Sparse draw from a caller-owned generator stream."""
-    if k > total:
-        raise ValueError(f"sparsity {k} exceeds grid size {total}")
-    return ComplexArray(_sparse(total, k, rng))
+    """Sparse draw from a caller-owned generator stream: the support, then
+    ``standard_normal(2K)`` for the amplitudes (see :func:`_draw`)."""
+    x, _ = _draw(total, 0, k, 0.0, [rng])
+    return ComplexArray(x[:, 0])
 
 
 def gen_sparse_signal(total: int, k: int, seed: int) -> ComplexArray:
@@ -261,7 +289,12 @@ def add_noise(y: ComplexArray, sigma2: float, seed: int) -> ComplexArray:
 
 @dataclass(frozen=True)
 class SparseInstance:
-    """One recovery problem: ground truth, observation and its provenance."""
+    """Recovery problems: ground truth, observation and their provenance.
+
+    One instance holds vectors, ``x_true`` (total,) and ``y`` (n_obs,); a
+    block holds one instance per column, (total, B) and (n_obs, B), with
+    ``seed`` the sequence of the columns' seeds.
+    """
 
     x_true: ComplexArray
     y: ComplexArray
@@ -272,23 +305,33 @@ class SparseInstance:
 
     def __post_init__(self):
         if not self.offgrid:
-            nonzeros = int(np.count_nonzero(self.x_true.abs()))
-            if nonzeros != self.k:
+            nonzeros = np.count_nonzero(self.x_true.z, axis=0)
+            if np.any(nonzeros != self.k):
                 raise ValueError(f"{nonzeros} nonzeros for sparsity {self.k}")
 
 
 def make_instance(d: Dictionary, k: int, sigma2: float, seed) -> SparseInstance:
-    """Fresh on-grid instance: sparse draw, clean observation, noise draw,
-    all from one child stream of ``seed``."""
-    _check_noise_power(sigma2)
-    seq = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.PCG64(seq))
-    x = sparse_from_rng(d.total, k, rng)
-    y = d.phi.z @ x.z
+    """Fresh on-grid instances, one per seed of the sequence ``seed``, as a
+    block.
+
+    Each column draws its sparse spectrum and its noise from its own seed's
+    stream (the rule of :func:`_draw`), so a column equals the instance
+    drawn from that seed alone.  Each clean observation is its own
+    matrix-vector product.  A single seed (an int or a SeedSequence) gives
+    one instance as vectors.
+    """
+    single = isinstance(seed, (int, np.integer, np.random.SeedSequence))
+    batch = [seed] if single else list(seed)
+    x, w = _draw(d.total, d.n_obs, k, sigma2, batch)
+    y = np.empty(w.shape, dtype=np.complex128)
+    for i, column in enumerate(np.ascontiguousarray(x.T)):
+        y[:, i] = d.phi.z @ column
     if sigma2 > 0.0:
-        y = y + gaussian(rng, (d.n_obs,), np.sqrt(sigma2 / 2.0))
-    return SparseInstance(x, ComplexArray(y), k, sigma2, False, seed)
+        y += w
+    if single:
+        x, y = x[:, 0], y[:, 0]
+    return SparseInstance(ComplexArray(x), ComplexArray(y), k, sigma2, False,
+                          seed if single else tuple(batch))
 
 
 @dataclass
@@ -317,27 +360,19 @@ class Dataset:
 
 def gen_dataset(d: Dictionary, n_samples: int, k: int, sigma2: float,
                 seed: int) -> Dataset:
-    """Generate labelled pairs column by column from per-column seed streams.
+    """Generate labelled pairs from per-column seed streams.
 
     Column i draws its support, amplitudes and noise from the i-th child of
-    a single seed sequence, so any column is reproducible independently of
-    how many columns are generated.
+    a single seed sequence (the rule of :func:`_draw`), so any column is
+    reproducible independently of how many columns are generated.  The
+    observations are one block product ``phi @ x + w``.
     """
-    if k > d.total:
-        raise ValueError(f"sparsity {k} exceeds grid size {d.total}")
-    _check_noise_power(sigma2)
-    total, n = d.total, d.n_obs
-    x = np.empty((total, n_samples), dtype=np.complex128)
-    w = np.zeros((n, n_samples), dtype=np.complex128)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        x[:, i] = _sparse(total, k, rng)
-        if sigma2 > 0.0:
-            w[:, i] = gaussian(rng, (n,), np.sqrt(sigma2 / 2.0))
+    x, w = _draw(d.total, d.n_obs, k, sigma2,
+                 np.random.SeedSequence(seed).spawn(n_samples))
     meta = {
         "kind": len(d.shape),
         "shape": list(d.shape),
-        "n_obs": n,
+        "n_obs": d.n_obs,
         "n_samples": int(n_samples),
         "k": int(k),
         "sigma2": float(sigma2),

@@ -1,4 +1,11 @@
-"""Recovery-quality metrics: normalised error and support hit rate."""
+"""Recovery-quality metrics: normalised error and support hit rate.
+
+Each metric scores a (total,) spectrum, returning a float, or a (total, B)
+block with one trial per column, returning one value per column.  A vector
+is a block of one column.  Both are scored as contiguous (B, total) rows,
+so that a column's sums run along a contiguous axis and a block column
+scores exactly as that column alone.
+"""
 
 from __future__ import annotations
 
@@ -9,26 +16,49 @@ from .cplx import ComplexArray
 __all__ = ["hit_rate_metric", "nmse_metric", "top_k_indices"]
 
 
-def nmse_metric(x_hat: ComplexArray, x_true: ComplexArray) -> float:
-    """||x_true - x_hat|| / ||x_true|| for a single trial."""
+def _rows(x: ComplexArray) -> np.ndarray:
+    """A vector or a (total, B) block as contiguous (B, total) rows."""
+    z = x.z
+    return np.ascontiguousarray(z[None, :] if z.ndim == 1 else z.T)
+
+
+def _per_trial(values: np.ndarray, like: ComplexArray):
+    return float(values[0]) if like.ndim == 1 else values
+
+
+def _column(x: ComplexArray, i) -> str:
+    return f" column {int(i)}" if x.ndim == 2 else ""
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(rows.real ** 2, axis=1) + np.sum(rows.imag ** 2, axis=1))
+
+
+def nmse_metric(x_hat: ComplexArray, x_true: ComplexArray):
+    """||x_true - x_hat|| / ||x_true|| per trial."""
     if x_hat.shape != x_true.shape:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_true.shape}")
-    ref = x_true.norm()
-    if ref == 0.0:
-        raise ValueError("ground truth is identically zero")
-    return (x_true - x_hat).norm() / ref
+    truth = _rows(x_true)
+    ref = _norms(truth)
+    zero = np.flatnonzero(ref == 0.0)
+    if zero.size:
+        raise ValueError(f"ground truth{_column(x_true, zero[0])} is identically zero")
+    return _per_trial(_norms(truth - _rows(x_hat)) / ref, x_true)
 
 
 def top_k_indices(x: ComplexArray, k: int) -> np.ndarray:
-    """Indices of the k largest moduli; ties resolve to the lowest index."""
-    mag = x.abs().ravel()
-    order = np.argsort(-mag, kind="stable")
-    return np.sort(order[:k])
+    """Indices of the k largest moduli, ascending; ties resolve to the
+    lowest index.  A block gives one row of k indices per column."""
+    rows = _rows(x)
+    order = np.argsort(-np.hypot(rows.real, rows.imag), axis=1, kind="stable")
+    picked = np.sort(order[:, :k], axis=1)
+    return picked[0] if x.ndim == 1 else picked
 
 
 def hit_rate_metric(x_hat: ComplexArray, x_true: ComplexArray, k: int,
-                    tol_cells: int = 0, grid_shape=None) -> float:
-    """Fraction of true components found among the k largest estimates.
+                    tol_cells: int = 0, grid_shape=None):
+    """Fraction of true components found among the k largest estimates,
+    per trial.
 
     Strict matching requires the exact grid index.  With ``tol_cells`` > 0
     a true component counts as found when some top-k index lies within that
@@ -37,20 +67,20 @@ def hit_rate_metric(x_hat: ComplexArray, x_true: ComplexArray, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    support = np.flatnonzero(x_true.abs() > 0.0)
-    if support.size != k:
-        raise ValueError(f"ground truth has {support.size} nonzeros, expected {k}")
-    picked = top_k_indices(x_hat, k)
-    if tol_cells == 0:
-        hits = np.intersect1d(support, picked).size
-        return hits / k
-    if grid_shape is None:
-        grid_shape = x_true.shape
-    coords_sup = np.array(np.unravel_index(support, grid_shape)).T
-    coords_pick = np.array(np.unravel_index(picked, grid_shape)).T
-    hits = 0
-    for c in coords_sup:
-        dist = np.max(np.abs(coords_pick - c), axis=1)
-        if np.any(dist <= tol_cells):
-            hits += 1
-    return hits / k
+    if x_hat.shape != x_true.shape:
+        raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_true.shape}")
+    truth = _rows(x_true)
+    nonzero = np.hypot(truth.real, truth.imag) > 0.0
+    counts = np.count_nonzero(nonzero, axis=1)
+    wrong = np.flatnonzero(counts != k)
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"ground truth{_column(x_true, i)} has {counts[i]} "
+                         f"nonzeros, expected {k}")
+    shape = truth.shape[1:] if grid_shape is None else tuple(grid_shape)
+    support = np.stack(np.unravel_index(np.nonzero(nonzero)[1].reshape(-1, k), shape), -1)
+    picked = np.stack(np.unravel_index(top_k_indices(x_hat, k).reshape(-1, k), shape), -1)
+    # (B, true component, picked index) Chebyshev distances
+    dist = np.max(np.abs(support[:, :, None, :] - picked[:, None, :, :]), axis=-1)
+    hits = np.count_nonzero(np.any(dist <= tol_cells, axis=2), axis=1)
+    return _per_trial(hits / k, x_true)

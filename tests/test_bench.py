@@ -419,19 +419,16 @@ def test_cli_sweep_and_single_name_a_model_of_another_grid(tmp_path, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("gen-data", "--out"), ("gen-data", "--export-iq"), ("train", "--out"),
-    ("sweep", "--out"), ("single", "--out"), ("complexity", "--out"),
-    ("ingest", "--out")])
-def test_cli_names_an_unwritable_output(tmp_path, monkeypatch, command, flag):
+def output_argv(tmp_path, command, out):
+    """A run of ``command`` writing ``out``, on inputs written under
+    ``tmp_path / "in"``."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     data, iq = inputs / "d.hud", inputs / "g.hiq"
     assert cli_main(["gen-data", "--problem", "2d", "--m1", "2", "--m2", "4", "--n", "4",
                      "--k", "1", "--samples", "20", "--out", str(data),
                      "--export-iq", str(iq)]) == 0
-    out = str(tmp_path / "o")
-    argv = {
+    return {
         "gen-data": ["gen-data", "--problem", "2d", "--m1", "2", "--m2", "4", "--n", "4",
                      "--k", "1", "--samples", "3", "--out", out,
                      "--export-iq", out + ".hiq"],
@@ -443,6 +440,14 @@ def test_cli_names_an_unwritable_output(tmp_path, monkeypatch, command, flag):
         "complexity": ["complexity", "--sizes", "8", "--no-timing", "--out", out],
         "ingest": ["ingest", "--path", str(iq), "--out", out],
     }[command]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen-data", "--out"), ("gen-data", "--export-iq"), ("train", "--out"),
+    ("sweep", "--out"), ("single", "--out"), ("complexity", "--out"),
+    ("ingest", "--out")])
+def test_cli_names_an_unwritable_output(tmp_path, monkeypatch, command, flag):
+    argv = output_argv(tmp_path, command, str(tmp_path / "o"))
     bad = str(tmp_path / "missing" / "o")
     argv[argv.index(flag) + 1] = bad
     monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained first"))
@@ -451,6 +456,21 @@ def test_cli_names_an_unwritable_output(tmp_path, monkeypatch, command, flag):
     missing = tmp_path / "missing"
     assert str(err.value.code) == f"{flag} {bad}: cannot write (no directory {missing})"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]   # nothing written
+
+
+@pytest.mark.parametrize("command, sidecar", [
+    ("gen-data", ".json"), ("train", ".json"), ("sweep", ".manifest.json"),
+    ("single", ".manifest.json"), ("ingest", ".manifest.json")])
+def test_cli_names_a_sidecar_that_is_a_directory(tmp_path, monkeypatch, command, sidecar):
+    out = str(tmp_path / "o")
+    argv = output_argv(tmp_path, command, out)
+    (tmp_path / ("o" + sidecar)).mkdir()
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained first"))
+    with pytest.raises(SystemExit) as err:
+        cli_main(argv)
+    assert str(err.value.code) == (f"--out {out}: cannot write (its sidecar "
+                                   f"{out + sidecar} is a directory)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "o" + sidecar]
 
 
 def iq_and_model(tmp_path, model_shape=(4, 6)):
@@ -680,6 +700,23 @@ def test_run_sweep_block_matches_per_trial_recovery():
         x = hf.fista(d, inst.y, SolverConfig(lam=lam, max_iter=20, tol=0.0)).x_hat
         ratios.append(hf.nmse_metric(x, inst.x_true))
     assert abs(row.nmse_db - 20 * np.log10(np.mean(ratios))) < 1e-9
+
+
+def test_run_sweep_draws_each_noise_point_once_for_every_method(monkeypatch):
+    d = hf.build_dictionary((16,), hf.draw_sampling(16, 8, seed=4))
+    models = {"lista": init_network("lista", d, 2, lam=0.1)}
+    points = [-20.0, -10.0, 0.0]
+    alone = [run_sweep(small_cfg(methods=[m], noise_powers_db=points, trials_per_point=5,
+                                 models=models))
+             for m in ("ista", "lista")]
+    calls = []
+    draw = hf.bench.make_instance
+    monkeypatch.setattr(hf.bench, "make_instance",
+                        lambda *args: calls.append(args) or draw(*args))
+    both = run_sweep(small_cfg(methods=["ista", "lista"], noise_powers_db=points,
+                               trials_per_point=5, models=models))
+    assert both == alone[0] + alone[1]    # every row, bit for bit
+    assert len(calls) == len(points)
 
 
 def test_iq_every_bit_flip_loads_or_names_path(tmp_path):

@@ -312,6 +312,50 @@ def test_gen_dataset_reproducible_bit_exact():
     assert np.array_equal(a.truth.im, b.truth.im)
 
 
+def stream_column(d, k, sigma2, seed):
+    """Column ``seed``'s spectrum and noise, drawn as separate calls from
+    its own stream: the support, the amplitudes (real parts, then
+    imaginary), then, when ``sigma2 > 0``, the noise."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = np.zeros(d.total, dtype=np.complex128)
+    if k:
+        support = rng.choice(d.total, size=k, replace=False)
+        x[support] = hf.harmonic.gaussian(rng, (k,), np.sqrt(0.5))
+    w = np.zeros(d.n_obs, dtype=np.complex128)
+    if sigma2 > 0.0:
+        w = hf.harmonic.gaussian(rng, (d.n_obs,), np.sqrt(sigma2 / 2.0))
+    return x, w
+
+
+def same_bits(a, b):
+    """Equal values, down to the sign of each zero."""
+    return a.shape == b.shape and all(
+        np.array_equal(p, q) and np.array_equal(np.signbit(p), np.signbit(q))
+        for p, q in ((a.real, b.real), (a.imag, b.imag)))
+
+
+@pytest.mark.parametrize("shape, n, k, sigma2", [
+    ((64,), 16, 2, 0.1), ((64,), 16, 0, 0.1), ((64,), 16, 2, 0.0), ((4, 6), 12, 3, 0.05)])
+def test_block_draws_are_per_column_streams(shape, n, k, sigma2):
+    d = build_dictionary(shape, draw_sampling(int(np.prod(shape)), n, seed=18))
+    phi = d.phi.z
+    children = np.random.SeedSequence(19).spawn(7)
+    columns = [stream_column(d, k, sigma2, c) for c in children]
+    block = make_instance(d, k, sigma2, children)
+    assert block.x_true.shape == (d.total, 7) and block.y.shape == (n, 7)
+    for i, (child, (x, w)) in enumerate(zip(children, columns)):
+        y = phi @ x + w if sigma2 > 0.0 else phi @ x
+        one = make_instance(d, k, sigma2, child)
+        for got in (block.x_true.z[:, i], one.x_true.z):
+            assert same_bits(got, x)
+        for got in (block.y.z[:, i], one.y.z):
+            assert same_bits(got, y)
+    ds = gen_dataset(d, 7, k, sigma2, seed=19)
+    truth = np.stack([x for x, _ in columns], axis=1)
+    assert same_bits(ds.truth.z, truth)
+    assert same_bits(ds.obs.z, phi @ truth + np.stack([w for _, w in columns], axis=1))
+
+
 def test_gen_dataset_paper_scale_shape():
     d = build_dictionary((512,), draw_sampling(512, 64, seed=15))
     ds = gen_dataset(d, 50_000, 5, 0.4, seed=2)

@@ -89,3 +89,43 @@ def test_hit_rate_validation():
         hit_rate_metric(truth, truth, 0)
     with pytest.raises(ValueError):
         hit_rate_metric(truth, truth, 2)  # truth has one nonzero, not two
+
+
+def test_block_metrics_equal_per_column_calls_bit_for_bit():
+    rng = np.random.default_rng(3)
+    total, b, k = 64, 24, 2
+    truth = np.zeros((total, b), dtype=np.complex128)
+    for i in range(b):
+        truth[rng.choice(total, size=k, replace=False), i] = rng.standard_normal(k) + 1j
+    est = truth + 0.3 * (rng.standard_normal((total, b)) + 1j * rng.standard_normal((total, b)))
+    est[:, 1] = np.round(est[:, 1].real)   # integer moduli: ties across the top k
+    est[:, 2] = 0.0                        # all zero: the lowest indices win
+    est[:, 3] = 0.0
+    est[:5, 3] = 1.0                       # a five-way tie for the top two
+    x_hat, x_true = ComplexArray(est), ComplexArray(truth)
+    ratios = nmse_metric(x_hat, x_true)
+    hits = hit_rate_metric(x_hat, x_true, k)
+    tolerant = hit_rate_metric(x_hat, x_true, k, tol_cells=1, grid_shape=(8, 8))
+    picked = top_k_indices(x_hat, k)
+    assert ratios.shape == hits.shape == tolerant.shape == (b,)
+    for i in range(b):
+        col_hat, col_true = ComplexArray(est[:, i].copy()), ComplexArray(truth[:, i].copy())
+        assert ratios[i] == nmse_metric(col_hat, col_true)
+        assert hits[i] == hit_rate_metric(col_hat, col_true, k)
+        assert tolerant[i] == hit_rate_metric(col_hat, col_true, k, tol_cells=1,
+                                              grid_shape=(8, 8))
+        assert np.array_equal(picked[i], top_k_indices(col_hat, k))
+    assert np.array_equal(picked[2], [0, 1]) and np.array_equal(picked[3], [0, 1])
+    assert isinstance(nmse_metric(col_hat, col_true), float)
+
+
+def test_block_metrics_name_the_bad_column():
+    truth = np.zeros((8, 3), dtype=np.complex128)
+    truth[[1, 4], 0] = 1.0
+    truth[[2, 5], 2] = 1.0j
+    est = ComplexArray.zeros((8, 3))
+    with pytest.raises(ValueError, match="ground truth column 1 is identically zero"):
+        nmse_metric(est, ComplexArray(truth))
+    truth[6, 1] = 1.0
+    with pytest.raises(ValueError, match="ground truth column 1 has 1 nonzeros, expected 2"):
+        hit_rate_metric(est, ComplexArray(truth), 2)
