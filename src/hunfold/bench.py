@@ -182,24 +182,26 @@ def run_single(cfg: ExperimentConfig, offgrid: bool = False,
     Each row is (grid index, true magnitude, one magnitude column per
     method).  In off-grid mode the true components sit ``frac`` of a cell
     past their anchor index (second axis only in 2-D) and the truth column
-    marks the anchors.
+    marks the anchors.  The instance and its noise come from the one stream
+    of ``cfg.seed``: on the grid as :func:`make_instance` draws them, off the
+    grid the anchors, the amplitudes, then the noise.
     """
     _check_noise_power(sigma2)
     sampling = draw_sampling(int(np.prod(cfg.shape)), cfg.n_obs, cfg.sample_seed)
     d = build_dictionary(cfg.shape, sampling)
     seq = np.random.SeedSequence(cfg.seed)
-    rng = np.random.Generator(np.random.PCG64(seq))
     if offgrid:
+        rng = np.random.Generator(np.random.PCG64(seq))
         anchors = np.sort(rng.choice(d.total, size=cfg.k, replace=False))
         amps = ComplexArray(gaussian(rng, (cfg.k,), np.sqrt(0.5)))
         y = synth_offgrid(d, anchors, frac, amps)
+        if sigma2 > 0.0:
+            y = ComplexArray(y.z + gaussian(rng, (d.n_obs,), np.sqrt(sigma2 / 2.0)))
         truth_mag = np.zeros(d.total)
         truth_mag[anchors] = amps.abs()
     else:
-        inst = make_instance(d, cfg.k, 0.0, seq)
+        inst = make_instance(d, cfg.k, sigma2, seq)
         y, truth_mag = inst.y, inst.x_true.abs()
-    if sigma2 > 0.0:
-        y = ComplexArray(y.z + gaussian(rng, (d.n_obs,), np.sqrt(sigma2 / 2.0)))
     block = ComplexArray(y.z[:, None])
     columns = {}
     for method in cfg.methods:

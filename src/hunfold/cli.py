@@ -54,12 +54,27 @@ def _finite_nonneg(v) -> bool:
     return math.isfinite(v) and v >= 0
 
 
-def _shape_from(args) -> tuple[int, ...]:
-    if args.problem == "2d":
-        _require(args, "m1", "m2")
-        return (args.m1, args.m2)
-    _require(args, "m")
-    return (args.m,)
+def _integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _problem(args) -> tuple[int, ...]:
+    """The grid shape of the problem flags, each checked by name: grid
+    sizes >= 1, 1 <= --n <= grid size and 0 <= --k <= grid size (>= 1 for
+    ``sweep``, whose metrics score a component).  Values from ``--config``
+    pass here too, which argparse's ``type=`` never sees."""
+    names = ("m1", "m2") if args.problem == "2d" else ("m",)
+    _require(args, *names, "n")
+    for name in names:
+        _check(args, name, lambda v: _integer(v) and v >= 1, "an integer >= 1")
+    shape = tuple(getattr(args, name) for name in names)
+    total = math.prod(shape)
+    _check(args, "n", lambda v: _integer(v) and 1 <= v <= total,
+           f"an integer from 1 to the grid size {total}")
+    low = 1 if args.command == "sweep" else 0
+    _check(args, "k", lambda v: _integer(v) and low <= v <= total,
+           f"an integer from {low} to the grid size {total}")
+    return shape
 
 
 def _float_list(text) -> list[float]:
@@ -157,7 +172,7 @@ def _load_models(args, methods, shape) -> dict:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    _require(args, "n")
+    shape = _problem(args)
     for name in ("trials", "budget_ista", "budget_fista"):
         if hasattr(args, name):
             _check(args, name, lambda v: v >= 1, ">= 1")
@@ -169,7 +184,6 @@ def _experiment_config(args) -> ExperimentConfig:
                "a comma list of at least one finite dB value whose power "
                "10**(dB/10) is finite")
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
-    shape = _shape_from(args)
     return ExperimentConfig(
         shape=shape,
         n_obs=args.n,
@@ -215,7 +229,7 @@ def _cmd_gen_data(args) -> int:
     _writable(args, "export_iq")
     _check(args, "samples", lambda v: v >= 1, ">= 1")
     _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
-    shape = _shape_from(args)
+    shape = _problem(args)
     if args.export_iq:
         if len(shape) != 2:
             raise SystemExit("--export-iq needs a 2-D problem")

@@ -16,6 +16,12 @@ running over m2), and :func:`gram_generator` returns its
 Gram generator and off-grid observations are each built by one loop over
 the axes of ``np.unravel_index(omega, shape)``.
 
+Every Fourier entry ``exp(+-j 2 pi r c / M_a)`` of an axis is read from one
+table of the M_a roots of unity at its phase reduced mod M_a, the index
+``(r*c) mod M_a`` taken in integers (:func:`_roots`).  No phase reaches
+2 pi, so an entry is within about an ulp of the exact root whatever the
+grid size, and the rows of a 1-D dictionary are orthogonal to rounding.
+
 Dictionaries, spectra and observations are complex128 arrays
 (:class:`~hunfold.cplx.ComplexArray`), and every product with a dictionary
 is one complex matrix product.  A complex Gaussian draw takes all its real
@@ -67,12 +73,21 @@ DATASET_MAGIC = b"HUD1"
 NOISE_DB_CONVENTION = "noise_power_db = 10*log10(sigma2); amplitudes unit power"
 
 
+def _roots(m: int, rows, cols, sign: int = 1) -> np.ndarray:
+    """``exp(sign j 2 pi r c / m)`` for every ``r`` in ``rows`` (axis 0) and
+    ``c`` in ``cols`` (axis 1), read from the table of the m roots of unity
+    at ``(r*c) mod m``, computed in integers: no phase reaches 2 pi."""
+    t = np.multiply.outer(np.asarray(rows, dtype=np.int64),
+                          np.asarray(cols, dtype=np.int64))
+    np.remainder(t, m, out=t)
+    return np.exp(1j * (sign * 2.0 * np.pi / m * np.arange(m)))[t]
+
+
 def fourier_matrix(m: int) -> ComplexArray:
     """Unnormalised M x M Fourier matrix with entry exp(+j 2 pi i m / M)."""
     if m < 1:
         raise ValueError(f"matrix order must be >= 1, got {m}")
-    ang = 2.0 * np.pi / m * np.outer(np.arange(m), np.arange(m))
-    return ComplexArray(np.exp(1j * ang))
+    return ComplexArray(_roots(m, np.arange(m), np.arange(m)))
 
 
 @dataclass(frozen=True)
@@ -138,15 +153,15 @@ def build_dictionary(shape, sampling: SamplingSet) -> Dictionary:
     """Materialise the selected rows without forming the full square matrix.
 
     A row is the Kronecker product of one row of each axis's Fourier
-    matrix, the row ``i_a`` with phase ``(2 pi / M_a) * i_a * j_a`` at
-    column ``j_a``.
+    matrix, the row ``i_a`` with phase ``(2 pi / M_a) * (i_a * j_a mod M_a)``
+    at column ``j_a`` (see :func:`_roots`).
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) not in (1, 2) or any(s < 1 for s in shape):
         raise ValueError(f"grid shape must be (M,) or (M1, M2), got {shape}")
     if sampling.count and int(sampling.omega[-1]) >= math.prod(shape):
         raise ValueError("sampling index exceeds grid size")
-    rows = [np.exp(1j * (2.0 * np.pi / m * np.outer(i, np.arange(m))))
+    rows = [_roots(m, i, np.arange(m))
             for i, m in zip(np.unravel_index(sampling.omega, shape), shape)]
     phi = functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(
         sampling.count, a.shape[1] * b.shape[1]), rows)
@@ -168,7 +183,7 @@ def gram_generator(d: Dictionary) -> Toeplitz:
     factors (last axis slowest; a row of ones in 1-D) times the first
     axis's.  Expanding it reproduces :func:`gram` up to rounding.
     """
-    factors = [np.exp(1j * (-2.0 * np.pi / m * np.outer(np.arange(1 - m, m), i)))
+    factors = [_roots(m, np.arange(1 - m, m), i, sign=-1)
                for i, m in zip(np.unravel_index(d.sampling.omega, d.shape), d.shape)]
     rest = functools.reduce(lambda a, b: (a[:, None, :] * b[None, :, :]).reshape(
         a.shape[0] * b.shape[0], d.n_obs), factors[:0:-1], np.ones((1, d.n_obs)))
@@ -242,8 +257,10 @@ def synth_offgrid(d: Dictionary, grid_indices, frac: float,
     """Observation of sinusoids displaced off the grid by ``frac`` of a cell.
 
     The displacement applies to the last axis only (the single axis in
-    1-D).  ``frac = 0`` reduces to the on-grid product with the dictionary
-    columns.
+    1-D): the columns of the anchor cells, read from the root tables as the
+    dictionary's are, each sample's row turned by
+    ``exp(j 2 pi i_last frac / M_last)``.  ``frac = 0`` gives the on-grid
+    product with the dictionary columns bit for bit.
     """
     if not (0.0 <= frac < 1.0):
         raise ValueError(f"fractional offset must lie in [0, 1), got {frac}")
@@ -252,11 +269,13 @@ def synth_offgrid(d: Dictionary, grid_indices, frac: float,
         raise ValueError("need one amplitude per grid index")
     if idx.size and (idx.min() < 0 or idx.max() >= d.total):
         raise ValueError("grid index out of range")
-    anchors = list(np.unravel_index(idx, d.shape))
-    anchors[-1] = anchors[-1] + frac
-    ang = 2.0 * np.pi * sum(np.outer(i, j / m) for i, j, m in zip(
-        np.unravel_index(d.sampling.omega, d.shape), anchors, d.shape))
-    return ComplexArray(np.exp(1j * ang) @ amps.z)
+    samples = np.unravel_index(d.sampling.omega, d.shape)
+    # (K, N): its transpose has the layout of ``phi[:, idx]``, so the product
+    # runs as the on-grid one does
+    waves = functools.reduce(np.multiply, [
+        _roots(m, j, i) for i, j, m in zip(samples, np.unravel_index(idx, d.shape), d.shape)])
+    waves *= np.exp(1j * (2.0 * np.pi * frac / d.shape[-1] * samples[-1]))
+    return ComplexArray(waves.T @ amps.z)
 
 
 def _check_noise_power(sigma2: float) -> None:

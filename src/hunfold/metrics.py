@@ -48,10 +48,30 @@ def nmse_metric(x_hat: ComplexArray, x_true: ComplexArray):
 
 def top_k_indices(x: ComplexArray, k: int) -> np.ndarray:
     """Indices of the k largest moduli, ascending; ties resolve to the
-    lowest index.  A block gives one row of k indices per column."""
+    lowest index.  A block gives one row of k indices per column.
+
+    A NaN modulus ranks below every number, so NaN entries are picked only
+    when fewer than k entries are numbers, the lowest of them first.  The
+    k-th largest modulus comes from a partition; every modulus above it is
+    kept, and the ties at it fill the rest in ascending index.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     rows = _rows(x)
-    order = np.argsort(-np.hypot(rows.real, rows.imag), axis=1, kind="stable")
-    picked = np.sort(order[:, :k], axis=1)
+    mag = np.hypot(rows.real, rows.imag)
+    k = min(k, mag.shape[1])
+    if k == 0:
+        picked = np.empty((mag.shape[0], 0), dtype=np.intp)
+    else:
+        mag[np.isnan(mag)] = -1.0   # below every modulus
+        kth = np.partition(mag, -k, axis=1)[:, -k, None]
+        keep = mag >= kth
+        if np.count_nonzero(keep) > mag.shape[0] * k:
+            # some row has more entries at its k-th modulus than places left
+            above, tied = mag > kth, mag == kth
+            fill = k - np.count_nonzero(above, axis=1)
+            keep = above | (tied & (np.cumsum(tied, axis=1) <= fill[:, None]))
+        picked = np.nonzero(keep)[1].reshape(-1, k)
     return picked[0] if x.ndim == 1 else picked
 
 

@@ -91,6 +91,30 @@ def test_run_single_ongrid_recovers_support():
         assert top == support
 
 
+def test_run_single_noise_is_not_a_copy_of_the_signal_draws(monkeypatch):
+    # at seed 9, M=32, k=2, noise drawn by a second generator on the same
+    # SeedSequence would repeat the four amplitude normals as noise normals 2-5
+    sigma2 = 0.01
+    cfg = small_cfg(shape=(32,), n_obs=12, k=2, seed=9, methods=["ista"])
+    blocks = []
+    recover = hf.bench._recover
+    monkeypatch.setattr(hf.bench, "_recover",
+                        lambda method, d, y, c: blocks.append(y.z[:, 0].copy())
+                        or recover(method, d, y, c))
+    run_single(cfg, sigma2=sigma2)
+    (y,) = blocks
+    d = hf.build_dictionary((32,), hf.draw_sampling(32, 12, seed=cfg.sample_seed))
+    seq = np.random.SeedSequence(cfg.seed)
+    inst = hf.make_instance(d, cfg.k, sigma2, seq)
+    assert np.array_equal(y, inst.y.z)          # one stream gives both
+    x = inst.x_true.z
+    noise = (y - d.phi.z @ x) / np.sqrt(sigma2 / 2.0)
+    signal = x[x != 0] / np.sqrt(0.5)
+    noise_draws = np.concatenate([noise.real, noise.imag])
+    signal_draws = np.concatenate([signal.real, signal.imag])
+    assert np.min(np.abs(noise_draws[:, None] - signal_draws[None, :])) > 1e-6
+
+
 def test_complexity_report_counts():
     header, rows = complexity_report([512, 1024], n_obs=64, timing=False)
     assert rows[0][2] == 512 * 512 and rows[0][3] == 1023
@@ -581,6 +605,56 @@ def test_cli_sweep_and_single_name_a_bad_flag(tmp_path, command, flag, value):
                   "--out", str(out), f"{flag}={value}"])
     assert str(err.value.code).startswith(flag + " ")
     assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen-data", "--m", "8", "--n", "4", "--k", "9"], "--k"),
+    (["gen-data", "--m", "8", "--n", "9", "--k", "1"], "--n"),
+    (["gen-data", "--m", "0", "--n", "1", "--k", "0"], "--m"),
+    (["gen-data", "--m", "8", "--n", "4", "--k", "-1"], "--k"),
+    (["gen-data", "--m", "8", "--n", "0", "--k", "1"], "--n"),
+    (["gen-data", "--problem", "2d", "--m1", "3", "--m2", "0", "--n", "1"], "--m2"),
+    (["gen-data", "--problem", "2d", "--m1", "2", "--m2", "3", "--n", "7"], "--n"),
+    (["sweep", "--m", "8", "--n", "4", "--k", "0"], "--k"),
+    (["sweep", "--m", "8", "--n", "0", "--k", "1"], "--n"),
+    (["sweep", "--m", "8", "--n", "4", "--k", "9"], "--k"),
+    (["single", "--m", "8", "--n", "4", "--k", "9"], "--k"),
+    (["single", "--m", "8", "--n", "9", "--k", "1"], "--n"),
+])
+def test_cli_names_a_bad_problem_flag(tmp_path, argv, flag):
+    out = tmp_path / "out"
+    extra = {"gen-data": ["--samples", "2"], "sweep": ["--trials", "1"]}.get(argv[0], [])
+    with pytest.raises(SystemExit) as err:
+        cli_main(argv + extra + ["--out", str(out)])
+    assert str(err.value.code).startswith(flag + " ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, doc, flag", [
+    ("gen-data", {"m": 8, "n": 4, "k": 9}, "--k"),
+    ("gen-data", {"m": 0, "n": 1}, "--m"),
+    ("gen-data", {"m": 8, "n": 2.5}, "--n"),
+    ("sweep", {"m": 8, "n": 4, "k": 0}, "--k"),
+    ("single", {"problem": "2d", "m1": 0, "m2": 4, "n": 1}, "--m1"),
+])
+def test_cli_checks_problem_values_from_a_config_file(tmp_path, command, doc, flag):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    extra = ["--samples", "2"] if command == "gen-data" else []
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        cli_main([command, "--config", str(cfg_file), "--out", str(out)] + extra)
+    assert str(err.value.code).startswith(flag + " ")
+    assert not out.exists()
+
+
+def test_cli_single_and_gen_data_accept_no_component(tmp_path):
+    assert cli_main(["single", "--m", "8", "--n", "4", "--k", "0",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert cli_main(["gen-data", "--m", "8", "--n", "8", "--k", "8", "--samples", "2",
+                     "--out", str(tmp_path / "d.hud")]) == 0
+    assert cli_main(["gen-data", "--m", "8", "--n", "4", "--k", "0", "--samples", "2",
+                     "--out", str(tmp_path / "d0.hud")]) == 0
 
 
 @pytest.mark.parametrize("kw", [{"noise_powers_db": [0.0, float("nan")]},

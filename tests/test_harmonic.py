@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hunfold as hf
-from hunfold.cplx import ComplexArray
+from hunfold.cplx import ComplexArray, lipschitz_constant
 from hunfold.harmonic import (add_noise, build_dictionary, db_to_sigma2,
                               dictionary_from_meta, draw_sampling, fourier_matrix, gen_dataset,
                               gen_sparse_signal, gram, gram_generator,
@@ -29,6 +29,40 @@ def test_fourier_matrix_gram_is_scaled_identity():
     f = fourier_matrix(m).to_complex()
     g = f.conj().T @ f
     assert np.max(np.abs(g - m * np.eye(m))) < 1e-12 * m
+
+
+@pytest.mark.parametrize("m, n", [(2048, 64), (4096, 512)])
+def test_partial_fourier_rows_are_orthogonal_to_an_ulp(m, n):
+    # every entry is a root of unity read at its phase reduced mod M, so the
+    # rows of an unnormalised partial DFT are orthogonal with squared norm M
+    # to rounding, and L = M
+    d = build_dictionary((m,), draw_sampling(m, n, seed=1))
+    phi = d.phi.z
+    assert np.max(np.abs(phi @ phi.conj().T - m * np.eye(n))) / m < 1e-14
+    assert abs(lipschitz_constant(d.phi).value - m) / m < 1e-15
+
+
+@pytest.mark.parametrize("shape, n", [((2048,), 64), ((4096,), 32), ((32, 32), 256)])
+def test_dictionary_entries_sit_at_the_reduced_phase(shape, n):
+    # against a long-double reference whose phase is reduced mod M_a per axis
+    total = int(np.prod(shape))
+    d = build_dictionary(shape, draw_sampling(total, n, seed=2))
+    pi = 4 * np.arctan(np.longdouble(1))
+    rows = np.unravel_index(d.sampling.omega, shape)
+    cols = np.unravel_index(np.arange(total), shape)
+    ref = np.ones((n, total), dtype=np.clongdouble)
+    for i, j, m in zip(rows, cols, shape):
+        t = np.outer(i, j) % m
+        phase = 2 * pi * t.astype(np.longdouble) / m
+        ref *= np.cos(phase) + 1j * np.sin(phase)
+    assert np.max(np.abs(d.phi.z - ref)) < 2e-15
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 2048])
+def test_fourier_matrix_rows_are_the_dictionary_bit_for_bit(m):
+    sampling = draw_sampling(m, min(m, 16), seed=3)
+    rows = fourier_matrix(m).z[sampling.omega]
+    assert np.array_equal(rows, build_dictionary((m,), sampling).phi.z)
 
 
 def test_draw_sampling_full_and_singleton():
@@ -177,6 +211,17 @@ def test_synth_offgrid_on_grid_consistency():
     y = synth_offgrid(d, [7], 0.0, amps)
     col = ComplexArray(d.phi.re[:, 7], d.phi.im[:, 7])
     assert np.max(np.abs(y.to_complex() - col.to_complex())) < 1e-12
+
+
+@pytest.mark.parametrize("shape, n, k", [((64,), 16, 3), ((2048,), 64, 5), ((4, 6), 12, 4)])
+def test_synth_offgrid_on_the_grid_is_the_dictionary_product_bit_for_bit(shape, n, k):
+    total = int(np.prod(shape))
+    d = build_dictionary(shape, draw_sampling(total, n, seed=15))
+    rng = np.random.default_rng(16)
+    idx = rng.choice(total, size=k, replace=False)
+    amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    y = synth_offgrid(d, idx, 0.0, ComplexArray(amps)).z
+    assert np.array_equal(y, d.phi.z[:, idx] @ amps)
 
 
 def test_synth_offgrid_zero_amplitudes():

@@ -129,3 +129,45 @@ def test_block_metrics_name_the_bad_column():
     truth[6, 1] = 1.0
     with pytest.raises(ValueError, match="ground truth column 1 has 1 nonzeros, expected 2"):
         hit_rate_metric(est, ComplexArray(truth), 2)
+
+
+def stable_argsort_top_k(z, k):
+    """The rule as a full sort: a stable argsort of the negated moduli,
+    its first k indices in ascending order (NaN moduli sort last)."""
+    rows = np.ascontiguousarray(z.T)
+    order = np.argsort(-np.hypot(rows.real, rows.imag), axis=1, kind="stable")
+    return np.sort(order[:, :k], axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_top_k_equals_the_stable_argsort_with_ties_across_the_boundary(k):
+    rng = np.random.default_rng(17)
+    m, b = 2048, 6
+    z = (rng.standard_normal((m, b)) + 1j * rng.standard_normal((m, b))) * 0.1
+    for i in range(b):
+        # k - 1 clear winners, then 2 + i entries tied for the last place,
+        # scattered over the whole column
+        spots = rng.choice(m, size=k + 1 + i, replace=False)
+        z[spots[:k - 1], i] = 10.0 + np.arange(k - 1)
+        z[spots[k - 1:], i] = 3.0j if i % 2 else -3.0
+    want = stable_argsort_top_k(z, k)
+    got = top_k_indices(ComplexArray(z), k)
+    assert np.array_equal(got, want)
+    for i in range(b):
+        assert np.array_equal(top_k_indices(ComplexArray(z[:, i].copy()), k), want[i])
+
+
+def test_top_k_ranks_a_nan_modulus_below_every_number():
+    x = np.array([np.nan, 0.0, 2.0, np.nan, 1.0, complex(np.nan, 1.0), 0.0])
+    # NaN entries rank below zero moduli ...
+    assert np.array_equal(top_k_indices(ComplexArray(x), 4), [1, 2, 4, 6])
+    # ... and fill up, lowest index first, only when the numbers run out
+    assert np.array_equal(top_k_indices(ComplexArray(x), 6), [0, 1, 2, 3, 4, 6])
+    assert np.array_equal(top_k_indices(ComplexArray(x), 6),
+                          stable_argsort_top_k(x[:, None], 6)[0])
+    # an infinite modulus is the largest, even with a NaN part
+    y = np.array([1.0, complex(np.inf, np.nan), 2.0])
+    assert np.array_equal(top_k_indices(ComplexArray(y), 1), [1])
+    assert top_k_indices(ComplexArray(y), 0).shape == (0,)
+    with pytest.raises(ValueError):
+        top_k_indices(ComplexArray(y), -1)
