@@ -8,11 +8,12 @@ function still takes or returns a real and an imaginary plane (the
 plane-level soft threshold, the FFT convolutions, the networks' forward
 pass), :func:`join_planes` turns the pair back into one array.
 
-The soft threshold's shrink rule is written once, :func:`shrink_factor`.
-:func:`shrink` applies it to a complex128 array with one ``np.abs`` and
-hands the modulus back for reuse (the networks); :func:`soft_threshold_planes`
-applies it to planes with ``np.hypot`` (the solvers, and
-:func:`soft_threshold`).
+The soft threshold's shrink rule is written once, :func:`shrink_factor`,
+and applied once, by :func:`shrink`: to a complex128 array with one
+``np.abs``, at one threshold or one per column, handing the modulus back
+for reuse.  The networks and the solvers threshold with it, and
+:func:`soft_threshold` and :func:`soft_threshold_planes` are its
+:class:`ComplexArray` and plane-pair forms, so all four agree bit for bit.
 """
 
 from __future__ import annotations
@@ -180,42 +181,39 @@ def shrink_factor(mag, theta):
     return 1.0 - theta / np.maximum(mag, np.maximum(theta, _TINY))
 
 
-def shrink(z, theta: float):
+def shrink(z, theta):
     """Complex soft threshold of a complex128 array and its modulus:
     ``(z * shrink_factor(|z|, theta), |z|)``.
 
-    The modulus is computed once, for a caller (the networks' backward
-    pass) that reuses it.  A zero ``theta`` returns ``z`` itself, the
-    identity the factor gives.
+    ``theta`` is a scalar or an array that broadcasts over the last axis,
+    e.g. one threshold per column of an ``(n, B)`` block; entries whose
+    threshold is zero come back unchanged.  The modulus is computed once,
+    for a caller (the networks' backward pass) that reuses it.  A scalar
+    zero ``theta`` returns ``z`` itself, the identity the factor gives.
     """
     mag = np.abs(z)
-    return (z if theta == 0.0 else z * shrink_factor(mag, theta)), mag
+    zero = np.ndim(theta) == 0 and theta == 0.0
+    return (z if zero else z * shrink_factor(mag, theta)), mag
 
 
 def soft_threshold_planes(re, im, theta):
-    """Plane-level complex soft threshold; see :func:`soft_threshold`.
-
-    ``theta`` is a scalar or an array that broadcasts over the last axis,
-    e.g. one threshold per column of an ``(n, B)`` block.  Entries whose
-    threshold is zero come back unchanged.
-    """
-    scale = shrink_factor(np.hypot(re, im), theta)
-    return re * scale, im * scale
+    """:func:`shrink` of the complex array a real and an imaginary plane
+    make, returned as planes; ``theta`` as there."""
+    x = shrink(join_planes(re, im), theta)[0]
+    return x.real, x.imag
 
 
 def soft_threshold(x: ComplexArray, theta: float) -> ComplexArray:
     """Complex soft threshold: shrink the modulus by theta, keep the phase.
 
     Entries with modulus at most theta map to exactly zero; the others keep
-    their phase and lose theta of magnitude.  The modulus is the solvers'
-    (:func:`soft_threshold_planes`), so a result equals theirs bit for bit
-    and a network layer's (:func:`shrink`, ``np.abs``) to within the last
-    bit of the modulus.
+    their phase and lose theta of magnitude.  The result is :func:`shrink`'s,
+    so it equals a network layer's and a solver step's bit for bit.
     """
     theta = float(theta)
     if not np.isfinite(theta) or theta < 0.0:
         raise ValueError(f"threshold must be finite and >= 0, got {theta}")
-    return ComplexArray(*soft_threshold_planes(x.re, x.im, theta))
+    return ComplexArray.from_complex(shrink(x.z, theta)[0])
 
 
 class PowerIterEstimate(NamedTuple):

@@ -9,6 +9,8 @@ scores exactly as that column alone.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cplx import ComplexArray
@@ -83,24 +85,33 @@ def hit_rate_metric(x_hat: ComplexArray, x_true: ComplexArray, k: int,
     Strict matching requires the exact grid index.  With ``tol_cells`` > 0
     a true component counts as found when some top-k index lies within that
     many cells (Chebyshev distance over the grid axes; pass ``grid_shape``
-    for 2-D problems).
+    for 2-D problems).  A NaN truth entry is not a component.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if x_hat.shape != x_true.shape:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_true.shape}")
     truth = _rows(x_true)
-    nonzero = np.hypot(truth.real, truth.imag) > 0.0
-    counts = np.count_nonzero(nonzero, axis=1)
+    shape = truth.shape[1:] if grid_shape is None else tuple(grid_shape)
+    if math.prod(shape) != truth.shape[1]:
+        raise ValueError(f"grid_shape {shape} does not hold {truth.shape[1]} entries")
+    # |z| > 0 rather than z != 0, which would count a NaN entry
+    nonzero = np.abs(truth) > 0.0
+    counts = nonzero.sum(axis=1)
     wrong = np.flatnonzero(counts != k)
     if wrong.size:
         i = wrong[0]
         raise ValueError(f"ground truth{_column(x_true, i)} has {counts[i]} "
                          f"nonzeros, expected {k}")
-    shape = truth.shape[1:] if grid_shape is None else tuple(grid_shape)
-    support = np.stack(np.unravel_index(np.nonzero(nonzero)[1].reshape(-1, k), shape), -1)
-    picked = np.stack(np.unravel_index(top_k_indices(x_hat, k).reshape(-1, k), shape), -1)
-    # (B, true component, picked index) Chebyshev distances
-    dist = np.max(np.abs(support[:, :, None, :] - picked[:, None, :, :]), axis=-1)
-    hits = np.count_nonzero(np.any(dist <= tol_cells, axis=2), axis=1)
+    support = np.nonzero(nonzero)[1].reshape(-1, k)
+    picked = top_k_indices(x_hat, k).reshape(-1, k)
+    if tol_cells == 0:
+        # distinct indices on both sides: each component matches at most once
+        hits = (support[:, :, None] == picked[:, None, :]).sum(axis=(1, 2))
+    else:
+        support = np.stack(np.unravel_index(support, shape), -1)
+        picked = np.stack(np.unravel_index(picked, shape), -1)
+        # (B, true component, picked index) Chebyshev distances
+        dist = np.max(np.abs(support[:, :, None, :] - picked[:, None, :, :]), axis=-1)
+        hits = np.count_nonzero(np.any(dist <= tol_cells, axis=2), axis=1)
     return _per_trial(hits / k, x_true)

@@ -188,9 +188,25 @@ def test_shrink_agrees_with_the_planes_on_every_column():
         got, mag = shrink(z[:, j], t)
         assert np.array_equal(mag, np.abs(z[:, j]))
         assert np.array_equal(got == 0.0, (out_re[:, j] == 0.0) & (out_im[:, j] == 0.0))
-        # the moduli (np.abs against np.hypot) may differ in the last bit
-        assert np.max(np.abs(got - (out_re[:, j] + 1j * out_im[:, j]))) <= 4e-16 * np.max(mag)
+        # the planes are shrink's, bit for bit
+        assert np.array_equal(got, out_re[:, j] + 1j * out_im[:, j])
     assert shrink(z, 0.0)[0] is z and shrink(z[4:5, 2], 1.25)[0][0] == 0.0
+
+
+def test_shrink_per_column_theta_equals_per_column_calls():
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
+    z[3, 1] = 0.0                      # a zero entry under a zero threshold
+    z[4, 2] = 0.75 + 1j                # modulus 1.25, on the column's boundary
+    theta = np.array([0.7, 0.0, 1.25, 0.2])
+    got, mag = shrink(z, theta)
+    assert np.array_equal(mag, np.abs(z))
+    for j, t in enumerate(theta):
+        assert np.array_equal(got[:, j], shrink(z[:, j], t)[0])
+    assert got[4, 2] == 0.0 and 0 < np.count_nonzero(got[:, 0]) < 20
+    # the zero-threshold column, zero entry included, comes back unchanged
+    assert np.array_equal(got[:, 1], z[:, 1])
+    assert shrink(z, 0.0)[0] is z
 
 
 def test_complex_array_wraps_complex_without_copying():

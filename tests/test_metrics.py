@@ -91,6 +91,62 @@ def test_hit_rate_validation():
         hit_rate_metric(truth, truth, 2)  # truth has one nonzero, not two
 
 
+def chebyshev_hit_rate(x_hat, x_true, k, tol_cells=0, shape=None):
+    """The rule with every index set on the grid: hypot support, unravelled
+    indices and the (B, k, k, rank) Chebyshev distance array."""
+    truth = np.ascontiguousarray(np.atleast_2d(x_true.z.T))
+    nonzero = np.hypot(truth.real, truth.imag) > 0.0
+    counts = np.count_nonzero(nonzero, axis=1)
+    if np.any(counts != k):
+        i = np.flatnonzero(counts != k)[0]
+        raise ValueError(f"has {counts[i]} nonzeros, expected {k}")
+    shape = truth.shape[1:] if shape is None else shape
+    support = np.stack(np.unravel_index(np.nonzero(nonzero)[1].reshape(-1, k), shape), -1)
+    picked = np.stack(np.unravel_index(top_k_indices(x_hat, k).reshape(-1, k), shape), -1)
+    dist = np.max(np.abs(support[:, :, None, :] - picked[:, None, :, :]), axis=-1)
+    hits = np.count_nonzero(np.any(dist <= tol_cells, axis=2), axis=1)
+    return hits / k
+
+
+@pytest.mark.parametrize("tol_cells, shape", [(0, None), (0, (8, 8)), (1, None),
+                                              (1, (8, 8)), (2, (4, 16))])
+def test_hit_rate_equals_the_chebyshev_rule_bit_for_bit(tol_cells, shape):
+    rng = np.random.default_rng(21)
+    total, b, k = 64, 12, 3
+    truth = np.zeros((total, b), dtype=np.complex128)
+    for i in range(b):
+        truth[rng.choice(total, k, replace=False), i] = rng.standard_normal(k) + 1j
+    est = truth + 0.4 * (rng.standard_normal((total, b)) + 1j * rng.standard_normal((total, b)))
+    est[:, 1] = np.round(est[:, 1].real)   # integer moduli: ties across the top k
+    est[:, 2] = 0.0                        # all tied: the lowest indices win
+    est[7, 3] = np.nan                     # a NaN estimate ranks last
+    truth[9, 4] = truth[10, 5] = complex(np.nan, 0.0)   # a NaN truth entry is no component
+    x_hat, x_true = ComplexArray(est), ComplexArray(truth)
+    want = chebyshev_hit_rate(x_hat, x_true, k, tol_cells, shape)
+    got = hit_rate_metric(x_hat, x_true, k, tol_cells=tol_cells, grid_shape=shape)
+    assert np.array_equal(got, want) and got.min() < got.max()
+    for i in range(b):
+        col_hat, col_true = ComplexArray(est[:, i].copy()), ComplexArray(truth[:, i].copy())
+        assert hit_rate_metric(col_hat, col_true, k, tol_cells=tol_cells,
+                               grid_shape=shape) == want[i]
+    # counts, and so errors, ignore a NaN truth entry alike
+    truth[np.flatnonzero(truth[:, 6])[0], 6] = 0.0
+    with pytest.raises(ValueError) as old:
+        chebyshev_hit_rate(x_hat, x_true, k, tol_cells, shape)
+    with pytest.raises(ValueError, match="column 6 has") as new:
+        hit_rate_metric(x_hat, x_true, k, tol_cells=tol_cells, grid_shape=shape)
+    assert str(old.value).split("has")[1] == str(new.value).split("has")[1]
+
+
+def test_hit_rate_names_a_grid_shape_that_does_not_fit():
+    truth = ComplexArray.zeros((12,))
+    truth.re[5] = 1.0
+    for tol_cells in (0, 1):
+        with pytest.raises(ValueError, match=r"grid_shape \(4, 4\) does not hold 12"):
+            hit_rate_metric(truth, truth, 1, tol_cells=tol_cells, grid_shape=(4, 4))
+    assert hit_rate_metric(truth, truth, 1, tol_cells=1, grid_shape=(3, 4)) == 1.0
+
+
 def test_block_metrics_equal_per_column_calls_bit_for_bit():
     rng = np.random.default_rng(3)
     total, b, k = 64, 24, 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hunfold as hf
-from hunfold.cplx import ComplexArray, matvec, soft_threshold
+from hunfold.cplx import ComplexArray, matvec, shrink, soft_threshold
 from hunfold.metrics import hit_rate_metric
 from hunfold.solvers import (SolverConfig, default_lambda, fista, ista,
                              objective)
@@ -209,6 +209,21 @@ def test_block_zero_column_stops_at_once(solver):
     assert not res.x_hat.re[:, 2].any() and not res.x_hat.im[:, 2].any()
     assert res.x_hat.is_finite()
     assert np.all(res.iterations_run[[0, 1, 3]] > 1)
+
+
+@pytest.mark.parametrize("solver", [ista, fista])
+def test_one_block_step_is_the_networks_shrink_bit_for_bit(solver):
+    # solvers and network layers share one threshold, cplx.shrink
+    d, y, _ = block_problem()
+    lam = default_lambda(d, y) * np.array([1.0, 0.5, 2.0, 0.0])
+    res = solver(d, y, SolverConfig(lam=lam, max_iter=1))
+    big_l = res.lipschitz
+    v = np.ascontiguousarray(d.phi.z.conj().T) @ y.z / big_l
+    got = res.x_hat.z
+    assert 0 < np.count_nonzero(got[:, 0]) < d.total
+    for j in range(4):
+        assert np.array_equal(got[:, j], shrink(v[:, j], lam[j] / big_l)[0])
+    assert np.array_equal(got[:, 3], v[:, 3])       # a zero penalty thresholds nothing
 
 
 def reference_ista(d, y, lam, big_l, max_iter, tol):
