@@ -2,8 +2,10 @@
 
 Subcommands: ``gen-data``, ``train``, ``sweep``, ``single``, ``complexity``,
 ``ingest``.  Every subcommand accepts ``--config FILE`` with a JSON object
-whose keys match the subcommand's long flag names (underscored); explicit
-flags override the file, and an unknown key is an error.  All randomness
+whose keys match the subcommand's long flag names (underscored).  Its values
+are parsed as flags placed right after the subcommand name, so they pass the
+same checks, and explicit flags, coming later, override them; an unknown
+key is an error.  All randomness
 flows from ``--seed``/``--sample-seed``, and data outputs are
 byte-identical across repeated runs of one configuration.
 """
@@ -32,81 +34,83 @@ from .solvers import SolverConfig, default_lambda, ista
 from .training import TrainConfig, estimate_dictionary, loss_nmse, train
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise SystemExit(f"missing required option --{name.replace('_', '-')}")
+def _rule(convert, ok, want):
+    """An argparse ``type=``: ``convert`` of the flag's text, refused with
+    "<text>: must be <want>" unless ``ok`` holds for it (a ValueError from
+    either counts as not holding)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            good = ok(value)
+        except ValueError:
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"{text}: must be {want}")
+        return value
+    return parse
 
 
-def _check(args, name, ok, want):
-    """Stop with a message naming --name unless ``ok`` holds for its value
-    (a ValueError from ``ok`` counts as not holding)."""
-    value = getattr(args, name)
-    try:
-        good = ok(value)
-    except ValueError:
-        good = False
-    if not good:
-        raise SystemExit(f"--{name.replace('_', '-')} {value}: must be {want}")
+def _int_from(low):
+    return _rule(int, lambda v: v >= low, f"an integer >= {low}")
 
 
-def _finite_nonneg(v) -> bool:
-    return math.isfinite(v) and v >= 0
+def _finite(ok=lambda v: v >= 0, want=">= 0"):
+    return _rule(float, lambda v: math.isfinite(v) and ok(v), f"finite and {want}")
 
 
-def _integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+_FRACTION = _rule(float, lambda v: 0 <= v < 1, "in [0, 1)")
+
+
+def _split(text: str, kind) -> list:
+    """The entries of a comma list, each read by ``kind``."""
+    return [kind(v) for v in text.split(",") if v != ""]
+
+
+# the comma-list flags keep their text, which the manifests echo
+_NOISE_DB = _rule(str, lambda t: [db_to_sigma2(db) for db in _split(t, float)],
+                  "a comma list of at least one finite dB value whose power "
+                  "10**(dB/10) is finite")
+_SIZES = _rule(str, lambda t: _split(t, int) and min(_split(t, int)) >= 1,
+               "a comma list of at least one grid size >= 1")
 
 
 def _problem(args) -> tuple[int, ...]:
-    """The grid shape of the problem flags, each checked by name: grid
-    sizes >= 1, 1 <= --n <= grid size and 0 <= --k <= grid size (>= 1 for
-    ``sweep``, whose metrics score a component).  Values from ``--config``
-    pass here too, which argparse's ``type=`` never sees."""
+    """The grid shape of the problem flags, with --n and --k checked against
+    its size: 1 <= --n <= grid size and --k <= grid size, where --k >= 1 for
+    ``sweep``, whose metrics score a component."""
     names = ("m1", "m2") if args.problem == "2d" else ("m",)
-    _require(args, *names, "n")
     for name in names:
-        _check(args, name, lambda v: _integer(v) and v >= 1, "an integer >= 1")
+        if getattr(args, name) is None:
+            raise SystemExit(f"missing required option --{name}")
     shape = tuple(getattr(args, name) for name in names)
     total = math.prod(shape)
-    _check(args, "n", lambda v: _integer(v) and 1 <= v <= total,
-           f"an integer from 1 to the grid size {total}")
-    low = 1 if args.command == "sweep" else 0
-    _check(args, "k", lambda v: _integer(v) and low <= v <= total,
-           f"an integer from {low} to the grid size {total}")
+    for name, low in (("n", 1), ("k", 1 if args.command == "sweep" else 0)):
+        value = getattr(args, name)
+        if not low <= value <= total:
+            raise SystemExit(f"--{name} {value}: must be an integer from {low} "
+                             f"to the grid size {total}")
     return shape
-
-
-def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v != ""]
-
-
-def _int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",") if v != ""]
 
 
 def _add_problem_flags(p: argparse.ArgumentParser):
     p.add_argument("--problem", choices=("1d", "2d"), default="1d")
-    p.add_argument("--m", type=int, help="1-D grid size")
-    p.add_argument("--m1", type=int, help="first 2-D grid size")
-    p.add_argument("--m2", type=int, help="second 2-D grid size")
-    p.add_argument("--n", type=int, help="number of observed samples")
-    p.add_argument("--k", type=int, default=5, help="number of components")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-seed", type=int, default=0,
+    p.add_argument("--m", type=_int_from(1), help="1-D grid size")
+    p.add_argument("--m1", type=_int_from(1), help="first 2-D grid size")
+    p.add_argument("--m2", type=_int_from(1), help="second 2-D grid size")
+    p.add_argument("--n", type=_int_from(1), required=True,
+                   help="number of observed samples")
+    p.add_argument("--k", type=_int_from(0), default=5, help="number of components")
+    p.add_argument("--seed", type=_int_from(0), default=0)
+    p.add_argument("--sample-seed", type=_int_from(0), default=0,
                    help="seed of the random index set")
 
 
 def _add_method_flags(p: argparse.ArgumentParser):
     p.add_argument("--methods", default="ista,fista",
                    help="comma list from: ista,fista,lista,convlista,lista-toeplitz")
-    p.add_argument("--budget-ista", type=int, default=1000)
-    p.add_argument("--budget-fista", type=int, default=100)
-    p.add_argument("--lambda-scale", type=float, default=0.1,
+    p.add_argument("--budget-ista", type=_int_from(1), default=1000)
+    p.add_argument("--budget-fista", type=_int_from(1), default=100)
+    p.add_argument("--lambda-scale", type=_finite(), default=0.1,
                    help="penalty = scale * max|phi^H y|")
     p.add_argument("--model-lista")
     p.add_argument("--model-convlista")
@@ -171,33 +175,16 @@ def _load_models(args, methods, shape) -> dict:
     return models
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _experiment_config(args, **settings) -> ExperimentConfig:
+    """The experiment of the problem and method flags; ``settings`` are the
+    subcommand's own :class:`ExperimentConfig` fields."""
     shape = _problem(args)
-    for name in ("trials", "budget_ista", "budget_fista"):
-        if hasattr(args, name):
-            _check(args, name, lambda v: v >= 1, ">= 1")
-    _check(args, "lambda_scale", _finite_nonneg, "finite and >= 0")
-    if hasattr(args, "noise_db"):
-        _check(args, "noise_db",
-               lambda v: _float_list(v) and all(math.isfinite(db_to_sigma2(db))
-                                                for db in _float_list(v)),
-               "a comma list of at least one finite dB value whose power "
-               "10**(dB/10) is finite")
-    methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     return ExperimentConfig(
-        shape=shape,
-        n_obs=args.n,
-        k=args.k,
-        noise_powers_db=_float_list(getattr(args, "noise_db", [0.0])),
-        methods=methods,
-        trials_per_point=getattr(args, "trials", 1),
-        seed=args.seed,
-        sample_seed=args.sample_seed,
+        shape=shape, n_obs=args.n, k=args.k, methods=methods, seed=args.seed,
+        sample_seed=args.sample_seed, lambda_scale=args.lambda_scale,
         budgets={"ista": args.budget_ista, "fista": args.budget_fista},
-        lambda_scale=args.lambda_scale,
-        models=_load_models(args, methods, shape),
-        timing=getattr(args, "timing", False),
-    )
+        models=_load_models(args, methods, shape), **settings)
 
 
 def _read_problem_data(args, name):
@@ -211,29 +198,21 @@ def _read_problem_data(args, name):
     return ds
 
 
-def _echo_config(args, skip=("func",)) -> dict:
-    doc = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or callable(val):
-            continue
-        doc[key] = val
-    return doc
+def _echo_config(args) -> dict:
+    return {key: val for key, val in sorted(vars(args).items()) if key != "func"}
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_gen_data(args) -> int:
-    _require(args, "n", "samples", "out")
     _writable(args, "out", sidecar=".json")
     _writable(args, "export_iq")
-    _check(args, "samples", lambda v: v >= 1, ">= 1")
-    _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
     shape = _problem(args)
     if args.export_iq:
         if len(shape) != 2:
             raise SystemExit("--export-iq needs a 2-D problem")
-        if not 0 <= args.export_index < args.samples:
+        if args.export_index >= args.samples:
             raise SystemExit(f"--export-index {args.export_index} is outside "
                              f"0 .. {args.samples - 1} (--samples {args.samples})")
     sampling = draw_sampling(int(np.prod(shape)), args.n, args.sample_seed)
@@ -248,13 +227,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _require(args, "data", "arch", "out")
     _writable(args, "out", sidecar=".json")
-    _check(args, "depth", lambda v: v >= 1, ">= 1")
-    _check(args, "lam", _finite_nonneg, "finite and >= 0")
-    _check(args, "lr", lambda v: math.isfinite(v) and v > 0, "finite and > 0")
-    _check(args, "batch", lambda v: v >= 1, ">= 1")
-    _check(args, "epochs", lambda v: v >= 0, ">= 0")
     train_ds = _read_problem_data(args, "data")
     shape = tuple(train_ds.meta["shape"])
     try:
@@ -273,8 +246,6 @@ def _cmd_train(args) -> int:
                                  f"different problems: {detail}")
     else:
         count = train_ds.count
-        if not 0.0 <= args.val_frac < 1.0:
-            raise SystemExit(f"--val-frac {args.val_frac} is outside [0, 1)")
         n_val = max(1, int(count * args.val_frac))
         if n_val >= count:
             raise SystemExit(f"--val-frac {args.val_frac} leaves no training sample "
@@ -282,7 +253,13 @@ def _cmd_train(args) -> int:
         val_ds = train_ds.take(np.arange(count - n_val, count))
         train_ds = train_ds.take(np.arange(count - n_val))
     d = dictionary_from_meta(train_ds.meta)
-    phi_hat = estimate_dictionary(train_ds) if args.estimate_dict else None
+    phi_hat = None
+    if args.estimate_dict:
+        try:
+            phi_hat = estimate_dictionary(train_ds)
+        except ValueError as exc:
+            raise SystemExit(f"--estimate-dict: {exc} (training samples "
+                             f"of --data {args.data})") from None
     net = init_network(args.arch, d, args.depth, args.lam, phi_hat)
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch,
                       epochs=args.epochs, lr_decay_patience=args.patience,
@@ -310,9 +287,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _require(args, "out")
     _writable(args, "out", sidecar=".manifest.json")
-    cfg = _experiment_config(args)
+    cfg = _experiment_config(args, noise_powers_db=_split(args.noise_db, float),
+                             trials_per_point=args.trials, timing=args.timing)
     rows = run_sweep(cfg)
     header, table = metric_rows_table(rows)
     write_csv(args.out, header, table)
@@ -322,10 +299,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_single(args) -> int:
-    _require(args, "out")
     _writable(args, "out", sidecar=".manifest.json")
-    _check(args, "sigma2", _finite_nonneg, "finite and >= 0")
-    cfg = _experiment_config(args)
+    cfg = _experiment_config(args, noise_powers_db=[0.0])
     header, rows = run_single(cfg, offgrid=args.offgrid, frac=args.frac,
                               sigma2=args.sigma2)
     write_csv(args.out, header, rows)
@@ -335,12 +310,8 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    _require(args, "out")
     _writable(args, "out")
-    _check(args, "repeats", lambda v: v >= 1, ">= 1")
-    _check(args, "sizes", lambda v: _int_list(v) and min(_int_list(v)) >= 1,
-           "a comma list of at least one grid size >= 1")
-    header, rows = complexity_report(_int_list(args.sizes), n_obs=args.n,
+    header, rows = complexity_report(_split(args.sizes, int), n_obs=args.n,
                                      repeats=args.repeats,
                                      timing=not args.no_timing)
     write_csv(args.out, header, rows)
@@ -349,7 +320,6 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    _require(args, "path", "out")
     _writable(args, "out", sidecar=".manifest.json")
     y, d = _read_input(args, "path", ingest_iq_grid)
     if args.model:
@@ -381,101 +351,105 @@ def _cmd_ingest(args) -> int:
 
 
 def build_parser():
+    """The parser tree and its subcommand parsers by name.  Every rule that
+    one value obeys on its own is its flag's ``type=``, and a refused value
+    is raised, not reported, so that :func:`main` words the message."""
     parser = argparse.ArgumentParser(
         prog="hunfold",
         description="Sparse harmonic retrieval benchmarks: classical "
-                    "proximal solvers and structured unfolded networks.")
+                    "proximal solvers and structured unfolded networks.",
+        exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    p = sub.add_parser("gen-data", help="generate a labelled synthetic dataset")
+    def command(name, func, summary):
+        commands[name] = sub.add_parser(name, help=summary, exit_on_error=False)
+        commands[name].set_defaults(func=func)
+        return commands[name]
+
+    p = command("gen-data", _cmd_gen_data, "generate a labelled synthetic dataset")
     _add_problem_flags(p)
-    p.add_argument("--sigma2", type=float, default=0.0, help="noise power")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--out")
+    p.add_argument("--sigma2", type=_finite(), default=0.0, help="noise power")
+    p.add_argument("--samples", type=_int_from(1), required=True)
+    p.add_argument("--out", required=True)
     p.add_argument("--export-iq", help="also write sample --export-index "
                                        "as an IQ grid file (2-D only)")
-    p.add_argument("--export-index", type=int, default=0)
-    p.set_defaults(func=_cmd_gen_data)
-    commands["gen-data"] = p
+    p.add_argument("--export-index", type=_int_from(0), default=0)
 
-    p = sub.add_parser("train", help="train an unfolded network on a dataset")
-    p.add_argument("--data")
+    p = command("train", _cmd_train, "train an unfolded network on a dataset")
+    p.add_argument("--data", required=True)
     p.add_argument("--val", help="validation dataset (default: split from --data)")
-    p.add_argument("--val-frac", type=float, default=0.1)
-    p.add_argument("--arch", choices=ARCHS)
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--lam", type=float, default=0.1,
+    p.add_argument("--val-frac", type=_FRACTION, default=0.1)
+    p.add_argument("--arch", choices=ARCHS, required=True)
+    p.add_argument("--depth", type=_int_from(1), default=10)
+    p.add_argument("--lam", type=_finite(), default=0.1,
                    help="penalty weight setting the initial threshold")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=_finite(lambda v: v > 0, "> 0"), default=1e-3)
+    p.add_argument("--batch", type=_int_from(1), default=128)
+    p.add_argument("--epochs", type=_int_from(0), default=30)
+    p.add_argument("--patience", type=_int_from(1), default=5)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--estimate-dict", action="store_true",
                    help="initialise from the least-squares dictionary estimate")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_train)
-    commands["train"] = p
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("sweep", help="noise sweep with per-method metrics")
+    p = command("sweep", _cmd_sweep, "noise sweep with per-method metrics")
     _add_problem_flags(p)
     _add_method_flags(p)
-    p.add_argument("--noise-db", default="0",
+    p.add_argument("--noise-db", type=_NOISE_DB, default="0",
                    help="comma list of noise powers in dB (10*log10 sigma2)")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_from(1), default=100)
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock per recovery, the time of a "
                         "point's block over its trials (breaks byte "
                         "reproducibility of the CSV)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sweep)
-    commands["sweep"] = p
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("single", help="single-trial recovery dump per method")
+    p = command("single", _cmd_single, "single-trial recovery dump per method")
     _add_problem_flags(p)
     _add_method_flags(p)
     p.add_argument("--offgrid", action="store_true")
-    p.add_argument("--frac", type=float, default=0.25,
+    p.add_argument("--frac", type=_FRACTION, default=0.25,
                    help="off-grid displacement as a fraction of a cell")
-    p.add_argument("--sigma2", type=float, default=0.0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_single)
-    commands["single"] = p
+    p.add_argument("--sigma2", type=_finite(), default=0.0)
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("complexity", help="parameter counts and layer timings")
-    p.add_argument("--sizes", default="512,1024,2048,4096",
+    p = command("complexity", _cmd_complexity, "parameter counts and layer timings")
+    p.add_argument("--sizes", type=_SIZES, default="512,1024,2048,4096",
                    help="comma list of grid sizes")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--n", type=_int_from(1), default=64)
+    p.add_argument("--repeats", type=_int_from(1), default=5)
     p.add_argument("--no-timing", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_complexity)
-    commands["complexity"] = p
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("ingest", help="recover a spectrum from an IQ grid file")
-    p.add_argument("--path")
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--lambda-scale", type=float, default=0.1)
+    p = command("ingest", _cmd_ingest, "recover a spectrum from an IQ grid file")
+    p.add_argument("--path", required=True)
+    p.add_argument("--budget", type=_int_from(1), default=1000)
+    p.add_argument("--lambda-scale", type=_finite(), default=0.1)
     p.add_argument("--model", help="trained 2-D model file (default: ista)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_ingest)
-    commands["ingest"] = p
+    p.add_argument("--out", required=True)
 
     return parser, commands
 
 
 @functools.cache
 def _parser():
-    """The process's one :func:`build_parser` tree; :func:`main` leaves no
-    ``--config`` default in it."""
+    """The process's one :func:`build_parser` tree, which no run changes."""
     return build_parser()
 
 
-def _read_config(path, command: str, p: argparse.ArgumentParser) -> dict:
-    """The ``--config`` document: a JSON object whose keys are options of
-    ``command``; anything else stops the run with a message naming the
-    file and the key."""
+def _json_text(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _config_flags(path, command: str, p: argparse.ArgumentParser) -> list[str]:
+    """The ``--config`` document as ``--flag=value`` tokens of ``command``.
+
+    A switch takes true (the bare flag) or false (no token); any other flag
+    takes a string, as its text, or a number, as its JSON text, and a
+    comma-list flag also an array of them, joined with commas.  Anything
+    else, and a document that is not a JSON object of ``command``'s
+    options, stops the run with a message naming the file and the key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -486,35 +460,54 @@ def _read_config(path, command: str, p: argparse.ArgumentParser) -> dict:
     if not isinstance(doc, dict):
         raise SystemExit(f"{path}: config must be a JSON object, "
                          f"got {type(doc).__name__}")
-    options = {a.dest for a in p._actions if a.dest != "help"}
-    for key in doc:
-        if key not in options:
+    actions = {a.dest: a for a in p._actions if a.dest != "help"}
+    tokens = []
+    for key, value in doc.items():
+        if key not in actions:
             raise SystemExit(f"{path}: unknown key {key!r} for {command!r}")
-    return doc
+        flag, switch = actions[key].option_strings[0], actions[key].nargs == 0
+        listed = actions[key].type in (_NOISE_DB, _SIZES)
+        if listed and isinstance(value, list):
+            value = ",".join(map(_json_text, value))
+        scalar = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+        if switch and isinstance(value, bool):
+            tokens += [flag] if value else []
+        elif scalar and not switch:
+            tokens.append(f"{flag}={_json_text(value)}")
+        else:
+            want = ("true or false" if switch else
+                    "a JSON string or number" + " or an array of them" * listed)
+            raise SystemExit(f"{flag} {json.dumps(value)}: must be {want} "
+                             f"(key {key!r} of {path})")
+    return tokens
+
+
+def _with_config(argv: list[str], parser, commands) -> list[str]:
+    """``argv`` with its ``--config FILE`` replaced by the file's tokens,
+    placed right after the subcommand name so that explicit flags, which
+    come later, win."""
+    if "--config" not in argv:
+        return argv
+    i = argv.index("--config")
+    if i + 1 >= len(argv):
+        parser.error("--config needs a file argument")
+    path, argv = argv[i + 1], argv[:i] + argv[i + 2:]
+    at = next((j for j, a in enumerate(argv) if a in commands), None)
+    if at is None:
+        return argv   # the parse reports the missing subcommand
+    tokens = _config_flags(path, argv[at], commands[argv[at]])
+    return argv[:at + 1] + tokens + argv[at + 1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _parser()
-    sub, config = parser, {}
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            parser.error("--config needs a file argument")
-        path = argv[i + 1]
-        del argv[i:i + 2]
-        command = next((a for a in argv if a in commands), None)
-        if command is None:
-            parser.parse_args(argv)   # reports the missing subcommand
-        sub = commands[command]
-        config = _read_config(path, command, sub)
-    # the file's values are the defaults of this parse only
-    saved = {key: sub.get_default(key) for key in config}
-    sub.set_defaults(**config)
     try:
-        args = parser.parse_args(argv)
-    finally:
-        sub.set_defaults(**saved)
+        args = parser.parse_args(_with_config(argv, parser, commands))
+    except argparse.ArgumentError as err:
+        # a missing required argument has no name on Python 3.12+
+        name = err.argument_name
+        raise SystemExit(f"{name} {err.message}" if name else err.message) from None
     return args.func(args)
 
 

@@ -4,16 +4,16 @@ Complex data is carried as one numpy ``complex128`` array wrapped in
 :class:`ComplexArray`: observations, spectra, dictionaries and learned
 weights all live in one, and every complex product is one numpy product
 on it.  This module is the only one that knows that storage.  Where a
-function still takes or returns a real and an imaginary plane (the
-plane-level soft threshold, the FFT convolutions, the networks' forward
-pass), :func:`join_planes` turns the pair back into one array.
+function still takes or returns a real and an imaginary plane (the FFT
+convolutions, the networks' forward pass), :func:`join_planes` turns the
+pair back into one array.
 
 The soft threshold's shrink rule is written once, :func:`shrink_factor`,
 and applied once, by :func:`shrink`: to a complex128 array with one
 ``np.abs``, at one threshold or one per column, handing the modulus back
 for reuse.  The networks and the solvers threshold with it, and
-:func:`soft_threshold` and :func:`soft_threshold_planes` are its
-:class:`ComplexArray` and plane-pair forms, so all four agree bit for bit.
+:func:`soft_threshold` is its :class:`ComplexArray` form, so all three
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "shrink",
     "shrink_factor",
     "soft_threshold",
-    "soft_threshold_planes",
 ]
 
 
@@ -194,13 +193,6 @@ def shrink(z, theta):
     mag = np.abs(z)
     zero = np.ndim(theta) == 0 and theta == 0.0
     return (z if zero else z * shrink_factor(mag, theta)), mag
-
-
-def soft_threshold_planes(re, im, theta):
-    """:func:`shrink` of the complex array a real and an imaginary plane
-    make, returned as planes; ``theta`` as there."""
-    x = shrink(join_planes(re, im), theta)[0]
-    return x.real, x.imag
 
 
 def soft_threshold(x: ComplexArray, theta: float) -> ComplexArray:

@@ -71,7 +71,7 @@ def top_k_indices(x: ComplexArray, k: int) -> np.ndarray:
         if np.count_nonzero(keep) > mag.shape[0] * k:
             # some row has more entries at its k-th modulus than places left
             above, tied = mag > kth, mag == kth
-            fill = k - np.count_nonzero(above, axis=1)
+            fill = k - above.sum(axis=1)
             keep = above | (tied & (np.cumsum(tied, axis=1) <= fill[:, None]))
         picked = np.nonzero(keep)[1].reshape(-1, k)
     return picked[0] if x.ndim == 1 else picked
@@ -113,5 +113,5 @@ def hit_rate_metric(x_hat: ComplexArray, x_true: ComplexArray, k: int,
         picked = np.stack(np.unravel_index(picked, shape), -1)
         # (B, true component, picked index) Chebyshev distances
         dist = np.max(np.abs(support[:, :, None, :] - picked[:, None, :, :]), axis=-1)
-        hits = np.count_nonzero(np.any(dist <= tol_cells, axis=2), axis=1)
+        hits = np.any(dist <= tol_cells, axis=2).sum(axis=1)
     return _per_trial(hits / k, x_true)

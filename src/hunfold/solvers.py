@@ -154,8 +154,9 @@ def _solve(d: Dictionary, y: ComplexArray, cfg: SolverConfig,
             x_out[:, cols[stop]] = x[:, stop]
             iters[cols[stop]] = it
             converged[cols[stop]] = True
+            # compress keeps the working blocks C-ordered (a[..., ~stop] does not)
             cols, yc, x, z, r, obj, lam, thr = (
-                a[..., ~stop] for a in (cols, yc, x, z, r, obj, lam, thr))
+                a.compress(~stop, axis=-1) for a in (cols, yc, x, z, r, obj, lam, thr))
             if cols.size == 0:
                 break
         if momentum:

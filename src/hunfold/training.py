@@ -143,17 +143,15 @@ def backward(net: UnfoldedNetwork, batch: Dataset):
     :func:`net_param_arrays` order, and the loss: ``(grads, loss)``."""
     if batch.count == 0:
         raise ValueError("empty batch")
-    y, t = _batches(batch)
-    grads, _, _, loss = _backward_planes(net, y.real, y.imag, t.real, t.imag)
+    grads, _, _, loss = _backward_planes(net, *_batches(batch))
     return grads, loss
 
 
-def _backward_planes(net: UnfoldedNetwork, yr, yi, tr, ti):
+def _backward_planes(net: UnfoldedNetwork, y, truth):
     """Parameter gradients (in :func:`net_param_arrays` order), error-norm
-    sum, reference-norm sum and loss of one batch given as batch-major
-    planes."""
-    xr, xi, cache = forward_planes(net, yr, yi, keep_cache=True)
-    truth = join_planes(tr, ti)
+    sum, reference-norm sum and loss of one batch: complex batch-major
+    observations ``y`` (batch, n_obs) and labels ``truth`` (batch, M)."""
+    xr, xi, cache = forward_planes(net, y.real, y.imag, keep_cache=True)
     err = join_planes(xr, xi) - truth
     per = _row_norms(err)
     den = float(np.sum(_row_norms(truth)))
@@ -286,9 +284,7 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
             idx = order[lo:lo + cfg.batch_size]
             work = assemble_network(net.arch, net.shape, net.n_obs, params)
             try:
-                yb, tb = y[idx], truth[idx]
-                grads, e_sum, r_sum, loss = _backward_planes(
-                    work, yb.real, yb.imag, tb.real, tb.imag)
+                grads, e_sum, r_sum, loss = _backward_planes(work, y[idx], truth[idx])
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch}, batch {lo // cfg.batch_size}: {exc}") from exc

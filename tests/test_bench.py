@@ -840,3 +840,130 @@ def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
     assert cli_main(["complexity", "--sizes", "64", "--no-timing",
                      "--out", str(tmp_path / "cx.csv")]) == 0
+
+
+@pytest.mark.parametrize("command, doc, flag", [
+    ("sweep", {"trials": 2.5}, "--trials"),
+    ("sweep", {"trials": True}, "--trials"),
+    ("sweep", {"lambda_scale": [1]}, "--lambda-scale"),
+    ("sweep", {"timing": "no", "trials": 2}, "--timing"),
+    ("single", {"problem": "3d"}, "--problem"),
+    ("single", {"offgrid": "false"}, "--offgrid"),
+])
+def test_cli_config_values_pass_the_flag_checks(tmp_path, command, doc, flag):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main([command, "--config", str(cfg_file), "--m", "8", "--n", "4", "--k", "1",
+                  "--methods", "ista", "--budget-ista", "5", "--out", str(out)])
+    assert str(err.value.code).startswith(flag + " ")
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+def train_input(tmp_path, samples=20, m=8):
+    """A 1-D dataset of ``samples`` on an ``m``-cell grid, written under
+    ``tmp_path / "in"``."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    data = inputs / "d.hud"
+    assert cli_main(["gen-data", "--m", str(m), "--n", "8" if m >= 8 else "4", "--k", "2",
+                     "--samples", str(samples), "--out", str(data)]) == 0
+    return data
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ingest", "--budget", "0"], "--budget"),
+    (["ingest", "--lambda-scale=-1"], "--lambda-scale"),
+    (["ingest", "--lambda-scale", "nan"], "--lambda-scale"),
+    (["ingest", "--lambda-scale", "inf"], "--lambda-scale"),
+    (["single", "--m", "8", "--n", "4", "--k", "1", "--offgrid", "--frac", "1.5"], "--frac"),
+    (["single", "--m", "8", "--n", "4", "--k", "1", "--offgrid", "--frac", "nan"], "--frac"),
+    (["complexity", "--sizes", "16", "--n=-3"], "--n"),
+    (["complexity", "--sizes", "16", "--n", "0", "--no-timing"], "--n"),
+    (["train", "--arch", "lista", "--depth", "1", "--epochs", "2", "--patience=-1"],
+     "--patience"),
+    (["gen-data", "--m", "8", "--n", "4", "--k", "1", "--samples", "2", "--seed=-1"],
+     "--seed"),
+    (["sweep", "--m", "8", "--n", "4", "--k", "1", "--trials", "1", "--sample-seed=-1"],
+     "--sample-seed"),
+])
+def test_cli_names_a_bad_numeric_flag(tmp_path, argv, flag):
+    if argv[0] == "ingest":
+        (tmp_path / "in").mkdir()
+        argv = argv + ["--path", str(iq_and_model(tmp_path / "in")[0])]
+    elif argv[0] == "train":
+        argv = argv + ["--data", str(train_input(tmp_path))]
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(argv + ["--out", str(out)])
+    assert str(err.value.code).startswith(flag + " ")
+    assert [p.name for p in tmp_path.iterdir() if p.name != "in"] == []
+
+
+def test_cli_a_bad_config_value_fails_under_an_overriding_flag(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 0}))
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["sweep", "--config", str(cfg_file), "--m", "8", "--n", "4", "--k", "1",
+                  "--trials", "2", "--out", str(out)])
+    assert str(err.value.code) == "--trials 0: must be an integer >= 1"
+    assert not out.exists()
+
+
+def test_cli_config_file_runs_as_its_flags(tmp_path, monkeypatch):
+    # the same --out name in two directories: the manifests echo it
+    flags = ["--problem", "1d", "--m", "16", "--n", "8", "--k", "2", "--noise-db=-5,5",
+             "--trials", "4", "--methods", "ista,fista", "--budget-ista", "25",
+             "--budget-fista", "15", "--seed", "9", "--sample-seed", "2"]
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    assert cli_main(["sweep", *flags, "--out", "s.csv"]) == 0
+    monkeypatch.chdir(tmp_path / "b")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "problem": "1d", "m": 16, "n": 8, "k": 2, "noise_db": [-5, 5], "trials": 4,
+        "methods": "ista,fista", "budget_ista": 25, "budget_fista": 15, "seed": 9,
+        "sample_seed": 2, "timing": False}))
+    assert cli_main(["sweep", "--config", str(cfg_file), "--out", "s.csv"]) == 0
+    for name in ("s.csv", "s.csv.manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("doc, flag, value", [
+    ({"m": None}, "--m", "null"), ({"m": {"a": 1}}, "--m", '{"a": 1}'),
+    ({"methods": ["ista"]}, "--methods", '["ista"]'), ({"timing": 1}, "--timing", "1"),
+])
+def test_cli_config_names_a_value_of_the_wrong_kind(tmp_path, doc, flag, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as err:
+        cli_main(["sweep", "--config", str(cfg_file), "--m", "8", "--n", "4",
+                  "--out", str(tmp_path / "s.csv")])
+    msg = str(err.value.code)
+    assert msg.startswith(f"{flag} {value}: must be ")
+    assert msg.endswith(f"(key {flag[2:]!r} of {cfg_file})")
+
+
+def test_cli_names_a_missing_required_flag(tmp_path, capsys):
+    # Python 3.12+ raises the message; earlier versions print it with the usage
+    with pytest.raises(SystemExit) as err:
+        cli_main(["ingest", "--out", str(tmp_path / "o.csv")])
+    said = f"{err.value.code}\n{capsys.readouterr().err}"
+    assert "the following arguments are required: --path" in said
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("samples, cause", [
+    (40, "label matrix is rank deficient"), (10, "need at least 16 samples")])
+def test_cli_train_estimate_dict_names_labels_it_cannot_invert(tmp_path, samples, cause):
+    data = train_input(tmp_path, samples=samples, m=16)
+    model = tmp_path / "n.hun"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", str(data), "--arch", "lista", "--depth", "1",
+                  "--epochs", "1", "--estimate-dict", "--out", str(model)])
+    msg = str(err.value.code)
+    assert msg.startswith("--estimate-dict: ") and cause in msg and f"--data {data}" in msg
+    assert list(tmp_path.iterdir()) == [tmp_path / "in"]

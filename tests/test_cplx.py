@@ -5,7 +5,7 @@ import pytest
 
 import hunfold as hf
 from hunfold.cplx import (ComplexArray, lipschitz_constant, matvec,
-                          shrink, soft_threshold, soft_threshold_planes)
+                          shrink, soft_threshold)
 
 from conftest import rand_carray
 
@@ -161,13 +161,14 @@ def test_complex_array_invariants():
     assert abs(a.norm() - np.sqrt(7.0)) < 1e-14
 
 
-def test_soft_threshold_planes_per_column_theta():
+def test_shrink_per_column_theta_matches_soft_threshold():
     rng = np.random.default_rng(6)
     re = rng.standard_normal((20, 4))
     im = rng.standard_normal((20, 4))
     re[3, 1] = im[3, 1] = 0.0          # a zero entry under a zero threshold
     theta = np.array([0.7, 0.0, 1.3, 0.2])
-    out_re, out_im = soft_threshold_planes(re, im, theta)
+    out = shrink(ComplexArray(re, im).z, theta)[0]
+    out_re, out_im = out.real, out.imag
     for j, t in enumerate(theta):
         want = soft_threshold(ComplexArray(re[:, j], im[:, j]), t)
         assert np.array_equal(out_re[:, j], want.re)
@@ -183,7 +184,8 @@ def test_shrink_agrees_with_the_planes_on_every_column():
     z[3, 1] = 0.0
     z[4, 2] = 0.75 + 1j               # modulus 1.25, on the column's boundary
     theta = np.array([0.7, 0.0, 1.25, 0.2])
-    out_re, out_im = soft_threshold_planes(z.real, z.imag, theta)
+    out = shrink(z, theta)[0]
+    out_re, out_im = out.real, out.imag
     for j, t in enumerate(theta):
         got, mag = shrink(z[:, j], t)
         assert np.array_equal(mag, np.abs(z[:, j]))

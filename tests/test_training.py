@@ -476,7 +476,7 @@ def test_backward_spectra_match_a_fresh_reference_across_adam_steps(arch, shape,
     net = assemble_network(arch, shape, n_obs, params)   # shares the weights
     state = init_adam_state(params)
     for _ in range(3):
-        grads, _, _, _ = _backward_planes(net, y.real, y.imag, truth.real, truth.imag)
+        grads, _, _, _ = _backward_planes(net, y, truth)
         for got, want in zip(grads, reference_backward(net, y, truth)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
