@@ -1,13 +1,14 @@
 """Command-line experiment runner.
 
 Subcommands: ``gen-data``, ``train``, ``sweep``, ``single``, ``complexity``,
-``ingest``.  Every subcommand accepts ``--config FILE`` with a JSON object
-whose keys match the subcommand's long flag names (underscored).  Its values
-are parsed as flags placed right after the subcommand name, so they pass the
-same checks, and explicit flags, coming later, override them; an unknown
-key is an error.  All randomness
-flows from ``--seed``/``--sample-seed``, and data outputs are
-byte-identical across repeated runs of one configuration.
+``ingest``.  Every subcommand accepts one ``--config FILE`` (or
+``--config=FILE``) with a JSON object whose keys match the subcommand's long
+flag names (underscored).  Its values are parsed as flags placed right after
+the subcommand name, so they pass the same checks, and explicit flags,
+coming later, override them; an unknown key is an error.  Every refused
+command line exits with a one-line message.  All randomness flows from
+``--seed``/``--sample-seed``, and data outputs are byte-identical across
+repeated runs of one configuration.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ def _finite(ok=lambda v: v >= 0, want=">= 0"):
 
 
 _FRACTION = _rule(float, lambda v: 0 <= v < 1, "in [0, 1)")
+# --config is read before the parse (see _with_config), so the parse meets it
+# only abbreviated, and refuses it there
+_CONFIG = _rule(str, lambda _: False, "given as --config FILE or --config=FILE")
 
 
 def _split(text: str, kind) -> list:
@@ -350,11 +354,23 @@ def _cmd_ingest(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises every refusal for :func:`main` to word.
+
+    Before Python 3.12, argparse reports a missing required flag and
+    unrecognized arguments through ``error()``, which prints the usage and
+    exits 2, even with ``exit_on_error=False``; subparsers inherit the class.
+    """
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
     """The parser tree and its subcommand parsers by name.  Every rule that
     one value obeys on its own is its flag's ``type=``, and a refused value
     is raised, not reported, so that :func:`main` words the message."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hunfold",
         description="Sparse harmonic retrieval benchmarks: classical "
                     "proximal solvers and structured unfolded networks.",
@@ -365,6 +381,10 @@ def build_parser():
     def command(name, func, summary):
         commands[name] = sub.add_parser(name, help=summary, exit_on_error=False)
         commands[name].set_defaults(func=func)
+        commands[name].add_argument(
+            "--config", metavar="FILE", type=_CONFIG, default=argparse.SUPPRESS,
+            help="JSON object of this subcommand's flags, keys underscored, "
+                 "read as flags placed before the others")
         return commands[name]
 
     p = command("gen-data", _cmd_gen_data, "generate a labelled synthetic dataset")
@@ -460,7 +480,7 @@ def _config_flags(path, command: str, p: argparse.ArgumentParser) -> list[str]:
     if not isinstance(doc, dict):
         raise SystemExit(f"{path}: config must be a JSON object, "
                          f"got {type(doc).__name__}")
-    actions = {a.dest: a for a in p._actions if a.dest != "help"}
+    actions = {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
     tokens = []
     for key, value in doc.items():
         if key not in actions:
@@ -483,15 +503,21 @@ def _config_flags(path, command: str, p: argparse.ArgumentParser) -> list[str]:
 
 
 def _with_config(argv: list[str], parser, commands) -> list[str]:
-    """``argv`` with its ``--config FILE`` replaced by the file's tokens,
-    placed right after the subcommand name so that explicit flags, which
-    come later, win."""
-    if "--config" not in argv:
+    """``argv`` with its ``--config FILE`` or ``--config=FILE`` replaced by
+    the file's tokens, placed right after the subcommand name so that
+    explicit flags, which come later, win."""
+    given = [i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")]
+    if not given:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    if len(given) > 1:
+        parser.error("--config given more than once; give one config file")
+    i = given[0]
+    if argv[i] != "--config":
+        path, argv = argv[i][len("--config="):], argv[:i] + argv[i + 1:]
+    elif i + 1 < len(argv):
+        path, argv = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
         parser.error("--config needs a file argument")
-    path, argv = argv[i + 1], argv[:i] + argv[i + 2:]
     at = next((j for j, a in enumerate(argv) if a in commands), None)
     if at is None:
         return argv   # the parse reports the missing subcommand
@@ -505,7 +531,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_with_config(argv, parser, commands))
     except argparse.ArgumentError as err:
-        # a missing required argument has no name on Python 3.12+
+        # a refusal of no one flag (a missing required flag, an unrecognized
+        # argument) has no name
         name = err.argument_name
         raise SystemExit(f"{name} {err.message}" if name else err.message) from None
     return args.func(args)

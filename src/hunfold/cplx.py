@@ -29,7 +29,6 @@ __all__ = [
     "hermitian",
     "join_planes",
     "lipschitz_constant",
-    "matvec",
     "shrink",
     "shrink_factor",
     "soft_threshold",
@@ -50,7 +49,8 @@ class ComplexArray:
     complex128 array without copying it (other input is converted);
     ``ComplexArray(re, im)`` builds one from two real planes of one shape.
     Rank is at most 2.  No method mutates ``z``; assigning to ``re``
-    or ``im`` writes into it.
+    or ``im`` writes into it.  Arithmetic, conjugates and norms are numpy
+    expressions on ``z``; :meth:`abs` is the one modulus of its own.
     """
 
     __slots__ = ("z",)
@@ -66,11 +66,6 @@ class ComplexArray:
     @classmethod
     def zeros(cls, shape) -> "ComplexArray":
         return cls(np.zeros(shape, dtype=np.complex128))
-
-    @classmethod
-    def from_complex(cls, z) -> "ComplexArray":
-        """A copy of ``z``."""
-        return cls(np.array(z, dtype=np.complex128))
 
     # -- views and conversions ---------------------------------------------
 
@@ -98,37 +93,12 @@ class ComplexArray:
     def ndim(self) -> int:
         return self.z.ndim
 
-    def __len__(self) -> int:
-        return self.z.shape[0]
-
     def copy(self) -> "ComplexArray":
         return ComplexArray(self.z.copy())
-
-    def conj(self) -> "ComplexArray":
-        return ComplexArray(self.z.conj())
-
-    def to_complex(self) -> np.ndarray:
-        """A copy of ``z``."""
-        return self.z.copy()
 
     def abs(self) -> np.ndarray:
         """Element-wise modulus."""
         return np.hypot(self.z.real, self.z.imag)
-
-    def norm(self) -> float:
-        """Euclidean norm."""
-        return float(np.sqrt(np.sum(self.z.real ** 2) + np.sum(self.z.imag ** 2)))
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.z)))
-
-    # -- light arithmetic (element-wise, shape-checked) ---------------------
-
-    def __add__(self, other: "ComplexArray") -> "ComplexArray":
-        return ComplexArray(self.z + other.z)
-
-    def __sub__(self, other: "ComplexArray") -> "ComplexArray":
-        return ComplexArray(self.z - other.z)
 
     def scale(self, factor: float) -> "ComplexArray":
         return ComplexArray(self.z * factor)
@@ -147,17 +117,6 @@ def join_planes(re, im) -> np.ndarray:
     z.real = re
     z.imag = im
     return z
-
-
-def matvec(w: ComplexArray, x: ComplexArray) -> ComplexArray:
-    """Complex matrix-vector product."""
-    if w.ndim != 2:
-        raise ValueError(f"matvec needs a rank-2 matrix, got shape {w.shape}")
-    if x.ndim != 1:
-        raise ValueError(f"matvec needs a rank-1 vector, got shape {x.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {w.shape} @ {x.shape}")
-    return ComplexArray(w.z @ x.z)
 
 
 def hermitian(a: ComplexArray) -> ComplexArray:
@@ -205,7 +164,7 @@ def soft_threshold(x: ComplexArray, theta: float) -> ComplexArray:
     theta = float(theta)
     if not np.isfinite(theta) or theta < 0.0:
         raise ValueError(f"threshold must be finite and >= 0, got {theta}")
-    return ComplexArray.from_complex(shrink(x.z, theta)[0])
+    return ComplexArray(np.array(shrink(x.z, theta)[0]))
 
 
 class PowerIterEstimate(NamedTuple):

@@ -27,8 +27,10 @@ Dictionaries, spectra and observations are complex128 arrays
 is one complex matrix product.  A complex Gaussian draw takes all its real
 parts from the generator stream before its imaginary parts
 (:func:`gaussian`).  Instances and datasets are drawn a block at a time by
-one routine, each column from its own seed's stream (:func:`_draw`).  ``HUD1`` dataset files hold the complex matrices as
-row-major (re, im) float64 pairs, which is little-endian complex128.
+one routine, each column from its own seed's stream (:func:`_draw`), and
+:func:`sparse_from_rng` draws one spectrum by the same rule from a caller's
+generator.  ``HUD1`` dataset files hold the complex matrices as row-major
+(re, im) float64 pairs, which is little-endian complex128.
 """
 
 from __future__ import annotations
@@ -49,14 +51,12 @@ __all__ = [
     "Dictionary",
     "SamplingSet",
     "SparseInstance",
-    "add_noise",
     "build_dictionary",
     "conv_grid",
     "db_to_sigma2",
     "draw_sampling",
     "fourier_matrix",
     "gen_dataset",
-    "gen_sparse_signal",
     "gram",
     "gram_generator",
     "make_instance",
@@ -246,12 +246,6 @@ def sparse_from_rng(total: int, k: int, rng: np.random.Generator) -> ComplexArra
     return ComplexArray(x[:, 0])
 
 
-def gen_sparse_signal(total: int, k: int, seed: int) -> ComplexArray:
-    """K nonzeros at distinct uniform positions, unit-power complex Gaussian
-    amplitudes (each plane has variance 1/2)."""
-    return sparse_from_rng(total, k, np.random.default_rng(seed))
-
-
 def synth_offgrid(d: Dictionary, grid_indices, frac: float,
                   amps: ComplexArray) -> ComplexArray:
     """Observation of sinusoids displaced off the grid by ``frac`` of a cell.
@@ -296,16 +290,6 @@ def db_to_sigma2(db: float) -> float:
     return sigma2
 
 
-def add_noise(y: ComplexArray, sigma2: float, seed: int) -> ComplexArray:
-    """Circularly symmetric complex Gaussian noise with per-entry power
-    sigma2 (sigma2/2 in each plane)."""
-    _check_noise_power(sigma2)
-    if sigma2 == 0.0:
-        return y.copy()
-    rng = np.random.default_rng(seed)
-    return ComplexArray(y.z + gaussian(rng, y.shape, np.sqrt(sigma2 / 2.0)))
-
-
 @dataclass(frozen=True)
 class SparseInstance:
     """Recovery problems: ground truth, observation and their provenance.
@@ -319,14 +303,12 @@ class SparseInstance:
     y: ComplexArray
     k: int
     sigma2: float
-    offgrid: bool
     seed: object
 
     def __post_init__(self):
-        if not self.offgrid:
-            nonzeros = np.count_nonzero(self.x_true.z, axis=0)
-            if np.any(nonzeros != self.k):
-                raise ValueError(f"{nonzeros} nonzeros for sparsity {self.k}")
+        nonzeros = np.count_nonzero(self.x_true.z, axis=0)
+        if np.any(nonzeros != self.k):
+            raise ValueError(f"{nonzeros} nonzeros for sparsity {self.k}")
 
 
 def make_instance(d: Dictionary, k: int, sigma2: float, seed) -> SparseInstance:
@@ -349,7 +331,7 @@ def make_instance(d: Dictionary, k: int, sigma2: float, seed) -> SparseInstance:
         y += w
     if single:
         x, y = x[:, 0], y[:, 0]
-    return SparseInstance(ComplexArray(x), ComplexArray(y), k, sigma2, False,
+    return SparseInstance(ComplexArray(x), ComplexArray(y), k, sigma2,
                           seed if single else tuple(batch))
 
 
@@ -432,7 +414,13 @@ def write_dataset(path, ds: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Inverse of :func:`write_dataset`; merges the sidecar when present."""
+    """Inverse of :func:`write_dataset`; merges the sidecar when present.
+
+    A sidecar that cannot be read or parsed, whose ``omega`` is not
+    ``n_obs`` strictly ascending integers on the header's grid, or whose
+    ``sampling_seed`` is not an integer >= 0, is a ValueError naming the
+    sidecar.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 8 or buf[:4] != DATASET_MAGIC:
@@ -455,14 +443,32 @@ def read_dataset(path) -> Dataset:
         "kind": kind, "shape": list(shape), "n_obs": n_obs,
         "n_samples": n_samples, "k": k, "sigma2": sigma2, "seed": seed,
     }
+    side_path = str(path) + ".json"
     try:
-        with open(str(path) + ".json", "r", encoding="utf-8") as fh:
+        with open(side_path, "r", encoding="utf-8") as fh:
             side = json.load(fh)
-        for key in ("sampling_seed", "omega", "noise_db_convention"):
-            if key in side:
-                meta[key] = side[key]
     except FileNotFoundError:
-        pass
+        side = {}
+    except OSError as exc:
+        raise ValueError(f"{side_path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:
+        raise ValueError(f"{side_path}: malformed JSON ({exc})") from None
+    if not isinstance(side, dict):
+        raise ValueError(f"{side_path}: sidecar must be a JSON object")
+    if "omega" in side:
+        omega, total = side["omega"], math.prod(shape)
+        # n_obs integers, each above the one before, from 0 to below total
+        if not (isinstance(omega, list) and len(omega) == n_obs
+                and all(type(v) is int for v in omega)
+                and all(a < b for a, b in zip([-1, *omega], [*omega, total]))):
+            raise ValueError(f"{side_path}: omega must hold n_obs = {n_obs} "
+                             f"strictly ascending integers in [0, {total})")
+    sampling_seed = side.get("sampling_seed", 0)
+    if type(sampling_seed) is not int or sampling_seed < 0:
+        raise ValueError(f"{side_path}: sampling_seed must be an integer >= 0")
+    for key in ("sampling_seed", "omega", "noise_db_convention"):
+        if key in side:
+            meta[key] = side[key]
     return Dataset(obs, truth, meta)
 
 

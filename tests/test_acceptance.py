@@ -12,7 +12,7 @@ import pytest
 import hunfold as hf
 from hunfold.bench import time_layer_forward
 from hunfold.cli import main as cli_main
-from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant, matvec
+from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant
 from hunfold.harmonic import (build_dictionary, draw_sampling, gram,
                               gram_generator_from_dense, sparse_from_rng,
                               synth_offgrid)
@@ -42,7 +42,7 @@ def test_criterion_01_gram_is_hermitian_toeplitz_1d():
         m = int(rng.integers(4, 65))
         n = int(rng.integers(1, m + 1))
         d = build_dictionary((m,), draw_sampling(m, n, seed=int(rng.integers(1 << 31))))
-        g = gram(d).to_complex()
+        g = gram(d).z
         for off in range(-(m - 1), m):
             diag = np.diagonal(g, offset=off)
             worst = max(worst, float(np.max(np.abs(diag - diag[0]))))
@@ -64,7 +64,7 @@ def test_criterion_02_gram_is_doubly_block_toeplitz_2d():
                              draw_sampling(m1 * m2, n, seed=int(rng.integers(1 << 31))))
         g = gram(d)
         back = toeplitz_expand(gram_generator_from_dense(d))
-        worst = max(worst, float(np.max(np.abs(back.to_complex() - g.to_complex()))))
+        worst = max(worst, float(np.max(np.abs(back.z - g.z))))
     ok = worst < 1e-10
     report(2, "2-D Gram equals the expansion of its extracted generator", ok,
            f"max deviation {worst:.2e} over 20 draws")
@@ -78,13 +78,13 @@ def test_criterion_03_convolution_equivalences():
         m = int(rng.integers(2, 65))
         t = Toeplitz(rand_carray(rng, (2 * m - 1,)), (m,))
         x = rand_carray(rng, (m,))
-        ref = toeplitz_expand(t).to_complex() @ x.to_complex()
+        ref = toeplitz_expand(t).z @ x.z
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_dense = max(worst_dense, float(
-            np.max(np.abs(conv1d(t, x).to_complex() - ref))) / scale)
+            np.max(np.abs(conv1d(t, x).z - ref))) / scale)
         got = Conv((m,), (m,)).apply(t.diags, x.z[None])[0]
         worst_fft = max(worst_fft, float(
-            np.max(np.abs(got - conv1d(t, x).to_complex()))) / scale)
+            np.max(np.abs(got - conv1d(t, x).z))) / scale)
     for _ in range(200):  # 2-D cases
         m1 = int(rng.integers(1, 17))
         m2 = int(rng.integers(1, 17))
@@ -92,8 +92,8 @@ def test_criterion_03_convolution_equivalences():
             m2 = max(1, 256 // m1)
         t = Toeplitz(rand_carray(rng, (2 * m1 - 1, 2 * m2 - 1)), (m1, m2))
         x = rand_carray(rng, (m1, m2))
-        vec = x.to_complex().flatten(order="F")
-        ref = toeplitz_expand(t).to_complex() @ vec
+        vec = x.z.flatten(order="F")
+        ref = toeplitz_expand(t).z @ vec
         got = Conv((m1, m2), (m1, m2)).apply(t.diags, vec[None])[0]
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_dense = max(worst_dense, float(np.max(np.abs(got - ref))) / scale)
@@ -115,7 +115,7 @@ def test_criterion_04_solver_recovery_at_paper_scale():
     for trial in range(trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((1234, trial))))
         x = sparse_from_rng(m, k, rng)
-        y = matvec(d.phi, x)
+        y = ComplexArray(d.phi.z @ x.z)
         got_i = got_f = False
         first_lam = None
         for scale in LAMBDA_SWEEP:
@@ -164,8 +164,8 @@ def test_criterion_05_structured_forward_equals_dense():
             ld.append(Layer(f.copy(), None,
                             toeplitz_expand(Toeplitz(kvec, (m,))), th))
         y = rand_carray(rng, (n,))
-        a = forward(UnfoldedNetwork("toeplitz1d", (m,), n, lt), y).to_complex()
-        b = forward(UnfoldedNetwork("lista", (m,), n, ld), y).to_complex()
+        a = forward(UnfoldedNetwork("toeplitz1d", (m,), n, lt), y).z
+        b = forward(UnfoldedNetwork("lista", (m,), n, ld), y).z
         worst = max(worst, float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b)))))
     m1, m2, n2 = 3, 4, 6
     g1, g2 = conv_grid((m1, m2))
@@ -179,8 +179,8 @@ def test_criterion_05_structured_forward_equals_dense():
             ld.append(Layer(f.copy(), None,
                             toeplitz_expand(Toeplitz(kmat, (g1, g2))), th))
         y = rand_carray(rng, (n2,))
-        a = forward(UnfoldedNetwork("toeplitz2d", (m1, m2), n2, lt), y).to_complex()
-        b = forward(UnfoldedNetwork("lista", (m1, m2), n2, ld), y).to_complex()
+        a = forward(UnfoldedNetwork("toeplitz2d", (m1, m2), n2, lt), y).z
+        b = forward(UnfoldedNetwork("lista", (m1, m2), n2, ld), y).z
         worst = max(worst, float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b)))))
     ok = worst < 1e-10
     report(5, "structured forward equals dense forward (20 cases each)", ok,
@@ -219,7 +219,7 @@ def test_criterion_07_training_gain_and_solver_ordering(
         for i in range(100):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, i))))
             x = sparse_from_rng(DESK_M, DESK_K, rng)
-            y0 = matvec(desk_dict.phi, x)
+            y0 = ComplexArray(desk_dict.phi.z @ x.z)
             w = np.sqrt(sigma2 / 2.0)
             y = ComplexArray(y0.re + w * rng.standard_normal(DESK_N),
                              y0.im + w * rng.standard_normal(DESK_N))
@@ -251,7 +251,7 @@ def test_criterion_08_convlista_strictly_worse(desk_dict, trained_toeplitz1d,
         for i in range(200):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((9, i))))
             x = sparse_from_rng(DESK_M, DESK_K, rng)
-            y0 = matvec(desk_dict.phi, x)
+            y0 = ComplexArray(desk_dict.phi.z @ x.z)
             w = np.sqrt(sigma2 / 2.0)
             y = ComplexArray(y0.re + w * rng.standard_normal(DESK_N),
                              y0.im + w * rng.standard_normal(DESK_N))

@@ -12,7 +12,8 @@ from hunfold.bench import (ExperimentConfig, complexity_report, ingest_iq_grid,
                            run_sweep, write_csv, write_iq_grid, write_manifest)
 from hunfold import cli
 from hunfold.cli import main as cli_main
-from hunfold.cplx import ComplexArray, matvec
+from hunfold.cplx import ComplexArray
+from hunfold.harmonic import gaussian
 from hunfold.metrics import hit_rate_metric
 from hunfold.nets import forward, init_network
 from hunfold.solvers import SolverConfig, default_lambda, ista
@@ -137,7 +138,7 @@ def test_iq_round_trip_bit_exact(tmp_path):
     assert np.array_equal(omega, d.sampling.omega)
     assert np.array_equal(back.re, y.re) and np.array_equal(back.im, y.im)
     y2, d2 = ingest_iq_grid(path, shape=(4, 8), omega=d.sampling.omega)
-    assert np.max(np.abs(d2.phi.to_complex() - d.phi.to_complex())) < 1e-12
+    assert np.max(np.abs(d2.phi.z - d.phi.z)) < 1e-12
 
 
 def test_iq_malformed_files(tmp_path):
@@ -177,7 +178,8 @@ def test_iq_aircraft_style_recovery(tmp_path):
         idx = int(r) * m2 + vel_col
         x.re[idx] = amp * np.cos(ph)
         x.im[idx] = amp * np.sin(ph)
-    y = hf.add_noise(matvec(d.phi, x), 0.01, seed=33)
+    y = ComplexArray(d.phi.z @ x.z)
+    y = ComplexArray(y.z + gaussian(np.random.default_rng(33), y.shape, np.sqrt(0.01 / 2.0)))
     path = tmp_path / "aircraft.hiq"
     write_iq_grid(path, (m1, m2), d.sampling.omega, y)
     y2, d2 = ingest_iq_grid(path)
@@ -387,6 +389,28 @@ def test_cli_train_data_needs_its_sampling_indices(tmp_path, flag):
         cli_main(["train", "--data", str(paths["data"]), "--val", str(paths["val"]),
                   "--arch", "lista", "--depth", "1", "--epochs", "1", "--out", str(model)])
     assert str(err.value.code).startswith(f"--{flag} {paths[flag]}: no sampling indices")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda side: {**side, "omega": side["omega"][:-1] + [99]}, "omega must hold"),
+    (lambda side: {**side, "omega": "abc"}, "omega must hold"),
+    (lambda side: {**side, "omega": side["omega"][:3]}, "omega must hold"),
+    (lambda side: json.dumps(side)[:-2], "malformed JSON"),
+    (lambda side: {**side, "sampling_seed": "abc"}, "sampling_seed must be"),
+], ids=["past-the-grid", "not-a-list", "too-few", "malformed", "bad-sampling-seed"])
+def test_cli_train_names_a_sidecar_that_does_not_fit(tmp_path, edit, want):
+    data, model = tmp_path / "d.hud", tmp_path / "n.hun"
+    assert cli_main(["gen-data", "--m", "16", "--n", "8", "--k", "2",
+                     "--samples", "20", "--out", str(data)]) == 0
+    sidecar = tmp_path / "d.hud.json"
+    side = edit(json.loads(sidecar.read_text()))
+    sidecar.write_text(side if isinstance(side, str) else json.dumps(side))
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", str(data), "--arch", "lista", "--depth", "1",
+                  "--epochs", "1", "--out", str(model)])
+    msg = str(err.value.code)
+    assert msg.startswith(f"--data {data}: {sidecar}: {want}") and "\n" not in msg
     assert not model.exists()
 
 
@@ -917,19 +941,47 @@ def test_cli_config_file_runs_as_its_flags(tmp_path, monkeypatch):
     flags = ["--problem", "1d", "--m", "16", "--n", "8", "--k", "2", "--noise-db=-5,5",
              "--trials", "4", "--methods", "ista,fista", "--budget-ista", "25",
              "--budget-fista", "15", "--seed", "9", "--sample-seed", "2"]
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
+    for run in "abc":
+        (tmp_path / run).mkdir()
     monkeypatch.chdir(tmp_path / "a")
     assert cli_main(["sweep", *flags, "--out", "s.csv"]) == 0
-    monkeypatch.chdir(tmp_path / "b")
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
         "problem": "1d", "m": 16, "n": 8, "k": 2, "noise_db": [-5, 5], "trials": 4,
         "methods": "ista,fista", "budget_ista": 25, "budget_fista": 15, "seed": 9,
         "sample_seed": 2, "timing": False}))
+    monkeypatch.chdir(tmp_path / "b")
     assert cli_main(["sweep", "--config", str(cfg_file), "--out", "s.csv"]) == 0
+    monkeypatch.chdir(tmp_path / "c")
+    assert cli_main(["sweep", f"--config={cfg_file}", "--out", "s.csv"]) == 0
     for name in ("s.csv", "s.csv.manifest.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        for run in "bc":
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / run / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags, said", [
+    (["--config", "{cfg}", "--m", "8", "--n", "4", "--config={cfg}"],
+     "--config given more than once; give one config file"),
+    (["--conf", "{cfg}", "--m", "8", "--n", "4"],
+     "--config {cfg}: must be given as --config FILE or --config=FILE"),
+], ids=["twice", "abbreviated"])
+def test_cli_config_is_given_once_in_full(tmp_path, flags, said):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 2}))
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["sweep", *(f.format(cfg=cfg_file) for f in flags), "--out", str(out)])
+    assert str(err.value.code) == said.format(cfg=cfg_file)
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "sweep", "single",
+                                     "complexity", "ingest"])
+def test_cli_help_lists_config(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli_main([command, "--help"])
+    assert err.value.code == 0
+    assert "--config FILE" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("doc, flag, value", [
@@ -948,11 +1000,19 @@ def test_cli_config_names_a_value_of_the_wrong_kind(tmp_path, doc, flag, value):
 
 
 def test_cli_names_a_missing_required_flag(tmp_path, capsys):
-    # Python 3.12+ raises the message; earlier versions print it with the usage
+    # on every Python version: one line as the exit code, no usage printed
     with pytest.raises(SystemExit) as err:
         cli_main(["ingest", "--out", str(tmp_path / "o.csv")])
-    said = f"{err.value.code}\n{capsys.readouterr().err}"
-    assert "the following arguments are required: --path" in said
+    assert err.value.code == "the following arguments are required: --path"
+    assert capsys.readouterr().err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_names_an_unrecognized_argument(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli_main(["ingest", "--path", "g.hiq", "--bogus", "--out", str(tmp_path / "o.csv")])
+    assert err.value.code == "unrecognized arguments: --bogus"
+    assert capsys.readouterr().err == ""
     assert list(tmp_path.iterdir()) == []
 
 

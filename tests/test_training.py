@@ -133,8 +133,8 @@ def test_loss_matches_scalar_loop():
     num = den = 0.0
     for i in range(ds.count):
         y = ComplexArray(ds.obs.re[:, i].copy(), ds.obs.im[:, i].copy())
-        x = ds.truth.to_complex()[:, i]
-        xh = forward(net, y).to_complex()
+        x = ds.truth.z[:, i]
+        xh = forward(net, y).z
         num += np.linalg.norm(x - xh)
         den += np.linalg.norm(x)
     assert abs(got - num / den) < 1e-12
@@ -271,9 +271,9 @@ def test_filter_gradient_matches_closed_form():
     net = UnfoldedNetwork("lista", (9,), 5,
                           [Layer(filt, None, ComplexArray.zeros((9, 9)), 0.0)])
     g = backward(net, ds)[0][0]
-    yc = ds.obs.to_complex()
-    xc = ds.truth.to_complex()
-    pred = filt.to_complex() @ yc
+    yc = ds.obs.z
+    xc = ds.truth.z
+    pred = filt.z @ yc
     den = sum(np.linalg.norm(xc[:, b]) for b in range(ds.count))
     ref = np.zeros_like(g)
     for b in range(ds.count):
@@ -392,21 +392,21 @@ def test_estimate_dictionary_identity_case():
     rng = np.random.default_rng(27)
     x = rand_carray(rng, (6, 40))
     ds = Dataset(x.copy(), x.copy(), {})
-    est = estimate_dictionary(ds).to_complex()
+    est = estimate_dictionary(ds).z
     assert np.max(np.abs(est - np.eye(6))) < 1e-8
 
 
 def test_estimate_dictionary_noiseless_residual():
     d, ds = make_problem((12,), 6, k=4, count=600, sigma2=0.0, seed=28)
-    est = estimate_dictionary(ds).to_complex()
-    res = np.linalg.norm(ds.obs.to_complex() - est @ ds.truth.to_complex())
-    assert res / np.linalg.norm(ds.obs.to_complex()) < 1e-8
+    est = estimate_dictionary(ds).z
+    res = np.linalg.norm(ds.obs.z - est @ ds.truth.z)
+    assert res / np.linalg.norm(ds.obs.z) < 1e-8
 
 
 def test_estimate_dictionary_noisy_column_angles():
     d, ds = make_problem((16,), 8, k=4, count=6000, sigma2=0.4, seed=29)
-    est = estimate_dictionary(ds).to_complex()
-    ref = d.phi.to_complex()
+    est = estimate_dictionary(ds).z
+    ref = d.phi.z
     for col in range(ref.shape[1]):
         a, b = est[:, col], ref[:, col]
         cosang = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
