@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__, nets
 from .cplx import ComplexArray, join_planes, shrink
-from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet,
-                       _check_noise_power, build_dictionary, db_to_sigma2,
-                       draw_sampling, gaussian, make_instance, synth_offgrid)
+from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet, _draw,
+                       _is_int, build_dictionary, db_to_sigma2, draw_sampling,
+                       gaussian, make_instance, synth_offgrid)
 from .metrics import hit_rate_metric, nmse_metric
 from .solvers import SolverConfig, default_lambda, fista, ista
 
@@ -45,9 +45,10 @@ __all__ = [
 IQ_MAGIC = b"HIQ1"
 
 SOLVER_METHODS = ("ista", "fista")
-LEARNED_METHODS = ("lista", "convlista", "lista-toeplitz")
+# each learned method and the architectures that can serve it
 _METHOD_ARCHS = {"lista": ("lista",), "convlista": ("convlista",),
                  "lista-toeplitz": ("toeplitz1d", "toeplitz2d")}
+LEARNED_METHODS = tuple(_METHOD_ARCHS)
 
 
 def check_model(method: str, net, shape, n_obs: int):
@@ -180,25 +181,20 @@ def run_single(cfg: ExperimentConfig, offgrid: bool = False,
     """One recovery per method on a shared instance; returns stem-plot rows.
 
     Each row is (grid index, true magnitude, one magnitude column per
-    method).  In off-grid mode the true components sit ``frac`` of a cell
-    past their anchor index (second axis only in 2-D) and the truth column
-    marks the anchors.  The instance and its noise come from the one stream
-    of ``cfg.seed``: on the grid as :func:`make_instance` draws them, off the
-    grid the anchors, the amplitudes, then the noise.
+    method).  The spectrum and its noise are drawn from the one stream of
+    ``cfg.seed`` by :func:`~hunfold.harmonic.make_instance`'s rule, so both
+    modes report the same truth.  In off-grid mode each component sits
+    ``frac`` of a cell past its grid index (second axis only in 2-D), and
+    the truth column marks those anchors.
     """
-    _check_noise_power(sigma2)
     sampling = draw_sampling(int(np.prod(cfg.shape)), cfg.n_obs, cfg.sample_seed)
     d = build_dictionary(cfg.shape, sampling)
     seq = np.random.SeedSequence(cfg.seed)
     if offgrid:
-        rng = np.random.Generator(np.random.PCG64(seq))
-        anchors = np.sort(rng.choice(d.total, size=cfg.k, replace=False))
-        amps = ComplexArray(gaussian(rng, (cfg.k,), np.sqrt(0.5)))
-        y = synth_offgrid(d, anchors, frac, amps)
-        if sigma2 > 0.0:
-            y = ComplexArray(y.z + gaussian(rng, (d.n_obs,), np.sqrt(sigma2 / 2.0)))
-        truth_mag = np.zeros(d.total)
-        truth_mag[anchors] = amps.abs()
+        x, w = (a[:, 0] for a in _draw(d.total, d.n_obs, cfg.k, sigma2, [seq]))
+        anchors = np.flatnonzero(x)
+        y = ComplexArray(synth_offgrid(d, anchors, frac, ComplexArray(x[anchors])).z + w)
+        truth_mag = ComplexArray(x).abs()
     else:
         inst = make_instance(d, cfg.k, sigma2, seq)
         y, truth_mag = inst.y, inst.x_true.abs()
@@ -284,7 +280,8 @@ def write_iq_grid(path, shape, omega, y: ComplexArray) -> None:
 
 
 def read_iq_grid(path):
-    """Parse an IQ file; returns ((m1, m2), omega, observation)."""
+    """Parse an IQ file; returns ((m1, m2), omega, observation), where m1
+    and m2 are JSON integers >= 1 and omega is read through SamplingSet."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 8 or buf[:4] != IQ_MAGIC:
@@ -294,8 +291,10 @@ def read_iq_grid(path):
         raise ValueError(f"{path}: truncated header")
     try:
         head = json.loads(buf[8:8 + hlen].decode("utf-8"))
-        shape = (int(head["m1"]), int(head["m2"]))
-        omega = np.asarray(head["omega"], dtype=np.int64)
+        shape = (head["m1"], head["m2"])
+        if not all(_is_int(m) and m >= 1 for m in shape):
+            raise ValueError(f"m1 and m2 must be integers >= 1, got {shape}")
+        omega = SamplingSet(head["omega"], 0).omega
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header ({exc})") from exc
     body = buf[8 + hlen:]
@@ -305,19 +304,12 @@ def read_iq_grid(path):
     return shape, omega, ComplexArray(np.frombuffer(body, dtype="<c16").astype(np.complex128))
 
 
-def ingest_iq_grid(path, shape=None, omega=None):
-    """Load an IQ file and build the matching 2-D sensing operator.
-
-    Optional ``shape``/``omega`` act as expectations and fail fast on
-    mismatch.  Returns (observation, dictionary), ready for any solver.
-    """
-    fshape, fomega, y = read_iq_grid(path)
-    if shape is not None and tuple(shape) != fshape:
-        raise ValueError(f"file grid {fshape} does not match expected {tuple(shape)}")
-    if omega is not None and not np.array_equal(np.asarray(omega), fomega):
-        raise ValueError("file index set does not match the expected one")
+def ingest_iq_grid(path):
+    """Load an IQ file and build the matching 2-D sensing operator; returns
+    (observation, dictionary), ready for any solver."""
+    shape, omega, y = read_iq_grid(path)
     try:
-        d = build_dictionary(fshape, SamplingSet(fomega, seed=0))
+        d = build_dictionary(shape, SamplingSet(omega, seed=0))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return y, d

@@ -111,14 +111,13 @@ def _add_problem_flags(p: argparse.ArgumentParser):
 
 def _add_method_flags(p: argparse.ArgumentParser):
     p.add_argument("--methods", default="ista,fista",
-                   help="comma list from: ista,fista,lista,convlista,lista-toeplitz")
+                   help="comma list from: " + ",".join(SOLVER_METHODS + LEARNED_METHODS))
     p.add_argument("--budget-ista", type=_int_from(1), default=1000)
     p.add_argument("--budget-fista", type=_int_from(1), default=100)
     p.add_argument("--lambda-scale", type=_finite(), default=0.1,
                    help="penalty = scale * max|phi^H y|")
-    p.add_argument("--model-lista")
-    p.add_argument("--model-convlista")
-    p.add_argument("--model-lista-toeplitz")
+    for method in LEARNED_METHODS:
+        p.add_argument(f"--model-{method}")
 
 
 def _read_input(args, name, reader):
@@ -191,17 +190,6 @@ def _experiment_config(args, **settings) -> ExperimentConfig:
         models=_load_models(args, methods, shape), **settings)
 
 
-def _read_problem_data(args, name):
-    """The dataset file that --name gives, with the sampling indices that
-    its JSON sidecar carries."""
-    path = getattr(args, name)
-    ds = _read_input(args, name, read_dataset)
-    if "omega" not in ds.meta:
-        raise SystemExit(f"--{name} {path}: no sampling indices "
-                         f"(the sidecar {path}.json is missing)")
-    return ds
-
-
 def _echo_config(args) -> dict:
     return {key: val for key, val in sorted(vars(args).items()) if key != "func"}
 
@@ -232,7 +220,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     _writable(args, "out", sidecar=".json")
-    train_ds = _read_problem_data(args, "data")
+    train_ds = _read_input(args, "data", read_dataset)
     shape = tuple(train_ds.meta["shape"])
     try:
         branches(args.arch, shape, train_ds.meta["n_obs"])
@@ -240,7 +228,7 @@ def _cmd_train(args) -> int:
         raise SystemExit(f"--arch {args.arch}: {exc}, but --data {args.data} "
                          f"holds the {len(shape)}-D grid {shape}") from None
     if args.val:
-        val_ds = _read_problem_data(args, "val")
+        val_ds = _read_input(args, "val", read_dataset)
         for key in ("shape", "n_obs", "omega"):
             mine, theirs = val_ds.meta[key], train_ds.meta[key]
             if mine != theirs:
@@ -520,7 +508,7 @@ def _with_config(argv: list[str], parser, commands) -> list[str]:
         parser.error("--config needs a file argument")
     at = next((j for j, a in enumerate(argv) if a in commands), None)
     if at is None:
-        return argv   # the parse reports the missing subcommand
+        return argv   # main reports the missing subcommand
     tokens = _config_flags(path, argv[at], commands[argv[at]])
     return argv[:at + 1] + tokens + argv[at + 1:]
 
@@ -529,7 +517,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _parser()
     try:
-        args = parser.parse_args(_with_config(argv, parser, commands))
+        argv = _with_config(argv, parser, commands)
+        if not argv or argv[0] not in (*commands, "-h", "--help"):
+            given = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand given"
+            parser.error(f"{given}; choose from {', '.join(commands)}")
+        args = parser.parse_args(argv)
     except argparse.ArgumentError as err:
         # a refusal of no one flag (a missing required flag, an unrecognized
         # argument) has no name

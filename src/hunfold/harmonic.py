@@ -90,20 +90,36 @@ def fourier_matrix(m: int) -> ComplexArray:
     return ComplexArray(_roots(m, np.arange(m), np.arange(m)))
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool: a Python or numpy integer."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SamplingSet:
-    """Sorted distinct observed indices into the full measurement grid."""
+    """Observed indices into the full grid, a 1-D integer array or a list of
+    integers (not bools), strictly ascending and >= 0, kept as int64, and the
+    integer seed >= 0 they were drawn from.  The one check of a sampling set:
+    every file that carries one is read through it."""
 
     omega: np.ndarray
     seed: int
 
     def __post_init__(self):
-        om = np.asarray(self.omega, dtype=np.int64)
+        om = self.omega
+        if isinstance(om, list) and all(map(_is_int, om)):
+            try:
+                om = np.array(om, dtype=np.int64)
+            except OverflowError:
+                om = None
+        if not (isinstance(om, np.ndarray) and om.ndim == 1 and om.dtype.kind in "iu"):
+            raise ValueError("sampling indices must be a 1-D list or array of integers")
+        om = om.astype(np.int64, copy=False)
         object.__setattr__(self, "omega", om)
-        if om.ndim != 1 or len(np.unique(om)) != om.size:
-            raise ValueError("sampling indices must be a 1-D set of distinct values")
         if om.size and (np.any(np.diff(om) <= 0) or om[0] < 0):
-            raise ValueError("sampling indices must be sorted ascending and >= 0")
+            raise ValueError("sampling indices must be strictly ascending and >= 0")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"sampling seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def count(self) -> int:
@@ -414,12 +430,12 @@ def write_dataset(path, ds: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Inverse of :func:`write_dataset`; merges the sidecar when present.
+    """Inverse of :func:`write_dataset`, the sidecar's sampling set merged.
 
-    A sidecar that cannot be read or parsed, whose ``omega`` is not
-    ``n_obs`` strictly ascending integers on the header's grid, or whose
-    ``sampling_seed`` is not an integer >= 0, is a ValueError naming the
-    sidecar.
+    A missing sidecar is a ValueError naming the file.  A sidecar that
+    cannot be read or parsed, whose ``omega`` and ``sampling_seed`` are not
+    a :class:`SamplingSet`, or whose ``omega`` does not hold ``n_obs``
+    indices on the header's grid, is a ValueError naming the sidecar.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -433,12 +449,13 @@ def read_dataset(path) -> Dataset:
         raise ValueError(f"{path}: truncated header")
     shape = struct.unpack_from("<" + "I" * kind, buf, 8)
     n_obs, n_samples, k, seed, sigma2 = struct.unpack_from("<IIIQd", buf, 8 + 4 * kind)
-    want = off + 16 * n_samples * (n_obs + math.prod(shape))
+    total = math.prod(shape)
+    want = off + 16 * n_samples * (n_obs + total)
     if len(buf) != want:
         raise ValueError(f"{path}: file holds {len(buf)} bytes but its header "
                          f"implies {want}")
     obs, off = _pairs_from(buf, off, (n_obs, n_samples))
-    truth, off = _pairs_from(buf, off, (int(np.prod(shape)), n_samples))
+    truth, off = _pairs_from(buf, off, (total, n_samples))
     meta = {
         "kind": kind, "shape": list(shape), "n_obs": n_obs,
         "n_samples": n_samples, "k": k, "sigma2": sigma2, "seed": seed,
@@ -448,24 +465,25 @@ def read_dataset(path) -> Dataset:
         with open(side_path, "r", encoding="utf-8") as fh:
             side = json.load(fh)
     except FileNotFoundError:
-        side = {}
+        raise ValueError(f"{path}: no sampling indices (the sidecar "
+                         f"{side_path} is missing)") from None
     except OSError as exc:
         raise ValueError(f"{side_path}: cannot read ({exc.strerror})") from None
     except ValueError as exc:
         raise ValueError(f"{side_path}: malformed JSON ({exc})") from None
     if not isinstance(side, dict):
         raise ValueError(f"{side_path}: sidecar must be a JSON object")
-    if "omega" in side:
-        omega, total = side["omega"], math.prod(shape)
-        # n_obs integers, each above the one before, from 0 to below total
-        if not (isinstance(omega, list) and len(omega) == n_obs
-                and all(type(v) is int for v in omega)
-                and all(a < b for a, b in zip([-1, *omega], [*omega, total]))):
-            raise ValueError(f"{side_path}: omega must hold n_obs = {n_obs} "
-                             f"strictly ascending integers in [0, {total})")
-    sampling_seed = side.get("sampling_seed", 0)
-    if type(sampling_seed) is not int or sampling_seed < 0:
-        raise ValueError(f"{side_path}: sampling_seed must be an integer >= 0")
+    try:
+        omega = SamplingSet(side.get("omega"), 0).omega
+    except ValueError:
+        omega = None
+    if omega is None or omega.size != n_obs or (n_obs and omega[-1] >= total):
+        raise ValueError(f"{side_path}: omega must hold n_obs = {n_obs} "
+                         f"strictly ascending integers in [0, {total})")
+    try:
+        SamplingSet(omega, side.get("sampling_seed", 0))
+    except ValueError:
+        raise ValueError(f"{side_path}: sampling_seed must be an integer >= 0") from None
     for key in ("sampling_seed", "omega", "noise_db_convention"):
         if key in side:
             meta[key] = side[key]
@@ -474,8 +492,5 @@ def read_dataset(path) -> Dataset:
 
 def dictionary_from_meta(meta: dict) -> Dictionary:
     """Rebuild the sensing operator recorded in a dataset's metadata."""
-    if "omega" not in meta:
-        raise ValueError("metadata carries no sampling indices")
-    sampling = SamplingSet(np.asarray(meta["omega"], dtype=np.int64),
-                           int(meta.get("sampling_seed", 0)))
+    sampling = SamplingSet(meta["omega"], meta.get("sampling_seed", 0))
     return build_dictionary(tuple(meta["shape"]), sampling)

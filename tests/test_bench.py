@@ -116,6 +116,19 @@ def test_run_single_noise_is_not_a_copy_of_the_signal_draws(monkeypatch):
     assert np.min(np.abs(noise_draws[:, None] - signal_draws[None, :])) > 1e-6
 
 
+def test_run_single_off_the_grid_reports_the_on_grid_truth(tmp_path):
+    # one seed, one draw: the anchors and amplitudes are the on-grid spectrum
+    flags = ["single", "--m", "32", "--n", "12", "--k", "3", "--seed", "9",
+             "--sigma2", "0.01", "--methods", "ista"]
+    on, off = tmp_path / "on.csv", tmp_path / "off.csv"
+    assert cli_main(flags + ["--out", str(on)]) == 0
+    assert cli_main(flags + ["--offgrid", "--out", str(off)]) == 0
+    true_mag = [[line.split(",")[1] for line in path.read_text().splitlines()]
+                for path in (on, off)]
+    assert true_mag[0] == true_mag[1]
+    assert sum(v != "0.0" for v in true_mag[0][1:]) == 3
+
+
 def test_complexity_report_counts():
     header, rows = complexity_report([512, 1024], n_obs=64, timing=False)
     assert rows[0][2] == 512 * 512 and rows[0][3] == 1023
@@ -137,7 +150,9 @@ def test_iq_round_trip_bit_exact(tmp_path):
     assert shape == (4, 8)
     assert np.array_equal(omega, d.sampling.omega)
     assert np.array_equal(back.re, y.re) and np.array_equal(back.im, y.im)
-    y2, d2 = ingest_iq_grid(path, shape=(4, 8), omega=d.sampling.omega)
+    y2, d2 = ingest_iq_grid(path)
+    assert d2.shape == (4, 8)
+    assert np.array_equal(d2.sampling.omega, d.sampling.omega)
     assert np.max(np.abs(d2.phi.z - d.phi.z)) < 1e-12
 
 
@@ -159,8 +174,6 @@ def test_iq_malformed_files(tmp_path):
     trunc.write_bytes(good.read_bytes()[:-16])
     with pytest.raises(ValueError):
         read_iq_grid(trunc)
-    with pytest.raises(ValueError):
-        ingest_iq_grid(good, shape=(4, 2))
 
 
 def test_iq_aircraft_style_recovery(tmp_path):
@@ -543,6 +556,22 @@ def test_cli_ingest_names_an_unreadable_input(tmp_path, flag):
         cli_main(["ingest", *(a for kv in files.items() for a in kv), "--out", str(out)])
     kind = "an IQ grid" if flag == "--path" else "a model"
     assert str(err.value.code) == f"{flag} {files[flag]}: not {kind} file (bad magic)"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("omega", [0.9, 1.5, 2.2, 5.7]), ("omega", [False, True, 3, 5]),
+    ("omega", ["0", "1", "3", "5"]), ("m1", 4.9), ("m1", "4")],
+    ids=["float-omega", "bool-omega", "string-omega", "float-m1", "string-m1"])
+def test_cli_ingest_names_a_header_of_non_integers(tmp_path, key, value):
+    # each of these was once read as integers: [0.9, 1.5, ...] as [0, 1, 2, 5]
+    head = {"m1": 4, "m2": 6, "omega": [0, 1, 3, 5], key: value}
+    text = json.dumps(head, sort_keys=True).encode("utf-8")
+    iq, out = tmp_path / "g.hiq", tmp_path / "rec.csv"
+    iq.write_bytes(b"HIQ1" + struct.pack("<I", len(text)) + text + bytes(16 * 4))
+    with pytest.raises(SystemExit) as err:
+        cli_main(["ingest", "--path", str(iq), "--out", str(out)])
+    assert str(err.value.code).startswith(f"--path {iq}: malformed header (")
     assert not out.exists()
 
 
@@ -1006,6 +1035,17 @@ def test_cli_names_a_missing_required_flag(tmp_path, capsys):
     assert err.value.code == "the following arguments are required: --path"
     assert capsys.readouterr().err == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["bogus", "--out", "o.csv"], "unknown subcommand 'bogus'"),
+    ([], "no subcommand given")], ids=["unknown", "missing"])
+def test_cli_names_a_bad_subcommand_and_the_choices(capsys, argv, given):
+    with pytest.raises(SystemExit) as err:
+        cli_main(argv)
+    assert err.value.code == (f"{given}; choose from gen-data, train, sweep, "
+                              f"single, complexity, ingest")
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_names_an_unrecognized_argument(tmp_path, capsys):

@@ -113,6 +113,24 @@ def test_kronecker_row_identity_random_sampling():
         assert np.max(np.abs(d.phi.z[row] - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("omega, seed", [
+    ([0.9, 1.5, 2.2, 5.7], 0), ([False, True, 3, 5], 0), (["0", "1"], 0),
+    (np.array([0.0, 1.0]), 0), (np.array([[0, 1]]), 0), (3, 0), (None, 0),
+    ([1, 1], 0), ([2, 1], 0), ([-1, 0], 0), ([2 ** 70], 0),
+    ([0, 1], -1), ([0, 1], 1.0), ([0, 1], True), ([0, 1], "1")])
+def test_sampling_set_refuses_what_is_not_a_set_of_indices(omega, seed):
+    with pytest.raises(ValueError, match="sampling"):
+        hf.SamplingSet(omega, seed)
+
+
+@pytest.mark.parametrize("omega", [
+    [0, 3, 7], [np.int64(0), 3, 7], np.array([0, 3, 7], dtype=np.uint16)])
+def test_sampling_set_keeps_integer_indices_as_int64(omega):
+    s = hf.SamplingSet(omega, np.int64(2))
+    assert s.omega.dtype == np.int64 and s.omega.tolist() == [0, 3, 7]
+    assert hf.SamplingSet([], 0).count == 0
+
+
 def test_gram_full_sampling_is_scaled_identity():
     m = 16
     d = build_dictionary((m,), draw_sampling(m, m, seed=1))
@@ -447,6 +465,17 @@ def test_dataset_extended_file_names_path(tmp_path):
         read_dataset(path)
 
 
+def test_dataset_without_its_sidecar_names_both_files(tmp_path):
+    d = build_dictionary((8,), draw_sampling(8, 4, seed=19))
+    path = tmp_path / "bare.hud"
+    write_dataset(path, gen_dataset(d, 3, 1, 0.1, seed=6))
+    (tmp_path / "bare.hud.json").unlink()
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value) == (f"{path}: no sampling indices "
+                              f"(the sidecar {path}.json is missing)")
+
+
 def test_dataset_bad_magic(tmp_path):
     path = tmp_path / "junk.hud"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -477,6 +506,8 @@ def test_dataset_every_bit_flip_loads_or_names_path(tmp_path, shape):
     write_dataset(good, gen_dataset(d, 2, 2, 0.1, seed=8))
     data = bytearray(good.read_bytes())
     path = tmp_path / "flipped.hud"
+    # the good sidecar beside it, so that a flip of the payload loads
+    (tmp_path / "flipped.hud.json").write_bytes((tmp_path / "good.hud.json").read_bytes())
     for bit in range(8 * len(data)):
         data[bit // 8] ^= 1 << (bit % 8)
         path.write_bytes(bytes(data))
