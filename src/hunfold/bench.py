@@ -281,7 +281,8 @@ def write_iq_grid(path, shape, omega, y: ComplexArray) -> None:
 
 def read_iq_grid(path):
     """Parse an IQ file; returns ((m1, m2), omega, observation), where m1
-    and m2 are JSON integers >= 1 and omega is read through SamplingSet."""
+    and m2 are JSON integers >= 1, omega is read through SamplingSet and
+    lists at least one index, and every sample is finite."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 8 or buf[:4] != IQ_MAGIC:
@@ -295,23 +296,33 @@ def read_iq_grid(path):
         if not all(_is_int(m) and m >= 1 for m in shape):
             raise ValueError(f"m1 and m2 must be integers >= 1, got {shape}")
         omega = SamplingSet(head["omega"], 0).omega
+        if not omega.size:
+            raise ValueError("omega must list at least one index")
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header ({exc})") from exc
     body = buf[8 + hlen:]
     if len(body) != omega.size * 16:
         raise ValueError(f"{path}: payload holds {len(body) // 16} samples "
                          f"but the index set lists {omega.size}")
-    return shape, omega, ComplexArray(np.frombuffer(body, dtype="<c16").astype(np.complex128))
+    y = np.frombuffer(body, dtype="<c16").astype(np.complex128)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"{path}: sample {bad[0]} is not finite")
+    return shape, omega, ComplexArray(y)
 
 
 def ingest_iq_grid(path):
     """Load an IQ file and build the matching 2-D sensing operator; returns
-    (observation, dictionary), ready for any solver."""
+    (observation, dictionary), ready for any solver.  A grid whose
+    dictionary numpy cannot allocate is a ValueError naming the file."""
     shape, omega, y = read_iq_grid(path)
     try:
         d = build_dictionary(shape, SamplingSet(omega, seed=0))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except MemoryError as exc:
+        raise ValueError(f"{path}: the dictionary of the {shape[0]} x {shape[1]} "
+                         f"grid cannot be built ({exc})") from None
     return y, d
 
 

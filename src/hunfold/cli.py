@@ -27,8 +27,9 @@ from .bench import (LEARNED_METHODS, SOLVER_METHODS, ExperimentConfig,
                     metric_rows_table, run_single, run_sweep, write_csv,
                     write_iq_grid, write_manifest)
 from .cplx import ComplexArray
-from .harmonic import (build_dictionary, db_to_sigma2, dictionary_from_meta,
-                       draw_sampling, gen_dataset, read_dataset, write_dataset)
+from .harmonic import (SamplingSet, build_dictionary, db_to_sigma2,
+                       dictionary_from_meta, draw_sampling, gen_dataset,
+                       read_dataset, read_sidecar, write_dataset)
 from .nets import (ARCHS, branches, forward, init_network, load_network,
                    save_network)
 from .solvers import SolverConfig, default_lambda, ista
@@ -157,13 +158,38 @@ def _writable(args, *names, sidecar=""):
         raise SystemExit(f"--{name.replace('_', '-')} {path}: cannot write ({why})")
 
 
+def _recorded_omega(path):
+    """The sampling indices that the sidecar of model file ``path`` records,
+    read as a :class:`SamplingSet`, or None where the sidecar is missing or
+    records none (a file saved without them)."""
+    side = read_sidecar(path)
+    if side is None or "omega" not in side:
+        return None
+    try:
+        return SamplingSet(side["omega"], side.get("sampling_seed", 0)).omega
+    except ValueError as exc:
+        raise ValueError(f"{path}.json: {exc}") from None
+
+
+def _check_sampling(args, name, omega, where):
+    """Stop naming --name and its model file if the file's sidecar records
+    sampling indices other than ``omega``, those of ``where``.  A sidecar
+    that records none (a file saved without them) passes."""
+    recorded = _read_input(args, name, _recorded_omega)
+    if recorded is not None and not np.array_equal(recorded, omega):
+        raise SystemExit(f"--{name.replace('_', '-')} {getattr(args, name)}: the model "
+                         f"was trained on other sampling indices than {where}")
+
+
 def _load_models(args, methods, shape) -> dict:
     """The model file of every learned method in ``methods``, each checked
-    to fit the ``shape`` grid that --n observes."""
+    to fit the ``shape`` grid that --n observes through the sampling set of
+    --sample-seed."""
     known = SOLVER_METHODS + LEARNED_METHODS
     if not methods:
         raise SystemExit(f"--methods names no method; choose from {', '.join(known)}")
     models = {}
+    omega = draw_sampling(math.prod(shape), args.n, args.sample_seed).omega
     for name in methods:
         if name not in known:
             raise SystemExit(f"--methods: unknown method {name!r}; "
@@ -175,6 +201,8 @@ def _load_models(args, methods, shape) -> dict:
             raise SystemExit(f"method {name} needs --model-{name}")
         models[name] = _read_input(
             args, attr, lambda path: check_model(name, load_network(path), shape, args.n))
+        _check_sampling(args, attr, omega, f"the experiment's (--n {args.n}, "
+                                           f"--sample-seed {args.sample_seed})")
     return models
 
 
@@ -265,6 +293,8 @@ def _cmd_train(args) -> int:
             "epochs": cfg.epochs, "lr_decay_patience": cfg.lr_decay_patience,
             "seed": cfg.seed, "lam": args.lam,
         },
+        "omega": [int(v) for v in d.sampling.omega],
+        "sampling_seed": d.sampling.seed,
         "initial_val_nmse": init_val,
         "final_val_nmse": final_val,
         "best_epoch": report.best_epoch,
@@ -321,6 +351,7 @@ def _cmd_ingest(args) -> int:
                              f"the IQ grid of --path {args.path} (grid {net.shape} "
                              f"with {net.n_obs} observations against {d.shape} "
                              f"with {d.n_obs})")
+        _check_sampling(args, "model", d.sampling.omega, f"the IQ grid of --path {args.path}")
         x_hat = forward(net, y)
         method = f"model:{net.arch}"
     else:

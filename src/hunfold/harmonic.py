@@ -61,6 +61,7 @@ __all__ = [
     "gram_generator",
     "make_instance",
     "read_dataset",
+    "read_sidecar",
     "sparse_from_rng",
     "synth_offgrid",
     "write_dataset",
@@ -429,10 +430,30 @@ def write_dataset(path, ds: Dataset) -> None:
         fh.write("\n")
 
 
+def read_sidecar(path) -> dict | None:
+    """The JSON object in the sidecar ``path + '.json'`` of a dataset or model
+    file, or None if there is none.  One that cannot be read or parsed, or
+    is not an object, is a ValueError naming the sidecar."""
+    side_path = f"{path}.json"
+    try:
+        with open(side_path, "r", encoding="utf-8") as fh:
+            side = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise ValueError(f"{side_path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:
+        raise ValueError(f"{side_path}: malformed JSON ({exc})") from None
+    if not isinstance(side, dict):
+        raise ValueError(f"{side_path}: sidecar must be a JSON object")
+    return side
+
+
 def read_dataset(path) -> Dataset:
     """Inverse of :func:`write_dataset`, the sidecar's sampling set merged.
 
-    A missing sidecar is a ValueError naming the file.  A sidecar that
+    A missing sidecar, or a non-finite entry in the observation or truth
+    matrix, is a ValueError naming the file.  A sidecar that
     cannot be read or parsed, whose ``omega`` and ``sampling_seed`` are not
     a :class:`SamplingSet`, or whose ``omega`` does not hold ``n_obs``
     indices on the header's grid, is a ValueError naming the sidecar.
@@ -456,23 +477,18 @@ def read_dataset(path) -> Dataset:
                          f"implies {want}")
     obs, off = _pairs_from(buf, off, (n_obs, n_samples))
     truth, off = _pairs_from(buf, off, (total, n_samples))
+    for name, a in (("observation", obs), ("truth", truth)):
+        bad = np.flatnonzero(~np.isfinite(a.z).all(axis=0))
+        if bad.size:
+            raise ValueError(f"{path}: sample {bad[0]} of the {name} matrix is not finite")
     meta = {
         "kind": kind, "shape": list(shape), "n_obs": n_obs,
         "n_samples": n_samples, "k": k, "sigma2": sigma2, "seed": seed,
     }
-    side_path = str(path) + ".json"
-    try:
-        with open(side_path, "r", encoding="utf-8") as fh:
-            side = json.load(fh)
-    except FileNotFoundError:
+    side, side_path = read_sidecar(path), f"{path}.json"
+    if side is None:
         raise ValueError(f"{path}: no sampling indices (the sidecar "
-                         f"{side_path} is missing)") from None
-    except OSError as exc:
-        raise ValueError(f"{side_path}: cannot read ({exc.strerror})") from None
-    except ValueError as exc:
-        raise ValueError(f"{side_path}: malformed JSON ({exc})") from None
-    if not isinstance(side, dict):
-        raise ValueError(f"{side_path}: sidecar must be a JSON object")
+                         f"{side_path} is missing)")
     try:
         omega = SamplingSet(side.get("omega"), 0).omega
     except ValueError:

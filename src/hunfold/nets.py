@@ -33,7 +33,8 @@ from .harmonic import Dictionary, conv_grid
 # conv_full2_planes is not called here.  It stays bound because the benchmark
 # tracer (perfbench/tracing.py) wraps it on this module as well and reports a
 # name it cannot find as absent.
-from .spectral import conv_full_planes, conv_full2_planes, next_pow2  # noqa: F401
+from .spectral import (conv_full_planes, conv_full2_planes,  # noqa: F401
+                       kernel_index, next_pow2)
 
 __all__ = [
     "ARCHS",
@@ -360,23 +361,15 @@ def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
 
 
 def forward(net: UnfoldedNetwork, y: ComplexArray) -> ComplexArray:
-    """Recover the length-M spectrum of one observation vector.
-
-    Per-layer outputs come from :func:`forward_planes` with ``keep_cache``:
-    layer t's output is layer t+1's cached input ``"x"``.
+    """Recover the length-M spectrum of one observation vector: one
+    :func:`forward_planes` pass over a batch of one, without ``keep_cache``.
+    Per-layer outputs are that pass with ``keep_cache``: layer t's output
+    is layer t+1's cached input ``"x"``.
     """
     if y.ndim != 1:
         raise ValueError("forward expects a rank-1 observation")
     xr, xi, _ = forward_planes(net, y.re[None, :], y.im[None, :])
     return ComplexArray(join_planes(xr, xi)[0])
-
-
-def _toeplitz_project(filt: ComplexArray, total: int, n_obs: int) -> ComplexArray:
-    """Closest (per-diagonal mean) rectangular-Toeplitz kernel to a matrix."""
-    k = np.empty(total + n_obs - 1, dtype=np.complex128)
-    for p in range(total + n_obs - 1):
-        k[p] = np.mean(np.diagonal(filt.z, offset=n_obs - 1 - p))
-    return ComplexArray(k)
 
 
 def init_network(arch: str, d: Dictionary, depth: int, lam: float,
@@ -395,14 +388,18 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
         raise ValueError("depth must be >= 1")
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"penalty weight must be finite and >= 0, got {lam}")
-    _, inhibit_op = branches(arch, d.shape, d.n_obs)
+    obs_op, inhibit_op = branches(arch, d.shape, d.n_obs)
     phi_hat = d.phi if phi_hat is None else phi_hat
     if phi_hat.shape != d.phi.shape:
         raise ValueError(f"operator of shape {phi_hat.shape}, expected {d.phi.shape}")
     big_l = lipschitz_constant(phi_hat).value
     filt = hermitian(phi_hat).scale(1.0 / big_l)
     theta0 = lam / big_l
-    obs = _toeplitz_project(filt, d.total, d.n_obs) if arch == "convlista" else filt
+    obs = filt
+    if arch == "convlista":   # the mean entry at each kernel position
+        idx = kernel_index(obs_op.grid_in, obs_op.grid_out)[0].ravel()
+        sums = ComplexArray(*(np.bincount(idx, p.ravel()) for p in (filt.re, filt.im)))
+        obs = ComplexArray(sums.z / np.bincount(idx))
     layers = [Layer(*place_obs(arch, obs.copy()), ComplexArray.zeros(inhibit_op.shape),
                     theta0)
               for _ in range(depth)]

@@ -22,10 +22,10 @@ Index conventions used throughout the package, one rule per grid axis:
   ``-(g-1) .. g-1``: ``2*g - 1`` entries per axis;
 * the operator acts on the grid's column-stacked vector, the first axis
   fastest: cell ``(c0, c1, ...)`` sits at ``c0 + c1*g0 + ...``;
-* ``toeplitz_expand`` places d(s - i), one offset per axis, at the entry
-  of flat cells (s, i).  On one axis that is a Toeplitz matrix; on two,
-  the first axis runs inside blocks and the second across them, a
-  doubly-block-Toeplitz matrix.
+* :func:`kernel_index` gives flat output cell s and input cell i the kernel
+  position ``s - i + g_in - 1`` per axis, where ``toeplitz_expand`` places
+  d(s - i): on one axis a Toeplitz matrix; on two, the first axis runs
+  inside blocks and the second across them, doubly-block Toeplitz.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "conv1d",
     "conv_full_planes",
     "conv_full2_planes",
+    "kernel_index",
     "next_pow2",
     "toeplitz_expand",
     "toeplitz_extract",
@@ -135,31 +136,32 @@ def conv_full2_planes(kr, ki, xr, xi, n):
     return out.real, out.imag
 
 
-def _cells(grid):
-    """Per-axis cell index of every flat column-stacked position on ``grid``."""
-    return np.unravel_index(np.arange(math.prod(grid)), grid, order="F")
+def kernel_index(grid_in, grid_out) -> tuple[np.ndarray, ...]:
+    """Per axis, the kernel position ``s - i + g_in - 1`` of every flat
+    column-stacked output cell s (a row) and input cell i (a column)."""
+    cells = (np.unravel_index(np.arange(math.prod(g)), g, order="F")
+             for g in (grid_out, grid_in))
+    return tuple(s[:, None] - i[None, :] + (g - 1) for s, i, g in zip(*cells, grid_in))
 
 
 def toeplitz_expand(t: Toeplitz) -> ComplexArray:
     """Dense operator of a generator: the entry at (flat s, flat i) is the
     diagonal d(s - i), one offset per grid axis."""
-    idx = tuple(s[:, None] - s[None, :] + (g - 1)
-                for s, g in zip(_cells(t.grid), t.grid))
-    return ComplexArray(t.diags.z[idx])
+    return ComplexArray(t.diags.z[kernel_index(t.grid, t.grid)])
 
 
 def toeplitz_extract(g: ComplexArray, grid) -> Toeplitz:
     """Read a generator back out of a dense operator on ``grid``.
 
-    Offset p on an axis is read at cells (max(p, 0), max(-p, 0)): the first
-    block row and block column.  Exact only when the matrix really is
-    Toeplitz on every axis.
+    Each kernel position is read at its first row-major entry, which lies
+    in the first block row or block column.  Exact only when the matrix
+    really is Toeplitz on every axis.
     """
     grid = tuple(int(n) for n in grid)
     total = math.prod(grid)
     if g.shape != (total, total):
         raise ValueError(f"matrix shape {g.shape}, expected {(total, total)}")
-    offs = np.ix_(*(np.arange(1 - n, n) for n in grid))
-    rows, cols = (np.ravel_multi_index(tuple(np.maximum(sign * p, 0) for p in offs),
-                                       grid, order="F") for sign in (1, -1))
-    return Toeplitz(ComplexArray(g.z[rows, cols]), grid)
+    shape = tuple(2 * n - 1 for n in grid)
+    _, first = np.unique(np.ravel_multi_index(kernel_index(grid, grid), shape),
+                         return_index=True)
+    return Toeplitz(ComplexArray(g.z.ravel()[first].reshape(shape)), grid)

@@ -575,6 +575,124 @@ def test_cli_ingest_names_a_header_of_non_integers(tmp_path, key, value):
     assert not out.exists()
 
 
+def test_cli_ingest_names_a_non_finite_sample(tmp_path):
+    # one NaN sample once ended ingest in a SolverConfig traceback
+    iq, out = tmp_path / "g.hiq", tmp_path / "rec.csv"
+    write_iq_grid(iq, (4, 6), [0, 1, 3, 5],
+                  ComplexArray(np.array([1.0, np.nan, 2.0, np.inf]), np.zeros(4)))
+    with pytest.raises(ValueError) as err:
+        read_iq_grid(iq)
+    assert str(err.value) == f"{iq}: sample 1 is not finite"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["ingest", "--path", str(iq), "--out", str(out)])
+    assert str(err.value.code) == f"--path {iq}: sample 1 is not finite"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("head, words", [
+    ({"m1": 4, "m2": 6, "omega": []}, "malformed header (omega must list at least one index)"),
+    ({"m1": 2 ** 40, "m2": 1, "omega": [0]}, "the dictionary of the 1099511627776 x 1 "
+                                              "grid cannot be built (Unable to allocate")],
+    ids=["empty-omega", "8-TiB-grid"])
+def test_cli_ingest_names_a_header_that_is_no_problem(tmp_path, head, words):
+    # these once ended in a reshape ValueError and an _ArrayMemoryError traceback
+    text = json.dumps(head, sort_keys=True).encode("utf-8")
+    iq, out = tmp_path / "g.hiq", tmp_path / "rec.csv"
+    iq.write_bytes(b"HIQ1" + struct.pack("<I", len(text)) + text
+                   + bytes(16 * len(head["omega"])))
+    with pytest.raises(SystemExit) as err:
+        cli_main(["ingest", "--path", str(iq), "--out", str(out)])
+    assert str(err.value.code).startswith(f"--path {iq}: {words}")
+    assert not out.exists()
+
+
+def train_on_sample_seed(tmp_path, arch="toeplitz1d", problem=("--m", "16"), seed=11):
+    """A model file trained on data of ``--sample-seed`` ``seed``, 6 samples
+    of the ``problem`` grid."""
+    data, model = tmp_path / f"d{seed}.hud", tmp_path / f"{arch}-{seed}.hun"
+    assert cli_main(["gen-data", *problem, "--n", "6", "--k", "1", "--samples", "30",
+                     "--seed", "2", "--sample-seed", str(seed), "--out", str(data)]) == 0
+    assert cli_main(["train", "--data", str(data), "--arch", arch, "--depth", "1",
+                     "--epochs", "1", "--out", str(model)]) == 0
+    return model
+
+
+def test_cli_train_records_the_sampling_set(tmp_path):
+    model = train_on_sample_seed(tmp_path)
+    side = json.loads((tmp_path / (model.name + ".json")).read_text())
+    want = hf.draw_sampling(16, 6, seed=11)
+    assert side["omega"] == want.omega.tolist() and side["sampling_seed"] == 11
+
+
+@pytest.mark.parametrize("command", ["sweep", "single"])
+def test_cli_sweep_and_single_refuse_a_model_of_another_sampling_set(tmp_path, command):
+    # such a model once ran silently: trained on --sample-seed 11 data (M=32,
+    # N=12), toeplitz1d hit 0.758 at -20 dB on its own index set, 0.211 on 12's
+    model = train_on_sample_seed(tmp_path)
+    argv = [command, "--m", "16", "--n", "6", "--k", "1", "--methods", "lista-toeplitz",
+            "--model-lista-toeplitz", str(model)]
+    if command == "sweep":
+        argv += ["--trials", "2"]
+    assert cli_main(argv + ["--sample-seed", "11", "--out", str(tmp_path / "a.csv")]) == 0
+    out = tmp_path / "b.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(argv + ["--sample-seed", "12", "--out", str(out)])
+    assert str(err.value.code) == (f"--model-lista-toeplitz {model}: the model was trained "
+                                   f"on other sampling indices than the experiment's "
+                                   f"(--n 6, --sample-seed 12)")
+    assert not out.exists()
+
+
+def test_cli_ingest_refuses_a_model_of_another_sampling_set(tmp_path):
+    problem = ("--problem", "2d", "--m1", "3", "--m2", "4")
+    model = train_on_sample_seed(tmp_path, "toeplitz2d", problem)
+    iq = {}
+    for seed in (11, 12):
+        iq[seed] = tmp_path / f"g{seed}.hiq"
+        assert cli_main(["gen-data", *problem, "--n", "6", "--k", "1", "--samples", "1",
+                         "--sample-seed", str(seed), "--out", str(tmp_path / "x.hud"),
+                         "--export-iq", str(iq[seed])]) == 0
+    argv = ["ingest", "--model", str(model)]
+    assert cli_main(argv + ["--path", str(iq[11]), "--out", str(tmp_path / "a.csv")]) == 0
+    out = tmp_path / "b.csv"
+    with pytest.raises(SystemExit) as err:
+        cli_main(argv + ["--path", str(iq[12]), "--out", str(out)])
+    assert str(err.value.code) == (f"--model {model}: the model was trained on other "
+                                   f"sampling indices than the IQ grid of --path {iq[12]}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar, words", [
+    ("{", "malformed JSON ("), ("[]", "sidecar must be a JSON object"),
+    ('{"omega": [3, 1]}', "sampling indices must be")],
+    ids=["not-json", "not-an-object", "descending-omega"])
+def test_cli_names_a_model_sidecar_that_cannot_be_read(tmp_path, sidecar, words):
+    model, out = train_on_sample_seed(tmp_path), tmp_path / "s.csv"
+    side = tmp_path / (model.name + ".json")
+    side.write_text(sidecar)
+    with pytest.raises(SystemExit) as err:
+        cli_main(["sweep", "--m", "16", "--n", "6", "--k", "1", "--trials", "1",
+                  "--sample-seed", "11", "--methods", "lista-toeplitz",
+                  "--model-lista-toeplitz", str(model), "--out", str(out)])
+    assert str(err.value.code).startswith(f"--model-lista-toeplitz {model}: {side}: {words}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar", [None, "{}"], ids=["missing", "no-omega"])
+def test_cli_model_sidecar_without_a_sampling_set_loads(tmp_path, sidecar):
+    # older model files record no omega; they load as they always did
+    model = train_on_sample_seed(tmp_path)
+    side = tmp_path / (model.name + ".json")
+    if sidecar is None:
+        side.unlink()
+    else:
+        side.write_text(sidecar)
+    assert cli_main(["sweep", "--m", "16", "--n", "6", "--k", "1", "--trials", "1",
+                     "--sample-seed", "12", "--methods", "lista-toeplitz",
+                     "--model-lista-toeplitz", str(model),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+
+
 def test_cli_ingest_names_both_files_when_the_model_does_not_fit(tmp_path):
     iq, model = iq_and_model(tmp_path, model_shape=(6, 4))
     out = tmp_path / "rec.csv"

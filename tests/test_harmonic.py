@@ -516,3 +516,17 @@ def test_dataset_every_bit_flip_loads_or_names_path(tmp_path, shape):
             read_dataset(path)
         except ValueError as exc:
             assert str(path) in str(exc), f"bit {bit}: {exc}"
+
+
+@pytest.mark.parametrize("matrix, row, value", [
+    ("observation", 2, complex(np.nan, 0.0)), ("truth", 5, complex(0.0, np.inf))])
+def test_dataset_non_finite_entry_names_file_matrix_and_sample(tmp_path, matrix, row, value):
+    # one NaN in a truth entry once trained to "val NMSE nan -> nan, gain inf dB"
+    d = build_dictionary((8,), draw_sampling(8, 4, seed=22))
+    ds = gen_dataset(d, 6, 2, 0.1, seed=9)
+    (ds.obs if matrix == "observation" else ds.truth).z[row, 4] = value
+    path = tmp_path / "bad.hud"
+    write_dataset(path, ds)
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: sample 4 of the {matrix} matrix is not finite"

@@ -13,7 +13,7 @@ from hunfold.nets import (ARCHS, Conv, Dense, Layer, UnfoldedNetwork,
                           branches, forward, forward_planes, init_network,
                           load_network, param_count, save_network)
 from hunfold.solvers import SolverConfig, ista
-from hunfold.spectral import Toeplitz, next_pow2, toeplitz_expand
+from hunfold.spectral import Toeplitz, kernel_index, next_pow2, toeplitz_expand
 from hunfold.training import estimate_dictionary
 
 from conftest import rand_carray
@@ -208,6 +208,31 @@ def test_convlista_init_not_degenerate():
     assert net.layers[0].filt_kernel.shape == (d.total + d.n_obs - 1,)
     y = ComplexArray(d.phi.z @ hf.sparse_from_rng(d.total, 2, np.random.default_rng(13)).z)
     assert np.linalg.norm(forward(net, y).z) > 0.0
+
+
+@pytest.mark.parametrize("d", [dict_1d(m=24, n=10, seed=5), dict_2d(m1=4, m2=5, n=9, seed=6)],
+                         ids=["1d", "2d"])
+def test_convlista_start_kernel_is_the_per_diagonal_mean(d):
+    # the mean of each diagonal of the filter (1/L) phi^H: kernel position p
+    # sits on the diagonal at offset n_obs - 1 - p
+    filt = hermitian(d.phi).z / lipschitz_constant(d.phi).value
+    want = np.array([np.mean(np.diagonal(filt, offset=d.n_obs - 1 - p))
+                     for p in range(d.total + d.n_obs - 1)])
+    for layer in init_network("convlista", d, 2, lam=0.1).layers:
+        got = layer.filt_kernel.z
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid_in, grid_out", [((16,), (64,)), ((3, 4), (3, 4))])
+def test_kernel_index_is_the_dense_form_of_conv(grid_in, grid_out):
+    # the kernel gathered at the index map, applied to the identity's rows
+    op = Conv(grid_in, grid_out)
+    k = rand_carray(np.random.default_rng(38), op.shape)
+    idx = kernel_index(grid_in, grid_out)
+    assert all(a.shape == (int(np.prod(grid_out)), int(np.prod(grid_in))) for a in idx)
+    dense = k.z[idx]
+    eye = np.eye(int(np.prod(grid_in)), dtype=complex)
+    assert np.max(np.abs(op.apply(k, eye).T - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_param_count_paper_scale_numbers():
