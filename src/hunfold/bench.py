@@ -247,8 +247,9 @@ def complexity_report(sizes, n_obs: int = 64, repeats: int = 5,
         raise ValueError(f"sizes must hold at least one grid size >= 1, got {list(sizes)}")
     rows = []
     for m in sizes:
-        dense = m * m
-        toep = 2 * m - 1
+        # the inhibition weights of one layer of each network
+        dense, toep = (math.prod(nets.branches(arch, (m,), n_obs)[1].shape)
+                       for arch in ("lista", "toeplitz1d"))
         if timing:
             td = time_layer_forward("lista", m, n_obs, repeats)
             tt = time_layer_forward("toeplitz1d", m, n_obs, repeats)

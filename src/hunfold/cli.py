@@ -14,6 +14,8 @@ repeated runs of one configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -26,7 +28,7 @@ from .bench import (LEARNED_METHODS, SOLVER_METHODS, ExperimentConfig,
                     check_model, complexity_report, ingest_iq_grid,
                     metric_rows_table, run_single, run_sweep, write_csv,
                     write_iq_grid, write_manifest)
-from .cplx import ComplexArray
+from .cplx import ComplexArray, NumericError
 from .harmonic import (SamplingSet, build_dictionary, db_to_sigma2,
                        dictionary_from_meta, draw_sampling, gen_dataset,
                        read_dataset, read_sidecar, write_dataset)
@@ -136,14 +138,11 @@ def _read_input(args, name, reader):
         raise SystemExit(f"{flag} {msg}") from None
 
 
-def _writable(args, *names, sidecar=""):
-    """Stop with a message naming --name and its path unless that output
-    path, and the file ``path + sidecar`` that its writer adds beside it,
-    can be written; called before a run does any work or writes."""
-    for name in names:
-        path = getattr(args, name)
-        if not path:
-            continue
+def _output(sidecar=""):
+    """An argparse ``type=`` for an output path, refused with "<path>: cannot
+    write (<why>)" unless the path, and the file ``path + sidecar`` that its
+    writer adds beside it, can be written."""
+    def parse(path):
         folder = os.path.dirname(path) or "."
         if os.path.isdir(path):
             why = "it is a directory"
@@ -151,11 +150,23 @@ def _writable(args, *names, sidecar=""):
             why = f"no directory {folder}"
         elif not os.access(folder, os.W_OK):
             why = f"directory {folder} is not writable"
-        elif sidecar and os.path.isdir(path + sidecar):
+        elif os.path.isdir(path + sidecar):
             why = f"its sidecar {path + sidecar} is a directory"
         else:
-            continue
-        raise SystemExit(f"--{name.replace('_', '-')} {path}: cannot write ({why})")
+            return path
+        raise argparse.ArgumentTypeError(f"{path}: cannot write ({why})")
+    return parse
+
+
+@contextlib.contextmanager
+def _numeric(where):
+    """Stop with a message naming ``where``, the flags and files whose values
+    the block computes on, if it raises a NumericError (a finite input that
+    overflows)."""
+    try:
+        yield
+    except NumericError as exc:
+        raise SystemExit(f"{where}: {exc}") from None
 
 
 def _recorded_omega(path):
@@ -226,8 +237,6 @@ def _echo_config(args) -> dict:
 
 
 def _cmd_gen_data(args) -> int:
-    _writable(args, "out", sidecar=".json")
-    _writable(args, "export_iq")
     shape = _problem(args)
     if args.export_iq:
         if len(shape) != 2:
@@ -247,7 +256,6 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _writable(args, "out", sidecar=".json")
     train_ds = _read_input(args, "data", read_dataset)
     shape = tuple(train_ds.meta["shape"])
     try:
@@ -284,15 +292,16 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch,
                       epochs=args.epochs, lr_decay_patience=args.patience,
                       seed=args.seed)
-    init_val = loss_nmse(net, val_ds)
-    net, report = train(net, train_ds, val_ds, cfg)
-    final_val = loss_nmse(net, val_ds)
+    with _numeric(f"--val {args.val}" if args.val else f"--data {args.data}"):
+        init_val = loss_nmse(net, val_ds)
+        if not math.isfinite(init_val):
+            raise NumericError("non-finite validation NMSE before training")
+    with _numeric(f"--data {args.data}"):
+        net, report = train(net, train_ds, val_ds, cfg)
+    best = report.best_epoch
+    final_val = init_val if best is None else report.val_history[best - 1]
     meta = {
-        "train_config": {
-            "learning_rate": cfg.learning_rate, "batch_size": cfg.batch_size,
-            "epochs": cfg.epochs, "lr_decay_patience": cfg.lr_decay_patience,
-            "seed": cfg.seed, "lam": args.lam,
-        },
+        "train_config": {**dataclasses.asdict(cfg), "lam": args.lam},
         "omega": [int(v) for v in d.sampling.omega],
         "sampling_seed": d.sampling.seed,
         "initial_val_nmse": init_val,
@@ -309,7 +318,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _writable(args, "out", sidecar=".manifest.json")
     cfg = _experiment_config(args, noise_powers_db=_split(args.noise_db, float),
                              trials_per_point=args.trials, timing=args.timing)
     rows = run_sweep(cfg)
@@ -321,7 +329,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_single(args) -> int:
-    _writable(args, "out", sidecar=".manifest.json")
     cfg = _experiment_config(args, noise_powers_db=[0.0])
     header, rows = run_single(cfg, offgrid=args.offgrid, frac=args.frac,
                               sigma2=args.sigma2)
@@ -332,7 +339,6 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    _writable(args, "out")
     header, rows = complexity_report(_split(args.sizes, int), n_obs=args.n,
                                      repeats=args.repeats,
                                      timing=not args.no_timing)
@@ -342,7 +348,6 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    _writable(args, "out", sidecar=".manifest.json")
     y, d = _read_input(args, "path", ingest_iq_grid)
     if args.model:
         net = _read_input(args, "model", load_network)
@@ -352,12 +357,14 @@ def _cmd_ingest(args) -> int:
                              f"with {net.n_obs} observations against {d.shape} "
                              f"with {d.n_obs})")
         _check_sampling(args, "model", d.sampling.omega, f"the IQ grid of --path {args.path}")
-        x_hat = forward(net, y)
+        with _numeric(f"--path {args.path}, --model {args.model}"):
+            x_hat = forward(net, y)
         method = f"model:{net.arch}"
     else:
-        scfg = SolverConfig(lam=default_lambda(d, y, args.lambda_scale),
-                            max_iter=args.budget, tol=0.0)
-        x_hat = ista(d, y, scfg).x_hat
+        with _numeric(f"--path {args.path}"):
+            scfg = SolverConfig(lam=default_lambda(d, y, args.lambda_scale),
+                                max_iter=args.budget, tol=0.0)
+            x_hat = ista(d, y, scfg).x_hat
         method = "ista"
     m1, m2 = d.shape
     mags = x_hat.abs()
@@ -410,9 +417,9 @@ def build_parser():
     _add_problem_flags(p)
     p.add_argument("--sigma2", type=_finite(), default=0.0, help="noise power")
     p.add_argument("--samples", type=_int_from(1), required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--export-iq", help="also write sample --export-index "
-                                       "as an IQ grid file (2-D only)")
+    p.add_argument("--out", type=_output(".json"), required=True)
+    p.add_argument("--export-iq", type=_output(),
+                   help="also write sample --export-index as an IQ grid file (2-D only)")
     p.add_argument("--export-index", type=_int_from(0), default=0)
 
     p = command("train", _cmd_train, "train an unfolded network on a dataset")
@@ -430,7 +437,7 @@ def build_parser():
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--estimate-dict", action="store_true",
                    help="initialise from the least-squares dictionary estimate")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output(".json"), required=True)
 
     p = command("sweep", _cmd_sweep, "noise sweep with per-method metrics")
     _add_problem_flags(p)
@@ -442,7 +449,7 @@ def build_parser():
                    help="record wall-clock per recovery, the time of a "
                         "point's block over its trials (breaks byte "
                         "reproducibility of the CSV)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output(".manifest.json"), required=True)
 
     p = command("single", _cmd_single, "single-trial recovery dump per method")
     _add_problem_flags(p)
@@ -451,7 +458,7 @@ def build_parser():
     p.add_argument("--frac", type=_FRACTION, default=0.25,
                    help="off-grid displacement as a fraction of a cell")
     p.add_argument("--sigma2", type=_finite(), default=0.0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output(".manifest.json"), required=True)
 
     p = command("complexity", _cmd_complexity, "parameter counts and layer timings")
     p.add_argument("--sizes", type=_SIZES, default="512,1024,2048,4096",
@@ -459,14 +466,14 @@ def build_parser():
     p.add_argument("--n", type=_int_from(1), default=64)
     p.add_argument("--repeats", type=_int_from(1), default=5)
     p.add_argument("--no-timing", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output(), required=True)
 
     p = command("ingest", _cmd_ingest, "recover a spectrum from an IQ grid file")
     p.add_argument("--path", required=True)
     p.add_argument("--budget", type=_int_from(1), default=1000)
     p.add_argument("--lambda-scale", type=_finite(), default=0.1)
     p.add_argument("--model", help="trained 2-D model file (default: ista)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output(".manifest.json"), required=True)
 
     return parser, commands
 

@@ -470,6 +470,17 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
         fh.write("\n")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.  A finite sum proves it without
+    ``np.isfinite``'s temporary array, whose allocation made loading a
+    paper-scale (32x32) model several times slower; a sum that overflows
+    falls back to the entrywise check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(a.sum()):
+            return True
+    return bool(np.isfinite(a).all())
+
+
 def load_network(path) -> UnfoldedNetwork:
     """Read a :func:`save_network` file; a malformed one raises a ValueError
     naming it."""
@@ -490,9 +501,12 @@ def load_network(path) -> UnfoldedNetwork:
             raise ValueError(f"file holds {len(buf)} bytes but its header implies {want}")
         off = 28
         layers = []
-        for _ in range(depth):
+        for t in range(depth):
             obs, off = _read_planes(buf, off, obs_op.shape)
             inhibit, off = _read_planes(buf, off, inhibit_op.shape)
+            for name, w in (("observation", obs), ("inhibition", inhibit)):
+                if not _all_finite(w.z):
+                    raise ValueError(f"layer {t} {name} weight is not finite")
             (theta,) = struct.unpack_from("<d", buf, off)
             off += 8
             layers.append(Layer(*place_obs(arch, obs), inhibit, theta))

@@ -89,9 +89,12 @@ def objective(d: Dictionary, x: ComplexArray, y: ComplexArray, lam: float) -> fl
 
 def default_lambda(d: Dictionary, y: ComplexArray, scale: float = 0.1):
     """Scale-free penalty heuristic: scale * max |(phi^H y)_i|, one value per
-    column for a block.  Any scale below 1 keeps the all-zero solution out."""
+    column for a block.  Any scale below 1 keeps the all-zero solution out.
+    A weight that overflows raises NumericError."""
     # |phi^H y| = |y^H phi|: the observations are conjugated, not phi
     lam = scale * np.max(np.abs(np.conj(y.z).T @ d.phi.z), axis=-1)
+    if not np.isfinite(lam).all():
+        raise NumericError("non-finite penalty weight (max |phi^H y| overflows)")
     return float(lam) if y.ndim == 1 else lam
 
 

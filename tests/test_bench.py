@@ -517,6 +517,15 @@ def test_cli_names_an_unwritable_output(tmp_path, monkeypatch, command, flag):
     missing = tmp_path / "missing"
     assert str(err.value.code) == f"{flag} {bad}: cannot write (no directory {missing})"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]   # nothing written
+    # the same path from a --config file is refused too, even under a
+    # writable flag that overrides it
+    config = tmp_path / "in" / "c.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): bad}))
+    argv[argv.index(flag) + 1] = str(tmp_path / "o")
+    with pytest.raises(SystemExit) as err:
+        cli_main(argv + ["--config", str(config)])
+    assert str(err.value.code) == f"{flag} {bad}: cannot write (no directory {missing})"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
 @pytest.mark.parametrize("command, sidecar", [
@@ -586,6 +595,48 @@ def test_cli_ingest_names_a_non_finite_sample(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli_main(["ingest", "--path", str(iq), "--out", str(out)])
     assert str(err.value.code) == f"--path {iq}: sample 1 is not finite"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["train", "val", "ingest", "lambda", "model"])
+def test_cli_names_the_input_of_an_overflow(tmp_path, case):
+    # a finite 1e300 observation (or 1e308 samples, or a 1e308 weight) once
+    # ended train and ingest in a NumericError or ValueError traceback;
+    # numpy warns of the overflow
+    data, big, iq, big_iq, huge_iq = (tmp_path / n for n in (
+        "d.hud", "big.hud", "g.hiq", "big.hiq", "huge.hiq"))
+    assert cli_main(["gen-data", "--problem", "2d", "--m1", "4", "--m2", "6", "--n", "12",
+                     "--k", "2", "--samples", "40", "--out", str(data),
+                     "--export-iq", str(iq)]) == 0
+    ds = hf.read_dataset(data)
+    ds.obs.z[0, 0] = 1e300
+    hf.write_dataset(big, ds)
+    shape, omega, y = read_iq_grid(iq)
+    y.z[0] = 1e300
+    write_iq_grid(big_iq, shape, omega, y)
+    y.z[:] = 1e308
+    write_iq_grid(huge_iq, shape, omega, y)
+    model = tmp_path / "m.hun"
+    d = hf.build_dictionary(shape, hf.draw_sampling(24, 12, 0))
+    net = init_network("toeplitz2d", d, 1, lam=0.1)
+    net.layers[0].filt.z[:] = 1e308
+    hf.save_network(model, net)
+    train = ["train", "--arch", "lista", "--depth", "2", "--epochs", "1"]
+    argv, want = {
+        "train": (train + ["--data", str(big)], f"--data {big}: epoch 1, batch 0: loss diverged"),
+        "val": (train + ["--data", str(data), "--val", str(big)],
+                f"--val {big}: non-finite validation NMSE before training"),
+        "ingest": (["ingest", "--path", str(big_iq)],
+                   f"--path {big_iq}: non-finite objective at iteration 1"),
+        "lambda": (["ingest", "--path", str(huge_iq)], f"--path {huge_iq}: non-finite "
+                   "penalty weight (max |phi^H y| overflows)"),
+        "model": (["ingest", "--path", str(iq), "--model", str(model)],
+                  f"--path {iq}, --model {model}: non-finite activation after layer 0"),
+    }[case]
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as err:
+        cli_main(argv + ["--out", str(out)])
+    assert str(err.value.code) == want
     assert not out.exists()
 
 

@@ -632,6 +632,32 @@ def test_model_every_bit_flip_loads_or_names_path(tmp_path, arch):
             assert str(path) in str(exc), f"bit {bit}: {exc}"
 
 
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("branch, name", [("obs", "observation"), ("inhibit", "inhibition")])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_model_names_a_weight_that_is_not_finite(tmp_path, arch, branch, name, value):
+    shape = (2, 3) if arch == "toeplitz2d" else (5,)
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 3, seed=19))
+    net = init_network(arch, d, 3, lam=0.1)
+    weight = getattr(net.layers[1], branch)
+    weight.z[(-1,) * weight.ndim] = value
+    path = tmp_path / "bad.hun"
+    save_network(path, net)
+    with pytest.raises(ValueError) as err:
+        load_network(path)
+    assert str(err.value) == f"{path}: layer 1 {name} weight is not finite"
+
+
+def test_model_of_finite_weights_whose_sum_overflows_loads(tmp_path):
+    d = hf.build_dictionary((5,), hf.draw_sampling(5, 3, seed=19))
+    net = init_network("lista", d, 1, lam=0.1)
+    net.layers[0].inhibit.z[:] = 1e308
+    path = tmp_path / "big.hun"
+    save_network(path, net)
+    assert np.array_equal(load_network(path).layers[0].inhibit.z, net.layers[0].inhibit.z)
+
+
 @pytest.mark.parametrize("arch, shape", [("toeplitz2d", (2, 3)), ("convlista", (5,))])
 def test_model_file_layout(tmp_path, arch, shape):
     # the documented header, then per layer the observation re and im
