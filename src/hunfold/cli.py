@@ -169,6 +169,16 @@ def _numeric(where):
         raise SystemExit(f"{where}: {exc}") from None
 
 
+def _learnable(ds, where):
+    """Stop naming ``where``, the flag and file that ``ds`` comes from, if it
+    holds no sample or only zero truth spectra: its NMSE loss is undefined."""
+    if ds.count == 0:
+        raise SystemExit(f"{where} holds no samples")
+    if not ds.truth.z.any():
+        raise SystemExit(f"{where}: every truth spectrum is zero, so the NMSE loss "
+                         "is undefined")
+
+
 def _recorded_omega(path):
     """The sampling indices that the sidecar of model file ``path`` records,
     read as a :class:`SamplingSet`, or None where the sidecar is missing or
@@ -257,6 +267,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     train_ds = _read_input(args, "data", read_dataset)
+    _learnable(train_ds, f"--data {args.data}")
     shape = tuple(train_ds.meta["shape"])
     try:
         branches(args.arch, shape, train_ds.meta["n_obs"])
@@ -272,6 +283,7 @@ def _cmd_train(args) -> int:
                           else f"{key} {mine} against {theirs}")
                 raise SystemExit(f"--val {args.val} and --data {args.data} hold "
                                  f"different problems: {detail}")
+        _learnable(val_ds, f"--val {args.val}")
     else:
         count = train_ds.count
         n_val = max(1, int(count * args.val_frac))
@@ -279,6 +291,8 @@ def _cmd_train(args) -> int:
             raise SystemExit(f"--val-frac {args.val_frac} leaves no training sample "
                              f"of the {count} in {args.data}")
         val_ds = train_ds.take(np.arange(count - n_val, count))
+        _learnable(val_ds, f"--data {args.data} (its validation split, the last "
+                           f"{n_val} samples)")
         train_ds = train_ds.take(np.arange(count - n_val))
     d = dictionary_from_meta(train_ds.meta)
     phi_hat = None

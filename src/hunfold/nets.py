@@ -63,17 +63,19 @@ class Layer:
     which keeps its observation kernel in ``filt_kernel`` instead);
     ``inhibit`` is the inhibition weight in its operator's shape: dense
     (M, M), a 1-D kernel of length 2M-1, or a 2-D kernel of shape
-    (2*g1-1, 2*g2-1).
+    (2*g1-1, 2*g2-1).  ``threshold`` is a 0-d float64 array of the layer's
+    own, copied from the value given, which training steps in place.
     """
 
     filt: ComplexArray | None
     filt_kernel: ComplexArray | None
     inhibit: ComplexArray
-    threshold: float
+    threshold: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
-            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
+        self.threshold = theta = np.array(self.threshold, dtype=np.float64)
+        if theta.ndim != 0 or not (math.isfinite(theta) and theta >= 0.0):
+            raise ValueError(f"threshold must be a finite scalar >= 0, got {theta}")
 
     @property
     def obs(self) -> ComplexArray:
@@ -509,7 +511,10 @@ def load_network(path) -> UnfoldedNetwork:
                     raise ValueError(f"layer {t} {name} weight is not finite")
             (theta,) = struct.unpack_from("<d", buf, off)
             off += 8
-            layers.append(Layer(*place_obs(arch, obs), inhibit, theta))
+            try:
+                layers.append(Layer(*place_obs(arch, obs), inhibit, theta))
+            except ValueError as exc:
+                raise ValueError(f"layer {t} {exc}") from None
         return UnfoldedNetwork(arch, shape, n_obs, layers)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -14,10 +14,10 @@ spectra: the forward pass caches each layer's input and kernel spectra
 transforms a layer's incoming gradient once per branch (once for both
 when they transform alike) and uses that spectrum for the weight gradient
 and the adjoint alike.  No spectrum outlives its forward/backward pair.
-Parameters and their gradients share one flat layout,
-:func:`net_param_arrays`: per layer the two complex weights and the 0-d
-threshold.  Adam (Kingma & Ba, 2015) steps a complex weight through its
-float64 view, one real or imaginary part per coordinate.
+Parameters and their gradients share one flat layout, :func:`net_param_arrays`:
+per layer the two complex weights and the 0-d threshold that the network holds.
+Adam (Kingma & Ba, 2015) steps these arrays in place, a complex weight through
+its float64 view, one real or imaginary part per coordinate.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.lr_decay_patience < 1:
+            raise ValueError(f"lr_decay_patience must be >= 1, got {self.lr_decay_patience}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -230,20 +234,10 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 
 
 def net_param_arrays(net: UnfoldedNetwork):
-    """Copy a network into a flat list of parameters, three per layer: the
-    observation weight, the inhibition weight and the threshold, the only
-    0-d entry."""
-    return [p.copy() for layer in net.layers
-            for p in (layer.obs.z, layer.inhibit.z, np.array(layer.threshold))]
-
-
-def assemble_network(arch: str, shape, n_obs: int,
-                     params: list[np.ndarray]) -> UnfoldedNetwork:
-    """Wrap a flat parameter list back into a network (shares the arrays)."""
-    layers = [Layer(*place_obs(arch, ComplexArray(params[i])),
-                    ComplexArray(params[i + 1]), float(params[i + 2]))
-              for i in range(0, len(params), 3)]
-    return UnfoldedNetwork(arch, tuple(shape), n_obs, layers)
+    """The arrays a network holds, not copies, three per layer: the observation
+    weight, the inhibition weight and the threshold, the only 0-d entry."""
+    return [p for layer in net.layers
+            for p in (layer.obs.z, layer.inhibit.z, layer.threshold)]
 
 
 # -- training loop -----------------------------------------------------------
@@ -253,10 +247,10 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
           cfg: TrainConfig):
     """Mini-batch Adam on the NMSE loss with plateau-driven LR decay.
 
-    Validation runs once per epoch; the parameters achieving the best
-    validation NMSE are returned.  After ``lr_decay_patience`` validation
-    checks without improvement the learning rate drops by 10x.  The whole
-    procedure is deterministic for a fixed (config, seed).
+    Validation runs once per epoch; a copy of ``net`` (``net`` itself if no
+    epoch runs) holding the parameters of the best validation NMSE is returned.
+    After ``lr_decay_patience`` validation checks without improvement the
+    learning rate drops by 10x.  Deterministic for a fixed (config, seed).
     """
     if train_ds.obs.shape[0] != net.n_obs or train_ds.truth.shape[0] != net.total:
         raise ValueError("training data dimensions do not match the network")
@@ -267,6 +261,10 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
         return net, report
 
     y, truth = _batches(train_ds)
+    # each layer's arrays copied on their own: layers sharing one train untied
+    net = UnfoldedNetwork(net.arch, net.shape, net.n_obs, [
+        Layer(*place_obs(net.arch, layer.obs.copy()), layer.inhibit.copy(), layer.threshold)
+        for layer in net.layers])
     params = net_param_arrays(net)
     state = init_adam_state(params)
     rng = np.random.default_rng(cfg.seed)
@@ -282,9 +280,8 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
         den = 0.0
         for lo in range(0, count, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            work = assemble_network(net.arch, net.shape, net.n_obs, params)
             try:
-                grads, e_sum, r_sum, loss = _backward_planes(work, y[idx], truth[idx])
+                grads, e_sum, r_sum, loss = _backward_planes(net, y[idx], truth[idx])
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch}, batch {lo // cfg.batch_size}: {exc}") from exc
@@ -296,8 +293,7 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
             den += r_sum
         report.loss_history.append(num / den)
 
-        work = assemble_network(net.arch, net.shape, net.n_obs, params)
-        val = loss_nmse(work, val_ds)
+        val = loss_nmse(net, val_ds)
         report.val_history.append(val)
         if val < best_val:
             best_val = val
@@ -310,8 +306,13 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
                 lr *= 0.1
                 stalled = 0
 
-    final = assemble_network(net.arch, net.shape, net.n_obs, best_params)
-    return final, report
+    # hand over the best epoch's saved arrays, not a copy-back into the working
+    # ones: freeing the newest allocation instead doubled paper-scale minor page
+    # faults and made training 0.7x as fast (2-core VM, numpy 2.4.6)
+    for layer, obs, inhibit, theta in zip(net.layers, *(best_params[i::3] for i in range(3))):
+        layer.filt, layer.filt_kernel = place_obs(net.arch, ComplexArray(obs))
+        layer.inhibit, layer.threshold = ComplexArray(inhibit), theta
+    return net, report
 
 
 # -- dictionary estimation ---------------------------------------------------

@@ -640,6 +640,38 @@ def test_cli_names_the_input_of_an_overflow(tmp_path, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["empty-val", "empty-data", "empty-data-alone",
+                                  "zero-data", "zero-data-alone", "zero-val", "zero-split"])
+def test_cli_train_refuses_a_set_it_cannot_learn_from(tmp_path, case):
+    # these once ended in a ValueError traceback: "empty batch", "training set
+    # is empty" or "loss undefined: all-zero ground truth batch"
+    data, zero, empty, split = (tmp_path / n for n in ("d.hud", "z.hud", "e.hud", "s.hud"))
+    for k, path in (("2", data), ("0", zero)):
+        assert cli_main(["gen-data", "--m", "16", "--n", "8", "--k", k,
+                         "--samples", "40", "--out", str(path)]) == 0
+    ds = hf.read_dataset(data)
+    hf.write_dataset(empty, ds.take(np.arange(0)))
+    ds.truth.z[:, -4:] = 0.0    # exactly the validation split of --val-frac 0.1
+    hf.write_dataset(split, ds)
+    undefined = "every truth spectrum is zero, so the NMSE loss is undefined"
+    argv, want = {
+        "empty-val": ([data, "--val", empty], f"--val {empty} holds no samples"),
+        "empty-data": ([empty, "--val", data], f"--data {empty} holds no samples"),
+        "empty-data-alone": ([empty], f"--data {empty} holds no samples"),
+        "zero-data": ([zero, "--val", data], f"--data {zero}: {undefined}"),
+        "zero-data-alone": ([zero], f"--data {zero}: {undefined}"),
+        "zero-val": ([data, "--val", zero], f"--val {zero}: {undefined}"),
+        "zero-split": ([split], f"--data {split} (its validation split, the last 4 "
+                                f"samples): {undefined}"),
+    }[case]
+    out = tmp_path / "o.hun"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", *map(str, argv), "--arch", "lista", "--depth", "1",
+                  "--epochs", "1", "--out", str(out)])
+    assert str(err.value.code) == want
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("head, words", [
     ({"m1": 4, "m2": 6, "omega": []}, "malformed header (omega must list at least one index)"),
     ({"m1": 2 ** 40, "m2": 1, "omega": [0]}, "the dictionary of the 1099511627776 x 1 "

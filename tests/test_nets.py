@@ -599,7 +599,7 @@ def test_record_layers_equal_truncated_networks(arch, shape):
     assert np.array_equal(final.re, per_layer[-1].re)
 
 
-@pytest.mark.parametrize("theta", [-0.1, np.nan, np.inf])
+@pytest.mark.parametrize("theta", [-0.1, np.nan, np.inf, np.array([0.1, 0.2])])
 def test_layer_rejects_bad_threshold(theta):
     with pytest.raises(ValueError, match="threshold"):
         Layer(ComplexArray.zeros((4, 2)), None, ComplexArray.zeros((4, 4)), theta)
@@ -647,6 +647,19 @@ def test_model_names_a_weight_that_is_not_finite(tmp_path, arch, branch, name, v
     with pytest.raises(ValueError) as err:
         load_network(path)
     assert str(err.value) == f"{path}: layer 1 {name} weight is not finite"
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -0.5])
+def test_model_names_the_layer_of_a_bad_threshold(tmp_path, theta):
+    d = hf.build_dictionary((5,), hf.draw_sampling(5, 3, seed=19))
+    net = init_network("toeplitz1d", d, 3, lam=0.1)
+    net.layers[1].threshold.fill(theta)
+    path = tmp_path / "bad.hun"
+    save_network(path, net)
+    with pytest.raises(ValueError) as err:
+        load_network(path)
+    assert str(err.value) == (f"{path}: layer 1 threshold must be a finite scalar >= 0, "
+                              f"got {theta}")
 
 
 def test_model_of_finite_weights_whose_sum_overflows_loads(tmp_path):

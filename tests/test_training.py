@@ -9,10 +9,9 @@ from hunfold.harmonic import Dataset
 from hunfold.nets import (Layer, UnfoldedNetwork, branches, forward,
                           forward_planes, init_network, place_obs)
 from hunfold.training import (TrainConfig, _backward_planes,
-                              _soft_threshold_adjoint, adam_step,
-                              assemble_network, backward, estimate_dictionary,
-                              init_adam_state, loss_nmse, net_param_arrays,
-                              train)
+                              _soft_threshold_adjoint, adam_step, backward,
+                              estimate_dictionary, init_adam_state, loss_nmse,
+                              net_param_arrays, train)
 
 from conftest import rand_carray
 
@@ -25,7 +24,8 @@ def make_problem(shape, n, k=2, count=4, sigma2=0.05, seed=5):
 
 
 def perturbed_net(arch, d, depth, seed, jitter=0.05, theta_shift=0.03):
-    """Initialised network nudged to a generic smooth point."""
+    """Initialised network nudged to a generic smooth point, and the arrays
+    it holds."""
     rng = np.random.default_rng(seed)
     net = init_network(arch, d, depth, lam=0.8)
     params = net_param_arrays(net)
@@ -35,7 +35,7 @@ def perturbed_net(arch, d, depth, seed, jitter=0.05, theta_shift=0.03):
         else:
             p.real += jitter * rng.standard_normal(p.shape)
             p.imag += jitter * rng.standard_normal(p.shape)
-    return assemble_network(arch, d.shape, d.n_obs, params), params
+    return net, params
 
 
 def kink_margin(net, ds):
@@ -51,7 +51,7 @@ def kink_margin(net, ds):
     return margin
 
 
-def place_thresholds(arch, shape, n, params, ds, lo=0.4, hi=0.9):
+def place_thresholds(net, ds, lo=0.4, hi=0.9):
     """Put every layer's threshold inside a wide gap of its pre-activation
     magnitude distribution, keeping a mix of active and inactive entries.
 
@@ -61,23 +61,20 @@ def place_thresholds(arch, shape, n, params, ds, lo=0.4, hi=0.9):
     from hunfold.nets import forward_planes
     yr = np.ascontiguousarray(ds.obs.re.T)
     yi = np.ascontiguousarray(ds.obs.im.T)
-    depth = len(params) // 3
-    for t in range(depth):
-        net = assemble_network(arch, shape, n, params)
+    for t, layer in enumerate(net.layers):
         _, _, cache = forward_planes(net, yr, yi, keep_cache=True)
         mags = np.sort(np.abs(cache[t]["u"]).ravel())
         a = int(len(mags) * lo)
         b = max(a + 2, int(len(mags) * hi))
         gaps = np.diff(mags[a:b])
         pick = a + int(np.argmax(gaps))
-        params[3 * t + 2].fill(0.5 * (mags[pick] + mags[pick + 1]))
-    return assemble_network(arch, shape, n, params)
+        layer.threshold.fill(0.5 * (mags[pick] + mags[pick + 1]))
 
 
 def fd_check(arch, shape, n, depth=3, seed=5, eps=1e-5, tol=1e-4):
     d, ds = make_problem(shape, n, seed=seed)
-    _, params = perturbed_net(arch, d, depth, seed)
-    net = place_thresholds(arch, shape, n, params, ds)
+    net, params = perturbed_net(arch, d, depth, seed)
+    place_thresholds(net, ds)
     assert kink_margin(net, ds) > 1e-2, "no test point clear of threshold kinks"
     grads, _ = backward(net, ds)
     flat = [g.view(np.float64) for g in grads]
@@ -96,9 +93,9 @@ def fd_check(arch, shape, n, depth=3, seed=5, eps=1e-5, tol=1e-4):
                     p.fill(v)
 
             setv(orig + eps)
-            lp = loss_nmse(assemble_network(arch, shape, n, params), ds)
+            lp = loss_nmse(net, ds)
             setv(orig - eps)
-            lm = loss_nmse(assemble_network(arch, shape, n, params), ds)
+            lm = loss_nmse(net, ds)
             setv(orig)
             fd = (lp - lm) / (2 * eps)
             an = flat[pi][idx] if p.ndim else float(flat[pi])
@@ -237,7 +234,10 @@ def test_train_config_names_the_bad_field():
                           ({"learning_rate": float("inf")}, "learning_rate"),
                           ({"learning_rate": 0.0}, "learning_rate"),
                           ({"batch_size": 0}, "batch_size"),
-                          ({"epochs": -1}, "epochs")]:
+                          ({"epochs": -1}, "epochs"),
+                          ({"lr_decay_patience": 0}, "lr_decay_patience"),
+                          ({"lr_decay_patience": -3}, "lr_decay_patience"),
+                          ({"seed": -1}, "seed")]:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
 
@@ -334,12 +334,12 @@ def test_adam_steps_complex_parameters_in_the_network(desk_dict):
     net = init_network("toeplitz1d", desk_dict, 2, lam=0.1)
     params = net_param_arrays(net)
     assert len(params) == 3 * net.depth
-    work = assemble_network("toeplitz1d", desk_dict.shape, desk_dict.n_obs, params)
+    assert params[2] is net.layers[0].threshold
     grads = [np.full_like(p, 1 - 2j) if p.ndim else np.array(0.0) for p in params]
     adam_step(params, grads, init_adam_state(params), 0.1)
     # every real and imaginary part moved by the learning rate against its
     # gradient's sign, in the arrays the network holds
-    inhibit = work.layers[0].inhibit.z
+    inhibit = net.layers[0].inhibit.z
     assert inhibit is params[1]
     assert np.max(np.abs(inhibit - (-0.1 + 0.1j))) < 1e-6
 
@@ -351,6 +351,43 @@ def test_train_zero_epochs_is_identity(desk_dict):
     assert out is net
     assert report.loss_history == [] and report.val_history == []
     assert report.best_epoch is None
+
+
+@pytest.mark.parametrize("arch", ["lista", "toeplitz1d", "convlista"])
+def test_train_leaves_the_network_it_was_given_bit_identical(arch):
+    d, tr = make_problem((10,), 5, count=96, seed=31)
+    vl = hf.gen_dataset(d, 24, 2, 0.05, seed=32)
+    net = init_network(arch, d, 3, lam=0.1)
+    before = [p.copy() for p in net_param_arrays(net)]
+    out, report = train(net, tr, vl, TrainConfig(learning_rate=1e-2, batch_size=32,
+                                                  epochs=2, seed=3))
+    assert report.best_epoch is not None
+    for p, q in zip(net_param_arrays(net), before):
+        assert p.tobytes() == q.tobytes()
+    assert any(p.tobytes() != q.tobytes() for p, q in zip(net_param_arrays(out), before))
+
+
+@pytest.mark.parametrize("arch", ["lista", "toeplitz1d", "convlista"])
+def test_layers_sharing_an_inhibition_train_as_separate_copies(tmp_path, arch):
+    # each layer trains its own copy; copy.deepcopy would keep the one array
+    # shared, and the layers tied
+    d, tr = make_problem((10,), 5, count=96, seed=34)
+    vl = hf.gen_dataset(d, 24, 2, 0.05, seed=35)
+    shared = init_network(arch, d, 3, lam=0.1)
+    inhibit = rand_carray(np.random.default_rng(36), shared.layers[0].inhibit.shape, 0.05)
+    for layer in shared.layers:
+        layer.inhibit = inhibit
+    separate = UnfoldedNetwork(arch, d.shape, d.n_obs, [
+        Layer(*place_obs(arch, layer.obs.copy()), inhibit.copy(), layer.threshold)
+        for layer in shared.layers])
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=32, epochs=2, seed=3)
+    files = []
+    for name, net in (("shared", shared), ("separate", separate)):
+        out, report = train(net, tr, vl, cfg)
+        assert report.best_epoch is not None
+        hf.save_network(tmp_path / name, out)
+        files.append((tmp_path / name).read_bytes())
+    assert files[0] == files[1]
 
 
 def test_train_rejects_empty_training_set(desk_dict):
@@ -473,17 +510,14 @@ def test_backward_spectra_match_a_fresh_reference_across_adam_steps(arch, shape,
     y = rng.standard_normal((6, n_obs)) + 1j * rng.standard_normal((6, n_obs))
     truth = rng.standard_normal((6, total)) + 1j * rng.standard_normal((6, total))
     params = net_param_arrays(net)
-    net = assemble_network(arch, shape, n_obs, params)   # shares the weights
     state = init_adam_state(params)
     for _ in range(3):
         grads, _, _, _ = _backward_planes(net, y, truth)
         for got, want in zip(grads, reference_backward(net, y, truth)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
-        # steps the weights in place, under the same network object
+        # steps the weights and thresholds in place, under the same network
         adam_step(params, grads, state, 0.05)
-        for layer, theta in zip(net.layers, params[2::3]):
-            layer.threshold = float(theta)
 
 
 @pytest.mark.parametrize("arch, shape, depth, batch, want", [
