@@ -159,13 +159,13 @@ def _output(sidecar=""):
 
 
 @contextlib.contextmanager
-def _numeric(where):
+def _numeric(where, *also):
     """Stop with a message naming ``where``, the flags and files whose values
     the block computes on, if it raises a NumericError (a finite input that
-    overflows)."""
+    overflows) or one of the exception types ``also``."""
     try:
         yield
-    except NumericError as exc:
+    except (NumericError, *also) as exc:
         raise SystemExit(f"{where}: {exc}") from None
 
 
@@ -310,7 +310,8 @@ def _cmd_train(args) -> int:
         init_val = loss_nmse(net, val_ds)
         if not math.isfinite(init_val):
             raise NumericError("non-finite validation NMSE before training")
-    with _numeric(f"--data {args.data}"):
+    # a ValueError here is a batch of zero truth spectra only
+    with _numeric(f"--data {args.data}", ValueError):
         net, report = train(net, train_ds, val_ds, cfg)
     best = report.best_epoch
     final_val = init_val if best is None else report.val_history[best - 1]

@@ -13,7 +13,8 @@ that one 1-D transform does the work of a 2-D one.  A training step
 instead transforms through ``numpy.fft`` in ``Conv`` itself, so that it
 can keep the spectra and reuse them in the backward pass.
 :func:`conv1d` is the direct windowed form on a 1-D grid, and
-:func:`toeplitz_expand` ties a generator to the dense operator it induces.
+:func:`toeplitz_expand` ties a generator to the dense operator it induces,
+which :func:`toeplitz_extract` reads back at one entry per kernel position.
 
 Index conventions used throughout the package, one rule per grid axis:
 
@@ -22,10 +23,14 @@ Index conventions used throughout the package, one rule per grid axis:
   ``-(g-1) .. g-1``: ``2*g - 1`` entries per axis;
 * the operator acts on the grid's column-stacked vector, the first axis
   fastest: cell ``(c0, c1, ...)`` sits at ``c0 + c1*g0 + ...``;
-* :func:`kernel_index` gives flat output cell s and input cell i the kernel
-  position ``s - i + g_in - 1`` per axis, where ``toeplitz_expand`` places
-  d(s - i): on one axis a Toeplitz matrix; on two, the first axis runs
-  inside blocks and the second across them, doubly-block Toeplitz.
+* flat output cell s and input cell i read the kernel at position
+  ``s - i + g_in - 1`` per axis, d(s - i): on one axis a Toeplitz matrix;
+  on two, the first axis runs inside blocks and the second across them,
+  doubly-block Toeplitz.  The rule is written once, as a read-only strided
+  view of the kernel, with no index arrays: :func:`toeplitz_expand` is one
+  copy of that view of the generator, so the dense matrix is its only
+  M^2-sized allocation, and :func:`kernel_index` one copy of that view of
+  each axis's kernel positions.
 """
 
 from __future__ import annotations
@@ -136,32 +141,63 @@ def conv_full2_planes(kr, ki, xr, xi, n):
     return out.real, out.imag
 
 
+def _toeplitz_view(a: np.ndarray, grid_in, grid_out) -> np.ndarray:
+    """Read-only view of kernel ``a`` whose entry (s, i) is
+    ``a[s - i + g_in - 1]`` per axis, for output cell s and input cell i.
+
+    Its shape is ``grid_out[::-1] + grid_in[::-1]``: in C order the first
+    grid axis runs fastest, so reshaped to ``(prod(grid_out),
+    prod(grid_in))`` its rows and columns are the flat column-stacked cells.
+    ``a`` must have ``g_in + g_out - 1`` entries per axis.
+
+    The view starts at the kernel centre ``a[g_in - 1]`` and steps ``+st``
+    along an output axis and ``-st`` along an input axis, ``st`` being that
+    axis's stride in ``a``.  It stays in bounds: with 0 <= s < g_out and
+    0 <= i < g_in, the position ``g_in - 1 + s - i`` it reads runs from 0
+    (s = 0, i = g_in - 1) to ``g_in + g_out - 2`` (s = g_out - 1, i = 0),
+    the first and last entries of the axis.
+    """
+    centre = a[tuple(slice(g - 1, None) for g in grid_in)]
+    st = a.strides[::-1]
+    return np.lib.stride_tricks.as_strided(
+        centre, tuple(grid_out[::-1]) + tuple(grid_in[::-1]),
+        st + tuple(-s for s in st), writeable=False)
+
+
 def kernel_index(grid_in, grid_out) -> tuple[np.ndarray, ...]:
     """Per axis, the kernel position ``s - i + g_in - 1`` of every flat
     column-stacked output cell s (a row) and input cell i (a column)."""
-    cells = (np.unravel_index(np.arange(math.prod(g)), g, order="F")
-             for g in (grid_out, grid_in))
-    return tuple(s[:, None] - i[None, :] + (g - 1) for s, i, g in zip(*cells, grid_in))
+    shape = (math.prod(grid_out), math.prod(grid_in))
+    pos = np.indices(tuple(gi + go - 1 for gi, go in zip(grid_in, grid_out)))
+    return tuple(_toeplitz_view(p, grid_in, grid_out).copy().reshape(shape) for p in pos)
 
 
 def toeplitz_expand(t: Toeplitz) -> ComplexArray:
     """Dense operator of a generator: the entry at (flat s, flat i) is the
-    diagonal d(s - i), one offset per grid axis."""
-    return ComplexArray(t.diags.z[kernel_index(t.grid, t.grid)])
+    diagonal d(s - i), one offset per grid axis: one C-ordered copy of the
+    generator's strided view."""
+    total = math.prod(t.grid)
+    return ComplexArray(_toeplitz_view(t.diags.z, t.grid, t.grid).copy()
+                        .reshape(total, total))
 
 
 def toeplitz_extract(g: ComplexArray, grid) -> Toeplitz:
     """Read a generator back out of a dense operator on ``grid``.
 
     Each kernel position is read at its first row-major entry, which lies
-    in the first block row or block column.  Exact only when the matrix
-    really is Toeplitz on every axis.
+    in the first block row or block column: offset p on an axis at output
+    cell ``max(p, 0)`` and input cell ``max(-p, 0)``.  Exact only when the
+    matrix really is Toeplitz on every axis.
     """
     grid = tuple(int(n) for n in grid)
     total = math.prod(grid)
     if g.shape != (total, total):
         raise ValueError(f"matrix shape {g.shape}, expected {(total, total)}")
-    shape = tuple(2 * n - 1 for n in grid)
-    _, first = np.unique(np.ravel_multi_index(kernel_index(grid, grid), shape),
-                         return_index=True)
-    return Toeplitz(ComplexArray(g.z.ravel()[first].reshape(shape)), grid)
+    s = i = 0
+    step = 1
+    for a, n in enumerate(grid):   # offsets -(n-1) .. n-1 along kernel axis a
+        p = np.arange(1 - n, n).reshape((-1,) + (1,) * (len(grid) - 1 - a))
+        s = s + np.maximum(p, 0) * step
+        i = i + np.maximum(-p, 0) * step
+        step *= n
+    return Toeplitz(ComplexArray(g.z[s, i]), grid)

@@ -50,6 +50,7 @@ __all__ = [
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's constants
 LOSS_CHUNK = 2048   # rows per forward pass in loss_nmse
 _TINY = np.finfo(np.float64).tiny
+_UNDEFINED_LOSS = "every truth spectrum of the batch is zero, so its NMSE loss is undefined"
 
 
 @dataclass
@@ -108,7 +109,7 @@ def loss_nmse(net: UnfoldedNetwork, batch: Dataset) -> float:
         num += e
         den += r
     if den == 0.0:
-        raise ValueError("loss undefined: all-zero ground truth batch")
+        raise ValueError(_UNDEFINED_LOSS)
     return num / den
 
 
@@ -160,7 +161,7 @@ def _backward_planes(net: UnfoldedNetwork, y, truth):
     per = _row_norms(err)
     den = float(np.sum(_row_norms(truth)))
     if den == 0.0:
-        raise ValueError("loss undefined: all-zero ground truth batch")
+        raise ValueError(_UNDEFINED_LOSS)
     loss = float(np.sum(per)) / den
     w = np.where(per > 0.0, 1.0 / (np.where(per > 0.0, per, 1.0) * den), 0.0)
     g = err * w[:, None]
@@ -282,8 +283,8 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
             idx = order[lo:lo + cfg.batch_size]
             try:
                 grads, e_sum, r_sum, loss = _backward_planes(net, y[idx], truth[idx])
-            except NumericError as exc:
-                raise NumericError(
+            except (NumericError, ValueError) as exc:   # ValueError: zero truth only
+                raise type(exc)(
                     f"epoch {epoch}, batch {lo // cfg.batch_size}: {exc}") from exc
             if not np.isfinite(loss):
                 raise NumericError(

@@ -1,6 +1,7 @@
 """Experiment runner: sweeps, dumps, complexity, IQ grids, CLI determinism."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -669,6 +670,24 @@ def test_cli_train_refuses_a_set_it_cannot_learn_from(tmp_path, case):
         cli_main(["train", "--data", *map(str, argv), "--arch", "lista", "--depth", "1",
                   "--epochs", "1", "--out", str(out)])
     assert str(err.value.code) == want
+    assert not out.exists()
+
+
+def test_cli_train_names_a_batch_of_zero_truth_spectra(tmp_path):
+    # zero truth columns among the training samples, one per batch of one:
+    # this once ended in a "loss undefined" ValueError traceback
+    data, out = tmp_path / "d.hud", tmp_path / "o.hun"
+    assert cli_main(["gen-data", "--m", "16", "--n", "8", "--k", "2",
+                     "--samples", "40", "--out", str(data)]) == 0
+    ds = hf.read_dataset(data)
+    ds.truth.z[:, :4] = 0.0
+    hf.write_dataset(data, ds)
+    with pytest.raises(SystemExit) as err:
+        cli_main(["train", "--data", str(data), "--arch", "lista", "--depth", "2",
+                  "--epochs", "1", "--batch", "1", "--out", str(out)])
+    assert re.fullmatch(rf"--data {re.escape(str(data))}: epoch 1, batch \d+: every "
+                        "truth spectrum of the batch is zero, so its NMSE loss is "
+                        "undefined", str(err.value.code))
     assert not out.exists()
 
 

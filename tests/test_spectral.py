@@ -4,14 +4,16 @@ The windowed FFT convolution under test is the network layers' operator,
 :class:`hunfold.nets.Conv`; :func:`conv1d` is its direct reference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hunfold.cplx import ComplexArray
 from hunfold.nets import Conv
 from hunfold.spectral import (Toeplitz, ToeplitzVec, conv1d, conv_full_planes,
-                              conv_full2_planes, next_pow2, toeplitz_expand,
-                              toeplitz_extract)
+                              conv_full2_planes, kernel_index, next_pow2,
+                              toeplitz_expand, toeplitz_extract)
 
 from conftest import rand_carray
 
@@ -264,3 +266,91 @@ def test_equivalence_sweep_random_sizes():
         ref = w @ x.z.flatten(order="F")
         got = conv_apply(t, x).flatten(order="F")
         assert np.max(np.abs(got - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+# -- the strided view against the index rules it replaced ---------------------
+
+
+def gather_kernel_index(grid_in, grid_out):
+    """The index map as one fancy-index array per axis: ``s - i + g_in - 1``
+    of every flat column-stacked output cell s and input cell i."""
+    cells = (np.unravel_index(np.arange(int(np.prod(g))), g, order="F")
+             for g in (grid_out, grid_in))
+    return tuple(s[:, None] - i[None, :] + (g - 1) for s, i, g in zip(*cells, grid_in))
+
+
+def unique_first_extract(m, grid):
+    """Each kernel position read at the first row-major matrix entry that
+    ``gather_kernel_index`` maps to it."""
+    shape = tuple(2 * n - 1 for n in grid)
+    _, first = np.unique(np.ravel_multi_index(gather_kernel_index(grid, grid), shape),
+                         return_index=True)
+    return m.ravel()[first].reshape(shape)
+
+
+def assert_fresh(out, *sources):
+    # a result of its own: writeable, C-ordered and no view of its inputs
+    assert out.flags.writeable and out.flags.c_contiguous
+    assert not any(np.shares_memory(out, s) for s in sources)
+
+
+GRIDS = [(1,), (1, 1), (2, 1), (5,), (64,), (3, 4), (4, 3), (8, 8), (32, 32), (2048,)]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=str)
+def test_toeplitz_expand_is_the_gather_bit_for_bit(grid):
+    rng = np.random.default_rng(sum(grid))
+    t = Toeplitz(rand_carray(rng, tuple(2 * n - 1 for n in grid)), grid)
+    out = toeplitz_expand(t).z
+    want = t.diags.z[gather_kernel_index(grid, grid)]
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    assert_fresh(out, t.diags.z)
+    # a generator that is a view of a larger array, at negative strides
+    wide = np.zeros(tuple(2 * n for n in t.diags.shape), dtype=complex)
+    view = wide[tuple(slice(None, None, -2) for _ in grid)]
+    view[...] = t.diags.z
+    assert toeplitz_expand(Toeplitz(ComplexArray(view), grid)).z.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", GRIDS[:-1], ids=str)
+def test_toeplitz_extract_reads_the_first_entry_of_any_matrix(grid):
+    # a matrix that is not Toeplitz: every position has its own first entry
+    total = int(np.prod(grid))
+    m = rand_carray(np.random.default_rng(total), (total, total))
+    out = toeplitz_extract(m, grid).diags.z
+    assert out.tobytes() == unique_first_extract(m.z, grid).tobytes()
+    assert_fresh(out, m.z)
+
+
+@pytest.mark.parametrize("grid_in, grid_out", [
+    ((1,), (1,)), ((1, 1), (1, 1)), ((16,), (64,)), ((64,), (16,)), ((5,), (5,)),
+    ((3, 4), (3, 4)), ((2, 3), (4, 5)), ((8, 8), (8, 8))], ids=str)
+def test_kernel_index_is_the_gather(grid_in, grid_out):
+    got, want = kernel_index(grid_in, grid_out), gather_kernel_index(grid_in, grid_out)
+    assert len(got) == len(want) == len(grid_in)
+    for a, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+        assert_fresh(g, *got[:a])
+        g += 1   # the caller's own array: the next call is untouched
+    assert all(np.array_equal(g, w) for g, w in zip(kernel_index(grid_in, grid_out), want))
+
+
+def test_expand_and_extract_allocate_no_index_arrays():
+    # expanding peaks at the result alone; extracting allocates in proportion
+    # to the kernel, not to the M^2 matrix it reads
+    m = 512
+    t = rand_toeplitz(np.random.default_rng(29), m)
+    tracemalloc.start()
+    try:
+        dense = toeplitz_expand(t)
+        _, expand_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        back = toeplitz_extract(dense, (m,))
+        _, extract_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dense.z.nbytes <= expand_peak <= 1.1 * dense.z.nbytes
+    assert extract_peak - base <= 8 * back.diags.z.nbytes < dense.z.nbytes / 20
+    assert back.diags.z.tobytes() == t.diags.z.tobytes()

@@ -397,6 +397,20 @@ def test_train_rejects_empty_training_set(desk_dict):
         train(net, ds.take(np.arange(0)), ds, TrainConfig(epochs=1))
 
 
+def test_train_names_the_epoch_and_batch_of_zero_truth_spectra(desk_dict):
+    # a learnable set whose one zero truth column fills a batch of one; this
+    # once ended in a bare "loss undefined" ValueError naming no batch
+    ds = hf.gen_dataset(desk_dict, 8, 2, 0.1, seed=27)
+    ds.truth.z[:, 3] = 0.0
+    net = init_network("lista", desk_dict, 2, lam=0.1)
+    cfg = TrainConfig(batch_size=1, epochs=2, seed=4)
+    batch = list(np.random.default_rng(cfg.seed).permutation(ds.count)).index(3)
+    with pytest.raises(ValueError) as err:
+        train(net, ds, ds.take(np.arange(3)), cfg)
+    assert str(err.value) == (f"epoch 1, batch {batch}: every truth spectrum of the "
+                              "batch is zero, so its NMSE loss is undefined")
+
+
 def test_train_deterministic_histories():
     m, n = 24, 8
     d = hf.build_dictionary((m,), hf.draw_sampling(m, n, seed=21))
