@@ -94,8 +94,9 @@ class ExperimentConfig:
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         for name, it in self.budgets.items():
-            if it < 1:
-                raise ValueError(f"iteration budget for {name} must be positive")
+            if not (_is_int(it) and it >= 1):
+                raise ValueError(f"iteration budget for {name} must be an integer >= 1, "
+                                 f"got {it!r}")
         if not self.noise_powers_db:
             raise ValueError("noise_powers_db needs at least one entry")
         try:
@@ -108,6 +109,8 @@ class ExperimentConfig:
                              f"got {self.lambda_scale}")
         for name in self.methods:
             if name in SOLVER_METHODS:
+                if name not in self.budgets:
+                    raise ValueError(f"method {name!r} needs an iteration budget")
                 continue
             if name not in LEARNED_METHODS:
                 raise ValueError(f"unknown method {name!r}")
@@ -265,14 +268,20 @@ def complexity_report(sizes, n_obs: int = 64, repeats: int = 5,
 
 def write_iq_grid(path, shape, omega, y: ComplexArray) -> None:
     """2-D observation file: magic ``HIQ1``, u32 JSON-header length, the
-    JSON header (m1, m2, omega), then the N samples as (re, im) f64 pairs."""
-    if len(shape) != 2:
-        raise ValueError("IQ grids are two-dimensional")
-    omega = [int(v) for v in omega]
+    JSON header (m1, m2, omega), then the N samples as (re, im) f64 pairs.
+    The header passes the checks of :func:`read_iq_grid` and
+    :func:`ingest_iq_grid`: m1 and m2 are integers >= 1, and omega, read
+    through SamplingSet, lists at least one index and none past m1*m2."""
+    if len(shape) != 2 or not all(_is_int(m) and m >= 1 for m in shape):
+        raise ValueError(f"an IQ grid takes two integer sizes >= 1, got {tuple(shape)}")
+    omega = SamplingSet(omega, 0).omega
+    if not omega.size or omega[-1] >= shape[0] * shape[1]:
+        raise ValueError(f"omega must list at least one index, each below "
+                         f"{shape[0] * shape[1]}, got {omega.tolist()}")
     if len(omega) != y.shape[0]:
         raise ValueError("one sample per observed index is required")
     head = json.dumps({"m1": int(shape[0]), "m2": int(shape[1]),
-                       "omega": omega}, sort_keys=True).encode("utf-8")
+                       "omega": omega.tolist()}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(IQ_MAGIC)
         fh.write(struct.pack("<I", len(head)))

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-_TINY = np.finfo(np.float64).tiny
+_TINY = np.finfo(np.float64).tiny   # the one smallest-normal floor; solvers and training import it
 
 
 class NumericError(RuntimeError):
@@ -202,7 +202,7 @@ def lipschitz_constant(phi: ComplexArray, tol: float = 1e-8,
     for it in range(1, max_iter + 1):
         w = a @ v
         new_est = np.vdot(w, w).real / np.vdot(v, v).real
-        if it > 1 and abs(new_est - est) <= tol * max(new_est, np.finfo(float).tiny):
+        if it > 1 and abs(new_est - est) <= tol * max(new_est, _TINY):
             est = new_est
             converged = True
             break

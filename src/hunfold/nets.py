@@ -4,10 +4,13 @@ A layer is two linear branches and a complex soft threshold,
 ``x <- soft_threshold(W_obs y + W_inh x, theta)``.  Each branch is an
 operator, :class:`Dense` (a matrix) or :class:`Conv` (a kernel applied by
 windowed linear convolution on a 1-D or 2-D grid); :func:`branches` maps an
-architecture to its two operators.  Operators act on spectra, the identity
-for :class:`Dense` and FFTs for :class:`Conv`, so :func:`forward_planes`
-transforms the observations once for every layer and can hand the backward
-pass each layer's input and kernel spectra.  The architectures:
+architecture to its two operators.  A network builds them once, as
+``net.ops``, and refuses a layer whose weights (``filt`` on the observation
+branch, ``inhibit`` on the inhibition branch) have other shapes.  Operators
+act on spectra, the identity for :class:`Dense` and FFTs for :class:`Conv`,
+so :func:`forward_planes` transforms the observations once for every layer
+and can hand the backward pass each layer's input and kernel spectra.  The
+architectures:
 
 * ``lista``       Dense observation, Dense inhibition;
 * ``toeplitz1d``  Dense observation, length 2M-1 Toeplitz inhibition kernel;
@@ -23,7 +26,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,33 +62,28 @@ MODEL_MAGIC = b"HUN1"
 class Layer:
     """One unfolded iteration's learnable parameters.
 
-    ``filt`` is the M x N observation matrix (absent for ``convlista``,
-    which keeps its observation kernel in ``filt_kernel`` instead);
-    ``inhibit`` is the inhibition weight in its operator's shape: dense
-    (M, M), a 1-D kernel of length 2M-1, or a 2-D kernel of shape
-    (2*g1-1, 2*g2-1).  ``threshold`` is a 0-d float64 array of the layer's
-    own, copied from the value given, which training steps in place.
+    ``filt`` is the observation weight in its operator's shape: the M x N
+    matrix, or for ``convlista`` a kernel of length M+N-1.  ``inhibit`` is
+    the inhibition weight in its operator's shape: dense (M, M), a 1-D
+    kernel of length 2M-1, or a 2-D kernel of shape (2*g1-1, 2*g2-1).
+    ``threshold`` is a 0-d float64 array of the layer's own, copied from the
+    value given, which training steps in place.  ``filt_kernel`` is a
+    placeholder that must be None; it keeps the four-argument positional
+    form ``Layer(filt, None, inhibit, threshold)`` that the benchmark
+    harness (perfbench/workloads.py) builds.
     """
 
-    filt: ComplexArray | None
-    filt_kernel: ComplexArray | None
+    filt: ComplexArray
+    filt_kernel: None = field(repr=False)
     inhibit: ComplexArray
     threshold: np.ndarray
 
     def __post_init__(self):
+        if self.filt_kernel is not None:
+            raise ValueError("filt_kernel must be None: a convlista kernel goes in filt")
         self.threshold = theta = np.array(self.threshold, dtype=np.float64)
         if theta.ndim != 0 or not (math.isfinite(theta) and theta >= 0.0):
             raise ValueError(f"threshold must be a finite scalar >= 0, got {theta}")
-
-    @property
-    def obs(self) -> ComplexArray:
-        """The observation branch's weight, whichever slot holds it."""
-        return self.filt if self.filt is not None else self.filt_kernel
-
-
-def place_obs(arch: str, obs):
-    """(filt, filt_kernel) with the observation weight in its ``arch`` slot."""
-    return (None, obs) if arch == "convlista" else (obs, None)
 
 
 @dataclass
@@ -94,12 +92,21 @@ class UnfoldedNetwork:
     shape: tuple[int, ...]   # spectrum grid: (M,) or (M1, M2)
     n_obs: int
     layers: list[Layer]
+    # the (obs_op, inhibit_op) every layer shares, built once with the network
+    ops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.shape = tuple(int(s) for s in self.shape)
-        branches(self.arch, self.shape, self.n_obs)
+        self.ops = branches(self.arch, self.shape, self.n_obs)
         if not self.layers:
             raise ValueError("a network needs at least one layer")
+        for t, layer in enumerate(self.layers):
+            for name, w, op in zip(("observation", "inhibition"),
+                                   (layer.filt, layer.inhibit), self.ops):
+                got = getattr(w, "shape", None)
+                if got != op.shape:
+                    raise ValueError(f"layer {t} {name} weight has shape {got}, "
+                                     f"expected {op.shape}")
 
     @property
     def total(self) -> int:
@@ -341,12 +348,12 @@ def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
     y = join_planes(yr, yi)
     if y.shape[-1] != net.n_obs:
         raise ValueError(f"observation length {y.shape[-1]}, expected {net.n_obs}")
-    obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
+    obs_op, inhibit_op = net.ops
     yh = obs_op.in_spectrum(y)
     x = np.zeros((y.shape[0], net.total), dtype=np.complex128)
     cache = [] if keep_cache else None
     for t, layer in enumerate(net.layers):
-        u = obs_op.apply_hat(obs_op.weight_spectrum(layer.obs), yh)
+        u = obs_op.apply_hat(obs_op.weight_spectrum(layer.filt), yh)
         kh = xh = None
         if t > 0 and keep_cache:
             kh, xh = inhibit_op.weight_spectrum(layer.inhibit), inhibit_op.in_spectrum(x)
@@ -397,13 +404,11 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
     big_l = lipschitz_constant(phi_hat).value
     filt = hermitian(phi_hat).scale(1.0 / big_l)
     theta0 = lam / big_l
-    obs = filt
     if arch == "convlista":   # the mean entry at each kernel position
         idx = kernel_index(obs_op.grid_in, obs_op.grid_out)[0].ravel()
         sums = ComplexArray(*(np.bincount(idx, p.ravel()) for p in (filt.re, filt.im)))
-        obs = ComplexArray(sums.z / np.bincount(idx))
-    layers = [Layer(*place_obs(arch, obs.copy()), ComplexArray.zeros(inhibit_op.shape),
-                    theta0)
+        filt = ComplexArray(sums.z / np.bincount(idx))
+    layers = [Layer(filt.copy(), None, ComplexArray.zeros(inhibit_op.shape), theta0)
               for _ in range(depth)]
     return UnfoldedNetwork(arch, d.shape, d.n_obs, layers)
 
@@ -413,7 +418,7 @@ def param_count(net: UnfoldedNetwork) -> dict:
 
     The threshold counts as one parameter per layer.
     """
-    obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
+    obs_op, inhibit_op = net.ops
     filt = int(np.prod(obs_op.shape))
     inhib = int(np.prod(inhibit_op.shape))
     per_layer = {"filter": filt, "inhibition": inhib, "threshold": 1,
@@ -454,7 +459,7 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
     with open(path, "wb") as fh:
         fh.write(head)
         for layer in net.layers:
-            _write_planes(fh, layer.obs)
+            _write_planes(fh, layer.filt)
             _write_planes(fh, layer.inhibit)
             fh.write(struct.pack("<d", layer.threshold))
     side = {
@@ -512,7 +517,7 @@ def load_network(path) -> UnfoldedNetwork:
             (theta,) = struct.unpack_from("<d", buf, off)
             off += 8
             try:
-                layers.append(Layer(*place_obs(arch, obs), inhibit, theta))
+                layers.append(Layer(obs, None, inhibit, theta))
             except ValueError as exc:
                 raise ValueError(f"layer {t} {exc}") from None
         return UnfoldedNetwork(arch, shape, n_obs, layers)

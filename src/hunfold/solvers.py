@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cplx import ComplexArray, NumericError, lipschitz_constant
+from .cplx import _TINY, ComplexArray, NumericError, lipschitz_constant
 # cplx.shrink, bound under the name the benchmark tracer (perfbench/tracing.py)
 # wraps here; the tracer reports a name it cannot find as absent.
 from .cplx import shrink as soft_threshold_planes
-from .harmonic import Dictionary
+from .harmonic import Dictionary, _is_int
 
 __all__ = [
     "SolverConfig",
@@ -37,7 +37,6 @@ __all__ = [
 # Power iteration returns a (certified) lower bound on the top eigenvalue;
 # a hair of inflation keeps the descent step non-expansive.
 _L_SAFETY = 1.0 + 1e-6
-_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -57,8 +56,8 @@ class SolverConfig:
             raise ValueError(f"penalty weight must be a finite scalar or vector "
                              f">= 0, got {self.lam!r}")
         self.lam = float(lam) if lam.ndim == 0 else lam
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not (_is_int(self.max_iter) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.tol < 0.0:
             raise ValueError("tol must be >= 0")
         if self.lipschitz is not None and not (math.isfinite(self.lipschitz)

@@ -6,7 +6,8 @@ on complex128 batches: the complex soft threshold contributes its exact
 Jacobian away from the |u| = theta sphere and a zero subgradient on it,
 each branch operator of a layer gives its weight gradient (``grad``), and
 the inhibition operator's ``adjoint`` carries the gradient to the layer
-before (see :mod:`hunfold.nets`).  The forward pass caches each layer's
+before (see :mod:`hunfold.nets`); both operators are the network's own
+``net.ops``, built once with it.  The forward pass caches each layer's
 pre-threshold activation with its modulus (``"u"``, ``"mag"``), so the
 threshold's adjoint computes no modulus again.  The branches run on
 spectra: the forward pass caches each layer's input and kernel spectra
@@ -15,9 +16,10 @@ transforms a layer's incoming gradient once per branch (once for both
 when they transform alike) and uses that spectrum for the weight gradient
 and the adjoint alike.  No spectrum outlives its forward/backward pair.
 Parameters and their gradients share one flat layout, :func:`net_param_arrays`:
-per layer the two complex weights and the 0-d threshold that the network holds.
-Adam (Kingma & Ba, 2015) steps these arrays in place, a complex weight through
-its float64 view, one real or imaginary part per coordinate.
+per layer the two complex weights (``filt``, ``inhibit``) and the 0-d threshold
+that the network holds.  Adam (Kingma & Ba, 2015) steps these arrays in
+place, a complex weight through its float64 view, one real or imaginary part
+per coordinate.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cplx import ComplexArray, NumericError, join_planes, shrink_factor
+from .cplx import _TINY, ComplexArray, NumericError, join_planes, shrink_factor
 from .harmonic import Dataset
-from .nets import Layer, UnfoldedNetwork, branches, forward_planes, place_obs
+from .nets import Layer, UnfoldedNetwork, forward_planes
 # Not called here: every transform runs inside the nets operators.  The
 # names stay bound because the benchmark tracer (perfbench/tracing.py) wraps
 # them on this module as well and reports a name it cannot find as absent.
@@ -49,7 +51,6 @@ __all__ = [
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's constants
 LOSS_CHUNK = 2048   # rows per forward pass in loss_nmse
-_TINY = np.finfo(np.float64).tiny
 _UNDEFINED_LOSS = "every truth spectrum of the batch is zero, so its NMSE loss is undefined"
 
 
@@ -166,7 +167,7 @@ def _backward_planes(net: UnfoldedNetwork, y, truth):
     w = np.where(per > 0.0, 1.0 / (np.where(per > 0.0, per, 1.0) * den), 0.0)
     g = err * w[:, None]
 
-    obs_op, inhibit_op = branches(net.arch, net.shape, net.n_obs)
+    obs_op, inhibit_op = net.ops
     grads = [None] * (3 * net.depth)
     for t in range(net.depth - 1, -1, -1):
         layer = net.layers[t]
@@ -238,7 +239,7 @@ def net_param_arrays(net: UnfoldedNetwork):
     """The arrays a network holds, not copies, three per layer: the observation
     weight, the inhibition weight and the threshold, the only 0-d entry."""
     return [p for layer in net.layers
-            for p in (layer.obs.z, layer.inhibit.z, layer.threshold)]
+            for p in (layer.filt.z, layer.inhibit.z, layer.threshold)]
 
 
 # -- training loop -----------------------------------------------------------
@@ -264,7 +265,7 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
     y, truth = _batches(train_ds)
     # each layer's arrays copied on their own: layers sharing one train untied
     net = UnfoldedNetwork(net.arch, net.shape, net.n_obs, [
-        Layer(*place_obs(net.arch, layer.obs.copy()), layer.inhibit.copy(), layer.threshold)
+        Layer(layer.filt.copy(), None, layer.inhibit.copy(), layer.threshold)
         for layer in net.layers])
     params = net_param_arrays(net)
     state = init_adam_state(params)
@@ -311,8 +312,8 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
     # ones: freeing the newest allocation instead doubled paper-scale minor page
     # faults and made training 0.7x as fast (2-core VM, numpy 2.4.6)
     for layer, obs, inhibit, theta in zip(net.layers, *(best_params[i::3] for i in range(3))):
-        layer.filt, layer.filt_kernel = place_obs(net.arch, ComplexArray(obs))
-        layer.inhibit, layer.threshold = ComplexArray(inhibit), theta
+        layer.filt, layer.inhibit = ComplexArray(obs), ComplexArray(inhibit)
+        layer.threshold = theta
     return net, report
 
 

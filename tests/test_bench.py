@@ -971,6 +971,19 @@ def test_cli_complexity_names_bad_sizes(tmp_path, sizes):
     assert not out.exists()
 
 
+def test_experiment_config_names_a_solver_method_without_a_budget():
+    # once accepted, then a KeyError inside run_sweep
+    with pytest.raises(ValueError, match="method 'fista' needs an iteration budget"):
+        small_cfg(methods=["fista"], budgets={"ista": 10})
+
+
+@pytest.mark.parametrize("budget", [10.5, True])
+def test_experiment_config_refuses_a_budget_that_is_not_an_integer(budget):
+    # 10.5 once ended run_sweep in a TypeError inside the solver loop
+    with pytest.raises(ValueError, match="iteration budget for ista must be an integer >= 1"):
+        small_cfg(budgets={"ista": budget, "fista": 20})
+
+
 def test_experiment_config_needs_a_noise_power():
     with pytest.raises(ValueError, match="noise_powers_db needs at least one entry"):
         small_cfg(noise_powers_db=[])
@@ -1081,6 +1094,20 @@ def test_iq_every_bit_flip_loads_or_names_path(tmp_path):
             ingest_iq_grid(path)
         except ValueError as exc:
             assert str(path) in str(exc), f"bit {bit}: {exc}"
+
+
+@pytest.mark.parametrize("shape, omega, words", [
+    ((4, 6), [5, 3], "strictly ascending"), ((4, 6), [-1, 2], "strictly ascending"),
+    ((4, 6), [0, 30], "each below 24"), ((4, 6), [], "at least one index"),
+    ((4, 6), [0.0, 1.0], "integers"), ((4.0, 6), [0, 1], "integer sizes"),
+    ((0, 6), [0, 1], "integer sizes"), ((True, 6), [0, 1], "integer sizes")])
+def test_write_iq_grid_refuses_what_ingest_would(tmp_path, shape, omega, words):
+    # each was once written: a file read_iq_grid or ingest refused, or float and
+    # bool sizes and indices cast to integers without a word
+    path = tmp_path / "g.hiq"
+    with pytest.raises(ValueError, match=words):
+        write_iq_grid(path, shape, omega, ComplexArray.zeros((len(omega),)))
+    assert not path.exists()
 
 
 def test_iq_file_layout(tmp_path):

@@ -204,8 +204,7 @@ def test_init_network_arch_validation():
 def test_convlista_init_not_degenerate():
     d = dict_1d()
     net = init_network("convlista", d, 3, lam=0.1)
-    assert net.layers[0].filt is None
-    assert net.layers[0].filt_kernel.shape == (d.total + d.n_obs - 1,)
+    assert net.layers[0].filt.shape == (d.total + d.n_obs - 1,)
     y = ComplexArray(d.phi.z @ hf.sparse_from_rng(d.total, 2, np.random.default_rng(13)).z)
     assert np.linalg.norm(forward(net, y).z) > 0.0
 
@@ -219,7 +218,7 @@ def test_convlista_start_kernel_is_the_per_diagonal_mean(d):
     want = np.array([np.mean(np.diagonal(filt, offset=d.n_obs - 1 - p))
                      for p in range(d.total + d.n_obs - 1)])
     for layer in init_network("convlista", d, 2, lam=0.1).layers:
-        got = layer.filt_kernel.z
+        got = layer.filt.z
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -262,7 +261,7 @@ def test_param_count_2d_example():
 
 def test_param_count_convlista():
     m, n = 20, 8
-    layers = [Layer(None, ComplexArray.zeros((m + n - 1,)),
+    layers = [Layer(ComplexArray.zeros((m + n - 1,)), None,
                     ComplexArray.zeros((2 * m - 1,)), 0.1)]
     net = UnfoldedNetwork("convlista", (m,), n, layers)
     pc = param_count(net)
@@ -299,7 +298,7 @@ def test_model_round_trip_convlista(tmp_path):
     back = load_network(path)
     assert back.arch == "convlista"
     for a, b in zip(net.layers, back.layers):
-        assert np.array_equal(a.filt_kernel.re, b.filt_kernel.re)
+        assert np.array_equal(a.filt.re, b.filt.re)
         assert np.array_equal(a.inhibit.im, b.inhibit.im)
 
 
@@ -575,7 +574,7 @@ def test_branches_shapes_match_init(arch, shape):
     net = init_network(arch, d, 2, lam=0.1)
     obs_op, inhibit_op = branches(arch, shape, 5)
     for layer in net.layers:
-        assert layer.obs.shape == obs_op.shape
+        assert layer.filt.shape == obs_op.shape
         assert layer.inhibit.shape == inhibit_op.shape
 
 
@@ -613,6 +612,30 @@ def test_network_rejects_toeplitz_on_wrong_grid():
         UnfoldedNetwork("toeplitz2d", (12,), 5, [layer])
 
 
+def test_layer_refuses_an_observation_kernel_in_the_placeholder():
+    # the old convlista form, Layer(None, kernel, ...): the kernel goes in filt
+    kernel = ComplexArray.zeros((16,))
+    with pytest.raises(ValueError, match="filt_kernel"):
+        Layer(None, kernel, ComplexArray.zeros((23,)), 0.1)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("branch, name", [("filt", "observation"), ("inhibit", "inhibition")])
+def test_network_names_the_layer_and_branch_of_a_wrong_shaped_weight(arch, branch, name):
+    # each weight one entry short on its last axis; toeplitz1d's 22-entry
+    # kernel (23 at M=12) once ran forward without a word
+    shape = (3, 4) if arch == "toeplitz2d" else (12,)
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 5, seed=1))
+    layers = init_network(arch, d, 3, lam=0.1).layers
+    want = getattr(layers[2], branch).shape
+    cut = want[:-1] + (want[-1] - 1,)
+    setattr(layers[2], branch, ComplexArray.zeros(cut))
+    with pytest.raises(ValueError) as err:
+        UnfoldedNetwork(arch, shape, d.n_obs, layers)
+    assert str(err.value) == f"layer 2 {name} weight has shape {cut}, expected {want}"
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_model_every_bit_flip_loads_or_names_path(tmp_path, arch):
     shape = (2, 3) if arch == "toeplitz2d" else (5,)
@@ -633,7 +656,8 @@ def test_model_every_bit_flip_loads_or_names_path(tmp_path, arch):
 
 
 @pytest.mark.parametrize("arch", ARCHS)
-@pytest.mark.parametrize("branch, name", [("obs", "observation"), ("inhibit", "inhibition")])
+@pytest.mark.parametrize("branch, name", [("filt", "observation"), ("inhibit", "inhibition")],
+                         ids=["obs-observation", "inhibit-inhibition"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_model_names_a_weight_that_is_not_finite(tmp_path, arch, branch, name, value):
     shape = (2, 3) if arch == "toeplitz2d" else (5,)
@@ -686,7 +710,7 @@ def test_model_file_layout(tmp_path, arch, shape):
     dims = shape if len(shape) == 2 else (shape[0], 0)
     want = struct.pack("<4sIIIIII", b"HUN1", ARCHS.index(arch), 2, len(shape), *dims, 4)
     for layer in net.layers:
-        for a in (layer.obs, layer.inhibit):
+        for a in (layer.filt, layer.inhibit):
             for plane in (a.re, a.im):
                 want += struct.pack(f"<{plane.size}d", *plane.ravel())
         want += struct.pack("<d", layer.threshold)

@@ -150,6 +150,14 @@ def test_noiseless_support_recovery_desk_scale():
     assert np.mean(hits) == 1.0
 
 
+@pytest.mark.parametrize("max_iter", [10.5, True, "10", np.float64(3.0)])
+def test_solver_config_refuses_a_max_iter_that_is_not_an_integer(max_iter):
+    # 10.5 once ended the solve in a TypeError inside the iteration loop
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+        SolverConfig(lam=0.1, max_iter=max_iter)
+    assert SolverConfig(lam=0.1, max_iter=np.int64(3)).max_iter == 3
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lam=-1.0)

@@ -7,7 +7,7 @@ import hunfold as hf
 from hunfold.cplx import ComplexArray
 from hunfold.harmonic import Dataset
 from hunfold.nets import (Layer, UnfoldedNetwork, branches, forward,
-                          forward_planes, init_network, place_obs)
+                          forward_planes, init_network, param_count)
 from hunfold.training import (TrainConfig, _backward_planes,
                               _soft_threshold_adjoint, adam_step, backward,
                               estimate_dictionary, init_adam_state, loss_nmse,
@@ -378,7 +378,7 @@ def test_layers_sharing_an_inhibition_train_as_separate_copies(tmp_path, arch):
     for layer in shared.layers:
         layer.inhibit = inhibit
     separate = UnfoldedNetwork(arch, d.shape, d.n_obs, [
-        Layer(*place_obs(arch, layer.obs.copy()), inhibit.copy(), layer.threshold)
+        Layer(layer.filt.copy(), None, inhibit.copy(), layer.threshold)
         for layer in shared.layers])
     cfg = TrainConfig(learning_rate=1e-2, batch_size=32, epochs=2, seed=3)
     files = []
@@ -486,10 +486,29 @@ def test_estimate_dictionary_rank_deficient_rejected():
 def random_net(arch, shape, n_obs, depth, rng, theta=0.3):
     """Random weights in every slot, so no gradient vanishes."""
     obs_op, inhibit_op = branches(arch, shape, n_obs)
-    layers = [Layer(*place_obs(arch, rand_carray(rng, obs_op.shape)),
+    layers = [Layer(rand_carray(rng, obs_op.shape), None,
                     rand_carray(rng, inhibit_op.shape), theta)
               for _ in range(depth)]
     return UnfoldedNetwork(arch, shape, n_obs, layers)
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("lista", (12,)), ("toeplitz1d", (12,)), ("toeplitz2d", (3, 4)), ("convlista", (12,))])
+def test_a_built_network_builds_no_operator_again(monkeypatch, arch, shape):
+    # the two operators are built with the network and read from net.ops
+    d, ds = make_problem(shape, 5, count=6, seed=40)
+    net = random_net(arch, shape, 5, 3, np.random.default_rng(41))
+
+    def refuse(*args):
+        raise AssertionError("branches called on a built network")
+
+    monkeypatch.setattr(hf.nets, "branches", refuse)
+    y = ds.obs.z.T
+    forward_planes(net, y.real, y.imag)
+    assert np.isfinite(loss_nmse(net, ds))
+    grads, loss = backward(net, ds)
+    assert len(grads) == 3 * net.depth and np.isfinite(loss)
+    assert param_count(net)["depth"] == 3
 
 
 def reference_backward(net, y, truth):
