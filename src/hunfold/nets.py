@@ -6,18 +6,23 @@ operator, :class:`Dense` (a matrix) or :class:`Conv` (a kernel applied by
 windowed linear convolution on a 1-D or 2-D grid); :func:`branches` maps an
 architecture to its two operators.  A network builds them once, as
 ``net.ops``, and refuses a layer whose weights (``filt`` on the observation
-branch, ``inhibit`` on the inhibition branch) have other shapes.  Operators
-act on spectra, the identity for :class:`Dense` and FFTs for :class:`Conv`,
-so :func:`forward_planes` transforms the observations once for every layer
-and can hand the backward pass each layer's input and kernel spectra.  The
-architectures:
+branch, ``inhibit`` on the inhibition branch) have other shapes, when it is
+built and in every forward pass.  Operators act on spectra, the identity for
+:class:`Dense` and FFTs for :class:`Conv`, so :func:`forward_planes`
+transforms the observations once for every layer and can hand the backward
+pass each layer's input and kernel spectra.  The architectures:
 
 * ``lista``       Dense observation, Dense inhibition;
 * ``toeplitz1d``  Dense observation, length 2M-1 Toeplitz inhibition kernel;
 * ``toeplitz2d``  Dense observation, two-axis kernel on the (M2, M1) grid;
 * ``convlista``   a length M+N-1 observation kernel and a Toeplitz kernel.
 
-Parameters are untied across layers.  Forward passes never densify a kernel.
+Parameters are untied across layers.  A kernel stays the parameter of its
+branch, but :func:`route` decides per call how a :class:`Conv` computes: by
+FFT, or, when its matrix has at most ``DENSE_MAX_ENTRIES`` entries and the
+batch at least ``DENSE_MIN_BATCH`` rows, as that dense matrix, copied from
+the kernel once per call, where that measured faster.  The forward and the
+backward pass of a batch take the same route.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .harmonic import Dictionary, conv_grid
 # tracer (perfbench/tracing.py) wraps it on this module as well and reports a
 # name it cannot find as absent.
 from .spectral import (conv_full_planes, conv_full2_planes,  # noqa: F401
-                       kernel_index, next_pow2)
+                       kernel_bins, kernel_sum, next_pow2, toeplitz_matrix)
 
 __all__ = [
     "ARCHS",
@@ -50,6 +55,7 @@ __all__ = [
     "init_network",
     "load_network",
     "param_count",
+    "route",
     "save_network",
 ]
 
@@ -100,13 +106,7 @@ class UnfoldedNetwork:
         self.ops = branches(self.arch, self.shape, self.n_obs)
         if not self.layers:
             raise ValueError("a network needs at least one layer")
-        for t, layer in enumerate(self.layers):
-            for name, w, op in zip(("observation", "inhibition"),
-                                   (layer.filt, layer.inhibit), self.ops):
-                got = getattr(w, "shape", None)
-                if got != op.shape:
-                    raise ValueError(f"layer {t} {name} weight has shape {got}, "
-                                     f"expected {op.shape}")
+        _check_weights(self)
 
     @property
     def total(self) -> int:
@@ -115,6 +115,20 @@ class UnfoldedNetwork:
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+
+def _check_weights(net: UnfoldedNetwork) -> None:
+    """Refuse a layer whose weights do not have the shapes of ``net.ops``,
+    naming the layer, the branch and both shapes.  A weight assigned to a
+    layer after the network was built reaches only this check, which every
+    forward pass runs before it reads a weight."""
+    for t, layer in enumerate(net.layers):
+        for name, w, op in zip(("observation", "inhibition"),
+                               (layer.filt, layer.inhibit), net.ops):
+            got = getattr(w, "shape", None)
+            if got != op.shape:
+                raise ValueError(f"layer {t} {name} weight has shape {got}, "
+                                 f"expected {op.shape}")
 
 
 # -- branch operators ----------------------------------------------------------
@@ -222,6 +236,9 @@ class Conv(_Branch):
     and indices equal mod n that differ by less than n are equal.  On the
     flat circle a term (r, c), whose r may run past n[0], lands on a kept
     (a, b) only if r = a mod n[0], so r = a; then c = b mod n[1], so c = b.
+
+    ``matrix`` is the same operator computed densely, for small grids on
+    large batches (:func:`route`); the parameter is the kernel either way.
     """
 
     grid_in: tuple[int, ...]
@@ -313,6 +330,71 @@ class Conv(_Branch):
         return self._window(np.sum(g * np.conj(x), axis=0), self._correlation_start,
                             self.shape, batch=False)
 
+    @functools.cached_property
+    def matrix(self) -> "_ConvMatrix":
+        """This operator computed as its dense matrix (see :func:`route`)."""
+        return _ConvMatrix(math.prod(self.grid_out), math.prod(self.grid_in), self)
+
+    @functools.cached_property
+    def _bins(self) -> np.ndarray:
+        return kernel_bins(self.grid_in, self.grid_out)
+
+    def kernel_sum(self, m) -> np.ndarray:
+        """Per kernel position, the sum of the entries of a dense
+        (prod(grid_out), prod(grid_in)) weight ``m`` that the operator's
+        matrix reads from that position: the adjoint of building the
+        matrix from the kernel."""
+        return kernel_sum(m, self._bins, self.shape)
+
+
+@dataclass(frozen=True)
+class _ConvMatrix(Dense):
+    """A :class:`Conv` computed as its dense Toeplitz matrix.
+
+    The parameter is still the kernel, and ``shape`` the kernel's.  Its
+    spectrum is the (n_out, n_in) matrix, one copy of the kernel's strided
+    view (:func:`~hunfold.spectral.toeplitz_matrix`); ``apply_hat`` and
+    ``adjoint_hat`` are :class:`Dense`'s products with it, and ``grad_hat``
+    sums :class:`Dense`'s matrix gradient onto the kernel positions
+    (:meth:`Conv.kernel_sum`).
+    """
+
+    conv: Conv
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.conv.shape
+
+    def weight_spectrum(self, w: ComplexArray):
+        return toeplitz_matrix(w.z, self.conv.grid_in, self.conv.grid_out)
+
+    def grad_hat(self, g, x):
+        return self.conv.kernel_sum(super().grad_hat(g, x))
+
+
+# The dense route's crossover.  A Conv whose matrix has at most
+# DENSE_MAX_ENTRIES entries runs as that matrix on a batch of DENSE_MIN_BATCH
+# rows or more.  Measured on one BLAS thread (table in CHANGES.md), a 1-D
+# training step on 8 or 16 rows ran faster on the dense route up to about
+# 100 x 100 entries and slower from 112 x 112; on 128 rows it stayed faster up
+# to 128 x 128.  The dense route was faster on one row too: the floor is there
+# only so that calls on 1 to 4 rows, which the benchmark harness's own tests
+# trace as FFT convolutions, stay on the FFT route.
+DENSE_MAX_ENTRIES = 96 * 96
+DENSE_MIN_BATCH = 8
+
+
+def route(op, batch: int):
+    """The operator that a call on ``batch`` rows runs ``op`` as: a small
+    :class:`Conv` at a batch of at least ``DENSE_MIN_BATCH`` rows as its
+    dense matrix (``op.matrix``), any other operator as itself.  A forward
+    pass and its backward pass route alike, so the spectra one keeps are
+    the ones the other reads."""
+    if (isinstance(op, Conv) and batch >= DENSE_MIN_BATCH
+            and math.prod(op.grid_in) * math.prod(op.grid_out) <= DENSE_MAX_ENTRIES):
+        return op.matrix
+    return op
+
 
 def branches(arch: str, shape, n_obs: int):
     """(obs_op, inhibit_op): the two branch operators of an ``arch`` layer on
@@ -343,12 +425,15 @@ def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
     (None in layer 0, which has no inhibition) and the observation
     spectrum ``"yh"``, which the backward pass consumes.  Without
     ``keep_cache`` the inhibition branch runs the one-shot ``apply``, which
-    gives the same numbers bit for bit.
+    gives the same numbers bit for bit.  Each branch runs as :func:`route`
+    picks for the batch's row count; on the dense route a kernel's
+    "spectrum" is its matrix and a batch's the batch itself.
     """
     y = join_planes(yr, yi)
     if y.shape[-1] != net.n_obs:
         raise ValueError(f"observation length {y.shape[-1]}, expected {net.n_obs}")
-    obs_op, inhibit_op = net.ops
+    _check_weights(net)
+    obs_op, inhibit_op = (route(op, y.shape[0]) for op in net.ops)
     yh = obs_op.in_spectrum(y)
     x = np.zeros((y.shape[0], net.total), dtype=np.complex128)
     cache = [] if keep_cache else None
@@ -405,9 +490,8 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
     filt = hermitian(phi_hat).scale(1.0 / big_l)
     theta0 = lam / big_l
     if arch == "convlista":   # the mean entry at each kernel position
-        idx = kernel_index(obs_op.grid_in, obs_op.grid_out)[0].ravel()
-        sums = ComplexArray(*(np.bincount(idx, p.ravel()) for p in (filt.re, filt.im)))
-        filt = ComplexArray(sums.z / np.bincount(idx))
+        counts = obs_op.kernel_sum(np.ones(filt.shape)).real
+        filt = ComplexArray(obs_op.kernel_sum(filt.z) / counts)
     layers = [Layer(filt.copy(), None, ComplexArray.zeros(inhibit_op.shape), theta0)
               for _ in range(depth)]
     return UnfoldedNetwork(arch, d.shape, d.n_obs, layers)

@@ -11,7 +11,10 @@ cannot alias; on a 2-D grid at the product of those powers of two, with
 the grid laid flat at a row stride of the first axis's power of two, so
 that one 1-D transform does the work of a 2-D one.  A training step
 instead transforms through ``numpy.fft`` in ``Conv`` itself, so that it
-can keep the spectra and reuse them in the backward pass.
+can keep the spectra and reuse them in the backward pass.  A small ``Conv``
+on a large batch computes with no transform at all, as the dense matrix
+:func:`toeplitz_matrix` copies from its kernel, and sums its weight
+gradient back onto the kernel with :func:`kernel_sum`.
 :func:`conv1d` is the direct windowed form on a 1-D grid, and
 :func:`toeplitz_expand` ties a generator to the dense operator it induces,
 which :func:`toeplitz_extract` reads back at one entry per kernel position.
@@ -27,10 +30,11 @@ Index conventions used throughout the package, one rule per grid axis:
   ``s - i + g_in - 1`` per axis, d(s - i): on one axis a Toeplitz matrix;
   on two, the first axis runs inside blocks and the second across them,
   doubly-block Toeplitz.  The rule is written once, as a read-only strided
-  view of the kernel, with no index arrays: :func:`toeplitz_expand` is one
-  copy of that view of the generator, so the dense matrix is its only
-  M^2-sized allocation, and :func:`kernel_index` one copy of that view of
-  each axis's kernel positions.
+  view of the kernel, with no index arrays: :func:`toeplitz_matrix` (and
+  :func:`toeplitz_expand` through it) is one copy of that view of a kernel,
+  so the dense matrix is its only M^2-sized allocation, and
+  :func:`kernel_index` one copy of that view of each axis's kernel
+  positions, which :func:`kernel_sum` adds a matrix's entries over.
 """
 
 from __future__ import annotations
@@ -47,10 +51,13 @@ __all__ = [
     "conv1d",
     "conv_full_planes",
     "conv_full2_planes",
+    "kernel_bins",
     "kernel_index",
+    "kernel_sum",
     "next_pow2",
     "toeplitz_expand",
     "toeplitz_extract",
+    "toeplitz_matrix",
 ]
 
 
@@ -172,13 +179,38 @@ def kernel_index(grid_in, grid_out) -> tuple[np.ndarray, ...]:
     return tuple(_toeplitz_view(p, grid_in, grid_out).copy().reshape(shape) for p in pos)
 
 
+def toeplitz_matrix(a: np.ndarray, grid_in, grid_out) -> np.ndarray:
+    """The (prod(grid_out), prod(grid_in)) matrix whose entry at (flat s,
+    flat i) is kernel entry ``a[s - i + g_in - 1]`` per axis: one C-ordered
+    copy of the kernel's strided view.  ``a`` must have ``g_in + g_out - 1``
+    entries per axis."""
+    return (_toeplitz_view(a, grid_in, grid_out).copy()
+            .reshape(math.prod(grid_out), math.prod(grid_in)))
+
+
+def kernel_bins(grid_in, grid_out) -> np.ndarray:
+    """The bins that :func:`kernel_sum` adds a complex matrix's float64 view
+    into: the flat kernel position of each (output, input) cell pair, from
+    :func:`kernel_index`, as ``2p`` for the real part and ``2p + 1`` for the
+    imaginary part."""
+    shape = tuple(gi + go - 1 for gi, go in zip(grid_in, grid_out))
+    flat = np.ravel_multi_index(kernel_index(grid_in, grid_out), shape)
+    return (2 * flat.reshape(-1, 1) + np.arange(2)).ravel()
+
+
+def kernel_sum(m: np.ndarray, bins: np.ndarray, shape) -> np.ndarray:
+    """Per kernel position, the sum of the entries of the complex matrix
+    ``m`` that :func:`toeplitz_matrix` reads from it, as a complex128 kernel
+    of ``shape``: the adjoint of that expansion, one ``bincount`` over
+    :func:`kernel_bins`, each position's entries added in row-major order."""
+    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).ravel()
+    return np.bincount(bins, parts, 2 * math.prod(shape)).view(np.complex128).reshape(shape)
+
+
 def toeplitz_expand(t: Toeplitz) -> ComplexArray:
     """Dense operator of a generator: the entry at (flat s, flat i) is the
-    diagonal d(s - i), one offset per grid axis: one C-ordered copy of the
-    generator's strided view."""
-    total = math.prod(t.grid)
-    return ComplexArray(_toeplitz_view(t.diags.z, t.grid, t.grid).copy()
-                        .reshape(total, total))
+    diagonal d(s - i), one offset per grid axis."""
+    return ComplexArray(toeplitz_matrix(t.diags.z, t.grid, t.grid))
 
 
 def toeplitz_extract(g: ComplexArray, grid) -> Toeplitz:

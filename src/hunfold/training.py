@@ -7,7 +7,9 @@ Jacobian away from the |u| = theta sphere and a zero subgradient on it,
 each branch operator of a layer gives its weight gradient (``grad``), and
 the inhibition operator's ``adjoint`` carries the gradient to the layer
 before (see :mod:`hunfold.nets`); both operators are the network's own
-``net.ops``, built once with it.  The forward pass caches each layer's
+``net.ops``, built once with it, each taken through
+:func:`~hunfold.nets.route` at the batch's row count, as the forward pass
+takes them.  The forward pass caches each layer's
 pre-threshold activation with its modulus (``"u"``, ``"mag"``), so the
 threshold's adjoint computes no modulus again.  The branches run on
 spectra: the forward pass caches each layer's input and kernel spectra
@@ -19,7 +21,7 @@ Parameters and their gradients share one flat layout, :func:`net_param_arrays`:
 per layer the two complex weights (``filt``, ``inhibit``) and the 0-d threshold
 that the network holds.  Adam (Kingma & Ba, 2015) steps these arrays in
 place, a complex weight through its float64 view, one real or imaginary part
-per coordinate.
+per coordinate, with every temporary in two work buffers per step.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .cplx import _TINY, ComplexArray, NumericError, join_planes, shrink_factor
 from .harmonic import Dataset
-from .nets import Layer, UnfoldedNetwork, forward_planes
+from .nets import Layer, UnfoldedNetwork, forward_planes, route
 # Not called here: every transform runs inside the nets operators.  The
 # names stay bound because the benchmark tracer (perfbench/tracing.py) wraps
 # them on this module as well and reports a name it cannot find as absent.
@@ -167,7 +169,7 @@ def _backward_planes(net: UnfoldedNetwork, y, truth):
     w = np.where(per > 0.0, 1.0 / (np.where(per > 0.0, per, 1.0) * den), 0.0)
     g = err * w[:, None]
 
-    obs_op, inhibit_op = net.ops
+    obs_op, inhibit_op = (route(op, len(y)) for op in net.ops)
     grads = [None] * (3 * net.depth)
     for t in range(net.depth - 1, -1, -1):
         layer = net.layers[t]
@@ -200,8 +202,8 @@ class AdamState:
 
 
 def init_adam_state(params: list[np.ndarray]) -> AdamState:
-    return AdamState(0, [np.zeros_like(p.view(np.float64)) for p in params],
-                     [np.zeros_like(p.view(np.float64)) for p in params])
+    return AdamState(0, [np.zeros(p.view(np.float64).shape) for p in params],
+                     [np.zeros(p.view(np.float64).shape) for p in params])
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
@@ -211,10 +213,17 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 
     Updates ``params`` and ``state`` in place and returns them.  A 0-d
     parameter, in the flat layout a threshold, is projected onto [0, inf)
-    after its step.
+    after its step.  Every parameter steps through the same two work
+    buffers, each as long as the largest parameter's float64 view, by
+    ``m += (1-b1) g``, ``v += ((1-b2) g) g`` and ``p -= lr (m/c1) /
+    (sqrt(v/c2) + eps)``, operation by operation.  The buffers live for one
+    call: kept in the state for the whole run, they raised paper-scale peak
+    RSS in every benchmark pair (CHANGES.md).
     """
     if len(params) != len(grads):
         raise ValueError("parameter/gradient lists differ in length")
+    size = max((p.nbytes // 8 for p in params), default=0)
+    scratch = (np.empty(size), np.empty(size))
     state.step += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step
@@ -222,11 +231,21 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
         p, g = p.view(np.float64), g.view(np.float64)
         m = state.mom1[i]
         v = state.mom2[i]
+        step, den = (buf[:p.size].reshape(p.shape) for buf in scratch)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        np.multiply(1.0 - ADAM_BETA1, g, out=step)
+        m += step
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        np.multiply(1.0 - ADAM_BETA2, g, out=step)
+        step *= g
+        v += step
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        step /= den
+        p -= step
         if p.ndim == 0:
             np.maximum(p, 0.0, out=p)
     return params, state

@@ -9,9 +9,10 @@ import hunfold as hf
 from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant, \
     shrink, shrink_factor, soft_threshold
 from hunfold.harmonic import conv_grid
-from hunfold.nets import (ARCHS, Conv, Dense, Layer, UnfoldedNetwork,
-                          branches, forward, forward_planes, init_network,
-                          load_network, param_count, save_network)
+from hunfold.nets import (ARCHS, DENSE_MIN_BATCH, Conv, Dense, Layer,
+                          UnfoldedNetwork, branches, forward, forward_planes,
+                          init_network, load_network, param_count, route,
+                          save_network)
 from hunfold.solvers import SolverConfig, ista
 from hunfold.spectral import Toeplitz, kernel_index, next_pow2, toeplitz_expand
 from hunfold.training import estimate_dictionary
@@ -529,6 +530,65 @@ def test_forward_with_and_without_cache_agree_bit_for_bit(arch, shape):
     assert np.array_equal(plain[0], cached[0]) and np.array_equal(plain[1], cached[1])
 
 
+@pytest.mark.parametrize("op", [op for op in OPERATORS if isinstance(op, Conv)],
+                         ids=repr)
+def test_dense_route_equals_the_fft_route(op):
+    # at the batch floor and above, the operator's dense matrix: apply,
+    # adjoint and grad as the FFT route computes them
+    rng = np.random.default_rng(39)
+    n_in, n_out = op_sizes(op)
+    w = rand_carray(rng, op.shape)
+    for rows in (DENSE_MIN_BATCH, 3 * DENSE_MIN_BATCH):
+        dense = route(op, rows)
+        assert dense is op.matrix and dense.shape == op.shape
+        x = batch(rng, (rows, n_in))
+        g = batch(rng, (rows, n_out))
+        for got, want in ((dense.apply(w, x), op.apply(w, x)),
+                          (dense.adjoint(w, g), op.adjoint(w, g)),
+                          (dense.grad(g, x), op.grad(g, x))):
+            assert got.shape == want.shape and got.dtype == np.complex128
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("arch, shape, n_obs, dense", [
+    ("lista", (64,), 16, (False, False)),          # a Dense runs as itself
+    ("toeplitz1d", (64,), 16, (False, True)),      # desk
+    ("toeplitz2d", (8, 8), 32, (False, True)),
+    ("convlista", (64,), 16, (True, True)),        # Conv((16,), (64,)) and its inhibition
+    ("toeplitz1d", (512,), 64, (False, False)),    # paper scale
+    ("toeplitz1d", (2048,), 64, (False, False)),
+    ("toeplitz2d", (32, 32), 256, (False, False)),
+    ("convlista", (512,), 64, (False, False))])
+def test_route_serves_desk_grids_dense_and_paper_grids_by_fft(arch, shape, n_obs, dense):
+    ops = branches(arch, shape, n_obs)
+    for rows in (DENSE_MIN_BATCH, 128):
+        assert tuple(route(op, rows) is not op for op in ops) == dense
+    for rows in range(1, DENSE_MIN_BATCH):
+        assert all(route(op, rows) is op for op in ops)
+
+
+@pytest.mark.parametrize("rows", [DENSE_MIN_BATCH, 32])
+@pytest.mark.parametrize("arch, shape", [
+    ("lista", (12,)), ("toeplitz1d", (12,)), ("toeplitz2d", (3, 4)),
+    ("convlista", (12,)), ("convlista", (3, 4))])
+def test_dense_route_forward_with_and_without_cache_agree_bit_for_bit(arch, shape, rows):
+    rng = np.random.default_rng(40)
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 5, seed=1))
+    net = init_network(arch, d, 3, lam=0.1)
+    for layer in net.layers:
+        layer.inhibit = rand_carray(rng, layer.inhibit.shape)
+    y = batch(rng, (rows, 5))
+    plain = forward_planes(net, y.real, y.imag)
+    cached = forward_planes(net, y.real, y.imag, keep_cache=True)
+    assert np.array_equal(plain[0], cached[0]) and np.array_equal(plain[1], cached[1])
+    # and the FFT route's numbers, row by row, to rounding
+    fft = [forward_planes(net, y[i:i + 1].real, y[i:i + 1].imag) for i in range(rows)]
+    want = np.concatenate([a + 1j * b for a, b, _ in fft])
+    got = plain[0] + 1j * plain[1]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("arch, shape", [
     ("lista", (12,)), ("toeplitz1d", (12,)), ("toeplitz2d", (3, 4)),
     ("convlista", (12,)), ("convlista", (3, 4))])
@@ -634,6 +694,19 @@ def test_network_names_the_layer_and_branch_of_a_wrong_shaped_weight(arch, branc
     with pytest.raises(ValueError) as err:
         UnfoldedNetwork(arch, shape, d.n_obs, layers)
     assert str(err.value) == f"layer 2 {name} weight has shape {cut}, expected {want}"
+
+
+@pytest.mark.parametrize("rows", [1, 128])
+def test_forward_refuses_a_weight_assigned_after_the_network_was_built(rows):
+    # a 22-entry kernel where M=12 takes 23: the FFT route once ran it without
+    # a word, and the dense route's strided view would read past its end
+    d = hf.build_dictionary((12,), hf.draw_sampling(12, 5, seed=1))
+    net = init_network("toeplitz1d", d, 3, lam=0.1)
+    net.layers[2].inhibit = ComplexArray.zeros((22,))
+    y = batch(np.random.default_rng(42), (rows, 5))
+    with pytest.raises(ValueError) as err:
+        forward_planes(net, y.real, y.imag)
+    assert str(err.value) == "layer 2 inhibition weight has shape (22,), expected (23,)"
 
 
 @pytest.mark.parametrize("arch", ARCHS)

@@ -6,8 +6,9 @@ import pytest
 import hunfold as hf
 from hunfold.cplx import ComplexArray
 from hunfold.harmonic import Dataset
-from hunfold.nets import (Layer, UnfoldedNetwork, branches, forward,
-                          forward_planes, init_network, param_count)
+from hunfold.nets import (DENSE_MIN_BATCH, Layer, UnfoldedNetwork, branches,
+                          forward, forward_planes, init_network, param_count,
+                          route)
 from hunfold.training import (TrainConfig, _backward_planes,
                               _soft_threshold_adjoint, adam_step, backward,
                               estimate_dictionary, init_adam_state, loss_nmse,
@@ -71,8 +72,8 @@ def place_thresholds(net, ds, lo=0.4, hi=0.9):
         layer.threshold.fill(0.5 * (mags[pick] + mags[pick + 1]))
 
 
-def fd_check(arch, shape, n, depth=3, seed=5, eps=1e-5, tol=1e-4):
-    d, ds = make_problem(shape, n, seed=seed)
+def fd_check(arch, shape, n, depth=3, seed=5, eps=1e-5, tol=1e-4, count=4):
+    d, ds = make_problem(shape, n, count=count, seed=seed)
     net, params = perturbed_net(arch, d, depth, seed)
     place_thresholds(net, ds)
     assert kink_margin(net, ds) > 1e-2, "no test point clear of threshold kinks"
@@ -260,6 +261,18 @@ def test_gradients_match_finite_differences_toeplitz2d():
 
 def test_gradients_match_finite_differences_convlista_2d():
     fd_check("convlista", (3, 4), 6)
+
+
+@pytest.mark.parametrize("arch, shape, n, seed", [
+    ("toeplitz1d", (12,), 6, 5), ("toeplitz2d", (3, 4), 6, 5), ("convlista", (10,), 6, 7)])
+def test_gradients_match_finite_differences_on_the_dense_route(arch, shape, n, seed):
+    # a batch at the dense route's floor: every Conv runs as its matrix, in
+    # the backward pass and in the loss alike
+    obs_op, inhibit_op = branches(arch, shape, n)
+    assert route(inhibit_op, DENSE_MIN_BATCH) is inhibit_op.matrix
+    if arch == "convlista":
+        assert route(obs_op, DENSE_MIN_BATCH) is obs_op.matrix
+    fd_check(arch, shape, n, seed=seed, count=DENSE_MIN_BATCH)
 
 
 def test_filter_gradient_matches_closed_form():
@@ -483,6 +496,34 @@ def test_estimate_dictionary_rank_deficient_rejected():
 # -- the spectral cache of the backward pass -----------------------------------
 
 
+@pytest.mark.parametrize("arch, shape, n_obs", [
+    ("toeplitz1d", (64,), 16), ("toeplitz2d", (8, 8), 32), ("convlista", (64,), 16)])
+def test_a_desk_training_step_runs_no_fft_and_a_batch_1_forward_does(
+        arch, shape, n_obs, monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "fft2", "ifft2"):
+        def spy(*args, _orig=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    rng = np.random.default_rng(43)
+    net = random_net(arch, shape, n_obs, 5, rng, theta=0.1)
+    y = rng.standard_normal((128, n_obs)) + 1j * rng.standard_normal((128, n_obs))
+    truth = rng.standard_normal((128, net.total)) + 1j * rng.standard_normal((128, net.total))
+    grads, _, _, _ = _backward_planes(net, y, truth)
+    assert calls == [] and len(grads) == 15
+    # one row stays on the FFT route: the one-shot Conv.apply convolves
+    conv_calls = []
+
+    def counted(*args, _orig=hf.nets.conv_full_planes):
+        conv_calls.append(args[2].shape)
+        return _orig(*args)
+
+    monkeypatch.setattr(hf.nets, "conv_full_planes", counted)
+    forward_planes(net, y[:1].real, y[:1].imag)
+    assert len(conv_calls) == 4 and calls
+
+
 def random_net(arch, shape, n_obs, depth, rng, theta=0.3):
     """Random weights in every slot, so no gradient vanishes."""
     obs_op, inhibit_op = branches(arch, shape, n_obs)
@@ -555,12 +596,15 @@ def test_backward_spectra_match_a_fresh_reference_across_adam_steps(arch, shape,
 
 @pytest.mark.parametrize("arch, shape, depth, batch, want", [
     ("lista", (8,), 5, 128, 0),
-    ("toeplitz1d", (8,), 5, 128, 4 * (4 * 128 + 2)),
-    ("toeplitz2d", (2, 4), 5, 128, 4 * (4 * 128 + 2)),
+    # at 128 rows, grids whose Conv matrices are too large for the dense
+    # route (nets.route), so that every branch transforms
+    ("toeplitz1d", (256,), 5, 128, 4 * (4 * 128 + 2)),
+    ("toeplitz2d", (16, 16), 5, 128, 4 * (4 * 128 + 2)),
     ("toeplitz1d", (8,), 3, 7, 2 * (4 * 7 + 2)),
     # per layer 2B+2 rows on the observation branch, and the observations
     # once; on a 1-D grid both branches transform gu alike and share it
-    ("convlista", (8,), 5, 128, 5 * (2 * 128 + 2) + 128 + 4 * (3 * 128 + 2)),
+    # (M = 4096: kernels of M+3 and 2M-1 entries, one power of two)
+    ("convlista", (4096,), 5, 128, 5 * (2 * 128 + 2) + 128 + 4 * (3 * 128 + 2)),
     ("convlista", (2, 4), 3, 7, 3 * (2 * 7 + 2) + 7 + 2 * (4 * 7 + 2))])
 def test_backward_transforms_each_activation_once(arch, shape, depth, batch, want,
                                                   monkeypatch):
