@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__, nets
 from .cplx import ComplexArray, join_planes, shrink
-from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet, _draw,
-                       _is_int, build_dictionary, db_to_sigma2, draw_sampling,
-                       gaussian, make_instance, synth_offgrid)
+from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet, _check_samples,
+                       _draw, _is_int, build_dictionary, db_to_sigma2,
+                       draw_sampling, gaussian, make_instance, synth_offgrid)
 from .metrics import hit_rate_metric, nmse_metric
 from .solvers import SolverConfig, default_lambda, fista, ista
 
@@ -71,7 +71,7 @@ class ExperimentConfig:
     ``budgets`` maps solver names to iteration counts; learned methods take
     their depth from the loaded model.  ``models`` maps learned method
     names to :class:`UnfoldedNetwork` instances whose dimensions must match
-    the problem.
+    the problem.  A field that is not a problem is a ValueError naming it.
     """
 
     shape: tuple[int, ...]
@@ -88,7 +88,18 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        self.shape = tuple(int(s) for s in self.shape)
+        if not (isinstance(self.shape, (tuple, list)) and len(self.shape) in (1, 2)
+                and all(_is_int(m) and m >= 1 for m in self.shape)):
+            raise ValueError(f"shape must be (M,) or (M1, M2) of integers >= 1, "
+                             f"got {self.shape!r}")
+        self.shape = tuple(int(m) for m in self.shape)
+        total = math.prod(self.shape)
+        for name, low, top in (("n_obs", 1, total), ("k", 0, total),
+                               ("seed", 0, math.inf), ("sample_seed", 0, math.inf)):
+            value = getattr(self, name)
+            if not (_is_int(value) and low <= value <= top):
+                want = f">= {low}" if top == math.inf else f"from {low} to the grid size {top}"
+                raise ValueError(f"{name} must be an integer {want}, got {value!r}")
         if not self.methods:
             raise ValueError("need at least one method")
         if self.trials_per_point < 1:
@@ -156,6 +167,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
     is 20*log10 of the trial-averaged norm ratio; the hit rate is averaged
     over trials, and the runtime is the block's time over the trials.
     """
+    if cfg.k < 1:   # refused before any recovery: the metrics score components
+        raise ValueError(f"k must be >= 1 for a sweep, got {cfg.k}")
     sampling = draw_sampling(int(np.prod(cfg.shape)), cfg.n_obs, cfg.sample_seed)
     d = build_dictionary(cfg.shape, sampling)
     trials = cfg.trials_per_point
@@ -269,17 +282,19 @@ def complexity_report(sizes, n_obs: int = 64, repeats: int = 5,
 def write_iq_grid(path, shape, omega, y: ComplexArray) -> None:
     """2-D observation file: magic ``HIQ1``, u32 JSON-header length, the
     JSON header (m1, m2, omega), then the N samples as (re, im) f64 pairs.
-    The header passes the checks of :func:`read_iq_grid` and
-    :func:`ingest_iq_grid`: m1 and m2 are integers >= 1, and omega, read
-    through SamplingSet, lists at least one index and none past m1*m2."""
+    The file passes the checks of :func:`read_iq_grid` and
+    :func:`ingest_iq_grid`: m1 and m2 are integers >= 1, omega, read through
+    SamplingSet, lists at least one index and none past m1*m2, and ``y``
+    holds one finite sample per index."""
     if len(shape) != 2 or not all(_is_int(m) and m >= 1 for m in shape):
         raise ValueError(f"an IQ grid takes two integer sizes >= 1, got {tuple(shape)}")
     omega = SamplingSet(omega, 0).omega
     if not omega.size or omega[-1] >= shape[0] * shape[1]:
         raise ValueError(f"omega must list at least one index, each below "
                          f"{shape[0] * shape[1]}, got {omega.tolist()}")
-    if len(omega) != y.shape[0]:
-        raise ValueError("one sample per observed index is required")
+    if y.shape != omega.shape:
+        raise ValueError(f"{omega.size} indices need as many samples, got shape {y.shape}")
+    _check_samples(path, (None, y.z))
     head = json.dumps({"m1": int(shape[0]), "m2": int(shape[1]),
                        "omega": omega.tolist()}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -315,9 +330,7 @@ def read_iq_grid(path):
         raise ValueError(f"{path}: payload holds {len(body) // 16} samples "
                          f"but the index set lists {omega.size}")
     y = np.frombuffer(body, dtype="<c16").astype(np.complex128)
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValueError(f"{path}: sample {bad[0]} is not finite")
+    _check_samples(path, (None, y))
     return shape, omega, ComplexArray(y)
 
 

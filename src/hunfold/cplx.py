@@ -119,6 +119,16 @@ def join_planes(re, im) -> np.ndarray:
     return z
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite: one sum, with no temporary
+    array (whose allocation made loading a paper-scale model several times
+    slower), or the entrywise check where the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(a.sum()):
+            return True
+    return bool(np.isfinite(a).all())
+
+
 def hermitian(a: ComplexArray) -> ComplexArray:
     """Conjugate transpose."""
     if a.ndim != 2:

@@ -5,16 +5,15 @@ rows of the unnormalised M x M Fourier matrix, the rows picked by a random
 index set.  The two-dimensional analogue observes an (M1, M2) grid through
 rows of the Kronecker product of the two per-axis Fourier matrices.
 
-Grid cells are numbered with the last axis fastest: cell (m1, m2) has
-flat index ``m1*M2 + m2``, matching the Kronecker column order.  A
-convolution grid runs its first axis fastest, so that numbering is the
-column-stacked one of :func:`conv_grid`, the axes reversed: (M,) in 1-D,
-(M2, M1) in 2-D.  The Gram matrix is Toeplitz on that grid (Hermitian
-Toeplitz in 1-D, doubly-block Toeplitz in 2-D with the in-block axis
-running over m2), and :func:`gram_generator` returns its
-:class:`~hunfold.spectral.Toeplitz` generator there.  The dictionary, the
-Gram generator and off-grid observations are each built by one loop over
-the axes of ``np.unravel_index(omega, shape)``.
+Grid cells are numbered in numpy's C order, the last axis fastest: cell
+(m1, m2) has flat index ``m1*M2 + m2``, matching the Kronecker column
+order.  The Gram matrix is Toeplitz on that grid (Hermitian Toeplitz in
+1-D, doubly-block Toeplitz in 2-D with the in-block axis running over
+m2), and :func:`gram_generator` returns its
+:class:`~hunfold.spectral.Toeplitz` generator there, of shape ``(2*M1-1,
+2*M2-1)`` in 2-D.  The dictionary, the Gram generator and off-grid
+observations are each built by one loop over the axes of
+``np.unravel_index(omega, shape)``.
 
 Every Fourier entry ``exp(+-j 2 pi r c / M_a)`` of an axis is read from one
 table of the M_a roots of unity at its phase reduced mod M_a, the index
@@ -43,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cplx import ComplexArray
-from .spectral import Toeplitz, toeplitz_extract
+from .cplx import ComplexArray, _all_finite
+from .spectral import Toeplitz
 
 __all__ = [
     "Dataset",
@@ -52,7 +51,6 @@ __all__ = [
     "SamplingSet",
     "SparseInstance",
     "build_dictionary",
-    "conv_grid",
     "db_to_sigma2",
     "draw_sampling",
     "fourier_matrix",
@@ -156,16 +154,6 @@ class Dictionary:
         return self.sampling.count
 
 
-def conv_grid(shape) -> tuple[int, ...]:
-    """The convolution grid of a spectrum grid ``shape``: its axes reversed.
-
-    Flat index ``m1*M2 + m2`` makes the last spectrum axis the fastest, and a
-    convolution grid (:class:`~hunfold.spectral.Toeplitz`) runs its first
-    axis fastest; (M,) stays (M,) and (M1, M2) becomes (M2, M1).
-    """
-    return tuple(int(s) for s in shape[::-1])
-
-
 def build_dictionary(shape, sampling: SamplingSet) -> Dictionary:
     """Materialise the selected rows without forming the full square matrix.
 
@@ -193,25 +181,20 @@ def gram(d: Dictionary) -> ComplexArray:
 def gram_generator(d: Dictionary) -> Toeplitz:
     """Structured generator of the Gram matrix, computed from the index set.
 
-    A :class:`~hunfold.spectral.Toeplitz` on :func:`conv_grid`: the entry
+    A :class:`~hunfold.spectral.Toeplitz` on the spectrum grid: the entry
     at offsets ``(p_a)`` sums, over the samples, the product of the axes'
     phase factors ``exp(-j (2 pi / M_a) p_a i_a)``.  That sum is one
-    matrix product: the row-wise Kronecker product of the other axes'
-    factors (last axis slowest; a row of ones in 1-D) times the first
-    axis's.  Expanding it reproduces :func:`gram` up to rounding.
+    matrix product: the row-wise Kronecker product of the leading axes'
+    factors (a row of ones in 1-D) times the last axis's.  Expanding it
+    reproduces :func:`gram` up to rounding, and so does reading it back
+    out of :func:`gram` with :func:`~hunfold.spectral.toeplitz_extract`.
     """
     factors = [_roots(m, np.arange(1 - m, m), i, sign=-1)
                for i, m in zip(np.unravel_index(d.sampling.omega, d.shape), d.shape)]
     rest = functools.reduce(lambda a, b: (a[:, None, :] * b[None, :, :]).reshape(
-        a.shape[0] * b.shape[0], d.n_obs), factors[:0:-1], np.ones((1, d.n_obs)))
-    grid = conv_grid(d.shape)
-    diags = (rest @ factors[0].T).reshape(tuple(2 * g - 1 for g in grid))
-    return Toeplitz(ComplexArray(diags), grid)
-
-
-def gram_generator_from_dense(d: Dictionary) -> Toeplitz:
-    """Same generator, read back out of the dense Gram matrix."""
-    return toeplitz_extract(gram(d), conv_grid(d.shape))
+        a.shape[0] * b.shape[0], d.n_obs), factors[:-1], np.ones((1, d.n_obs)))
+    diags = (rest @ factors[-1].T).reshape(tuple(2 * m - 1 for m in d.shape))
+    return Toeplitz(ComplexArray(diags), d.shape)
 
 
 def gaussian(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -408,14 +391,26 @@ def _pairs_from(buf, offset, shape):
     return ComplexArray(arr.astype(np.complex128).reshape(shape)), offset + count * 16
 
 
+def _check_samples(path, *named) -> None:
+    """Refuse the first sample (column, or entry of a vector) of the ``(name,
+    array)`` pairs that is not finite, naming the file and the matrix."""
+    for name, a in named:
+        if not _all_finite(a):
+            bad = np.flatnonzero(~np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0))[0]
+            of = f" of the {name} matrix" if name else ""
+            raise ValueError(f"{path}: sample {bad}{of} is not finite")
+
+
 def write_dataset(path, ds: Dataset) -> None:
     """Binary dataset file plus a JSON sidecar at ``path + '.json'``.
 
     Layout: magic ``HUD1``; little-endian u32 kind tag (1 or 2); u32 grid
     size(s) (M, or M1 then M2); u32 n_obs; u32 n_samples; u32 k; u64 seed;
     f64 sigma2; then the observation matrix and the truth matrix, row-major
-    as (re, im) f64 pairs.
+    as (re, im) f64 pairs.  A matrix entry that is not finite is refused, as
+    :func:`read_dataset` refuses it.
     """
+    _check_samples(path, ("observation", ds.obs.z), ("truth", ds.truth.z))
     m = ds.meta
     head = struct.pack("<4sI", DATASET_MAGIC, m["kind"])
     head += struct.pack("<" + "I" * len(m["shape"]), *m["shape"])
@@ -477,10 +472,7 @@ def read_dataset(path) -> Dataset:
                          f"implies {want}")
     obs, off = _pairs_from(buf, off, (n_obs, n_samples))
     truth, off = _pairs_from(buf, off, (total, n_samples))
-    for name, a in (("observation", obs), ("truth", truth)):
-        bad = np.flatnonzero(~np.isfinite(a.z).all(axis=0))
-        if bad.size:
-            raise ValueError(f"{path}: sample {bad[0]} of the {name} matrix is not finite")
+    _check_samples(path, ("observation", obs.z), ("truth", truth.z))
     meta = {
         "kind": kind, "shape": list(shape), "n_obs": n_obs,
         "n_samples": n_samples, "k": k, "sigma2": sigma2, "seed": seed,

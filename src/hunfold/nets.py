@@ -14,7 +14,7 @@ pass each layer's input and kernel spectra.  The architectures:
 
 * ``lista``       Dense observation, Dense inhibition;
 * ``toeplitz1d``  Dense observation, length 2M-1 Toeplitz inhibition kernel;
-* ``toeplitz2d``  Dense observation, two-axis kernel on the (M2, M1) grid;
+* ``toeplitz2d``  Dense observation, (2*M1-1, 2*M2-1) kernel on the (M1, M2) grid;
 * ``convlista``   a length M+N-1 observation kernel and a Toeplitz kernel.
 
 Parameters are untied across layers.  A kernel stays the parameter of its
@@ -35,14 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cplx import (ComplexArray, NumericError, hermitian, join_planes,
-                   lipschitz_constant, shrink)
-from .harmonic import Dictionary, conv_grid
+from .cplx import (ComplexArray, NumericError, _all_finite, hermitian,
+                   join_planes, lipschitz_constant, shrink)
+from .harmonic import Dictionary
 # conv_full2_planes is not called here.  It stays bound because the benchmark
 # tracer (perfbench/tracing.py) wraps it on this module as well and reports a
 # name it cannot find as absent.
 from .spectral import (conv_full_planes, conv_full2_planes,  # noqa: F401
-                       kernel_bins, kernel_sum, next_pow2, toeplitz_matrix)
+                       kernel_sum, next_pow2, toeplitz_matrix)
 
 __all__ = [
     "ARCHS",
@@ -71,7 +71,7 @@ class Layer:
     ``filt`` is the observation weight in its operator's shape: the M x N
     matrix, or for ``convlista`` a kernel of length M+N-1.  ``inhibit`` is
     the inhibition weight in its operator's shape: dense (M, M), a 1-D
-    kernel of length 2M-1, or a 2-D kernel of shape (2*g1-1, 2*g2-1).
+    kernel of length 2M-1, or a 2-D kernel of shape (2*M1-1, 2*M2-1).
     ``threshold`` is a 0-d float64 array of the layer's own, copied from the
     value given, which training steps in place.  ``filt_kernel`` is a
     placeholder that must be None; it keeps the four-argument positional
@@ -117,11 +117,12 @@ class UnfoldedNetwork:
         return len(self.layers)
 
 
-def _check_weights(net: UnfoldedNetwork) -> None:
+def _check_weights(net: UnfoldedNetwork, finite: bool = False) -> None:
     """Refuse a layer whose weights do not have the shapes of ``net.ops``,
-    naming the layer, the branch and both shapes.  A weight assigned to a
-    layer after the network was built reaches only this check, which every
-    forward pass runs before it reads a weight."""
+    naming the layer, the branch and both shapes, and with ``finite`` (a
+    model file's check) one that holds an entry that is not finite.  A
+    weight assigned to a layer after the network was built reaches only
+    this check, which every forward pass runs before it reads a weight."""
     for t, layer in enumerate(net.layers):
         for name, w, op in zip(("observation", "inhibition"),
                                (layer.filt, layer.inhibit), net.ops):
@@ -129,6 +130,8 @@ def _check_weights(net: UnfoldedNetwork) -> None:
             if got != op.shape:
                 raise ValueError(f"layer {t} {name} weight has shape {got}, "
                                  f"expected {op.shape}")
+            if finite and not _all_finite(w.z):
+                raise ValueError(f"layer {t} {name} weight is not finite")
 
 
 # -- branch operators ----------------------------------------------------------
@@ -172,6 +175,7 @@ class Dense(_Branch):
         return (self.n_out, self.n_in)
 
     out_transform = None   # out_spectrum is the identity
+    file_order = "C"       # HUN1 plane order, see save_network
 
     def weight_spectrum(self, w: ComplexArray):
         return w.z
@@ -198,11 +202,11 @@ class Dense(_Branch):
 @functools.lru_cache(maxsize=256)
 def _flat_index(start, size, n):
     """Positions of the window of ``size`` cells per axis from ``start`` on
-    a grid laid at strides (1, n[0], n[0]*n[1], ...), mod prod(n): a
-    read-only index array, axes slowest first, that every caller shares."""
-    strides = np.cumprod((1,) + n[:-1])
-    axes = [np.arange(s, s + m) * st for s, m, st in zip(start, size, strides)]
-    idx = functools.reduce(np.add.outer, reversed(axes)) % math.prod(n)
+    a grid laid flat in C order at ``n`` points per axis, mod prod(n): a
+    read-only index array of shape ``size`` that every caller shares."""
+    axes = [np.arange(s, s + m) * math.prod(n[a + 1:])
+            for a, (s, m) in enumerate(zip(start, size))]
+    idx = functools.reduce(np.add.outer, axes) % math.prod(n)
     idx.flags.writeable = False
     return idx
 
@@ -213,14 +217,14 @@ class Conv(_Branch):
 
     The kernel has K = ``grid_in + grid_out - 1`` entries per axis; the
     output is the ``grid_out`` window of the full convolution that starts
-    ``grid_in - 1`` past the kernel origin.  A 2-D grid (rows, cols) holds
-    its flat vector column-stacked, the layout of
-    :func:`~hunfold.harmonic.conv_grid`.
+    ``grid_in - 1`` past the kernel origin.  Grids are spectrum grids, and
+    a batch row is a grid's flat vector in C order, the last axis fastest.
 
     Everything runs on 1-D transforms of ``prod(n)`` points, ``n =
-    next_pow2(K)`` per axis.  A grid (a batch row, or the kernel through
-    its transposed view) is laid with cell (r, c) at ``r + c*n[0]``; one
-    inverse is read at the window of cells ``start + (i, j)`` mod prod(n):
+    next_pow2(K)`` per axis.  A grid (a batch row, or the kernel) is laid
+    flat in C order with every axis padded to ``n``, cell (r, c) at
+    ``r*n[1] + c``; one inverse is read at the window of cells
+    ``start + (i, j)`` mod prod(n):
 
     * ``apply``   window(K^ X^, start ``grid_in - 1``, size ``grid_out``);
     * ``adjoint`` window(conj(K^) G^, start ``-(grid_in - 1)``, size
@@ -234,8 +238,8 @@ class Conv(_Branch):
     [0, K + grid_in - 2]; adjoint: kept lags [-(grid_in - 1), 0] of
     [-(K - 1), grid_out - 1]; grad: both [-(grid_in - 1), grid_out - 1]),
     and indices equal mod n that differ by less than n are equal.  On the
-    flat circle a term (r, c), whose r may run past n[0], lands on a kept
-    (a, b) only if r = a mod n[0], so r = a; then c = b mod n[1], so c = b.
+    flat circle a term (r, c), whose c may run past n[1], lands on a kept
+    (a, b) only if c = b mod n[1], so c = b; then r = a mod n[0], so r = a.
 
     ``matrix`` is the same operator computed densely, for small grids on
     large batches (:func:`route`); the parameter is the kernel either way.
@@ -243,6 +247,7 @@ class Conv(_Branch):
 
     grid_in: tuple[int, ...]
     grid_out: tuple[int, ...]
+    file_order = "F"   # HUN1 plane order, see save_network
 
     @functools.cached_property
     def shape(self) -> tuple[int, ...]:
@@ -254,35 +259,34 @@ class Conv(_Branch):
         return tuple(next_pow2(s) for s in self.shape)
 
     def _lay(self, a, grid):
-        """Flat column-stacked rows on ``grid`` laid at the transform's
-        strides, each column zero-padded to ``n[0]`` cells (1-D: as it is)."""
+        """Flat rows on ``grid`` laid at the transform's strides, each run
+        of the last axis zero-padded to ``n[-1]`` cells (1-D: as it is)."""
         if len(grid) == 1:
             return a
         lead = a.shape[:-1]
-        buf = np.zeros(lead + self.n[::-1], dtype=np.complex128)
-        cells = tuple(slice(g) for g in grid[::-1])
-        buf[(Ellipsis,) + cells] = a.reshape(lead + grid[::-1])
+        buf = np.zeros(lead + self.n, dtype=np.complex128)
+        buf[(Ellipsis,) + tuple(slice(g) for g in grid)] = a.reshape(lead + grid)
         return buf.reshape(lead + (-1,))
 
     def _spectrum(self, a, grid):
         return np.fft.fft(self._lay(a, grid), math.prod(self.n))
 
-    def _read(self, z, start, size, batch=True):
-        """Laid rows ``z`` read at the window of ``size`` cells per axis from
-        ``start``: a strided slice, or the cached index where a start is
-        negative; a batch as flat column-stacked rows, a kernel in its shape."""
+    def _read(self, z, start, size):
+        """Laid rows ``z`` read as flat rows at the window of ``size`` cells
+        per axis from ``start``: a strided slice, or the cached index where
+        a start is negative."""
         lead = z.shape[:-1]
         if min(start) >= 0:
-            cut = tuple(slice(s, s + m) for s, m in zip(start[::-1], size[::-1]))
-            z = z.reshape(lead + (-1,) + self.n[-2::-1])[(Ellipsis,) + cut]
+            cut = tuple(slice(s, s + m) for s, m in zip(start, size))
+            z = z.reshape(lead + (-1,) + self.n[1:])[(Ellipsis,) + cut]
         else:
             z = z[..., _flat_index(start, size, self.n)]
-        return z.reshape(lead + (-1,)) if batch else z.T
+        return z.reshape(lead + (-1,))
 
-    def _window(self, spec, start, size, batch=True):
+    def _window(self, spec, start, size):
         """Inverse transform of ``spec``, read as :meth:`_read` does into a
         contiguous array, which later element-wise passes run faster on."""
-        return np.ascontiguousarray(self._read(np.fft.ifft(spec), start, size, batch))
+        return np.ascontiguousarray(self._read(np.fft.ifft(spec), start, size))
 
     def apply(self, w: ComplexArray, x):
         """The branch in one shot, for a caller that keeps no spectra: one
@@ -292,7 +296,7 @@ class Conv(_Branch):
         ``in_spectrum`` and reads the same window, so the two agree bit for
         bit.  The benchmark tracer (perfbench/tracing.py) counts these
         calls as ``spectral.conv``."""
-        k, x = self._lay(w.z.T.ravel(), self.shape), self._lay(x, self.grid_in)
+        k, x = self._lay(w.z.ravel(), self.shape), self._lay(x, self.grid_in)
         planes = conv_full_planes(k.real, k.imag, x.real, x.imag, math.prod(self.n))
         return join_planes(*(self._read(p, self._apply_start, self.grid_out)
                              for p in planes))
@@ -304,7 +308,7 @@ class Conv(_Branch):
         return self.grid_out, self.n
 
     def weight_spectrum(self, w: ComplexArray):
-        return self._spectrum(w.z.T.ravel(), self.shape)
+        return self._spectrum(w.z.ravel(), self.shape)
 
     def in_spectrum(self, x):
         return self._spectrum(x, self.grid_in)
@@ -328,7 +332,7 @@ class Conv(_Branch):
 
     def grad_hat(self, g, x):
         return self._window(np.sum(g * np.conj(x), axis=0), self._correlation_start,
-                            self.shape, batch=False)
+                            self.shape).reshape(self.shape)
 
     @functools.cached_property
     def matrix(self) -> "_ConvMatrix":
@@ -337,7 +341,11 @@ class Conv(_Branch):
 
     @functools.cached_property
     def _bins(self) -> np.ndarray:
-        return kernel_bins(self.grid_in, self.grid_out)
+        """:func:`~hunfold.spectral.kernel_sum`'s bins: the matrix of a kernel
+        that holds its own flat positions, as ``2p`` and ``2p + 1``."""
+        pos = np.arange(math.prod(self.shape)).reshape(self.shape)
+        flat = toeplitz_matrix(pos, self.grid_in, self.grid_out)
+        return (2 * flat.reshape(-1, 1) + np.arange(2)).ravel()
 
     def kernel_sum(self, m) -> np.ndarray:
         """Per kernel position, the sum of the entries of a dense
@@ -410,8 +418,7 @@ def branches(arch: str, shape, n_obs: int):
     obs = Conv((n_obs,), (total,)) if arch == "convlista" else Dense(total, n_obs)
     if arch == "lista":
         return obs, Dense(total, total)
-    grid = conv_grid(shape)
-    return obs, Conv(grid, grid)
+    return obs, Conv(shape, shape)
 
 
 def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
@@ -517,15 +524,10 @@ def param_count(net: UnfoldedNetwork) -> dict:
     }
 
 
-def _write_planes(fh, a: ComplexArray):
-    fh.write(a.re.astype("<f8").tobytes())
-    fh.write(a.im.astype("<f8").tobytes())
-
-
-def _read_planes(buf, off, shape):
-    cnt = int(np.prod(shape))
-    re = np.frombuffer(buf, dtype="<f8", count=cnt, offset=off).reshape(shape)
-    im = np.frombuffer(buf, dtype="<f8", count=cnt, offset=off + cnt * 8).reshape(shape)
+def _read_planes(buf, off, op):
+    cnt = math.prod(op.shape)
+    planes = np.frombuffer(buf, dtype="<f8", count=2 * cnt, offset=off).reshape(2, cnt)
+    re, im = (p.reshape(op.shape, order=op.file_order) for p in planes)
     return ComplexArray(re, im), off + cnt * 16
 
 
@@ -536,15 +538,24 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
     ``ARCHS``); u32 depth; u32 grid rank; u32 dim1; u32 dim2 (0 when 1-D);
     u32 n_obs; then per layer the observation planes (filter matrix or
     kernel, re then im), the inhibition planes, and the threshold as f64.
+    A matrix's planes are row-major.  A kernel's run its first axis fastest
+    (Fortran order): a 2-D kernel of shape (2*M1-1, 2*M2-1) goes column by
+    column, a 1-D kernel as it is.  Each operator's ``file_order`` names
+    its order.  A weight that :func:`load_network` would refuse is refused.
     """
+    try:
+        _check_weights(net, finite=True)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     head = struct.pack("<4sIIIIII", MODEL_MAGIC, ARCHS.index(net.arch),
                        net.depth, len(net.shape), *(net.shape + (0,))[:2],
                        net.n_obs)
     with open(path, "wb") as fh:
         fh.write(head)
         for layer in net.layers:
-            _write_planes(fh, layer.filt)
-            _write_planes(fh, layer.inhibit)
+            for w, op in zip((layer.filt, layer.inhibit), net.ops):
+                for plane in (w.re, w.im):
+                    fh.write(plane.astype("<f8").tobytes(op.file_order))
             fh.write(struct.pack("<d", layer.threshold))
     side = {
         "arch": net.arch,
@@ -561,17 +572,6 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
         fh.write("\n")
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite.  A finite sum proves it without
-    ``np.isfinite``'s temporary array, whose allocation made loading a
-    paper-scale (32x32) model several times slower; a sum that overflows
-    falls back to the entrywise check."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(a.sum()):
-            return True
-    return bool(np.isfinite(a).all())
-
-
 def load_network(path) -> UnfoldedNetwork:
     """Read a :func:`save_network` file; a malformed one raises a ValueError
     naming it."""
@@ -586,24 +586,22 @@ def load_network(path) -> UnfoldedNetwork:
         arch = ARCHS[arch_tag]
         shape = (d1, d2)[:rank]
         obs_op, inhibit_op = branches(arch, shape, n_obs)
-        want = 28 + depth * (16 * (int(np.prod(obs_op.shape))
-                                   + int(np.prod(inhibit_op.shape))) + 8)
+        want = 28 + depth * (16 * (math.prod(obs_op.shape) + math.prod(inhibit_op.shape)) + 8)
         if len(buf) != want:
             raise ValueError(f"file holds {len(buf)} bytes but its header implies {want}")
         off = 28
         layers = []
         for t in range(depth):
-            obs, off = _read_planes(buf, off, obs_op.shape)
-            inhibit, off = _read_planes(buf, off, inhibit_op.shape)
-            for name, w in (("observation", obs), ("inhibition", inhibit)):
-                if not _all_finite(w.z):
-                    raise ValueError(f"layer {t} {name} weight is not finite")
+            obs, off = _read_planes(buf, off, obs_op)
+            inhibit, off = _read_planes(buf, off, inhibit_op)
             (theta,) = struct.unpack_from("<d", buf, off)
             off += 8
             try:
                 layers.append(Layer(obs, None, inhibit, theta))
             except ValueError as exc:
                 raise ValueError(f"layer {t} {exc}") from None
-        return UnfoldedNetwork(arch, shape, n_obs, layers)
+        net = UnfoldedNetwork(arch, shape, n_obs, layers)
+        _check_weights(net, finite=True)
+        return net
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

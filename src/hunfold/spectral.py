@@ -8,7 +8,7 @@ the caller gives.  The network layers' windowed convolution,
 ``apply``: on a 1-D grid at the power of two at or above its kernel length,
 shorter than the full linear length, because it keeps only a window that
 cannot alias; on a 2-D grid at the product of those powers of two, with
-the grid laid flat at a row stride of the first axis's power of two, so
+the grid laid flat at a row stride of the last axis's power of two, so
 that one 1-D transform does the work of a 2-D one.  A training step
 instead transforms through ``numpy.fft`` in ``Conv`` itself, so that it
 can keep the spectra and reuse them in the backward pass.  A small ``Conv``
@@ -21,20 +21,21 @@ which :func:`toeplitz_extract` reads back at one entry per kernel position.
 
 Index conventions used throughout the package, one rule per grid axis:
 
+* a grid's cells flatten in numpy's C order, the last axis fastest, the
+  order of the spectrum grid's Kronecker columns;
 * a :class:`Toeplitz` generator on ``grid`` stores diagonal value d(p) of
-  an axis of g cells at position ``p + g - 1`` for offsets p in
-  ``-(g-1) .. g-1``: ``2*g - 1`` entries per axis;
-* the operator acts on the grid's column-stacked vector, the first axis
-  fastest: cell ``(c0, c1, ...)`` sits at ``c0 + c1*g0 + ...``;
+  grid axis a (g cells) at position ``p + g - 1`` of its own axis a, for
+  offsets p in ``-(g-1) .. g-1``: ``2*g - 1`` entries per axis;
 * flat output cell s and input cell i read the kernel at position
   ``s - i + g_in - 1`` per axis, d(s - i): on one axis a Toeplitz matrix;
-  on two, the first axis runs inside blocks and the second across them,
+  on two, the last axis runs inside blocks and the first across them,
   doubly-block Toeplitz.  The rule is written once, as a read-only strided
   view of the kernel, with no index arrays: :func:`toeplitz_matrix` (and
   :func:`toeplitz_expand` through it) is one copy of that view of a kernel,
   so the dense matrix is its only M^2-sized allocation, and
   :func:`kernel_index` one copy of that view of each axis's kernel
-  positions, which :func:`kernel_sum` adds a matrix's entries over.
+  positions; :func:`kernel_sum`, its adjoint, bins a matrix's entries by
+  that view of the flat positions.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "conv1d",
     "conv_full_planes",
     "conv_full2_planes",
-    "kernel_bins",
     "kernel_index",
     "kernel_sum",
     "next_pow2",
@@ -71,11 +71,11 @@ def next_pow2(n: int) -> int:
 class Toeplitz:
     """Generator of a Toeplitz operator on a grid of any rank.
 
-    ``grid`` gives the cells per axis, the first axis fastest: the operator
-    acts on the grid's column-stacked vector, cell ``(c0, c1, ...)`` at flat
-    index ``c0 + c1*grid[0] + ...``.  ``diags`` has ``2*g - 1`` entries per
-    axis; position ``p + g - 1`` on an axis holds offset ``p``.  On one axis
-    the operator is plain Toeplitz, on two doubly-block Toeplitz.
+    ``grid`` gives the cells per axis; the operator acts on the grid's
+    flat vector in C order, the last axis fastest.  ``diags`` has
+    ``2*g - 1`` entries per axis, its axis a on grid axis a; position
+    ``p + g - 1`` on an axis holds offset ``p``.  On one axis the operator
+    is plain Toeplitz, on two doubly-block Toeplitz.
     """
 
     diags: ComplexArray
@@ -152,10 +152,9 @@ def _toeplitz_view(a: np.ndarray, grid_in, grid_out) -> np.ndarray:
     """Read-only view of kernel ``a`` whose entry (s, i) is
     ``a[s - i + g_in - 1]`` per axis, for output cell s and input cell i.
 
-    Its shape is ``grid_out[::-1] + grid_in[::-1]``: in C order the first
-    grid axis runs fastest, so reshaped to ``(prod(grid_out),
-    prod(grid_in))`` its rows and columns are the flat column-stacked cells.
-    ``a`` must have ``g_in + g_out - 1`` entries per axis.
+    Its shape is ``grid_out + grid_in``, so reshaped to ``(prod(grid_out),
+    prod(grid_in))`` its rows and columns are the flat cells.  ``a`` must
+    have ``g_in + g_out - 1`` entries per axis.
 
     The view starts at the kernel centre ``a[g_in - 1]`` and steps ``+st``
     along an output axis and ``-st`` along an input axis, ``st`` being that
@@ -165,15 +164,14 @@ def _toeplitz_view(a: np.ndarray, grid_in, grid_out) -> np.ndarray:
     the first and last entries of the axis.
     """
     centre = a[tuple(slice(g - 1, None) for g in grid_in)]
-    st = a.strides[::-1]
     return np.lib.stride_tricks.as_strided(
-        centre, tuple(grid_out[::-1]) + tuple(grid_in[::-1]),
-        st + tuple(-s for s in st), writeable=False)
+        centre, tuple(grid_out) + tuple(grid_in),
+        a.strides + tuple(-s for s in a.strides), writeable=False)
 
 
 def kernel_index(grid_in, grid_out) -> tuple[np.ndarray, ...]:
     """Per axis, the kernel position ``s - i + g_in - 1`` of every flat
-    column-stacked output cell s (a row) and input cell i (a column)."""
+    output cell s (a row) and input cell i (a column)."""
     shape = (math.prod(grid_out), math.prod(grid_in))
     pos = np.indices(tuple(gi + go - 1 for gi, go in zip(grid_in, grid_out)))
     return tuple(_toeplitz_view(p, grid_in, grid_out).copy().reshape(shape) for p in pos)
@@ -188,21 +186,13 @@ def toeplitz_matrix(a: np.ndarray, grid_in, grid_out) -> np.ndarray:
             .reshape(math.prod(grid_out), math.prod(grid_in)))
 
 
-def kernel_bins(grid_in, grid_out) -> np.ndarray:
-    """The bins that :func:`kernel_sum` adds a complex matrix's float64 view
-    into: the flat kernel position of each (output, input) cell pair, from
-    :func:`kernel_index`, as ``2p`` for the real part and ``2p + 1`` for the
-    imaginary part."""
-    shape = tuple(gi + go - 1 for gi, go in zip(grid_in, grid_out))
-    flat = np.ravel_multi_index(kernel_index(grid_in, grid_out), shape)
-    return (2 * flat.reshape(-1, 1) + np.arange(2)).ravel()
-
-
 def kernel_sum(m: np.ndarray, bins: np.ndarray, shape) -> np.ndarray:
     """Per kernel position, the sum of the entries of the complex matrix
     ``m`` that :func:`toeplitz_matrix` reads from it, as a complex128 kernel
-    of ``shape``: the adjoint of that expansion, one ``bincount`` over
-    :func:`kernel_bins`, each position's entries added in row-major order."""
+    of ``shape``: the adjoint of that expansion, one ``bincount`` of the
+    matrix's float64 view over ``bins``, the flat kernel position p of each
+    entry as ``2p`` (real part) and ``2p + 1`` (imaginary part), each
+    position's entries added in row-major order."""
     parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).ravel()
     return np.bincount(bins, parts, 2 * math.prod(shape)).view(np.complex128).reshape(shape)
 
@@ -225,11 +215,6 @@ def toeplitz_extract(g: ComplexArray, grid) -> Toeplitz:
     total = math.prod(grid)
     if g.shape != (total, total):
         raise ValueError(f"matrix shape {g.shape}, expected {(total, total)}")
-    s = i = 0
-    step = 1
-    for a, n in enumerate(grid):   # offsets -(n-1) .. n-1 along kernel axis a
-        p = np.arange(1 - n, n).reshape((-1,) + (1,) * (len(grid) - 1 - a))
-        s = s + np.maximum(p, 0) * step
-        i = i + np.maximum(-p, 0) * step
-        step *= n
-    return Toeplitz(ComplexArray(g.z[s, i]), grid)
+    p = np.ix_(*(np.arange(1 - n, n) for n in grid))   # offsets per kernel axis
+    cells = tuple(np.maximum(q, 0) for q in p) + tuple(np.maximum(-q, 0) for q in p)
+    return Toeplitz(ComplexArray(g.z.reshape(grid + grid)[cells]), grid)

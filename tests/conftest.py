@@ -4,6 +4,8 @@ Training fixtures are session-scoped because two of them take on the order
 of a minute; every consumer sees the same deterministic artefacts.
 """
 
+import struct
+
 import pytest
 
 import hunfold as hf
@@ -59,6 +61,22 @@ def trained_convlista(desk_dict, desk_train_data, desk_val_data):
     out = _train_desk("convlista", desk_dict, desk_train_data, desk_val_data)
     out["elapsed"] = time.perf_counter() - t0
     return out
+
+
+# a complex entry that a file holds nowhere else, for poke()
+SENTINEL = complex(12345.678, -8765.4321)
+
+
+def poke(path, value, sentinel=SENTINEL):
+    """Overwrite the one f64 real part and the one f64 imaginary part of
+    ``sentinel`` in the file at ``path`` with those of ``value``: the file
+    of an entry that its writer refuses to write."""
+    data = path.read_bytes()
+    for old, new in ((sentinel.real, value.real), (sentinel.imag, value.imag)):
+        old, new = struct.pack("<d", old), struct.pack("<d", new)
+        assert data.count(old) == 1
+        data = data.replace(old, new)
+    path.write_bytes(data)
 
 
 def rand_carray(rng, shape, scale=1.0):

@@ -14,13 +14,12 @@ from hunfold.bench import time_layer_forward
 from hunfold.cli import main as cli_main
 from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant
 from hunfold.harmonic import (build_dictionary, draw_sampling, gram,
-                              gram_generator_from_dense, sparse_from_rng,
-                              synth_offgrid)
+                              sparse_from_rng, synth_offgrid)
 from hunfold.metrics import hit_rate_metric, nmse_metric
-from hunfold.nets import (Conv, Layer, UnfoldedNetwork, conv_grid, forward,
-                          init_network, param_count)
+from hunfold.nets import (Conv, Layer, UnfoldedNetwork, forward, init_network,
+                          param_count)
 from hunfold.solvers import SolverConfig, default_lambda, fista, ista, objective
-from hunfold.spectral import Toeplitz, conv1d, toeplitz_expand
+from hunfold.spectral import Toeplitz, conv1d, toeplitz_expand, toeplitz_extract
 from hunfold.training import TrainConfig, train
 
 from conftest import (DESK_K, DESK_M, DESK_N, rand_carray)
@@ -63,7 +62,7 @@ def test_criterion_02_gram_is_doubly_block_toeplitz_2d():
         d = build_dictionary((m1, m2),
                              draw_sampling(m1 * m2, n, seed=int(rng.integers(1 << 31))))
         g = gram(d)
-        back = toeplitz_expand(gram_generator_from_dense(d))
+        back = toeplitz_expand(toeplitz_extract(gram(d), d.shape))
         worst = max(worst, float(np.max(np.abs(back.z - g.z))))
     ok = worst < 1e-10
     report(2, "2-D Gram equals the expansion of its extracted generator", ok,
@@ -92,7 +91,7 @@ def test_criterion_03_convolution_equivalences():
             m2 = max(1, 256 // m1)
         t = Toeplitz(rand_carray(rng, (2 * m1 - 1, 2 * m2 - 1)), (m1, m2))
         x = rand_carray(rng, (m1, m2))
-        vec = x.z.flatten(order="F")
+        vec = x.z.ravel()
         ref = toeplitz_expand(t).z @ vec
         got = Conv((m1, m2), (m1, m2)).apply(t.diags, vec[None])[0]
         scale = max(1.0, float(np.max(np.abs(ref))))
@@ -168,16 +167,15 @@ def test_criterion_05_structured_forward_equals_dense():
         b = forward(UnfoldedNetwork("lista", (m,), n, ld), y).z
         worst = max(worst, float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b)))))
     m1, m2, n2 = 3, 4, 6
-    g1, g2 = conv_grid((m1, m2))
     for _ in range(20):
         lt, ld = [], []
         for _ in range(3):
             f = rand_carray(rng, (m1 * m2, n2))
-            kmat = rand_carray(rng, (2 * g1 - 1, 2 * g2 - 1), scale=0.15)
+            kmat = rand_carray(rng, (2 * m1 - 1, 2 * m2 - 1), scale=0.15)
             th = float(rng.uniform(0, 0.2))
             lt.append(Layer(f.copy(), None, kmat.copy(), th))
             ld.append(Layer(f.copy(), None,
-                            toeplitz_expand(Toeplitz(kmat, (g1, g2))), th))
+                            toeplitz_expand(Toeplitz(kmat, (m1, m2))), th))
         y = rand_carray(rng, (n2,))
         a = forward(UnfoldedNetwork("toeplitz2d", (m1, m2), n2, lt), y).z
         b = forward(UnfoldedNetwork("lista", (m1, m2), n2, ld), y).z

@@ -11,7 +11,7 @@ import hunfold as hf
 from hunfold.bench import (ExperimentConfig, complexity_report, ingest_iq_grid,
                            metric_rows_table, read_iq_grid, run_single,
                            run_sweep, write_csv, write_iq_grid, write_manifest)
-from hunfold import cli
+from hunfold import bench, cli
 from hunfold.cli import main as cli_main
 from hunfold.cplx import ComplexArray
 from hunfold.harmonic import gaussian
@@ -19,6 +19,8 @@ from hunfold.metrics import hit_rate_metric
 from hunfold.nets import forward, init_network
 from hunfold.solvers import SolverConfig, default_lambda, ista
 from hunfold.training import TrainConfig, train
+
+from conftest import SENTINEL, poke
 
 
 def small_cfg(**kw):
@@ -69,6 +71,36 @@ def test_run_sweep_rejects_missing_or_mismatched_models():
     net16 = init_network("toeplitz1d", d16, 2, lam=0.1)
     with pytest.raises(ValueError):
         small_cfg(methods=["lista"], models={"lista": net16})
+
+
+@pytest.mark.parametrize("field, value, words", [
+    ("shape", (0,), "shape must be"), ("shape", (4, 0), "shape must be"),
+    ("shape", (4.5,), "shape must be"), ("shape", (True, 4), "shape must be"),
+    ("shape", (2, 2, 4), "shape must be"), ("shape", 16, "shape must be"),
+    ("n_obs", 0, "n_obs must be an integer from 1 to the grid size 16, got 0"),
+    ("n_obs", 17, "n_obs must be an integer from 1 to the grid size 16, got 17"),
+    ("n_obs", 8.0, "n_obs must be"),
+    ("k", -1, "k must be an integer from 0 to the grid size 16, got -1"),
+    ("k", 17, "k must be an integer from 0 to the grid size 16, got 17"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+    ("sample_seed", -2, "sample_seed must be an integer >= 0, got -2")])
+def test_experiment_config_names_a_bad_problem_field(field, value, words):
+    # each once failed late, inside numpy ("negative dimensions are not
+    # allowed", "cannot reshape array of size 0", "expected non-negative
+    # integer"), or not at all
+    with pytest.raises(ValueError) as err:
+        small_cfg(**{field: value})
+    assert words in str(err.value)
+
+
+def test_run_sweep_refuses_zero_components_before_any_recovery(monkeypatch):
+    # k = 0 once failed only after a whole noise point was recovered
+    def recover(*args):
+        raise AssertionError("a recovery ran")
+    monkeypatch.setattr(bench, "_recover", recover)
+    with pytest.raises(ValueError, match="k must be >= 1 for a sweep"):
+        run_sweep(small_cfg(k=0))
 
 
 def test_run_single_zero_amplitude_dump():
@@ -588,8 +620,11 @@ def test_cli_ingest_names_a_header_of_non_integers(tmp_path, key, value):
 def test_cli_ingest_names_a_non_finite_sample(tmp_path):
     # one NaN sample once ended ingest in a SolverConfig traceback
     iq, out = tmp_path / "g.hiq", tmp_path / "rec.csv"
-    write_iq_grid(iq, (4, 6), [0, 1, 3, 5],
-                  ComplexArray(np.array([1.0, np.nan, 2.0, np.inf]), np.zeros(4)))
+    second = complex(23456.789, -7654.321)
+    write_iq_grid(iq, (4, 6), [0, 1, 3, 5], ComplexArray(np.array([1.0, SENTINEL, 2.0, second])))
+    # write_iq_grid refuses these values themselves
+    poke(iq, complex(np.nan, 0.0))
+    poke(iq, complex(np.inf, 0.0), sentinel=second)
     with pytest.raises(ValueError) as err:
         read_iq_grid(iq)
     assert str(err.value) == f"{iq}: sample 1 is not finite"
@@ -1107,6 +1142,23 @@ def test_write_iq_grid_refuses_what_ingest_would(tmp_path, shape, omega, words):
     path = tmp_path / "g.hiq"
     with pytest.raises(ValueError, match=words):
         write_iq_grid(path, shape, omega, ComplexArray.zeros((len(omega),)))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("y, words", [
+    (np.zeros((2, 3), dtype=complex), r"2 indices need as many samples, got shape \(2, 3\)"),
+    (np.zeros((2, 2), dtype=complex), r"2 indices need as many samples, got shape \(2, 2\)"),
+    (np.array([1.0, complex(np.nan, 1.0)]), "sample 1 is not finite"),
+    (np.array([complex(0.0, -np.inf), 1.0]), "sample 0 is not finite")],
+    ids=["block", "square-block", "nan", "inf"])
+def test_write_iq_grid_refuses_samples_that_read_iq_grid_would(tmp_path, y, words):
+    # each was once written: an (N, B) block as N*B samples, or a non-finite
+    # sample, files that read_iq_grid refused
+    path = tmp_path / "g.hiq"
+    with pytest.raises(ValueError, match=words) as err:
+        write_iq_grid(path, (4, 6), [0, 5], ComplexArray(y))
+    if "finite" in words:
+        assert str(err.value) == f"{path}: {words}"
     assert not path.exists()
 
 

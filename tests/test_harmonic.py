@@ -9,10 +9,12 @@ import hunfold as hf
 from hunfold.cplx import ComplexArray, lipschitz_constant
 from hunfold.harmonic import (build_dictionary, db_to_sigma2,
                               dictionary_from_meta, draw_sampling, fourier_matrix, gen_dataset,
-                              gram, gram_generator, gram_generator_from_dense,
+                              gram, gram_generator,
                               make_instance, read_dataset, sparse_from_rng,
                               synth_offgrid, write_dataset)
-from hunfold.spectral import toeplitz_expand
+from hunfold.spectral import toeplitz_expand, toeplitz_extract
+
+from conftest import SENTINEL, poke
 
 
 def test_fourier_matrix_small_orders():
@@ -164,7 +166,7 @@ def test_gram_toeplitz_diagonal_constancy():
 def test_gram_generator_matches_dense_extraction():
     d = build_dictionary((24,), draw_sampling(24, 9, seed=3))
     fast = gram_generator(d)
-    dense = gram_generator_from_dense(d)
+    dense = toeplitz_extract(gram(d), d.shape)
     assert np.max(np.abs(fast.diags.z - dense.diags.z)) < 1e-10
     expand = toeplitz_expand(fast).z
     assert np.max(np.abs(expand - gram(d).z)) < 1e-10 * d.n_obs
@@ -179,10 +181,10 @@ def test_gram_2d_doubly_block_toeplitz():
         d = build_dictionary((m1, m2), draw_sampling(m1 * m2, n, seed=int(rng.integers(1e6))))
         g = gram(d).z
         gen = gram_generator(d)
-        assert gen.diags.shape == (2 * m2 - 1, 2 * m1 - 1)
+        assert gen.diags.shape == (2 * m1 - 1, 2 * m2 - 1)
         back = toeplitz_expand(gen).z
         assert np.max(np.abs(back - g)) < 1e-10 * max(1.0, n)
-        dense_gen = gram_generator_from_dense(d)
+        dense_gen = toeplitz_extract(gram(d), d.shape)
         assert np.max(np.abs(dense_gen.diags.z
                              - gen.diags.z)) < 1e-10 * max(1.0, n)
 
@@ -524,9 +526,24 @@ def test_dataset_non_finite_entry_names_file_matrix_and_sample(tmp_path, matrix,
     # one NaN in a truth entry once trained to "val NMSE nan -> nan, gain inf dB"
     d = build_dictionary((8,), draw_sampling(8, 4, seed=22))
     ds = gen_dataset(d, 6, 2, 0.1, seed=9)
-    (ds.obs if matrix == "observation" else ds.truth).z[row, 4] = value
+    (ds.obs if matrix == "observation" else ds.truth).z[row, 4] = SENTINEL
     path = tmp_path / "bad.hud"
     write_dataset(path, ds)
+    poke(path, value)   # write_dataset refuses the value itself
     with pytest.raises(ValueError) as err:
         read_dataset(path)
     assert str(err.value) == f"{path}: sample 4 of the {matrix} matrix is not finite"
+
+
+@pytest.mark.parametrize("matrix, row, col, value", [
+    ("observation", 0, 3, complex(np.inf, 0.0)), ("truth", 7, 0, complex(1.0, np.nan))])
+def test_write_dataset_refuses_what_read_dataset_would(tmp_path, matrix, row, col, value):
+    # such a file was once written, and only its reader refused it
+    d = build_dictionary((8,), draw_sampling(8, 4, seed=22))
+    ds = gen_dataset(d, 6, 2, 0.1, seed=9)
+    (ds.obs if matrix == "observation" else ds.truth).z[row, col] = value
+    path = tmp_path / "bad.hud"
+    with pytest.raises(ValueError) as err:
+        write_dataset(path, ds)
+    assert str(err.value) == f"{path}: sample {col} of the {matrix} matrix is not finite"
+    assert not path.exists() and not (tmp_path / "bad.hud.json").exists()

@@ -8,7 +8,6 @@ import pytest
 import hunfold as hf
 from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant, \
     shrink, shrink_factor, soft_threshold
-from hunfold.harmonic import conv_grid
 from hunfold.nets import (ARCHS, DENSE_MIN_BATCH, Conv, Dense, Layer,
                           UnfoldedNetwork, branches, forward, forward_planes,
                           init_network, load_network, param_count, route,
@@ -17,7 +16,7 @@ from hunfold.solvers import SolverConfig, ista
 from hunfold.spectral import Toeplitz, kernel_index, next_pow2, toeplitz_expand
 from hunfold.training import estimate_dictionary
 
-from conftest import rand_carray
+from conftest import SENTINEL, poke, rand_carray
 
 
 def dict_1d(m=16, n=8, seed=7):
@@ -122,16 +121,15 @@ def test_toeplitz1d_equals_dense_lista():
 def test_toeplitz2d_equals_dense_lista():
     rng = np.random.default_rng(7)
     m1, m2, n = 3, 4, 6
-    g1, g2 = conv_grid((m1, m2))
     total = m1 * m2
     for _ in range(20):
         lt, ld = [], []
         for _ in range(3):
             f = rand_carray(rng, (total, n))
-            k = rand_carray(rng, (2 * g1 - 1, 2 * g2 - 1), scale=0.15)
+            k = rand_carray(rng, (2 * m1 - 1, 2 * m2 - 1), scale=0.15)
             th = float(rng.uniform(0, 0.2))
             lt.append(Layer(f.copy(), None, k.copy(), th))
-            dense = toeplitz_expand(Toeplitz(k, (g1, g2)))
+            dense = toeplitz_expand(Toeplitz(k, (m1, m2)))
             ld.append(Layer(f.copy(), None, dense, th))
         nt = UnfoldedNetwork("toeplitz2d", (m1, m2), n, lt)
         nd = UnfoldedNetwork("lista", (m1, m2), n, ld)
@@ -253,9 +251,8 @@ def test_param_count_paper_scale_numbers():
 
 
 def test_param_count_2d_example():
-    g1, g2 = conv_grid((8, 64))
     layers = [Layer(ComplexArray.zeros((512, 64)), None,
-                    ComplexArray.zeros((2 * g1 - 1, 2 * g2 - 1)), 0.1)]
+                    ComplexArray.zeros((2 * 8 - 1, 2 * 64 - 1)), 0.1)]
     net = UnfoldedNetwork("toeplitz2d", (8, 64), 64, layers)
     assert param_count(net)["per_layer"]["inhibition"] == 15 * 127
 
@@ -363,7 +360,7 @@ OPERATORS = [
     Dense(11, 7),
     Conv((11,), (11,)),        # 1-D Toeplitz inhibition
     Conv((7,), (11,)),         # ConvLISTA's rectangular observation kernel
-    Conv((5, 3), (5, 3)),      # 2-D Toeplitz inhibition on a (M2, M1) grid
+    Conv((5, 3), (5, 3)),      # 2-D Toeplitz inhibition on a (M1, M2) grid
     Conv((3, 5), (6, 2)),      # 2-D, different in and out grids
     Conv((8,), (9,)),          # kernel of 16 = 2^4 entries
     Conv((9,), (9,)),          # kernel of 17 = 2^4 + 1 entries
@@ -444,8 +441,8 @@ def test_conv_rectangular_apply_matches_explicit_sum():
 
 
 def grid_cells(grid):
-    """Per-axis indices of a grid's cells in flat column-stacked order."""
-    return [cell[::-1] for cell in np.ndindex(grid[::-1])]
+    """Per-axis indices of a grid's cells in flat order."""
+    return list(np.ndindex(grid))
 
 
 @pytest.mark.parametrize("op", [op for op in OPERATORS if isinstance(op, Conv)],
@@ -738,12 +735,31 @@ def test_model_names_a_weight_that_is_not_finite(tmp_path, arch, branch, name, v
     d = hf.build_dictionary(shape, hf.draw_sampling(total, 3, seed=19))
     net = init_network(arch, d, 3, lam=0.1)
     weight = getattr(net.layers[1], branch)
-    weight.z[(-1,) * weight.ndim] = value
+    weight.z[(-1,) * weight.ndim] = SENTINEL
     path = tmp_path / "bad.hun"
     save_network(path, net)
+    poke(path, complex(value))   # save_network refuses the value itself
     with pytest.raises(ValueError) as err:
         load_network(path)
     assert str(err.value) == f"{path}: layer 1 {name} weight is not finite"
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("branch, name", [("filt", "observation"), ("inhibit", "inhibition")],
+                         ids=["obs-observation", "inhibit-inhibition"])
+def test_save_network_refuses_a_weight_that_load_network_would(tmp_path, arch, branch, name):
+    # such a file was once written, and only its reader refused it
+    shape = (2, 3) if arch == "toeplitz2d" else (5,)
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, 3, seed=19))
+    net = init_network(arch, d, 3, lam=0.1)
+    weight = getattr(net.layers[2], branch)
+    weight.z[(0,) * weight.ndim] = complex(0.0, np.nan)
+    path = tmp_path / "bad.hun"
+    with pytest.raises(ValueError) as err:
+        save_network(path, net)
+    assert str(err.value) == f"{path}: layer 2 {name} weight is not finite"
+    assert not path.exists() and not (tmp_path / "bad.hun.json").exists()
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -0.5])
@@ -771,7 +787,8 @@ def test_model_of_finite_weights_whose_sum_overflows_loads(tmp_path):
 @pytest.mark.parametrize("arch, shape", [("toeplitz2d", (2, 3)), ("convlista", (5,))])
 def test_model_file_layout(tmp_path, arch, shape):
     # the documented header, then per layer the observation re and im
-    # planes, the inhibition re and im planes (row-major) and the threshold
+    # planes, the inhibition re and im planes and the threshold; a matrix's
+    # planes are row-major, a kernel's run its first axis fastest
     rng = np.random.default_rng(41)
     total = int(np.prod(shape))
     d = hf.build_dictionary(shape, hf.draw_sampling(total, 4, seed=22))
@@ -782,9 +799,10 @@ def test_model_file_layout(tmp_path, arch, shape):
     save_network(path, net)
     dims = shape if len(shape) == 2 else (shape[0], 0)
     want = struct.pack("<4sIIIIII", b"HUN1", ARCHS.index(arch), 2, len(shape), *dims, 4)
+    orders = ("F", "F") if arch == "convlista" else ("C", "F")
     for layer in net.layers:
-        for a in (layer.filt, layer.inhibit):
+        for a, order in zip((layer.filt, layer.inhibit), orders):
             for plane in (a.re, a.im):
-                want += struct.pack(f"<{plane.size}d", *plane.ravel())
+                want += struct.pack(f"<{plane.size}d", *plane.ravel(order))
         want += struct.pack("<d", layer.threshold)
     assert path.read_bytes() == want

@@ -19,10 +19,10 @@ from conftest import rand_carray
 
 
 def conv_apply(t, x):
-    """``Conv.apply`` of a generator on one grid, column-stacked and read
-    back into the grid."""
-    out = Conv(t.grid, t.grid).apply(t.diags, x.z.flatten(order="F")[None])[0]
-    return out.reshape(t.grid, order="F")
+    """``Conv.apply`` of a generator on one grid, flattened and read back
+    into the grid."""
+    out = Conv(t.grid, t.grid).apply(t.diags, x.z.ravel()[None])[0]
+    return out.reshape(t.grid)
 
 
 def rand_toeplitz(rng, m):
@@ -177,8 +177,8 @@ def test_conv2d_matches_dense_expansion():
     t = rand_toeplitz2(rng, m1, m2)
     x = rand_carray(rng, (m1, m2))
     w = toeplitz_expand(t).z
-    vec = x.z.flatten(order="F")
-    ref = (w @ vec).reshape((m2, m1)).T  # invert the column stacking
+    vec = x.z.ravel()
+    ref = (w @ vec).reshape((m1, m2))  # back onto the grid
     got = conv_apply(t, x)
     assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref))
 
@@ -214,7 +214,7 @@ def test_toeplitz_rejects_a_generator_of_another_grid():
 def test_dbt_expand_degenerate_cases():
     one = Toeplitz(ComplexArray(np.array([[3 + 1j]])), (1, 1))
     assert toeplitz_expand(one).z[0, 0] == 3 + 1j
-    # single block column: plain Toeplitz of the kernel's only column
+    # a grid one cell wide: plain Toeplitz of the kernel's only column
     rng = np.random.default_rng(24)
     diags = rand_carray(rng, (3, 1))
     t = Toeplitz(diags, (2, 1))
@@ -234,7 +234,7 @@ def test_dbt_expand_index_relation_exhaustive():
             for tt in range(m2):
                 for i in range(m1):
                     for j in range(m2):
-                        assert w[s + tt * m1, i + j * m1] == \
+                        assert w[s * m2 + tt, i * m2 + j] == \
                             dk[s - i + m1 - 1, tt - j + m2 - 1]
 
 
@@ -263,8 +263,8 @@ def test_equivalence_sweep_random_sizes():
         t = rand_toeplitz2(rng, m1, m2)
         x = rand_carray(rng, (m1, m2))
         w = toeplitz_expand(t).z
-        ref = w @ x.z.flatten(order="F")
-        got = conv_apply(t, x).flatten(order="F")
+        ref = w @ x.z.ravel()
+        got = conv_apply(t, x).ravel()
         assert np.max(np.abs(got - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -273,8 +273,8 @@ def test_equivalence_sweep_random_sizes():
 
 def gather_kernel_index(grid_in, grid_out):
     """The index map as one fancy-index array per axis: ``s - i + g_in - 1``
-    of every flat column-stacked output cell s and input cell i."""
-    cells = (np.unravel_index(np.arange(int(np.prod(g))), g, order="F")
+    of every flat output cell s and input cell i."""
+    cells = (np.unravel_index(np.arange(int(np.prod(g))), g)
              for g in (grid_out, grid_in))
     return tuple(s[:, None] - i[None, :] + (g - 1) for s, i, g in zip(*cells, grid_in))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hunfold as hf
+from hunfold import training
 from hunfold.cplx import ComplexArray
 from hunfold.harmonic import Dataset
 from hunfold.nets import (DENSE_MIN_BATCH, Layer, UnfoldedNetwork, branches,
@@ -450,6 +451,31 @@ def test_train_improves_small_problem():
     after = loss_nmse(out, vl)
     assert after < before
     assert min(rep.val_history) == pytest.approx(after, rel=1e-9)
+
+
+def test_plateau_decay_drops_the_rate_after_patience_stalled_epochs(monkeypatch):
+    # the validation NMSE of each epoch is scripted, so the run stalls where
+    # the script says; every Adam step still runs, at the rate it is given
+    vals = iter([1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 0.5, 0.6, 0.7, 0.8])
+    rates = []
+
+    def record(params, grads, state, lr):
+        rates.append(lr)
+        return adam_step(params, grads, state, lr)
+    monkeypatch.setattr(training, "adam_step", record)
+    monkeypatch.setattr(training, "loss_nmse", lambda net, ds: next(vals))
+    d, ds = make_problem((8,), 4, count=8)
+    lr0 = 1e-2
+    cfg = TrainConfig(learning_rate=lr0, batch_size=4, epochs=10, lr_decay_patience=2)
+    _, rep = train(init_network("toeplitz1d", d, 2, lam=0.1), ds, ds, cfg)
+    assert rep.best_epoch == 7 and len(rates) == 2 * 10
+    per_epoch = rates[::2]
+    assert rates[1::2] == per_epoch   # the rate changes between epochs only
+    # epochs 2 and 3 stall: the rate drops after epoch 3, not before; the
+    # count restarts, so epoch 4 alone does not drop it, epoch 5 does; epoch
+    # 7 improves, so epoch 8's stall is the first of a new count
+    want = [lr0] * 3 + [lr0 * 0.1] * 2 + [lr0 * 0.1 * 0.1] * 4 + [lr0 * 0.1 * 0.1 * 0.1]
+    assert per_epoch == want
 
 
 def test_estimate_dictionary_identity_case():
