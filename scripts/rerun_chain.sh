@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The rerun chain: gen-data, train (every architecture, --val,
-# --estimate-dict, 0 and 3 epochs), sweep, single, complexity, ingest and a
+# The rerun chain: gen-data, train (every architecture on every grid rank
+# it takes, --val, --estimate-dict, 0 and 3 epochs), sweep (every learned
+# method on each rank), single, complexity, ingest and a
 # --config sweep, writing every output file into DIR and the --config run's
 # into DIR-config.  The outputs of a fixed configuration must be
 # byte-identical from run to run, so two runs of the chain, for example
@@ -45,7 +46,7 @@ $h train --data d1.hud --val d1-val.hud --arch toeplitz1d --depth 3 \
 OPENBLAS_NUM_THREADS=1 $h train --data d1.hud --arch toeplitz1d \
   --depth 3 --batch 64 --epochs 2 --seed 5 --estimate-dict \
   --out toeplitz1d-est.hun
-for arch in toeplitz2d convlista; do
+for arch in lista toeplitz2d convlista; do
   $h train --data d2.hud --arch "$arch" --depth 3 --batch 64 \
     --epochs 2 --seed 5 --out "$arch-2d.hun"
 done
@@ -57,8 +58,9 @@ $h sweep --problem 1d --m 32 --n 12 --k 2 --sample-seed 11 \
   --out sweep.csv
 $h sweep --problem 2d --m1 4 --m2 6 --n 12 --k 2 --sample-seed 11 \
   --noise-db=-20,0 --trials 16 --seed 9 \
-  --methods ista,fista,lista-toeplitz \
-  --model-lista-toeplitz toeplitz2d-2d.hun \
+  --methods ista,fista,lista-toeplitz,convlista,lista \
+  --model-lista-toeplitz toeplitz2d-2d.hun --model-convlista convlista-2d.hun \
+  --model-lista lista-2d.hun \
   --out sweep-2d.csv
 $h sweep --problem 1d --m 32 --n 12 --k 2 --sample-seed 11 \
   --noise-db=-20,0 --trials 16 --seed 9 --methods lista-toeplitz \

@@ -45,10 +45,8 @@ __all__ = [
 IQ_MAGIC = b"HIQ1"
 
 SOLVER_METHODS = ("ista", "fista")
-# each learned method and the architectures that can serve it
-_METHOD_ARCHS = {"lista": ("lista",), "convlista": ("convlista",),
-                 "lista-toeplitz": ("toeplitz1d", "toeplitz2d")}
-LEARNED_METHODS = tuple(_METHOD_ARCHS)
+# the methods that nets.ARCH_TABLE's architectures serve, in table order
+LEARNED_METHODS = tuple(dict.fromkeys(row.method for row in nets.ARCH_TABLE.values()))
 
 
 def check_model(method: str, net, shape, n_obs: int):
@@ -58,7 +56,7 @@ def check_model(method: str, net, shape, n_obs: int):
         raise ValueError(f"model is for grid {net.shape} with {net.n_obs} "
                          f"observations, the experiment is grid {tuple(shape)} "
                          f"with {n_obs}")
-    if net.arch not in _METHOD_ARCHS[method]:
+    if nets.ARCH_TABLE[net.arch].method != method:
         raise ValueError(f"model architecture {net.arch!r} cannot serve "
                          f"method {method!r}")
     return net
@@ -95,6 +93,7 @@ class ExperimentConfig:
         self.shape = tuple(int(m) for m in self.shape)
         total = math.prod(self.shape)
         for name, low, top in (("n_obs", 1, total), ("k", 0, total),
+                               ("trials_per_point", 1, math.inf),
                                ("seed", 0, math.inf), ("sample_seed", 0, math.inf)):
             value = getattr(self, name)
             if not (_is_int(value) and low <= value <= top):
@@ -102,8 +101,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer {want}, got {value!r}")
         if not self.methods:
             raise ValueError("need at least one method")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
         for name, it in self.budgets.items():
             if not (_is_int(it) and it >= 1):
                 raise ValueError(f"iteration budget for {name} must be an integer >= 1, "

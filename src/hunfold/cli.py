@@ -272,8 +272,7 @@ def _cmd_train(args) -> int:
     try:
         branches(args.arch, shape, train_ds.meta["n_obs"])
     except ValueError as exc:
-        raise SystemExit(f"--arch {args.arch}: {exc}, but --data {args.data} "
-                         f"holds the {len(shape)}-D grid {shape}") from None
+        raise SystemExit(f"--arch {args.arch}: {exc} that --data {args.data} holds") from None
     if args.val:
         val_ds = _read_input(args, "val", read_dataset)
         for key in ("shape", "n_obs", "omega"):

@@ -407,13 +407,22 @@ def write_dataset(path, ds: Dataset) -> None:
     Layout: magic ``HUD1``; little-endian u32 kind tag (1 or 2); u32 grid
     size(s) (M, or M1 then M2); u32 n_obs; u32 n_samples; u32 k; u64 seed;
     f64 sigma2; then the observation matrix and the truth matrix, row-major
-    as (re, im) f64 pairs.  A matrix entry that is not finite is refused, as
-    :func:`read_dataset` refuses it.
+    as (re, im) f64 pairs.  A matrix entry that is not finite, or a ``kind``,
+    ``shape``, ``n_obs`` or ``n_samples`` in ``ds.meta`` that the matrices do
+    not have, is refused before the file is opened.
     """
+    m, (n_obs, count), shape = ds.meta, ds.obs.shape, ds.meta["shape"]
+    for name, ok, want in (
+            ("shape", len(shape) in (1, 2) and math.prod(shape) == ds.truth.shape[0],
+             f"1 or 2 sizes whose product is the truth's {ds.truth.shape[0]} rows"),
+            ("kind", m["kind"] == len(shape), f"{len(shape)}, the rank of the shape"),
+            ("n_obs", m["n_obs"] == n_obs, f"{n_obs}, the observation's rows"),
+            ("n_samples", m["n_samples"] == count, f"{count}, the matrices' columns")):
+        if not ok:
+            raise ValueError(f"{path}: meta {name} is {m[name]!r}, expected {want}")
     _check_samples(path, ("observation", ds.obs.z), ("truth", ds.truth.z))
-    m = ds.meta
     head = struct.pack("<4sI", DATASET_MAGIC, m["kind"])
-    head += struct.pack("<" + "I" * len(m["shape"]), *m["shape"])
+    head += struct.pack("<" + "I" * len(shape), *shape)
     head += struct.pack("<IIIQd", m["n_obs"], m["n_samples"], m["k"],
                         m["seed"], m["sigma2"])
     with open(path, "wb") as fh:

@@ -3,19 +3,16 @@
 A layer is two linear branches and a complex soft threshold,
 ``x <- soft_threshold(W_obs y + W_inh x, theta)``.  Each branch is an
 operator, :class:`Dense` (a matrix) or :class:`Conv` (a kernel applied by
-windowed linear convolution on a 1-D or 2-D grid); :func:`branches` maps an
-architecture to its two operators.  A network builds them once, as
-``net.ops``, and refuses a layer whose weights (``filt`` on the observation
-branch, ``inhibit`` on the inhibition branch) have other shapes, when it is
-built and in every forward pass.  Operators act on spectra, the identity for
-:class:`Dense` and FFTs for :class:`Conv`, so :func:`forward_planes`
-transforms the observations once for every layer and can hand the backward
-pass each layer's input and kernel spectra.  The architectures:
-
-* ``lista``       Dense observation, Dense inhibition;
-* ``toeplitz1d``  Dense observation, length 2M-1 Toeplitz inhibition kernel;
-* ``toeplitz2d``  Dense observation, (2*M1-1, 2*M2-1) kernel on the (M1, M2) grid;
-* ``convlista``   a length M+N-1 observation kernel and a Toeplitz kernel.
+windowed linear convolution on a 1-D or 2-D grid).  An architecture is one
+row of :data:`ARCH_TABLE`: its two operator kinds, the grid ranks it takes
+and the learned method it serves; :func:`branches` builds a row's two
+operators.  A network builds them once, as ``net.ops``, and refuses a layer
+whose weights (``filt`` on the observation branch, ``inhibit`` on the
+inhibition branch) have other shapes, when it is built and in every forward
+pass.  Operators act on spectra, the identity for :class:`Dense` and FFTs
+for :class:`Conv`, so :func:`forward_planes` transforms the observations
+once for every layer and can hand the backward pass each layer's input and
+kernel spectra.
 
 Parameters are untied across layers.  A kernel stays the parameter of its
 branch, but :func:`route` decides per call how a :class:`Conv` computes: by
@@ -46,6 +43,7 @@ from .spectral import (conv_full_planes, conv_full2_planes,  # noqa: F401
 
 __all__ = [
     "ARCHS",
+    "ARCH_TABLE",
     "Conv",
     "Dense",
     "Layer",
@@ -59,8 +57,6 @@ __all__ = [
     "save_network",
 ]
 
-ARCHS = ("lista", "toeplitz1d", "toeplitz2d", "convlista")
-
 MODEL_MAGIC = b"HUN1"
 
 
@@ -68,10 +64,8 @@ MODEL_MAGIC = b"HUN1"
 class Layer:
     """One unfolded iteration's learnable parameters.
 
-    ``filt`` is the observation weight in its operator's shape: the M x N
-    matrix, or for ``convlista`` a kernel of length M+N-1.  ``inhibit`` is
-    the inhibition weight in its operator's shape: dense (M, M), a 1-D
-    kernel of length 2M-1, or a 2-D kernel of shape (2*M1-1, 2*M2-1).
+    ``filt`` and ``inhibit`` are the observation and inhibition weights,
+    each in the ``shape`` of its branch's operator (see :data:`ARCH_TABLE`).
     ``threshold`` is a 0-d float64 array of the layer's own, copied from the
     value given, which training steps in place.  ``filt_kernel`` is a
     placeholder that must be None; it keeps the four-argument positional
@@ -170,9 +164,18 @@ class Dense(_Branch):
     n_out: int
     n_in: int
 
+    @classmethod
+    def on(cls, grid_in, grid_out) -> "Dense":
+        """The matrix from the flat ``grid_in`` to the flat ``grid_out``."""
+        return cls(math.prod(grid_out), math.prod(grid_in))
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_out, self.n_in)
+
+    def start(self, dense: ComplexArray) -> ComplexArray:
+        """The parameter a dense weight reduces to: the matrix itself."""
+        return dense
 
     out_transform = None   # out_spectrum is the identity
     file_order = "C"       # HUN1 plane order, see save_network
@@ -248,6 +251,10 @@ class Conv(_Branch):
     grid_in: tuple[int, ...]
     grid_out: tuple[int, ...]
     file_order = "F"   # HUN1 plane order, see save_network
+
+    @classmethod
+    def on(cls, grid_in, grid_out) -> "Conv":
+        return cls(grid_in, grid_out)
 
     @functools.cached_property
     def shape(self) -> tuple[int, ...]:
@@ -347,12 +354,11 @@ class Conv(_Branch):
         flat = toeplitz_matrix(pos, self.grid_in, self.grid_out)
         return (2 * flat.reshape(-1, 1) + np.arange(2)).ravel()
 
-    def kernel_sum(self, m) -> np.ndarray:
-        """Per kernel position, the sum of the entries of a dense
-        (prod(grid_out), prod(grid_in)) weight ``m`` that the operator's
-        matrix reads from that position: the adjoint of building the
-        matrix from the kernel."""
-        return kernel_sum(m, self._bins, self.shape)
+    def start(self, dense: ComplexArray) -> ComplexArray:
+        """The kernel a dense (prod(grid_out), prod(grid_in)) weight reduces to:
+        per kernel position, the mean of the entries the matrix reads there."""
+        counts = kernel_sum(np.ones(dense.shape), self._bins, self.shape).real
+        return ComplexArray(kernel_sum(dense.z, self._bins, self.shape) / counts)
 
 
 @dataclass(frozen=True)
@@ -364,7 +370,7 @@ class _ConvMatrix(Dense):
     view (:func:`~hunfold.spectral.toeplitz_matrix`); ``apply_hat`` and
     ``adjoint_hat`` are :class:`Dense`'s products with it, and ``grad_hat``
     sums :class:`Dense`'s matrix gradient onto the kernel positions
-    (:meth:`Conv.kernel_sum`).
+    (:func:`~hunfold.spectral.kernel_sum`).
     """
 
     conv: Conv
@@ -377,7 +383,7 @@ class _ConvMatrix(Dense):
         return toeplitz_matrix(w.z, self.conv.grid_in, self.conv.grid_out)
 
     def grad_hat(self, g, x):
-        return self.conv.kernel_sum(super().grad_hat(g, x))
+        return kernel_sum(super().grad_hat(g, x), self.conv._bins, self.shape)
 
 
 # The dense route's crossover.  A Conv whose matrix has at most
@@ -404,21 +410,38 @@ def route(op, batch: int):
     return op
 
 
+@dataclass(frozen=True)
+class Arch:
+    obs: type                # the observation branch's operator kind
+    inhibit: type            # the inhibition branch's operator kind
+    ranks: tuple[int, ...]   # the grid ranks the architecture takes
+    method: str              # the learned method it serves (hunfold.bench)
+
+
+# One row per architecture, in HUN1 tag order: a tag is its row's index.
+ARCH_TABLE = {
+    "lista": Arch(Dense, Dense, (1, 2), "lista"),
+    "toeplitz1d": Arch(Dense, Conv, (1,), "lista-toeplitz"),
+    "toeplitz2d": Arch(Dense, Conv, (2,), "lista-toeplitz"),
+    "convlista": Arch(Conv, Conv, (1, 2), "convlista"),
+}
+ARCHS = tuple(ARCH_TABLE)
+
+
 def branches(arch: str, shape, n_obs: int):
-    """(obs_op, inhibit_op): the two branch operators of an ``arch`` layer on
-    a spectrum grid ``shape`` observed through ``n_obs`` samples."""
+    """(obs_op, inhibit_op) of an ``arch`` layer on a spectrum grid ``shape``
+    observed through ``n_obs`` samples: the first maps the samples to the
+    flat grid, the second the grid to itself."""
     shape = tuple(int(s) for s in shape)
-    if arch not in ARCHS:
+    if arch not in ARCH_TABLE:
         raise ValueError(f"unknown architecture {arch!r}")
-    if len(shape) not in (1, 2) or min(shape) < 1 or n_obs < 1:
+    row = ARCH_TABLE[arch]
+    if len(shape) not in row.ranks:
+        ranks = " or ".join(f"{r}-D" for r in row.ranks)
+        raise ValueError(f"{arch} needs a {ranks} grid, not the {len(shape)}-D grid {shape}")
+    if min(shape) < 1 or n_obs < 1:
         raise ValueError(f"grid {shape} with {n_obs} observations is not a problem")
-    if arch.startswith("toeplitz") and arch != f"toeplitz{len(shape)}d":
-        raise ValueError(f"{arch} needs a {arch[-2]}-D problem")
-    total = math.prod(shape)
-    obs = Conv((n_obs,), (total,)) if arch == "convlista" else Dense(total, n_obs)
-    if arch == "lista":
-        return obs, Dense(total, total)
-    return obs, Conv(shape, shape)
+    return row.obs.on((n_obs,), (math.prod(shape),)), row.inhibit.on(shape, shape)
 
 
 def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
@@ -477,13 +500,11 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
                  phi_hat: ComplexArray | None = None) -> UnfoldedNetwork:
     """Starting point for training.
 
-    Every layer gets the filter (1/L) phi_hat^H, an all-zero inhibition
-    kernel and threshold lam / L, where L estimates the top eigenvalue of
-    the Gram operator.  phi_hat is the true operator unless one of its
-    shape is supplied, such as a least-squares estimate.  The convolutional
-    baseline cannot start from a zero observation kernel (its gradient
-    would vanish), so it gets the per-diagonal mean of the same filter
-    instead.
+    Every layer gets the filter (1/L) phi_hat^H reduced by the observation
+    operator's ``start`` (a kernel takes the per-diagonal mean), an all-zero
+    inhibition weight and threshold lam / L, where L estimates the top
+    eigenvalue of the Gram operator.  phi_hat is the true operator unless
+    one of its shape is supplied, such as a least-squares estimate.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -494,12 +515,8 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
     if phi_hat.shape != d.phi.shape:
         raise ValueError(f"operator of shape {phi_hat.shape}, expected {d.phi.shape}")
     big_l = lipschitz_constant(phi_hat).value
-    filt = hermitian(phi_hat).scale(1.0 / big_l)
-    theta0 = lam / big_l
-    if arch == "convlista":   # the mean entry at each kernel position
-        counts = obs_op.kernel_sum(np.ones(filt.shape)).real
-        filt = ComplexArray(obs_op.kernel_sum(filt.z) / counts)
-    layers = [Layer(filt.copy(), None, ComplexArray.zeros(inhibit_op.shape), theta0)
+    filt = obs_op.start(hermitian(phi_hat).scale(1.0 / big_l))
+    layers = [Layer(filt.copy(), None, ComplexArray.zeros(inhibit_op.shape), lam / big_l)
               for _ in range(depth)]
     return UnfoldedNetwork(arch, d.shape, d.n_obs, layers)
 
@@ -509,9 +526,7 @@ def param_count(net: UnfoldedNetwork) -> dict:
 
     The threshold counts as one parameter per layer.
     """
-    obs_op, inhibit_op = net.ops
-    filt = int(np.prod(obs_op.shape))
-    inhib = int(np.prod(inhibit_op.shape))
+    filt, inhib = (math.prod(op.shape) for op in net.ops)
     per_layer = {"filter": filt, "inhibition": inhib, "threshold": 1,
                  "total": filt + inhib + 1}
     t = net.depth

@@ -3,21 +3,15 @@
 :func:`conv_full_planes` and :func:`conv_full2_planes` are standalone
 convolutions on ``numpy.fft`` in complex128, broadcast over leading axes so
 batches of rows transform in one call, at a transform length per axis that
-the caller gives.  The network layers' windowed convolution,
-:class:`hunfold.nets.Conv`, calls :func:`conv_full_planes` for a one-shot
-``apply``: on a 1-D grid at the power of two at or above its kernel length,
-shorter than the full linear length, because it keeps only a window that
-cannot alias; on a 2-D grid at the product of those powers of two, with
-the grid laid flat at a row stride of the last axis's power of two, so
-that one 1-D transform does the work of a 2-D one.  A training step
-instead transforms through ``numpy.fft`` in ``Conv`` itself, so that it
-can keep the spectra and reuse them in the backward pass.  A small ``Conv``
-on a large batch computes with no transform at all, as the dense matrix
+the caller gives; :class:`hunfold.nets.Conv` calls :func:`conv_full_planes`
+for its one-shot ``apply`` (its docstring gives the length and layout).  A
+small ``Conv`` on a large batch computes as the dense matrix
 :func:`toeplitz_matrix` copies from its kernel, and sums its weight
-gradient back onto the kernel with :func:`kernel_sum`.
-:func:`conv1d` is the direct windowed form on a 1-D grid, and
-:func:`toeplitz_expand` ties a generator to the dense operator it induces,
-which :func:`toeplitz_extract` reads back at one entry per kernel position.
+gradient back onto the kernel with :func:`kernel_sum`, whose per-position
+mean is ``Conv.start``.  :func:`conv1d` is the direct windowed form on a
+1-D grid, and :func:`toeplitz_expand` ties a generator to the dense operator
+it induces, which :func:`toeplitz_extract` reads back at one entry per
+kernel position.
 
 Index conventions used throughout the package, one rule per grid axis:
 
@@ -33,9 +27,8 @@ Index conventions used throughout the package, one rule per grid axis:
   view of the kernel, with no index arrays: :func:`toeplitz_matrix` (and
   :func:`toeplitz_expand` through it) is one copy of that view of a kernel,
   so the dense matrix is its only M^2-sized allocation, and
-  :func:`kernel_index` one copy of that view of each axis's kernel
-  positions; :func:`kernel_sum`, its adjoint, bins a matrix's entries by
-  that view of the flat positions.
+  :func:`kernel_sum`, its adjoint, bins a matrix's entries by that view of
+  the flat positions.
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ __all__ = [
     "conv1d",
     "conv_full_planes",
     "conv_full2_planes",
-    "kernel_index",
     "kernel_sum",
     "next_pow2",
     "toeplitz_expand",
@@ -167,14 +159,6 @@ def _toeplitz_view(a: np.ndarray, grid_in, grid_out) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(
         centre, tuple(grid_out) + tuple(grid_in),
         a.strides + tuple(-s for s in a.strides), writeable=False)
-
-
-def kernel_index(grid_in, grid_out) -> tuple[np.ndarray, ...]:
-    """Per axis, the kernel position ``s - i + g_in - 1`` of every flat
-    output cell s (a row) and input cell i (a column)."""
-    shape = (math.prod(grid_out), math.prod(grid_in))
-    pos = np.indices(tuple(gi + go - 1 for gi, go in zip(grid_in, grid_out)))
-    return tuple(_toeplitz_view(p, grid_in, grid_out).copy().reshape(shape) for p in pos)
 
 
 def toeplitz_matrix(a: np.ndarray, grid_in, grid_out) -> np.ndarray:

@@ -11,7 +11,7 @@ import hunfold as hf
 from hunfold.bench import (ExperimentConfig, complexity_report, ingest_iq_grid,
                            metric_rows_table, read_iq_grid, run_single,
                            run_sweep, write_csv, write_iq_grid, write_manifest)
-from hunfold import bench, cli
+from hunfold import bench, cli, nets
 from hunfold.cli import main as cli_main
 from hunfold.cplx import ComplexArray
 from hunfold.harmonic import gaussian
@@ -84,7 +84,10 @@ def test_run_sweep_rejects_missing_or_mismatched_models():
     ("k", 17, "k must be an integer from 0 to the grid size 16, got 17"),
     ("seed", -1, "seed must be an integer >= 0, got -1"),
     ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
-    ("sample_seed", -2, "sample_seed must be an integer >= 0, got -2")])
+    ("sample_seed", -2, "sample_seed must be an integer >= 0, got -2"),
+    # these two once ran: 2.5 failed inside numpy, True reported trials=True
+    ("trials_per_point", 2.5, "trials_per_point must be an integer >= 1, got 2.5"),
+    ("trials_per_point", True, "trials_per_point must be an integer >= 1, got True")])
 def test_experiment_config_names_a_bad_problem_field(field, value, words):
     # each once failed late, inside numpy ("negative dimensions are not
     # allowed", "cannot reshape array of size 0", "expected non-negative
@@ -92,6 +95,34 @@ def test_experiment_config_names_a_bad_problem_field(field, value, words):
     with pytest.raises(ValueError) as err:
         small_cfg(**{field: value})
     assert words in str(err.value)
+
+
+# each learned method and the architectures that served it when the map
+# lived in bench
+METHOD_ARCHS = {"lista": ("lista",), "convlista": ("convlista",),
+                "lista-toeplitz": ("toeplitz1d", "toeplitz2d")}
+
+
+def test_the_architecture_table_serves_each_method_as_before():
+    assert nets.ARCHS == ("lista", "toeplitz1d", "toeplitz2d", "convlista")
+    assert sorted(bench.LEARNED_METHODS) == sorted(METHOD_ARCHS)
+    d1 = hf.build_dictionary((8,), hf.draw_sampling(8, 4, seed=0))
+    d2 = hf.build_dictionary((2, 4), hf.draw_sampling(8, 4, seed=0))
+    for arch in nets.ARCHS:
+        net = init_network(arch, d2 if arch == "toeplitz2d" else d1, 1, lam=0.1)
+        for method, archs in METHOD_ARCHS.items():
+            if arch in archs:
+                assert bench.check_model(method, net, net.shape, 4) is net
+                continue
+            with pytest.raises(ValueError, match=f"cannot serve method {method!r}"):
+                bench.check_model(method, net, net.shape, 4)
+    # and the CLI's flags come from the same table
+    parser, commands = cli.build_parser()
+    for name in ("sweep", "single"):
+        dests = {a.dest for a in commands[name]._actions}
+        assert {f"model_{m.replace('-', '_')}" for m in METHOD_ARCHS} <= dests
+    arch_flag = next(a for a in commands["train"]._actions if a.dest == "arch")
+    assert tuple(arch_flag.choices) == nets.ARCHS
 
 
 def test_run_sweep_refuses_zero_components_before_any_recovery(monkeypatch):

@@ -485,6 +485,20 @@ def test_dataset_bad_magic(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("kind", 2), ("shape", [9]), ("shape", [2, 2, 2]), ("n_obs", 5), ("n_samples", 5)])
+def test_write_dataset_refuses_meta_the_matrices_do_not_have(tmp_path, name, value):
+    # n_samples 5 on a 6-sample set once wrote a file that read_dataset refused
+    d = build_dictionary((8,), draw_sampling(8, 4, seed=22))
+    ds = gen_dataset(d, 6, 2, 0.1, seed=9)
+    ds.meta[name] = value
+    path = tmp_path / "bad.hud"
+    with pytest.raises(ValueError) as err:
+        write_dataset(path, ds)
+    assert str(err.value).startswith(f"{path}: meta {name} is {value!r}, expected ")
+    assert not path.exists() and not (tmp_path / "bad.hud.json").exists()
+
+
 def test_dataset_file_layout(tmp_path):
     # the documented header, then the observation and truth matrices
     # row-major as (re, im) f64 pairs

@@ -8,12 +8,12 @@ import pytest
 import hunfold as hf
 from hunfold.cplx import ComplexArray, hermitian, lipschitz_constant, \
     shrink, shrink_factor, soft_threshold
-from hunfold.nets import (ARCHS, DENSE_MIN_BATCH, Conv, Dense, Layer,
+from hunfold.nets import (ARCH_TABLE, ARCHS, DENSE_MIN_BATCH, Conv, Dense, Layer,
                           UnfoldedNetwork, branches, forward, forward_planes,
                           init_network, load_network, param_count, route,
                           save_network)
 from hunfold.solvers import SolverConfig, ista
-from hunfold.spectral import Toeplitz, kernel_index, next_pow2, toeplitz_expand
+from hunfold.spectral import Toeplitz, next_pow2, toeplitz_expand, toeplitz_matrix
 from hunfold.training import estimate_dictionary
 
 from conftest import SENTINEL, poke, rand_carray
@@ -223,14 +223,50 @@ def test_convlista_start_kernel_is_the_per_diagonal_mean(d):
 
 @pytest.mark.parametrize("grid_in, grid_out", [((16,), (64,)), ((3, 4), (3, 4))])
 def test_kernel_index_is_the_dense_form_of_conv(grid_in, grid_out):
-    # the kernel gathered at the index map, applied to the identity's rows
+    # the kernel gathered at the index map, the Toeplitz matrix of a kernel
+    # that holds its own positions on each axis, applied to the identity's rows
     op = Conv(grid_in, grid_out)
     k = rand_carray(np.random.default_rng(38), op.shape)
-    idx = kernel_index(grid_in, grid_out)
+    idx = tuple(toeplitz_matrix(p, grid_in, grid_out) for p in np.indices(op.shape))
     assert all(a.shape == (int(np.prod(grid_out)), int(np.prod(grid_in))) for a in idx)
     dense = k.z[idx]
     eye = np.eye(int(np.prod(grid_in)), dtype=complex)
     assert np.max(np.abs(op.apply(k, eye).T - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("grid_in, grid_out", [
+    ((5,), (5,)), ((16,), (64,)), ((64,), (16,)), ((3, 4), (3, 4)), ((2, 3), (4, 5))], ids=str)
+def test_conv_start_reads_a_toeplitz_matrix_back_to_its_kernel(grid_in, grid_out):
+    op = Conv(grid_in, grid_out)
+    rng = np.random.default_rng(41)
+    # small integers: every per-position sum and mean is exact
+    k = rng.integers(-8, 9, op.shape) + 1j * rng.integers(-8, 9, op.shape)
+    got = op.start(ComplexArray(toeplitz_matrix(k, grid_in, grid_out)))
+    assert got.shape == op.shape and got.z.tobytes() == k.tobytes()
+    k = rand_carray(rng, op.shape).z
+    got = op.start(ComplexArray(toeplitz_matrix(k, grid_in, grid_out))).z
+    assert np.max(np.abs(got - k)) <= 1e-15 * np.max(np.abs(k))
+
+
+def test_dense_start_is_the_matrix():
+    w = rand_carray(np.random.default_rng(42), (6, 4))
+    assert Dense(6, 4).start(w) is w
+
+
+# the grid ranks each architecture took when the tags were parsed by name
+TAG_RANKS = {"lista": (1, 2), "toeplitz1d": (1,), "toeplitz2d": (2,), "convlista": (1, 2)}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_each_tag_takes_the_ranks_of_its_row(arch):
+    assert ARCH_TABLE[arch].ranks == TAG_RANKS[arch]
+    for shape in [(), (6,), (3, 4), (2, 3, 2)]:
+        if len(shape) in TAG_RANKS[arch]:
+            branches(arch, shape, 5)
+            continue
+        with pytest.raises(ValueError) as err:
+            branches(arch, shape, 5)
+        assert str(err.value).endswith(f"not the {len(shape)}-D grid {shape}")
 
 
 def test_param_count_paper_scale_numbers():

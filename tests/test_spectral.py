@@ -12,8 +12,8 @@ import pytest
 from hunfold.cplx import ComplexArray
 from hunfold.nets import Conv
 from hunfold.spectral import (Toeplitz, ToeplitzVec, conv1d, conv_full_planes,
-                              conv_full2_planes, kernel_index, next_pow2,
-                              toeplitz_expand, toeplitz_extract)
+                              conv_full2_planes, next_pow2, toeplitz_expand,
+                              toeplitz_extract, toeplitz_matrix)
 
 from conftest import rand_carray
 
@@ -327,13 +327,18 @@ def test_toeplitz_extract_reads_the_first_entry_of_any_matrix(grid):
     ((1,), (1,)), ((1, 1), (1, 1)), ((16,), (64,)), ((64,), (16,)), ((5,), (5,)),
     ((3, 4), (3, 4)), ((2, 3), (4, 5)), ((8, 8), (8, 8))], ids=str)
 def test_kernel_index_is_the_gather(grid_in, grid_out):
-    got, want = kernel_index(grid_in, grid_out), gather_kernel_index(grid_in, grid_out)
+    # toeplitz_matrix of a kernel that holds its own positions on axis a
+    # reads, at every cell pair, that pair's kernel position on axis a
+    pos = np.indices(tuple(gi + go - 1 for gi, go in zip(grid_in, grid_out)))
+    got = [toeplitz_matrix(p, grid_in, grid_out) for p in pos]
+    want = gather_kernel_index(grid_in, grid_out)
     assert len(got) == len(want) == len(grid_in)
     for a, (g, w) in enumerate(zip(got, want)):
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
-        assert_fresh(g, *got[:a])
+        assert_fresh(g, pos, *got[:a])
         g += 1   # the caller's own array: the next call is untouched
-    assert all(np.array_equal(g, w) for g, w in zip(kernel_index(grid_in, grid_out), want))
+    assert all(np.array_equal(toeplitz_matrix(p, grid_in, grid_out), w)
+               for p, w in zip(pos, want))
 
 
 def test_expand_and_extract_allocate_no_index_arrays():
