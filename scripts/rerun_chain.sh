@@ -77,10 +77,13 @@ $h ingest --path g.hiq --model toeplitz2d-2d.hun --out ingest-model.csv
 $h ingest --path g.hiq --model convlista-2d.hun --out ingest-convlista.csv
 
 # the 1-D sweep again from a --config file, in its own directory under the
-# same names: its CSV and manifest equal the flags' run
+# same names, each model with its sidecar (whose sampling set the sweep
+# checks): its CSV and manifest equal the flags' run
 mkdir -p "$out-config"
 cd "$out-config"
-cp "$out"/toeplitz1d.hun "$out"/convlista.hun "$out"/lista.hun .
+for model in toeplitz1d convlista lista; do
+  cp "$out/$model.hun" "$out/$model.hun.json" .
+done
 cat > sweep.json <<'JSON'
 {"problem": "1d", "m": 32, "n": 12, "k": 2, "sample_seed": 11,
  "noise_db": [-20, 0], "trials": 16, "seed": 9,

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, nets
-from .cplx import ComplexArray, join_planes, shrink
+from .cplx import ComplexArray, _is_int, join_planes, shrink
 from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet, _check_samples,
-                       _draw, _is_int, build_dictionary, db_to_sigma2,
-                       draw_sampling, gaussian, make_instance, synth_offgrid)
+                       _draw, build_dictionary, db_to_sigma2, draw_sampling,
+                       gaussian, make_instance, synth_offgrid)
 from .metrics import hit_rate_metric, nmse_metric
 from .solvers import SolverConfig, default_lambda, fista, ista
 
@@ -49,14 +49,19 @@ SOLVER_METHODS = ("ista", "fista")
 LEARNED_METHODS = tuple(dict.fromkeys(row.method for row in nets.ARCH_TABLE.values()))
 
 
-def check_model(method: str, net, shape, n_obs: int):
-    """``net`` if it can serve learned ``method`` on a ``shape`` grid
-    observed through ``n_obs`` samples, else a ValueError saying why."""
-    if net.shape != tuple(shape) or net.n_obs != n_obs:
+def check_model(method: str | None, net, shape, sampling: SamplingSet,
+                problem: str = "the experiment"):
+    """``net`` if it can serve learned ``method`` (None: any) on ``problem``,
+    a ``shape`` grid observed at ``sampling``; else a ValueError saying why:
+    the grid, the observation count, the indices ``net.sampling`` records,
+    if any, or the method."""
+    if net.shape != tuple(shape) or net.n_obs != sampling.count:
         raise ValueError(f"model is for grid {net.shape} with {net.n_obs} "
-                         f"observations, the experiment is grid {tuple(shape)} "
-                         f"with {n_obs}")
-    if nets.ARCH_TABLE[net.arch].method != method:
+                         f"observations, {problem} is grid {tuple(shape)} "
+                         f"with {sampling.count}")
+    if net.sampling is not None and not np.array_equal(net.sampling.omega, sampling.omega):
+        raise ValueError(f"model was built for other sampling indices than those of {problem}")
+    if method is not None and nets.ARCH_TABLE[net.arch].method != method:
         raise ValueError(f"model architecture {net.arch!r} cannot serve "
                          f"method {method!r}")
     return net
@@ -67,9 +72,10 @@ class ExperimentConfig:
     """One sweep's worth of settings.
 
     ``budgets`` maps solver names to iteration counts; learned methods take
-    their depth from the loaded model.  ``models`` maps learned method
-    names to :class:`UnfoldedNetwork` instances whose dimensions must match
-    the problem.  A field that is not a problem is a ValueError naming it.
+    their depth from the loaded model.  ``sampling``, derived, is the set
+    ``sample_seed`` draws.  ``models`` maps learned method names to networks
+    that :func:`check_model` passes for ``shape`` and ``sampling``.  A field
+    that is not a problem is a ValueError naming it.
     """
 
     shape: tuple[int, ...]
@@ -84,6 +90,7 @@ class ExperimentConfig:
     lambda_scale: float = 0.1
     models: dict = field(default_factory=dict)
     timing: bool = False
+    sampling: SamplingSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.shape, (tuple, list)) and len(self.shape) in (1, 2)
@@ -99,6 +106,7 @@ class ExperimentConfig:
             if not (_is_int(value) and low <= value <= top):
                 want = f">= {low}" if top == math.inf else f"from {low} to the grid size {top}"
                 raise ValueError(f"{name} must be an integer {want}, got {value!r}")
+        self.sampling = draw_sampling(total, self.n_obs, self.sample_seed)
         if not self.methods:
             raise ValueError("need at least one method")
         for name, it in self.budgets.items():
@@ -126,7 +134,7 @@ class ExperimentConfig:
             if net is None:
                 raise ValueError(f"method {name!r} needs a trained model")
             try:
-                check_model(name, net, self.shape, self.n_obs)
+                check_model(name, net, self.shape, self.sampling)
             except ValueError as exc:
                 raise ValueError(f"method {name!r}: {exc}") from None
 
@@ -166,8 +174,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
     """
     if cfg.k < 1:   # refused before any recovery: the metrics score components
         raise ValueError(f"k must be >= 1 for a sweep, got {cfg.k}")
-    sampling = draw_sampling(int(np.prod(cfg.shape)), cfg.n_obs, cfg.sample_seed)
-    d = build_dictionary(cfg.shape, sampling)
+    d = build_dictionary(cfg.shape, cfg.sampling)
     trials = cfg.trials_per_point
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.noise_powers_db) * trials)
     per_method: list[list[MetricRow]] = [[] for _ in cfg.methods]
@@ -200,8 +207,7 @@ def run_single(cfg: ExperimentConfig, offgrid: bool = False,
     ``frac`` of a cell past its grid index (second axis only in 2-D), and
     the truth column marks those anchors.
     """
-    sampling = draw_sampling(int(np.prod(cfg.shape)), cfg.n_obs, cfg.sample_seed)
-    d = build_dictionary(cfg.shape, sampling)
+    d = build_dictionary(cfg.shape, cfg.sampling)
     seq = np.random.SeedSequence(cfg.seed)
     if offgrid:
         x, w = (a[:, 0] for a in _draw(d.total, d.n_obs, cfg.k, sigma2, [seq]))

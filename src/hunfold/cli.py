@@ -29,9 +29,8 @@ from .bench import (LEARNED_METHODS, SOLVER_METHODS, ExperimentConfig,
                     metric_rows_table, run_single, run_sweep, write_csv,
                     write_iq_grid, write_manifest)
 from .cplx import ComplexArray, NumericError
-from .harmonic import (SamplingSet, build_dictionary, db_to_sigma2,
-                       dictionary_from_meta, draw_sampling, gen_dataset,
-                       read_dataset, read_sidecar, write_dataset)
+from .harmonic import (build_dictionary, db_to_sigma2, dictionary_from_meta,
+                       draw_sampling, gen_dataset, read_dataset, write_dataset)
 from .nets import (ARCHS, branches, forward, init_network, load_network,
                    save_network)
 from .solvers import SolverConfig, default_lambda, ista
@@ -179,29 +178,6 @@ def _learnable(ds, where):
                          "is undefined")
 
 
-def _recorded_omega(path):
-    """The sampling indices that the sidecar of model file ``path`` records,
-    read as a :class:`SamplingSet`, or None where the sidecar is missing or
-    records none (a file saved without them)."""
-    side = read_sidecar(path)
-    if side is None or "omega" not in side:
-        return None
-    try:
-        return SamplingSet(side["omega"], side.get("sampling_seed", 0)).omega
-    except ValueError as exc:
-        raise ValueError(f"{path}.json: {exc}") from None
-
-
-def _check_sampling(args, name, omega, where):
-    """Stop naming --name and its model file if the file's sidecar records
-    sampling indices other than ``omega``, those of ``where``.  A sidecar
-    that records none (a file saved without them) passes."""
-    recorded = _read_input(args, name, _recorded_omega)
-    if recorded is not None and not np.array_equal(recorded, omega):
-        raise SystemExit(f"--{name.replace('_', '-')} {getattr(args, name)}: the model "
-                         f"was trained on other sampling indices than {where}")
-
-
 def _load_models(args, methods, shape) -> dict:
     """The model file of every learned method in ``methods``, each checked
     to fit the ``shape`` grid that --n observes through the sampling set of
@@ -210,7 +186,7 @@ def _load_models(args, methods, shape) -> dict:
     if not methods:
         raise SystemExit(f"--methods names no method; choose from {', '.join(known)}")
     models = {}
-    omega = draw_sampling(math.prod(shape), args.n, args.sample_seed).omega
+    sampling = draw_sampling(math.prod(shape), args.n, args.sample_seed)
     for name in methods:
         if name not in known:
             raise SystemExit(f"--methods: unknown method {name!r}; "
@@ -221,9 +197,7 @@ def _load_models(args, methods, shape) -> dict:
         if not getattr(args, attr, None):
             raise SystemExit(f"method {name} needs --model-{name}")
         models[name] = _read_input(
-            args, attr, lambda path: check_model(name, load_network(path), shape, args.n))
-        _check_sampling(args, attr, omega, f"the experiment's (--n {args.n}, "
-                                           f"--sample-seed {args.sample_seed})")
+            args, attr, lambda path: check_model(name, load_network(path), shape, sampling))
     return models
 
 
@@ -254,13 +228,12 @@ def _cmd_gen_data(args) -> int:
         if args.export_index >= args.samples:
             raise SystemExit(f"--export-index {args.export_index} is outside "
                              f"0 .. {args.samples - 1} (--samples {args.samples})")
-    sampling = draw_sampling(int(np.prod(shape)), args.n, args.sample_seed)
-    d = build_dictionary(shape, sampling)
+    d = build_dictionary(shape, draw_sampling(math.prod(shape), args.n, args.sample_seed))
     ds = gen_dataset(d, args.samples, args.k, args.sigma2, args.seed)
     write_dataset(args.out, ds)
     if args.export_iq:
         y = ComplexArray(ds.obs.z[:, args.export_index].copy())
-        write_iq_grid(args.export_iq, shape, sampling.omega, y)
+        write_iq_grid(args.export_iq, shape, d.sampling.omega, y)
     print(f"wrote {args.out} ({ds.count} samples)")
     return 0
 
@@ -316,8 +289,6 @@ def _cmd_train(args) -> int:
     final_val = init_val if best is None else report.val_history[best - 1]
     meta = {
         "train_config": {**dataclasses.asdict(cfg), "lam": args.lam},
-        "omega": [int(v) for v in d.sampling.omega],
-        "sampling_seed": d.sampling.seed,
         "initial_val_nmse": init_val,
         "final_val_nmse": final_val,
         "best_epoch": report.best_epoch,
@@ -364,13 +335,8 @@ def _cmd_complexity(args) -> int:
 def _cmd_ingest(args) -> int:
     y, d = _read_input(args, "path", ingest_iq_grid)
     if args.model:
-        net = _read_input(args, "model", load_network)
-        if net.shape != d.shape or net.n_obs != d.n_obs:
-            raise SystemExit(f"--model {args.model}: model dimensions do not match "
-                             f"the IQ grid of --path {args.path} (grid {net.shape} "
-                             f"with {net.n_obs} observations against {d.shape} "
-                             f"with {d.n_obs})")
-        _check_sampling(args, "model", d.sampling.omega, f"the IQ grid of --path {args.path}")
+        net = _read_input(args, "model", lambda path: check_model(
+            None, load_network(path), d.shape, d.sampling, f"the IQ grid of --path {args.path}"))
         with _numeric(f"--path {args.path}, --model {args.model}"):
             x_hat = forward(net, y)
         method = f"model:{net.arch}"

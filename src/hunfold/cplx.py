@@ -38,6 +38,11 @@ __all__ = [
 _TINY = np.finfo(np.float64).tiny   # the one smallest-normal floor; solvers and training import it
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool: a Python or numpy integer."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 class NumericError(RuntimeError):
     """An operation produced non-finite values."""
 
@@ -198,8 +203,10 @@ def lipschitz_constant(phi: ComplexArray, tol: float = 1e-8,
     """
     if phi.ndim != 2:
         raise ValueError("lipschitz_constant needs a rank-2 matrix")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not (_is_int(max_iter) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not np.any(phi.z):
         raise ValueError("matrix must be nonzero")
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cplx import ComplexArray, _all_finite
+from .cplx import ComplexArray, _all_finite, _is_int
 from .spectral import Toeplitz
 
 __all__ = [
@@ -89,11 +89,6 @@ def fourier_matrix(m: int) -> ComplexArray:
     return ComplexArray(_roots(m, np.arange(m), np.arange(m)))
 
 
-def _is_int(v) -> bool:
-    """An integer that is not a bool: a Python or numpy integer."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class SamplingSet:
     """Observed indices into the full grid, a 1-D integer array or a list of
@@ -123,6 +118,10 @@ class SamplingSet:
     @property
     def count(self) -> int:
         return int(self.omega.size)
+
+    def record(self) -> dict:
+        """The set as the ``omega`` and ``sampling_seed`` keys of a sidecar."""
+        return {"omega": self.omega.tolist(), "sampling_seed": int(self.seed)}
 
 
 def draw_sampling(total: int, n: int, seed: int) -> SamplingSet:
@@ -378,8 +377,7 @@ def gen_dataset(d: Dictionary, n_samples: int, k: int, sigma2: float,
         "k": int(k),
         "sigma2": float(sigma2),
         "seed": int(seed),
-        "sampling_seed": int(d.sampling.seed),
-        "omega": [int(v) for v in d.sampling.omega],
+        **d.sampling.record(),
         "noise_db_convention": NOISE_DB_CONVENTION,
     }
     return Dataset(ComplexArray(d.phi.z @ x + w), ComplexArray(x), meta)

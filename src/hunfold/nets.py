@@ -28,13 +28,13 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cplx import (ComplexArray, NumericError, _all_finite, hermitian,
+from .cplx import (ComplexArray, NumericError, _all_finite, _is_int, hermitian,
                    join_planes, lipschitz_constant, shrink)
-from .harmonic import Dictionary
+from .harmonic import Dictionary, SamplingSet, read_sidecar
 # conv_full2_planes is not called here.  It stays bound because the benchmark
 # tracer (perfbench/tracing.py) wraps it on this module as well and reports a
 # name it cannot find as absent.
@@ -88,10 +88,16 @@ class Layer:
 
 @dataclass
 class UnfoldedNetwork:
+    """An ``arch`` network on the spectrum grid ``shape``, (M,) or (M1, M2),
+    observing the ``n_obs`` samples of ``sampling``, the set its weights
+    were built for, refused if it does not fit; None where none was recorded
+    (a hand-built network, a sidecar without ``omega``): any set then fits."""
+
     arch: str
-    shape: tuple[int, ...]   # spectrum grid: (M,) or (M1, M2)
+    shape: tuple[int, ...]
     n_obs: int
     layers: list[Layer]
+    sampling: SamplingSet | None = field(default=None, compare=False)
     # the (obs_op, inhibit_op) every layer shares, built once with the network
     ops: tuple = field(init=False, repr=False, compare=False)
 
@@ -101,6 +107,10 @@ class UnfoldedNetwork:
         if not self.layers:
             raise ValueError("a network needs at least one layer")
         _check_weights(self)
+        s = self.sampling
+        if s is not None and (s.count != self.n_obs or s.omega[-1] >= self.total):
+            raise ValueError(f"sampling set of {s.count} indices up to {s.omega.max(initial=0)} "
+                             f"does not fit n_obs = {self.n_obs} on a grid of {self.total}")
 
     @property
     def total(self) -> int:
@@ -504,10 +514,11 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
     operator's ``start`` (a kernel takes the per-diagonal mean), an all-zero
     inhibition weight and threshold lam / L, where L estimates the top
     eigenvalue of the Gram operator.  phi_hat is the true operator unless
-    one of its shape is supplied, such as a least-squares estimate.
+    one of its shape is supplied, such as a least-squares estimate; the
+    network's ``sampling`` is the dictionary's either way.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if not (_is_int(depth) and depth >= 1):
+        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"penalty weight must be finite and >= 0, got {lam}")
     obs_op, inhibit_op = branches(arch, d.shape, d.n_obs)
@@ -518,7 +529,7 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
     filt = obs_op.start(hermitian(phi_hat).scale(1.0 / big_l))
     layers = [Layer(filt.copy(), None, ComplexArray.zeros(inhibit_op.shape), lam / big_l)
               for _ in range(depth)]
-    return UnfoldedNetwork(arch, d.shape, d.n_obs, layers)
+    return UnfoldedNetwork(arch, d.shape, d.n_obs, layers, d.sampling)
 
 
 def param_count(net: UnfoldedNetwork) -> dict:
@@ -556,7 +567,8 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
     A matrix's planes are row-major.  A kernel's run its first axis fastest
     (Fortran order): a 2-D kernel of shape (2*M1-1, 2*M2-1) goes column by
     column, a 1-D kernel as it is.  Each operator's ``file_order`` names
-    its order.  A weight that :func:`load_network` would refuse is refused.
+    its order.  The sidecar holds ``net.sampling``'s record, if it has one,
+    and ``extra_meta``.  A weight that :func:`load_network` would refuse is refused.
     """
     try:
         _check_weights(net, finite=True)
@@ -579,6 +591,7 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
         "depth": net.depth,
         "param_count": param_count(net),
         "format": MODEL_MAGIC.decode("ascii"),
+        **(net.sampling.record() if net.sampling is not None else {}),
     }
     if extra_meta:
         side.update(extra_meta)
@@ -589,7 +602,9 @@ def save_network(path, net: UnfoldedNetwork, extra_meta: dict | None = None) -> 
 
 def load_network(path) -> UnfoldedNetwork:
     """Read a :func:`save_network` file; a malformed one raises a ValueError
-    naming it."""
+    naming it.  ``sampling`` is the set the sidecar records (None without
+    ``omega``); a sidecar that cannot be read, or whose set does not fit the
+    header, raises one naming the sidecar."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 28 or buf[:4] != MODEL_MAGIC:
@@ -617,6 +632,12 @@ def load_network(path) -> UnfoldedNetwork:
                 raise ValueError(f"layer {t} {exc}") from None
         net = UnfoldedNetwork(arch, shape, n_obs, layers)
         _check_weights(net, finite=True)
-        return net
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    side = read_sidecar(path) or {}
+    if "omega" not in side:
+        return net
+    try:
+        return replace(net, sampling=SamplingSet(side["omega"], side.get("sampling_seed", 0)))
+    except ValueError as exc:
+        raise ValueError(f"{path}.json: {exc}") from None

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cplx import _TINY, ComplexArray, NumericError, lipschitz_constant
+from .cplx import _TINY, ComplexArray, NumericError, _is_int, lipschitz_constant
 # cplx.shrink, bound under the name the benchmark tracer (perfbench/tracing.py)
 # wraps here; the tracer reports a name it cannot find as absent.
 from .cplx import shrink as soft_threshold_planes
-from .harmonic import Dictionary, _is_int
+from .harmonic import Dictionary
 
 __all__ = [
     "SolverConfig",
@@ -58,8 +58,8 @@ class SolverConfig:
         self.lam = float(lam) if lam.ndim == 0 else lam
         if not (_is_int(self.max_iter) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if self.tol < 0.0:
-            raise ValueError("tol must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
         if self.lipschitz is not None and not (math.isfinite(self.lipschitz)
                                                and self.lipschitz > 0.0):
             raise ValueError(f"lipschitz must be finite and > 0, got {self.lipschitz!r}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cplx import _TINY, ComplexArray, NumericError, join_planes, shrink_factor
+from .cplx import _TINY, ComplexArray, NumericError, _is_int, join_planes, shrink_factor
 from .harmonic import Dataset
 from .nets import Layer, UnfoldedNetwork, forward_planes, route
 # Not called here: every transform runs inside the nets operators.  The
@@ -68,8 +68,9 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for name, low in (("batch_size", 1), ("epochs", 0), ("lr_decay_patience", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -280,7 +281,7 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
     # each layer's arrays copied on their own: layers sharing one train untied
     net = UnfoldedNetwork(net.arch, net.shape, net.n_obs, [
         Layer(layer.filt.copy(), None, layer.inhibit.copy(), layer.threshold)
-        for layer in net.layers])
+        for layer in net.layers], net.sampling)
     params = net_param_arrays(net)
     state = init_adam_state(params)
     rng = np.random.default_rng(cfg.seed)

@@ -106,16 +106,17 @@ METHOD_ARCHS = {"lista": ("lista",), "convlista": ("convlista",),
 def test_the_architecture_table_serves_each_method_as_before():
     assert nets.ARCHS == ("lista", "toeplitz1d", "toeplitz2d", "convlista")
     assert sorted(bench.LEARNED_METHODS) == sorted(METHOD_ARCHS)
-    d1 = hf.build_dictionary((8,), hf.draw_sampling(8, 4, seed=0))
-    d2 = hf.build_dictionary((2, 4), hf.draw_sampling(8, 4, seed=0))
+    sampling = hf.draw_sampling(8, 4, seed=0)
+    d1 = hf.build_dictionary((8,), sampling)
+    d2 = hf.build_dictionary((2, 4), sampling)
     for arch in nets.ARCHS:
         net = init_network(arch, d2 if arch == "toeplitz2d" else d1, 1, lam=0.1)
         for method, archs in METHOD_ARCHS.items():
             if arch in archs:
-                assert bench.check_model(method, net, net.shape, 4) is net
+                assert bench.check_model(method, net, net.shape, sampling) is net
                 continue
             with pytest.raises(ValueError, match=f"cannot serve method {method!r}"):
-                bench.check_model(method, net, net.shape, 4)
+                bench.check_model(method, net, net.shape, sampling)
     # and the CLI's flags come from the same table
     parser, commands = cli.build_parser()
     for name in ("sweep", "single"):
@@ -123,6 +124,61 @@ def test_the_architecture_table_serves_each_method_as_before():
         assert {f"model_{m.replace('-', '_')}" for m in METHOD_ARCHS} <= dests
     arch_flag = next(a for a in commands["train"]._actions if a.dest == "arch")
     assert tuple(arch_flag.choices) == nets.ARCHS
+
+
+def sampling_cfg(sample_seed, net):
+    """A -20 dB lista-toeplitz sweep on the desk grid (M=64, N=16) served by ``net``."""
+    return ExperimentConfig(shape=(64,), n_obs=16, k=2, noise_powers_db=[-20.0],
+                            methods=["lista-toeplitz"], trials_per_point=4, seed=1,
+                            sample_seed=sample_seed, models={"lista-toeplitz": net})
+
+
+def test_experiment_config_refuses_a_model_of_another_sampling_set():
+    # such a network once scored silently: an ISTA-embedding toeplitz1d built
+    # on sample seed 0 read hit rate 0.835 at sample seed 0 and 0.110 at seed 1
+    d = hf.build_dictionary((64,), hf.draw_sampling(64, 16, seed=0))
+    net = init_network("toeplitz1d", d, 2, lam=0.1)
+    cfg = sampling_cfg(0, net)
+    assert np.array_equal(cfg.sampling.omega, d.sampling.omega)
+    assert run_sweep(cfg)[0].trials == 4
+    with pytest.raises(ValueError) as err:
+        sampling_cfg(1, net)
+    assert str(err.value) == ("method 'lista-toeplitz': model was built for other "
+                              "sampling indices than those of the experiment")
+    with pytest.raises(ValueError, match="other sampling indices than those of the IQ grid"):
+        bench.check_model(None, net, (64,), hf.draw_sampling(64, 16, seed=1), "the IQ grid")
+
+
+@pytest.mark.parametrize("sidecar", [None, "{}"], ids=["missing", "no-omega"])
+def test_a_model_recording_no_sampling_set_serves_any_set_of_its_grid(tmp_path, sidecar):
+    d = hf.build_dictionary((64,), hf.draw_sampling(64, 16, seed=0))
+    path = tmp_path / "m.hun"
+    hf.save_network(path, init_network("toeplitz1d", d, 2, lam=0.1))
+    side = tmp_path / "m.hun.json"
+    if sidecar is None:
+        side.unlink()
+    else:
+        side.write_text(sidecar)
+    net = hf.load_network(path)
+    assert net.sampling is None
+    for seed in (0, 1):
+        assert run_sweep(sampling_cfg(seed, net))[0].trials == 4
+    with pytest.raises(ValueError, match="model is for grid"):
+        ExperimentConfig(shape=(64,), n_obs=15, k=2, noise_powers_db=[0.0],
+                         methods=["lista-toeplitz"], models={"lista-toeplitz": net})
+
+
+def test_sweeps_and_dumps_observe_through_the_configs_sampling_set(monkeypatch):
+    cfg = small_cfg(methods=["ista", "fista"])
+    assert np.array_equal(cfg.sampling.omega, hf.draw_sampling(16, 8, seed=4).omega)
+    built = []
+    build = bench.build_dictionary
+    monkeypatch.setattr(bench, "draw_sampling", lambda *a: pytest.fail("a second draw"))
+    monkeypatch.setattr(bench, "build_dictionary",
+                        lambda shape, s: built.append(s) or build(shape, s))
+    run_sweep(cfg)
+    run_single(cfg)
+    assert len(built) == 2 and all(s is cfg.sampling for s in built)
 
 
 def test_run_sweep_refuses_zero_components_before_any_recovery(monkeypatch):
@@ -805,9 +861,9 @@ def test_cli_sweep_and_single_refuse_a_model_of_another_sampling_set(tmp_path, c
     out = tmp_path / "b.csv"
     with pytest.raises(SystemExit) as err:
         cli_main(argv + ["--sample-seed", "12", "--out", str(out)])
-    assert str(err.value.code) == (f"--model-lista-toeplitz {model}: the model was trained "
-                                   f"on other sampling indices than the experiment's "
-                                   f"(--n 6, --sample-seed 12)")
+    assert str(err.value.code) == (f"--model-lista-toeplitz {model}: model was built "
+                                   f"for other sampling indices than those of the "
+                                   f"experiment")
     assert not out.exists()
 
 
@@ -825,8 +881,9 @@ def test_cli_ingest_refuses_a_model_of_another_sampling_set(tmp_path):
     out = tmp_path / "b.csv"
     with pytest.raises(SystemExit) as err:
         cli_main(argv + ["--path", str(iq[12]), "--out", str(out)])
-    assert str(err.value.code) == (f"--model {model}: the model was trained on other "
-                                   f"sampling indices than the IQ grid of --path {iq[12]}")
+    assert str(err.value.code) == (f"--model {model}: model was built for other "
+                                   f"sampling indices than those of the IQ grid of "
+                                   f"--path {iq[12]}")
     assert not out.exists()
 
 
@@ -867,7 +924,8 @@ def test_cli_ingest_names_both_files_when_the_model_does_not_fit(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli_main(["ingest", "--path", str(iq), "--model", str(model), "--out", str(out)])
     msg = str(err.value.code)
-    assert msg.startswith(f"--model {model}: model dimensions do not match")
+    assert msg.startswith(f"--model {model}: model is for grid (6, 4) with 12 "
+                          f"observations, the IQ grid of --path {iq} is grid (4, 6)")
     assert f"--path {iq}" in msg and "(6, 4)" in msg and "(4, 6)" in msg
     assert not out.exists()
 

@@ -9,6 +9,21 @@ from hunfold.cplx import ComplexArray, lipschitz_constant, shrink, soft_threshol
 from conftest import rand_carray
 
 
+@pytest.mark.parametrize("kwargs, words", [
+    ({"tol": float("nan")}, "tol must be finite and > 0, got nan"),
+    ({"tol": float("inf")}, "tol must be finite and > 0, got inf"),
+    ({"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
+    ({"max_iter": 0}, "max_iter must be an integer >= 1, got 0"),
+    ({"max_iter": 2.5}, "max_iter must be an integer >= 1, got 2.5"),
+    ({"max_iter": True}, "max_iter must be an integer >= 1, got True")])
+def test_lipschitz_constant_refuses_a_bad_tolerance_or_budget(kwargs, words):
+    # max_iter=0 once returned an L of 0.0, which callers divide by
+    phi = hf.build_dictionary((8,), hf.draw_sampling(8, 4, seed=0)).phi
+    with pytest.raises(ValueError) as err:
+        lipschitz_constant(phi, **kwargs)
+    assert str(err.value) == words
+
+
 def test_soft_threshold_below_threshold_is_zero():
     x = ComplexArray(np.array([0.5 + 0j]))
     out = soft_threshold(x, 1.0)

@@ -1,5 +1,6 @@
 """Forward-pass identities, initialization, parameter counts, model files."""
 
+import json
 import struct
 
 import numpy as np
@@ -14,7 +15,7 @@ from hunfold.nets import (ARCH_TABLE, ARCHS, DENSE_MIN_BATCH, Conv, Dense, Layer
                           save_network)
 from hunfold.solvers import SolverConfig, ista
 from hunfold.spectral import Toeplitz, next_pow2, toeplitz_expand, toeplitz_matrix
-from hunfold.training import estimate_dictionary
+from hunfold.training import TrainConfig, estimate_dictionary, train
 
 from conftest import SENTINEL, poke, rand_carray
 
@@ -322,6 +323,57 @@ def test_model_round_trip(tmp_path):
         assert a.threshold == b.threshold
     side = (tmp_path / "model.hun.json").read_text()
     assert '"note": "round trip"' in side
+
+
+@pytest.mark.parametrize("arch, shape", [("toeplitz1d", (16,)), ("toeplitz2d", (3, 4))])
+def test_the_sampling_set_survives_train_save_and_load(tmp_path, arch, shape):
+    d = hf.build_dictionary(shape, hf.draw_sampling(int(np.prod(shape)), 6, seed=23))
+    ds = hf.gen_dataset(d, 12, 1, 0.01, seed=4)
+    net0 = init_network(arch, d, 2, lam=0.1)
+    assert net0.sampling is d.sampling
+    net, _ = train(net0, ds.take(np.arange(8)), ds.take(np.arange(8, 12)),
+                   TrainConfig(batch_size=4, epochs=1))
+    assert net is not net0 and net.sampling is d.sampling
+    path = tmp_path / "m.hun"
+    save_network(path, net)
+    side = json.loads((tmp_path / "m.hun.json").read_text())
+    assert side["omega"] == d.sampling.omega.tolist() and side["sampling_seed"] == 23
+    back = load_network(path)
+    assert np.array_equal(back.sampling.omega, d.sampling.omega)
+    assert back.sampling.seed == 23
+
+
+@pytest.mark.parametrize("omega, words", [
+    ([0, 1, 2], "sampling set of 3 indices up to 2 does not fit n_obs = 6 on a grid of 16"),
+    ([0, 1, 2, 3, 4, 16], "sampling set of 6 indices up to 16 does not fit n_obs = 6"),
+    ([3, 1], "sampling indices must be strictly ascending"),
+    ("abc", "sampling indices must be a 1-D list")],
+    ids=["short", "past-the-grid", "descending", "not-a-list"])
+def test_load_network_names_the_sidecar_of_a_sampling_set_that_does_not_fit(
+        tmp_path, omega, words):
+    path, side = tmp_path / "m.hun", tmp_path / "m.hun.json"
+    save_network(path, init_network("toeplitz1d", dict_1d(m=16, n=6, seed=3), 1, lam=0.1))
+    side.write_text(json.dumps({**json.loads(side.read_text()), "omega": omega}))
+    with pytest.raises(ValueError) as err:
+        load_network(path)
+    assert str(err.value).startswith(f"{side}: {words}")
+
+
+def test_a_network_refuses_a_sampling_set_that_does_not_fit():
+    layers = init_network("lista", dict_1d(m=16, n=6, seed=3), 1, lam=0.1).layers
+    for sampling in (hf.draw_sampling(16, 5, seed=1),
+                     hf.SamplingSet(np.array([0, 1, 2, 3, 4, 16]), 0)):
+        with pytest.raises(ValueError, match="does not fit n_obs = 6 on a grid of 16"):
+            UnfoldedNetwork("lista", (16,), 6, layers, sampling)
+    # the four-argument form records no set
+    assert UnfoldedNetwork("lista", (16,), 6, layers).sampling is None
+
+
+@pytest.mark.parametrize("depth", [2.5, np.float64(2.0), True, 0])
+def test_init_network_refuses_a_depth_that_is_not_an_integer(depth):
+    with pytest.raises(ValueError) as err:
+        init_network("lista", dict_1d(), depth, lam=0.1)
+    assert str(err.value) == f"depth must be an integer >= 1, got {depth!r}"
 
 
 def test_model_round_trip_convlista(tmp_path):

@@ -165,6 +165,10 @@ def test_solver_config_validation():
         SolverConfig(lam=0.0, max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(lam=0.0, tol=-1e-3)
+    # a NaN tolerance once ran the whole budget unconverged, with no error
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol}"):
+            SolverConfig(lam=0.0, tol=tol)
     for big_l in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lipschitz"):
             SolverConfig(lam=0.1, lipschitz=big_l)

@@ -239,7 +239,14 @@ def test_train_config_names_the_bad_field():
                           ({"epochs": -1}, "epochs"),
                           ({"lr_decay_patience": 0}, "lr_decay_patience"),
                           ({"lr_decay_patience": -3}, "lr_decay_patience"),
-                          ({"seed": -1}, "seed")]:
+                          ({"seed": -1}, "seed"),
+                          # these once passed, and train failed inside numpy
+                          ({"batch_size": 2.5}, "batch_size must be an integer >= 1, got 2.5"),
+                          ({"batch_size": True}, "batch_size must be an integer >= 1, got True"),
+                          ({"epochs": True}, "epochs must be an integer >= 0, got True"),
+                          ({"epochs": np.float64(2.0)}, "epochs must be an integer >= 0"),
+                          ({"lr_decay_patience": 1.5}, "lr_decay_patience must be an integer"),
+                          ({"seed": 0.5}, "seed must be an integer >= 0, got 0.5")]:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
 
