@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, nets
-from .cplx import ComplexArray, _is_int, join_planes, shrink
+from .cplx import ComplexArray, _check_int, _is_int, join_planes, shrink
 from .harmonic import (NOISE_DB_CONVENTION, Dictionary, SamplingSet, _check_samples,
                        _draw, build_dictionary, db_to_sigma2, draw_sampling,
                        gaussian, make_instance, synth_offgrid)
@@ -30,7 +30,6 @@ __all__ = [
     "ExperimentConfig",
     "IQ_MAGIC",
     "MetricRow",
-    "check_model",
     "complexity_report",
     "ingest_iq_grid",
     "read_iq_grid",
@@ -49,24 +48,6 @@ SOLVER_METHODS = ("ista", "fista")
 LEARNED_METHODS = tuple(dict.fromkeys(row.method for row in nets.ARCH_TABLE.values()))
 
 
-def check_model(method: str | None, net, shape, sampling: SamplingSet,
-                problem: str = "the experiment"):
-    """``net`` if it can serve learned ``method`` (None: any) on ``problem``,
-    a ``shape`` grid observed at ``sampling``; else a ValueError saying why:
-    the grid, the observation count, the indices ``net.sampling`` records,
-    if any, or the method."""
-    if net.shape != tuple(shape) or net.n_obs != sampling.count:
-        raise ValueError(f"model is for grid {net.shape} with {net.n_obs} "
-                         f"observations, {problem} is grid {tuple(shape)} "
-                         f"with {sampling.count}")
-    if net.sampling is not None and not np.array_equal(net.sampling.omega, sampling.omega):
-        raise ValueError(f"model was built for other sampling indices than those of {problem}")
-    if method is not None and nets.ARCH_TABLE[net.arch].method != method:
-        raise ValueError(f"model architecture {net.arch!r} cannot serve "
-                         f"method {method!r}")
-    return net
-
-
 @dataclass
 class ExperimentConfig:
     """One sweep's worth of settings.
@@ -74,8 +55,8 @@ class ExperimentConfig:
     ``budgets`` maps solver names to iteration counts; learned methods take
     their depth from the loaded model.  ``sampling``, derived, is the set
     ``sample_seed`` draws.  ``models`` maps learned method names to networks
-    that :func:`check_model` passes for ``shape`` and ``sampling``.  A field
-    that is not a problem is a ValueError naming it.
+    that :func:`~hunfold.nets.check_model` passes for ``shape`` and
+    ``sampling``.  A field that is not a problem is a ValueError naming it.
     """
 
     shape: tuple[int, ...]
@@ -110,9 +91,7 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("need at least one method")
         for name, it in self.budgets.items():
-            if not (_is_int(it) and it >= 1):
-                raise ValueError(f"iteration budget for {name} must be an integer >= 1, "
-                                 f"got {it!r}")
+            _check_int(f"iteration budget for {name}", it, 1)
         if not self.noise_powers_db:
             raise ValueError("noise_powers_db needs at least one entry")
         try:
@@ -134,7 +113,7 @@ class ExperimentConfig:
             if net is None:
                 raise ValueError(f"method {name!r} needs a trained model")
             try:
-                check_model(name, net, self.shape, self.sampling)
+                nets.check_model(name, net, self.shape, self.sampling)
             except ValueError as exc:
                 raise ValueError(f"method {name!r}: {exc}") from None
 
@@ -234,8 +213,9 @@ def time_layer_forward(arch: str, m: int, n_obs: int, repeats: int = 5) -> float
 
     Runs the networks' own path: observation operator, inhibition operator
     and threshold.  Parameters are random; only relative scaling is
-    meaningful.
+    meaningful.  ``repeats`` must be an integer >= 1.
     """
+    _check_int("repeats", repeats, 1)
     obs_op, inhibit_op = nets.branches(arch, (m,), n_obs)
     rng = np.random.default_rng(0)
     inhibit = ComplexArray(gaussian(rng, inhibit_op.shape, 1.0))
@@ -287,14 +267,14 @@ def write_iq_grid(path, shape, omega, y: ComplexArray) -> None:
     JSON header (m1, m2, omega), then the N samples as (re, im) f64 pairs.
     The file passes the checks of :func:`read_iq_grid` and
     :func:`ingest_iq_grid`: m1 and m2 are integers >= 1, omega, read through
-    SamplingSet, lists at least one index and none past m1*m2, and ``y``
-    holds one finite sample per index."""
+    SamplingSet, lists at least one index and fits the m1 x m2 grid
+    (:meth:`~hunfold.harmonic.SamplingSet.fit`), and ``y`` holds one finite
+    sample per index."""
     if len(shape) != 2 or not all(_is_int(m) and m >= 1 for m in shape):
         raise ValueError(f"an IQ grid takes two integer sizes >= 1, got {tuple(shape)}")
-    omega = SamplingSet(omega, 0).omega
-    if not omega.size or omega[-1] >= shape[0] * shape[1]:
-        raise ValueError(f"omega must list at least one index, each below "
-                         f"{shape[0] * shape[1]}, got {omega.tolist()}")
+    omega = SamplingSet(omega, 0).fit(shape[0] * shape[1]).omega
+    if not omega.size:
+        raise ValueError("omega must list at least one index")
     if y.shape != omega.shape:
         raise ValueError(f"{omega.size} indices need as many samples, got shape {y.shape}")
     _check_samples(path, (None, y.z))

@@ -25,14 +25,14 @@ import sys
 import numpy as np
 
 from .bench import (LEARNED_METHODS, SOLVER_METHODS, ExperimentConfig,
-                    check_model, complexity_report, ingest_iq_grid,
-                    metric_rows_table, run_single, run_sweep, write_csv,
-                    write_iq_grid, write_manifest)
+                    complexity_report, ingest_iq_grid, metric_rows_table,
+                    run_single, run_sweep, write_csv, write_iq_grid,
+                    write_manifest)
 from .cplx import ComplexArray, NumericError
 from .harmonic import (build_dictionary, db_to_sigma2, dictionary_from_meta,
                        draw_sampling, gen_dataset, read_dataset, write_dataset)
-from .nets import (ARCHS, branches, forward, init_network, load_network,
-                   save_network)
+from .nets import (ARCHS, branches, check_model, forward, init_network,
+                   load_network, save_network)
 from .solvers import SolverConfig, default_lambda, ista
 from .training import TrainConfig, estimate_dictionary, loss_nmse, train
 
@@ -168,16 +168,6 @@ def _numeric(where, *also):
         raise SystemExit(f"{where}: {exc}") from None
 
 
-def _learnable(ds, where):
-    """Stop naming ``where``, the flag and file that ``ds`` comes from, if it
-    holds no sample or only zero truth spectra: its NMSE loss is undefined."""
-    if ds.count == 0:
-        raise SystemExit(f"{where} holds no samples")
-    if not ds.truth.z.any():
-        raise SystemExit(f"{where}: every truth spectrum is zero, so the NMSE loss "
-                         "is undefined")
-
-
 def _load_models(args, methods, shape) -> dict:
     """The model file of every learned method in ``methods``, each checked
     to fit the ``shape`` grid that --n observes through the sampling set of
@@ -240,7 +230,6 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     train_ds = _read_input(args, "data", read_dataset)
-    _learnable(train_ds, f"--data {args.data}")
     shape = tuple(train_ds.meta["shape"])
     try:
         branches(args.arch, shape, train_ds.meta["n_obs"])
@@ -248,23 +237,15 @@ def _cmd_train(args) -> int:
         raise SystemExit(f"--arch {args.arch}: {exc} that --data {args.data} holds") from None
     if args.val:
         val_ds = _read_input(args, "val", read_dataset)
-        for key in ("shape", "n_obs", "omega"):
-            mine, theirs = val_ds.meta[key], train_ds.meta[key]
-            if mine != theirs:
-                detail = ("the sampling indices differ" if key == "omega"
-                          else f"{key} {mine} against {theirs}")
-                raise SystemExit(f"--val {args.val} and --data {args.data} hold "
-                                 f"different problems: {detail}")
-        _learnable(val_ds, f"--val {args.val}")
+        val_flag = f"--val {args.val}"
     else:
         count = train_ds.count
         n_val = max(1, int(count * args.val_frac))
         if n_val >= count:
             raise SystemExit(f"--val-frac {args.val_frac} leaves no training sample "
-                             f"of the {count} in {args.data}")
+                             f"of the {count} in --data {args.data}")
         val_ds = train_ds.take(np.arange(count - n_val, count))
-        _learnable(val_ds, f"--data {args.data} (its validation split, the last "
-                           f"{n_val} samples)")
+        val_flag = f"--data {args.data} (its validation split, the last {n_val} samples)"
         train_ds = train_ds.take(np.arange(count - n_val))
     d = dictionary_from_meta(train_ds.meta)
     phi_hat = None
@@ -278,11 +259,11 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch,
                       epochs=args.epochs, lr_decay_patience=args.patience,
                       seed=args.seed)
-    with _numeric(f"--val {args.val}" if args.val else f"--data {args.data}"):
+    # loss_nmse refuses a validation set, then train a training set or batch
+    with _numeric(val_flag, ValueError):
         init_val = loss_nmse(net, val_ds)
         if not math.isfinite(init_val):
             raise NumericError("non-finite validation NMSE before training")
-    # a ValueError here is a batch of zero truth spectra only
     with _numeric(f"--data {args.data}", ValueError):
         net, report = train(net, train_ds, val_ds, cfg)
     best = report.best_epoch

@@ -43,6 +43,13 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _check_int(name: str, value, low: int = 0):
+    """``value`` if an integer (:func:`_is_int`) >= ``low``, else a ValueError naming ``name``."""
+    if not (_is_int(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 class NumericError(RuntimeError):
     """An operation produced non-finite values."""
 
@@ -205,8 +212,7 @@ def lipschitz_constant(phi: ComplexArray, tol: float = 1e-8,
         raise ValueError("lipschitz_constant needs a rank-2 matrix")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if not (_is_int(max_iter) and max_iter >= 1):
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _check_int("max_iter", max_iter, 1)
     if not np.any(phi.z):
         raise ValueError("matrix must be nonzero")
 

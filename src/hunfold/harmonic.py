@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cplx import ComplexArray, _all_finite, _is_int
+from .cplx import ComplexArray, _all_finite, _check_int, _is_int
 from .spectral import Toeplitz
 
 __all__ = [
@@ -112,12 +112,21 @@ class SamplingSet:
         object.__setattr__(self, "omega", om)
         if om.size and (np.any(np.diff(om) <= 0) or om[0] < 0):
             raise ValueError("sampling indices must be strictly ascending and >= 0")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"sampling seed must be an integer >= 0, got {self.seed!r}")
+        _check_int("sampling seed", self.seed)
 
     @property
     def count(self) -> int:
         return int(self.omega.size)
+
+    def fit(self, total: int, count: int | None = None) -> "SamplingSet":
+        """The set if it holds ``count`` indices (None: any number), all below
+        ``total``, its grid's cell count, else a ValueError: the one such check."""
+        top = int(self.omega.max(initial=0))
+        if top >= total or (count is not None and count != self.count):
+            need = "" if count is None else f"n_obs = {count} on "
+            raise ValueError(f"sampling set of {self.count} indices up to {top} "
+                             f"does not fit {need}a grid of {total}")
+        return self
 
     def record(self) -> dict:
         """The set as the ``omega`` and ``sampling_seed`` keys of a sidecar."""
@@ -126,9 +135,9 @@ class SamplingSet:
 
 def draw_sampling(total: int, n: int, seed: int) -> SamplingSet:
     """Draw n distinct indices uniformly from {0, ..., total-1}."""
-    if n > total:
+    if _check_int("n", n) > total:
         raise ValueError(f"cannot draw {n} distinct indices from {total}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int("seed", seed))
     omega = np.sort(rng.choice(total, size=n, replace=False).astype(np.int64))
     return SamplingSet(omega, seed)
 
@@ -163,8 +172,7 @@ def build_dictionary(shape, sampling: SamplingSet) -> Dictionary:
     shape = tuple(int(s) for s in shape)
     if len(shape) not in (1, 2) or any(s < 1 for s in shape):
         raise ValueError(f"grid shape must be (M,) or (M1, M2), got {shape}")
-    if sampling.count and int(sampling.omega[-1]) >= math.prod(shape):
-        raise ValueError("sampling index exceeds grid size")
+    sampling.fit(math.prod(shape))
     rows = [_roots(m, i, np.arange(m))
             for i, m in zip(np.unravel_index(sampling.omega, shape), shape)]
     phi = functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(
@@ -216,6 +224,7 @@ def _draw(total: int, n: int, k: int, sigma2: float, seeds):
     per block.
     """
     _check_noise_power(sigma2)
+    _check_int("k", k)
     if k > total:
         raise ValueError(f"sparsity {k} exceeds grid size {total}")
     b = len(seeds)
@@ -336,7 +345,8 @@ def make_instance(d: Dictionary, k: int, sigma2: float, seed) -> SparseInstance:
 
 @dataclass
 class Dataset:
-    """Columns of paired observations and ground-truth spectra."""
+    """Columns of paired observations and ground-truth spectra, and the
+    ``meta`` they were made with, whose sampling set is :attr:`sampling`."""
 
     obs: ComplexArray    # n_obs x count
     truth: ComplexArray  # total x count
@@ -350,6 +360,12 @@ class Dataset:
     @property
     def count(self) -> int:
         return int(self.obs.shape[1])
+
+    @property
+    def sampling(self) -> SamplingSet | None:
+        """The set of ``meta``'s ``omega`` and ``sampling_seed``; None without ``omega``."""
+        m = self.meta
+        return SamplingSet(m["omega"], m.get("sampling_seed", 0)) if "omega" in m else None
 
     def take(self, idx) -> "Dataset":
         idx = np.asarray(idx)
@@ -367,8 +383,8 @@ def gen_dataset(d: Dictionary, n_samples: int, k: int, sigma2: float,
     reproducible independently of how many columns are generated.  The
     observations are one block product ``phi @ x + w``.
     """
-    x, w = _draw(d.total, d.n_obs, k, sigma2,
-                 np.random.SeedSequence(seed).spawn(n_samples))
+    x, w = _draw(d.total, d.n_obs, k, sigma2, np.random.SeedSequence(
+        _check_int("seed", seed)).spawn(_check_int("n_samples", n_samples)))
     meta = {
         "kind": len(d.shape),
         "shape": list(d.shape),
@@ -455,10 +471,10 @@ def read_dataset(path) -> Dataset:
     """Inverse of :func:`write_dataset`, the sidecar's sampling set merged.
 
     A missing sidecar, or a non-finite entry in the observation or truth
-    matrix, is a ValueError naming the file.  A sidecar that
-    cannot be read or parsed, whose ``omega`` and ``sampling_seed`` are not
-    a :class:`SamplingSet`, or whose ``omega`` does not hold ``n_obs``
-    indices on the header's grid, is a ValueError naming the sidecar.
+    matrix, is a ValueError naming the file.  A sidecar that cannot be read
+    or parsed, or whose ``omega`` and ``sampling_seed`` are not a
+    :class:`SamplingSet` that fits ``n_obs`` on the header's grid
+    (:meth:`SamplingSet.fit`), is a ValueError naming the sidecar.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -489,19 +505,11 @@ def read_dataset(path) -> Dataset:
         raise ValueError(f"{path}: no sampling indices (the sidecar "
                          f"{side_path} is missing)")
     try:
-        omega = SamplingSet(side.get("omega"), 0).omega
-    except ValueError:
-        omega = None
-    if omega is None or omega.size != n_obs or (n_obs and omega[-1] >= total):
-        raise ValueError(f"{side_path}: omega must hold n_obs = {n_obs} "
-                         f"strictly ascending integers in [0, {total})")
-    try:
-        SamplingSet(omega, side.get("sampling_seed", 0))
-    except ValueError:
-        raise ValueError(f"{side_path}: sampling_seed must be an integer >= 0") from None
-    for key in ("sampling_seed", "omega", "noise_db_convention"):
-        if key in side:
-            meta[key] = side[key]
+        SamplingSet(side.get("omega"), side.get("sampling_seed", 0)).fit(total, n_obs)
+    except ValueError as exc:
+        raise ValueError(f"{side_path}: {exc}") from None
+    meta.update({key: side[key] for key in ("sampling_seed", "omega", "noise_db_convention")
+                 if key in side})
     return Dataset(obs, truth, meta)
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .cplx import ComplexArray
+from .cplx import ComplexArray, _check_int
 
 __all__ = ["hit_rate_metric", "nmse_metric", "top_k_indices"]
 
@@ -57,8 +57,7 @@ def top_k_indices(x: ComplexArray, k: int) -> np.ndarray:
     k-th largest modulus comes from a partition; every modulus above it is
     kept, and the ties at it fill the rest in ascending index.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_int("k", k)
     rows = _rows(x)
     mag = np.hypot(rows.real, rows.imag)
     k = min(k, mag.shape[1])
@@ -80,15 +79,15 @@ def top_k_indices(x: ComplexArray, k: int) -> np.ndarray:
 def hit_rate_metric(x_hat: ComplexArray, x_true: ComplexArray, k: int,
                     tol_cells: int = 0, grid_shape=None):
     """Fraction of true components found among the k largest estimates,
-    per trial.
+    per trial, for integers ``k`` >= 1 and ``tol_cells`` >= 0.
 
     Strict matching requires the exact grid index.  With ``tol_cells`` > 0
     a true component counts as found when some top-k index lies within that
     many cells (Chebyshev distance over the grid axes; pass ``grid_shape``
     for 2-D problems).  A NaN truth entry is not a component.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_int("k", k, 1)
+    _check_int("tol_cells", tol_cells)
     if x_hat.shape != x_true.shape:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_true.shape}")
     truth = _rows(x_true)

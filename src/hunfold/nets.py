@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cplx import (ComplexArray, NumericError, _all_finite, _is_int, hermitian,
+from .cplx import (ComplexArray, NumericError, _all_finite, _check_int, hermitian,
                    join_planes, lipschitz_constant, shrink)
 from .harmonic import Dictionary, SamplingSet, read_sidecar
 # conv_full2_planes is not called here.  It stays bound because the benchmark
@@ -49,6 +49,7 @@ __all__ = [
     "Layer",
     "UnfoldedNetwork",
     "branches",
+    "check_model",
     "forward",
     "init_network",
     "load_network",
@@ -86,12 +87,13 @@ class Layer:
             raise ValueError(f"threshold must be a finite scalar >= 0, got {theta}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnfoldedNetwork:
     """An ``arch`` network on the spectrum grid ``shape``, (M,) or (M1, M2),
     observing the ``n_obs`` samples of ``sampling``, the set its weights
     were built for, refused if it does not fit; None where none was recorded
-    (a hand-built network, a sidecar without ``omega``): any set then fits."""
+    (a hand-built network, a sidecar without ``omega``): any set then fits.
+    Frozen, so no field skips these checks (a layer's weights can be set)."""
 
     arch: str
     shape: tuple[int, ...]
@@ -102,15 +104,13 @@ class UnfoldedNetwork:
     ops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.shape = tuple(int(s) for s in self.shape)
-        self.ops = branches(self.arch, self.shape, self.n_obs)
+        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
+        object.__setattr__(self, "ops", branches(self.arch, self.shape, self.n_obs))
         if not self.layers:
             raise ValueError("a network needs at least one layer")
         _check_weights(self)
-        s = self.sampling
-        if s is not None and (s.count != self.n_obs or s.omega[-1] >= self.total):
-            raise ValueError(f"sampling set of {s.count} indices up to {s.omega.max(initial=0)} "
-                             f"does not fit n_obs = {self.n_obs} on a grid of {self.total}")
+        if self.sampling is not None:
+            self.sampling.fit(self.total, self.n_obs)
 
     @property
     def total(self) -> int:
@@ -454,6 +454,25 @@ def branches(arch: str, shape, n_obs: int):
     return row.obs.on((n_obs,), (math.prod(shape),)), row.inhibit.on(shape, shape)
 
 
+def check_model(method: str | None, net: UnfoldedNetwork, shape, sampling: SamplingSet,
+                problem: str = "the experiment") -> UnfoldedNetwork:
+    """``net`` if it can serve learned ``method`` (None: any) on ``problem``,
+    a ``shape`` grid observed at ``sampling``; else a ValueError saying why:
+    the grid, the observation count, the indices ``net.sampling`` records,
+    if any, or the method.  The one check of a network against a problem:
+    sweeps, ingestion and training (on each dataset) run it."""
+    if net.shape != tuple(shape) or net.n_obs != sampling.count:
+        raise ValueError(f"model is for grid {net.shape} with {net.n_obs} "
+                         f"observations, {problem} is grid {tuple(shape)} "
+                         f"with {sampling.count}")
+    if net.sampling is not None and not np.array_equal(net.sampling.omega, sampling.omega):
+        raise ValueError(f"model was built for other sampling indices than those of {problem}")
+    if method is not None and ARCH_TABLE[net.arch].method != method:
+        raise ValueError(f"model architecture {net.arch!r} cannot serve "
+                         f"method {method!r}")
+    return net
+
+
 def forward_planes(net: UnfoldedNetwork, yr, yi, keep_cache: bool = False):
     """Run the network on batch-major planes (batch, n_obs) -> (batch, M).
 
@@ -517,8 +536,7 @@ def init_network(arch: str, d: Dictionary, depth: int, lam: float,
     one of its shape is supplied, such as a least-squares estimate; the
     network's ``sampling`` is the dictionary's either way.
     """
-    if not (_is_int(depth) and depth >= 1):
-        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
+    _check_int("depth", depth, 1)
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"penalty weight must be finite and >= 0, got {lam}")
     obs_op, inhibit_op = branches(arch, d.shape, d.n_obs)

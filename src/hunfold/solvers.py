@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cplx import _TINY, ComplexArray, NumericError, _is_int, lipschitz_constant
+from .cplx import _TINY, ComplexArray, NumericError, _check_int, lipschitz_constant
 # cplx.shrink, bound under the name the benchmark tracer (perfbench/tracing.py)
 # wraps here; the tracer reports a name it cannot find as absent.
 from .cplx import shrink as soft_threshold_planes
@@ -56,8 +56,7 @@ class SolverConfig:
             raise ValueError(f"penalty weight must be a finite scalar or vector "
                              f">= 0, got {self.lam!r}")
         self.lam = float(lam) if lam.ndim == 0 else lam
-        if not (_is_int(self.max_iter) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _check_int("max_iter", self.max_iter, 1)
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
         if self.lipschitz is not None and not (math.isfinite(self.lipschitz)

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cplx import _TINY, ComplexArray, NumericError, _is_int, join_planes, shrink_factor
+from .cplx import _TINY, ComplexArray, NumericError, _check_int, join_planes, shrink_factor
 from .harmonic import Dataset
-from .nets import Layer, UnfoldedNetwork, forward_planes, route
+from .nets import Layer, UnfoldedNetwork, check_model, forward_planes, route
 # Not called here: every transform runs inside the nets operators.  The
 # names stay bound because the benchmark tracer (perfbench/tracing.py) wraps
 # them on this module as well and reports a name it cannot find as absent.
@@ -68,9 +68,7 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for name, low in (("batch_size", 1), ("epochs", 0), ("lr_decay_patience", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_int(name, getattr(self, name), low)
 
 
 @dataclass
@@ -80,9 +78,23 @@ class TrainReport:
     best_epoch: int | None = None
 
 
-def _batches(ds: Dataset):
+def _batches(net: UnfoldedNetwork, ds: Dataset, name: str = "the data"):
     """Column-major dataset -> batch-major (count, dim) observations and
-    labels."""
+    labels of a set that serves ``net``.  A ValueError naming the set
+    (``name``) refuses one with no samples, one whose ``meta`` (``shape``,
+    ``omega``) :func:`~hunfold.nets.check_model` refuses, matrices of
+    another ``n_obs`` or cell count, or only zero truth spectra."""
+    if ds.count == 0:
+        raise ValueError(f"{name} holds no samples")
+    sampling = ds.sampling
+    if sampling is not None:
+        check_model(None, net, ds.meta.get("shape", net.shape), sampling, name)
+    (n_obs, _), (total, _) = ds.obs.shape, ds.truth.shape
+    if (n_obs, total) != (net.n_obs, net.total):
+        raise ValueError(f"model is for {net.n_obs} observations of {net.total} cells, "
+                         f"{name} holds {n_obs} observations of {total} cells")
+    if not ds.truth.z.any():
+        raise ValueError(f"every truth spectrum of {name} is zero, so its NMSE loss is undefined")
     return np.ascontiguousarray(ds.obs.z.T), np.ascontiguousarray(ds.truth.z.T)
 
 
@@ -95,10 +107,9 @@ def _nmse_sums(x, t):
 
 
 def loss_nmse(net: UnfoldedNetwork, batch: Dataset) -> float:
-    """Batch NMSE of the network's recoveries against the labels."""
-    if batch.count == 0:
-        raise ValueError("empty batch")
-    y, t = _batches(batch)
+    """Batch NMSE of the network's recoveries against the labels, of a set
+    that :func:`_batches` passes for ``net`` (named "the data")."""
+    y, t = _batches(net, batch)
     num = 0.0
     den = 0.0
     for lo in range(0, batch.count, LOSS_CHUNK):
@@ -144,10 +155,9 @@ def _soft_threshold_adjoint(g, u, mag, theta):
 
 def backward(net: UnfoldedNetwork, batch: Dataset):
     """Gradients of the batch NMSE wrt every parameter, in
-    :func:`net_param_arrays` order, and the loss: ``(grads, loss)``."""
-    if batch.count == 0:
-        raise ValueError("empty batch")
-    grads, _, _, loss = _backward_planes(net, *_batches(batch))
+    :func:`net_param_arrays` order, and the loss: ``(grads, loss)``, of a
+    set that :func:`_batches` passes for ``net`` (named "the data")."""
+    grads, _, _, loss = _backward_planes(net, *_batches(net, batch))
     return grads, loss
 
 
@@ -268,16 +278,14 @@ def train(net: UnfoldedNetwork, train_ds: Dataset, val_ds: Dataset,
     epoch runs) holding the parameters of the best validation NMSE is returned.
     After ``lr_decay_patience`` validation checks without improvement the
     learning rate drops by 10x.  Deterministic for a fixed (config, seed).
+    Both sets pass :func:`_batches` ("the training data", "the validation data") first.
     """
-    if train_ds.obs.shape[0] != net.n_obs or train_ds.truth.shape[0] != net.total:
-        raise ValueError("training data dimensions do not match the network")
-    if train_ds.count == 0:
-        raise ValueError("training set is empty")
+    y, truth = _batches(net, train_ds, "the training data")
+    _batches(net, val_ds, "the validation data")
     report = TrainReport()
     if cfg.epochs == 0:
         return net, report
 
-    y, truth = _batches(train_ds)
     # each layer's arrays copied on their own: layers sharing one train untied
     net = UnfoldedNetwork(net.arch, net.shape, net.n_obs, [
         Layer(layer.filt.copy(), None, layer.inhibit.copy(), layer.threshold)

@@ -10,7 +10,8 @@ import pytest
 import hunfold as hf
 from hunfold.bench import (ExperimentConfig, complexity_report, ingest_iq_grid,
                            metric_rows_table, read_iq_grid, run_single,
-                           run_sweep, write_csv, write_iq_grid, write_manifest)
+                           run_sweep, time_layer_forward, write_csv, write_iq_grid,
+                           write_manifest)
 from hunfold import bench, cli, nets
 from hunfold.cli import main as cli_main
 from hunfold.cplx import ComplexArray
@@ -113,10 +114,10 @@ def test_the_architecture_table_serves_each_method_as_before():
         net = init_network(arch, d2 if arch == "toeplitz2d" else d1, 1, lam=0.1)
         for method, archs in METHOD_ARCHS.items():
             if arch in archs:
-                assert bench.check_model(method, net, net.shape, sampling) is net
+                assert nets.check_model(method, net, net.shape, sampling) is net
                 continue
             with pytest.raises(ValueError, match=f"cannot serve method {method!r}"):
-                bench.check_model(method, net, net.shape, sampling)
+                nets.check_model(method, net, net.shape, sampling)
     # and the CLI's flags come from the same table
     parser, commands = cli.build_parser()
     for name in ("sweep", "single"):
@@ -146,7 +147,7 @@ def test_experiment_config_refuses_a_model_of_another_sampling_set():
     assert str(err.value) == ("method 'lista-toeplitz': model was built for other "
                               "sampling indices than those of the experiment")
     with pytest.raises(ValueError, match="other sampling indices than those of the IQ grid"):
-        bench.check_model(None, net, (64,), hf.draw_sampling(64, 16, seed=1), "the IQ grid")
+        nets.check_model(None, net, (64,), hf.draw_sampling(64, 16, seed=1), "the IQ grid")
 
 
 @pytest.mark.parametrize("sidecar", [None, "{}"], ids=["missing", "no-omega"])
@@ -491,6 +492,16 @@ def test_cli_train_arch_must_fit_the_data_grid(tmp_path, arch, problem):
     assert not model.exists()
 
 
+# what differs between --val and --data, and the reason nets.check_model gives
+VAL_REFUSALS = {
+    "shape [8] against [16]": "model is for grid (16,) with 4 observations, "
+                              "the data is grid (8,) with 4",
+    "n_obs 5 against 4": "model is for grid (16,) with 4 observations, "
+                         "the data is grid (16,) with 5",
+    "the sampling indices differ": "model was built for other sampling indices "
+                                   "than those of the data"}
+
+
 @pytest.mark.parametrize("val_flags, detail", [
     (["--m", "8", "--sample-seed", "11"], "shape [8] against [16]"),
     (["--m", "16", "--n", "5", "--sample-seed", "11"], "n_obs 5 against 4"),
@@ -505,8 +516,7 @@ def test_cli_train_val_must_hold_the_data_problem(tmp_path, val_flags, detail):
     with pytest.raises(SystemExit) as err:
         cli_main(["train", "--data", str(data), "--val", str(val), "--arch", "lista",
                   "--depth", "1", "--epochs", "1", "--out", str(model)])
-    assert str(err.value.code) == (f"--val {val} and --data {data} hold different "
-                                   f"problems: {detail}")
+    assert str(err.value.code) == f"--val {val}: {VAL_REFUSALS[detail]}"
     assert not model.exists()
 
 
@@ -526,12 +536,16 @@ def test_cli_train_data_needs_its_sampling_indices(tmp_path, flag):
 
 
 @pytest.mark.parametrize("edit, want", [
-    (lambda side: {**side, "omega": side["omega"][:-1] + [99]}, "omega must hold"),
-    (lambda side: {**side, "omega": "abc"}, "omega must hold"),
-    (lambda side: {**side, "omega": side["omega"][:3]}, "omega must hold"),
+    (lambda side: {**side, "omega": side["omega"][:-1] + [99]},
+     "sampling set of 8 indices up to 99 does not fit n_obs = 8 on a grid of 16"),
+    (lambda side: {**side, "omega": "abc"}, "sampling indices must be a 1-D list"),
+    (lambda side: {**side, "omega": side["omega"][:3]}, "sampling set of 3 indices up to"),
     (lambda side: json.dumps(side)[:-2], "malformed JSON"),
-    (lambda side: {**side, "sampling_seed": "abc"}, "sampling_seed must be"),
-], ids=["past-the-grid", "not-a-list", "too-few", "malformed", "bad-sampling-seed"])
+    (lambda side: {**side, "sampling_seed": "abc"},
+     "sampling seed must be an integer >= 0, got 'abc'"),
+    (lambda side: {key: val for key, val in side.items() if key != "omega"},
+     "sampling indices must be a 1-D list"),
+], ids=["past-the-grid", "not-a-list", "too-few", "malformed", "bad-sampling-seed", "no-omega"])
 def test_cli_train_names_a_sidecar_that_does_not_fit(tmp_path, edit, want):
     data, model = tmp_path / "d.hud", tmp_path / "n.hun"
     assert cli_main(["gen-data", "--m", "16", "--n", "8", "--k", "2",
@@ -776,16 +790,19 @@ def test_cli_train_refuses_a_set_it_cannot_learn_from(tmp_path, case):
     hf.write_dataset(empty, ds.take(np.arange(0)))
     ds.truth.z[:, -4:] = 0.0    # exactly the validation split of --val-frac 0.1
     hf.write_dataset(split, ds)
-    undefined = "every truth spectrum is zero, so the NMSE loss is undefined"
+    def undefined(name):
+        return f"every truth spectrum of {name} is zero, so its NMSE loss is undefined"
+    last4 = "(its validation split, the last 4 samples)"
     argv, want = {
-        "empty-val": ([data, "--val", empty], f"--val {empty} holds no samples"),
-        "empty-data": ([empty, "--val", data], f"--data {empty} holds no samples"),
-        "empty-data-alone": ([empty], f"--data {empty} holds no samples"),
-        "zero-data": ([zero, "--val", data], f"--data {zero}: {undefined}"),
-        "zero-data-alone": ([zero], f"--data {zero}: {undefined}"),
-        "zero-val": ([data, "--val", zero], f"--val {zero}: {undefined}"),
-        "zero-split": ([split], f"--data {split} (its validation split, the last 4 "
-                                f"samples): {undefined}"),
+        "empty-val": ([data, "--val", empty], f"--val {empty}: the data holds no samples"),
+        "empty-data": ([empty, "--val", data],
+                       f"--data {empty}: the training data holds no samples"),
+        "empty-data-alone": ([empty], "--val-frac 0.1 leaves no training sample of the 0 "
+                                      f"in --data {empty}"),
+        "zero-data": ([zero, "--val", data], f"--data {zero}: {undefined('the training data')}"),
+        "zero-data-alone": ([zero], f"--data {zero} {last4}: {undefined('the data')}"),
+        "zero-val": ([data, "--val", zero], f"--val {zero}: {undefined('the data')}"),
+        "zero-split": ([split], f"--data {split} {last4}: {undefined('the data')}"),
     }[case]
     out = tmp_path / "o.hun"
     with pytest.raises(SystemExit) as err:
@@ -1095,6 +1112,16 @@ def test_cli_complexity_names_bad_sizes(tmp_path, sizes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("time", [lambda: complexity_report([16], 8, repeats=0),
+                                  lambda: time_layer_forward("lista", 16, 8, repeats=-3)],
+                         ids=["complexity_report", "time_layer_forward"])
+def test_layer_timings_refuse_a_repeat_count_below_one(time):
+    # these once returned nan timings, complexity_report's after a "Mean of
+    # empty slice" warning
+    with pytest.raises(ValueError, match=r"^repeats must be an integer >= 1, got -?\d+$"):
+        time()
+
+
 def test_experiment_config_names_a_solver_method_without_a_budget():
     # once accepted, then a KeyError inside run_sweep
     with pytest.raises(ValueError, match="method 'fista' needs an iteration budget"):
@@ -1222,9 +1249,11 @@ def test_iq_every_bit_flip_loads_or_names_path(tmp_path):
 
 @pytest.mark.parametrize("shape, omega, words", [
     ((4, 6), [5, 3], "strictly ascending"), ((4, 6), [-1, 2], "strictly ascending"),
-    ((4, 6), [0, 30], "each below 24"), ((4, 6), [], "at least one index"),
+    ((4, 6), [0, 30], "not fit a grid of 24"),
+    ((4, 6), [], "at least one index"),
     ((4, 6), [0.0, 1.0], "integers"), ((4.0, 6), [0, 1], "integer sizes"),
-    ((0, 6), [0, 1], "integer sizes"), ((True, 6), [0, 1], "integer sizes")])
+    ((0, 6), [0, 1], "integer sizes"), ((True, 6), [0, 1], "integer sizes"),
+    ((4, 6), [23, 24], "^sampling set of 2 indices up to 24 does not fit a grid of 24$")])
 def test_write_iq_grid_refuses_what_ingest_would(tmp_path, shape, omega, words):
     # each was once written: a file read_iq_grid or ingest refused, or float and
     # bool sizes and indices cast to integers without a word

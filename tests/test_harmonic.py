@@ -76,6 +76,25 @@ def test_draw_sampling_full_and_singleton():
         draw_sampling(4, 5, seed=0)
 
 
+@pytest.mark.parametrize("draw, words", [
+    (lambda d: gen_dataset(d, -1, 1, 0.0, seed=0), "n_samples must be an integer >= 0, got -1"),
+    (lambda d: gen_dataset(d, 2.5, 1, 0.0, seed=0), "n_samples must be an integer >= 0, got 2.5"),
+    (lambda d: gen_dataset(d, 4, -1, 0.0, seed=0), "k must be an integer >= 0, got -1"),
+    (lambda d: make_instance(d, -1, 0.0, 0), "k must be an integer >= 0, got -1"),
+    (lambda d: gen_dataset(d, 4, 1, 0.0, seed=-1), "seed must be an integer >= 0, got -1"),
+    (lambda d: draw_sampling(16, 2, seed=-1), "seed must be an integer >= 0, got -1"),
+    (lambda d: draw_sampling(16, 2.5, seed=0), "n must be an integer >= 0, got 2.5")],
+    ids=["gen-count", "gen-fractional-count", "gen-k", "instance-k", "gen-seed",
+         "sampling-seed", "sampling-fractional-count"])
+def test_draws_name_a_count_k_or_seed_that_is_not_an_integer(draw, words):
+    # each once failed inside numpy: an OverflowError, a TypeError, "negative
+    # dimensions are not allowed" or "expected non-negative integer"
+    d = build_dictionary((8,), draw_sampling(8, 4, seed=19))
+    with pytest.raises(ValueError) as err:
+        draw(d)
+    assert str(err.value) == words
+
+
 def test_draw_sampling_many_seeds_valid():
     for seed in range(1000):
         s = draw_sampling(512, 64, seed=seed)

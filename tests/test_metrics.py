@@ -91,6 +91,21 @@ def test_hit_rate_validation():
         hit_rate_metric(truth, truth, 2)  # truth has one nonzero, not two
 
 
+@pytest.mark.parametrize("score, words", [
+    (lambda x: hit_rate_metric(x, x, 1, tol_cells=-1), "tol_cells must be an integer >= 0, got -1"),
+    (lambda x: hit_rate_metric(x, x, 1, tol_cells=1.5), "tol_cells must be an integer >= 0, got 1.5"),
+    (lambda x: top_k_indices(x, 2.5), "k must be an integer >= 0, got 2.5")],
+    ids=["negative-tolerance", "fractional-tolerance", "fractional-k"])
+def test_metrics_name_a_count_that_is_not_an_integer(score, words):
+    # a tolerance of -1 once scored 0.0 and one of 1.5 was taken; a k of 2.5
+    # failed inside numpy's partition
+    x = ComplexArray.zeros((8,))
+    x.re[2] = 1.0
+    with pytest.raises(ValueError) as err:
+        score(x)
+    assert str(err.value) == words
+
+
 def chebyshev_hit_rate(x_hat, x_true, k, tol_cells=0, shape=None):
     """The rule with every index set on the grid: hypot support, unravelled
     indices and the (B, k, k, rank) Chebyshev distance array."""

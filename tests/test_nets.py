@@ -1,5 +1,6 @@
 """Forward-pass identities, initialization, parameter counts, model files."""
 
+import dataclasses
 import json
 import struct
 
@@ -347,8 +348,9 @@ def test_the_sampling_set_survives_train_save_and_load(tmp_path, arch, shape):
     ([0, 1, 2], "sampling set of 3 indices up to 2 does not fit n_obs = 6 on a grid of 16"),
     ([0, 1, 2, 3, 4, 16], "sampling set of 6 indices up to 16 does not fit n_obs = 6"),
     ([3, 1], "sampling indices must be strictly ascending"),
-    ("abc", "sampling indices must be a 1-D list")],
-    ids=["short", "past-the-grid", "descending", "not-a-list"])
+    ("abc", "sampling indices must be a 1-D list"),
+    ([], "sampling set of 0 indices up to 0 does not fit n_obs = 6 on a grid of 16")],
+    ids=["short", "past-the-grid", "descending", "not-a-list", "empty"])
 def test_load_network_names_the_sidecar_of_a_sampling_set_that_does_not_fit(
         tmp_path, omega, words):
     path, side = tmp_path / "m.hun", tmp_path / "m.hun.json"
@@ -361,12 +363,24 @@ def test_load_network_names_the_sidecar_of_a_sampling_set_that_does_not_fit(
 
 def test_a_network_refuses_a_sampling_set_that_does_not_fit():
     layers = init_network("lista", dict_1d(m=16, n=6, seed=3), 1, lam=0.1).layers
-    for sampling in (hf.draw_sampling(16, 5, seed=1),
+    for sampling in (hf.draw_sampling(16, 5, seed=1), hf.draw_sampling(16, 7, seed=1),
                      hf.SamplingSet(np.array([0, 1, 2, 3, 4, 16]), 0)):
         with pytest.raises(ValueError, match="does not fit n_obs = 6 on a grid of 16"):
             UnfoldedNetwork("lista", (16,), 6, layers, sampling)
     # the four-argument form records no set
     assert UnfoldedNetwork("lista", (16,), 6, layers).sampling is None
+
+
+def test_a_network_refuses_the_assignment_of_any_field():
+    # a set assigned after the network was built once skipped its fit check,
+    # and save_network wrote a file that load_network refused
+    net = init_network("lista", dict_1d(m=16, n=6, seed=3), 1, lam=0.1)
+    for name, value in (("arch", "convlista"), ("shape", (4, 4)), ("n_obs", 5),
+                        ("layers", []), ("sampling", hf.draw_sampling(16, 5, seed=2)),
+                        ("ops", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(net, name, value)
+    assert net.sampling.count == net.n_obs == 6 and net.arch == "lista"
 
 
 @pytest.mark.parametrize("depth", [2.5, np.float64(2.0), True, 0])

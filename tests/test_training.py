@@ -414,7 +414,7 @@ def test_layers_sharing_an_inhibition_train_as_separate_copies(tmp_path, arch):
 def test_train_rejects_empty_training_set(desk_dict):
     ds = hf.gen_dataset(desk_dict, 8, 2, 0.1, seed=27)
     net = init_network("toeplitz1d", desk_dict, 2, lam=0.1)
-    with pytest.raises(ValueError, match="training set is empty"):
+    with pytest.raises(ValueError, match="^the training data holds no samples$"):
         train(net, ds.take(np.arange(0)), ds, TrainConfig(epochs=1))
 
 
@@ -430,6 +430,76 @@ def test_train_names_the_epoch_and_batch_of_zero_truth_spectra(desk_dict):
         train(net, ds, ds.take(np.arange(3)), cfg)
     assert str(err.value) == (f"epoch 1, batch {batch}: every truth spectrum of the "
                               "batch is zero, so its NMSE loss is undefined")
+
+
+def count_adam_steps(monkeypatch):
+    """The list that every Adam step of ``train`` appends to."""
+    steps = []
+
+    def record(params, grads, state, lr):
+        steps.append(lr)
+        return adam_step(params, grads, state, lr)
+    monkeypatch.setattr(training, "adam_step", record)
+    return steps
+
+
+@pytest.mark.parametrize("role", ["training", "validation"])
+def test_train_refuses_a_set_of_only_zero_truth_before_any_step(desk_dict, role,
+                                                                 monkeypatch):
+    # a zero validation set once failed only after the first epoch's steps,
+    # and loss_nmse and backward named no set
+    ds = hf.gen_dataset(desk_dict, 8, 2, 0.1, seed=27)
+    zero = ds.take(np.arange(4))
+    zero.truth.z[:] = 0.0
+    net = init_network("lista", desk_dict, 2, lam=0.1)
+    steps = count_adam_steps(monkeypatch)
+    sets = (zero, ds) if role == "training" else (ds, zero)
+    with pytest.raises(ValueError) as err:
+        train(net, *sets, TrainConfig(batch_size=4, epochs=1))
+    assert str(err.value) == (f"every truth spectrum of the {role} data is zero, "
+                              "so its NMSE loss is undefined") and not steps
+    for run in (loss_nmse, backward):
+        with pytest.raises(ValueError, match="^every truth spectrum of the data is zero"):
+            run(net, zero)
+
+
+# sets that a desk toeplitz1d (M=16, N=6, sample seed 0) once trained on,
+# scored or differentiated: the 12-cell set failed inside numpy, after a whole
+# epoch in train, and the others were scored silently; a set whose meta
+# records no problem is checked by its matrices alone
+OTHER_PROBLEMS = {
+    "12-cells": ((12,), 0, "model is for grid (16,) with 6 observations, "
+                           "{} is grid (12,) with 6"),
+    "4x4": ((4, 4), 0, "model is for grid (16,) with 6 observations, "
+                       "{} is grid (4, 4) with 6"),
+    "sample-seed-1": ((16,), 1, "model was built for other sampling indices "
+                                "than those of {}"),
+    "12-cells-no-meta": ((12,), 0, "model is for 6 observations of 16 cells, "
+                                   "{} holds 6 observations of 12 cells"),
+}
+
+
+@pytest.mark.parametrize("case", list(OTHER_PROBLEMS))
+def test_training_refuses_a_set_of_another_problem_naming_it(case, monkeypatch):
+    shape, sample_seed, reason = OTHER_PROBLEMS[case]
+    d = hf.build_dictionary((16,), hf.draw_sampling(16, 6, seed=0))
+    net = init_network("toeplitz1d", d, 2, lam=0.1)
+    data = hf.gen_dataset(d, 16, 2, 0.01, seed=1)
+    other_d = hf.build_dictionary(shape, hf.draw_sampling(int(np.prod(shape)), 6, sample_seed))
+    other = hf.gen_dataset(other_d, 8, 2, 0.01, seed=2)
+    if case.endswith("no-meta"):
+        other = Dataset(other.obs, other.truth, {})
+    steps = count_adam_steps(monkeypatch)
+    for sets, name in (((data, other), "the validation data"),
+                       ((other, data), "the training data")):
+        with pytest.raises(ValueError) as err:
+            train(net, *sets, TrainConfig(batch_size=4, epochs=1))
+        assert str(err.value) == reason.format(name)
+    assert not steps
+    for run in (loss_nmse, backward):
+        with pytest.raises(ValueError) as err:
+            run(net, other)
+        assert str(err.value) == reason.format("the data")
 
 
 def test_train_deterministic_histories():
@@ -464,12 +534,7 @@ def test_plateau_decay_drops_the_rate_after_patience_stalled_epochs(monkeypatch)
     # the validation NMSE of each epoch is scripted, so the run stalls where
     # the script says; every Adam step still runs, at the rate it is given
     vals = iter([1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 0.5, 0.6, 0.7, 0.8])
-    rates = []
-
-    def record(params, grads, state, lr):
-        rates.append(lr)
-        return adam_step(params, grads, state, lr)
-    monkeypatch.setattr(training, "adam_step", record)
+    rates = count_adam_steps(monkeypatch)
     monkeypatch.setattr(training, "loss_nmse", lambda net, ds: next(vals))
     d, ds = make_problem((8,), 4, count=8)
     lr0 = 1e-2
