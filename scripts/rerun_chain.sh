@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The rerun chain: gen-data, train (every architecture on every grid rank
 # it takes, --val, --estimate-dict, 0 and 3 epochs), sweep (every learned
-# method on each rank), single, complexity, ingest and a
+# method on each rank), single, complexity, ingest (on both routes of the
+# sensing operator: dense, and by FFT on a 32x32 grid) and a
 # --config sweep, writing every output file into DIR and the --config run's
 # into DIR-config.  The outputs of a fixed configuration must be
 # byte-identical from run to run, so two runs of the chain, for example
@@ -28,6 +29,9 @@ $h gen-data --problem 1d --m 2048 --n 64 --k 5 --sigma2 0.01 \
   --samples 16 --seed 3 --sample-seed 11 --out d1-2048.hud
 $h gen-data --problem 2d --m1 4 --m2 6 --n 12 --k 2 --sigma2 0.01 \
   --samples 300 --seed 4 --sample-seed 11 --out d2.hud --export-iq g.hiq
+# a paper-scale grid above the matrix-free crossover, ingested by FFT
+$h gen-data --problem 2d --m1 32 --m2 32 --n 256 --k 5 --sigma2 0.01 \
+  --samples 4 --seed 4 --sample-seed 11 --out d2-32.hud --export-iq g32.hiq
 for arch in lista toeplitz1d convlista; do
   $h train --data d1.hud --arch "$arch" --depth 3 --batch 64 \
     --epochs 2 --seed 5 --out "$arch.hun"
@@ -75,6 +79,7 @@ $h complexity --sizes 16,32 --n 8 --no-timing --out complexity.csv
 $h ingest --path g.hiq --out ingest-ista.csv
 $h ingest --path g.hiq --model toeplitz2d-2d.hun --out ingest-model.csv
 $h ingest --path g.hiq --model convlista-2d.hun --out ingest-convlista.csv
+$h ingest --path g32.hiq --out ingest-ista-32.csv
 
 # the 1-D sweep again from a --config file, in its own directory under the
 # same names, each model with its sidecar (whose sampling set the sweep

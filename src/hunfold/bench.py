@@ -320,10 +320,13 @@ def read_iq_grid(path):
 def ingest_iq_grid(path):
     """Load an IQ file and build the matching 2-D sensing operator; returns
     (observation, dictionary), ready for any solver.  A grid whose
-    dictionary numpy cannot allocate is a ValueError naming the file."""
+    spectrum numpy cannot allocate is a ValueError naming the file.  The
+    dictionary builds no ``phi``: a grid above the matrix-free crossover
+    never needs one, and below it ``phi`` is small."""
     shape, omega, y = read_iq_grid(path)
     try:
         d = build_dictionary(shape, SamplingSet(omega, seed=0))
+        np.empty(d.total, dtype=np.complex128)   # a solve holds a few such arrays
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     except MemoryError as exc:

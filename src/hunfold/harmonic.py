@@ -22,8 +22,14 @@ table of the M_a roots of unity at its phase reduced mod M_a, the index
 grid size, and the rows of a 1-D dictionary are orthogonal to rounding.
 
 Dictionaries, spectra and observations are complex128 arrays
-(:class:`~hunfold.cplx.ComplexArray`), and every product with a dictionary
-is one complex matrix product.  A complex Gaussian draw takes all its real
+(:class:`~hunfold.cplx.ComplexArray`).  A :class:`Dictionary` multiplies
+two ways.  Its ``phi``, built on first use, gives one complex matrix
+product; instances and datasets are drawn through it.  Its
+:meth:`~Dictionary.apply` and :meth:`~Dictionary.adjoint` give the same
+products by an unnormalised FFT on the grid, in O(M) memory, and
+:attr:`~Dictionary.matrix_free` says which of the two is faster: the FFT
+once ``phi`` would hold more than ``MATRIX_FREE_ENTRIES`` entries.  A
+complex Gaussian draw takes all its real
 parts from the generator stream before its imaginary parts
 (:func:`gaussian`).  Instances and datasets are drawn a block at a time by
 one routine, each column from its own seed's stream (:func:`_draw`), and
@@ -142,42 +148,94 @@ def draw_sampling(total: int, n: int, seed: int) -> SamplingSet:
     return SamplingSet(omega, seed)
 
 
+# The matrix-free route's crossover.  A dictionary whose phi would hold more
+# than MATRIX_FREE_ENTRIES = n_obs * total entries is applied by FFT on its
+# grid (Dictionary.apply and .adjoint), a smaller one as phi.  Measured at two
+# BLAS threads per ISTA iteration (table in CHANGES.md), the FFT route ran at
+# 0.35-0.72x the dense one up to 16k entries and 0.68-1.36x at 32k; from 65k
+# entries (16x16, N=256) up it ran 0.97-2.8x, from 262k 1.5-6.8x.  The bound
+# keeps criterion 4, the desk grids and the M=512, N=64 sweeps (32k) dense.
+MATRIX_FREE_ENTRIES = 48 * 1024
+
+
 @dataclass(frozen=True)
 class Dictionary:
     """Partial Fourier (1-D) or partial Kronecker-Fourier (2-D) operator.
 
-    ``shape`` is (M,) or (M1, M2); ``phi`` holds the N selected rows.
+    ``shape`` is (M,) or (M1, M2); ``phi`` holds the N selected rows, built
+    on first use.  :meth:`apply` and :meth:`adjoint` compute its products
+    without it, by FFT on the grid; :attr:`matrix_free` says which of the
+    two a solver should take.
     """
 
     shape: tuple[int, ...]
     sampling: SamplingSet
-    phi: ComplexArray
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def n_obs(self) -> int:
         return self.sampling.count
 
+    @property
+    def matrix_free(self) -> bool:
+        """Whether phi is above ``MATRIX_FREE_ENTRIES``, where the FFT
+        products measured faster than the dense ones."""
+        return self.n_obs * self.total > MATRIX_FREE_ENTRIES
+
+    @functools.cached_property
+    def phi(self) -> ComplexArray:
+        """The selected rows without the full square matrix.
+
+        A row is the Kronecker product of one row of each axis's Fourier
+        matrix, the row ``i_a`` with phase ``(2 pi / M_a) * (i_a * j_a mod
+        M_a)`` at column ``j_a`` (see :func:`_roots`).
+        """
+        rows = [_roots(m, i, np.arange(m))
+                for i, m in zip(np.unravel_index(self.sampling.omega, self.shape), self.shape)]
+        return ComplexArray(functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(
+            self.n_obs, a.shape[1] * b.shape[1]), rows))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``phi x`` of a (total,) vector or (total, B) block: the
+        unnormalised inverse DFT of each column on the grid, read at the
+        sampled cells."""
+        grid = np.fft.ifftn(x.reshape(*self.shape, -1), axes=self._axes, norm="forward")
+        return grid.reshape(self.total, -1)[self.sampling.omega].reshape(self.n_obs, *x.shape[1:])
+
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
+        """``phi^H r`` of an (n_obs,) vector or (n_obs, B) block: the DFT on
+        the grid of each column, zero-filled off the sampled cells."""
+        grid = np.zeros((self.total, *r.shape[1:]), dtype=np.complex128)
+        grid[self.sampling.omega] = r
+        return np.fft.fftn(grid.reshape(*self.shape, -1), axes=self._axes).reshape(grid.shape)
+
+    @property
+    def _axes(self) -> tuple[int, ...]:
+        return tuple(range(len(self.shape)))
+
+
+def _grid_shape(shape) -> tuple[int, ...]:
+    """``shape`` as a tuple of ints, each size an integer >= 1
+    (:func:`~hunfold.cplx._check_int`), else a ValueError naming the size:
+    M in 1-D, M1, M2, ... otherwise."""
+    shape = tuple(shape)
+    names = ["M"] if len(shape) == 1 else [f"M{a}" for a in range(1, len(shape) + 1)]
+    return tuple(int(_check_int(f"grid size {name}", s, 1)) for name, s in zip(names, shape))
+
 
 def build_dictionary(shape, sampling: SamplingSet) -> Dictionary:
-    """Materialise the selected rows without forming the full square matrix.
-
-    A row is the Kronecker product of one row of each axis's Fourier
-    matrix, the row ``i_a`` with phase ``(2 pi / M_a) * (i_a * j_a mod M_a)``
-    at column ``j_a`` (see :func:`_roots`).
-    """
-    shape = tuple(int(s) for s in shape)
-    if len(shape) not in (1, 2) or any(s < 1 for s in shape):
+    """The operator of ``sampling`` on the grid ``shape``, (M,) or (M1, M2),
+    each size an integer >= 1.  Nothing grid-sized is built here: ``phi``
+    waits for its first use."""
+    shape = tuple(shape)
+    if len(shape) not in (1, 2):
         raise ValueError(f"grid shape must be (M,) or (M1, M2), got {shape}")
+    shape = _grid_shape(shape)
     sampling.fit(math.prod(shape))
-    rows = [_roots(m, i, np.arange(m))
-            for i, m in zip(np.unravel_index(sampling.omega, shape), shape)]
-    phi = functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(
-        sampling.count, a.shape[1] * b.shape[1]), rows)
-    return Dictionary(shape, sampling, ComplexArray(phi))
+    return Dictionary(shape, sampling)
 
 
 def gram(d: Dictionary) -> ComplexArray:

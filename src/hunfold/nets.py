@@ -34,7 +34,7 @@ import numpy as np
 
 from .cplx import (ComplexArray, NumericError, _all_finite, _check_int, hermitian,
                    join_planes, lipschitz_constant, shrink)
-from .harmonic import Dictionary, SamplingSet, read_sidecar
+from .harmonic import Dictionary, SamplingSet, _grid_shape, read_sidecar
 # conv_full2_planes is not called here.  It stays bound because the benchmark
 # tracer (perfbench/tracing.py) wraps it on this module as well and reports a
 # name it cannot find as absent.
@@ -104,7 +104,7 @@ class UnfoldedNetwork:
     ops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
+        object.__setattr__(self, "shape", _grid_shape(self.shape))
         object.__setattr__(self, "ops", branches(self.arch, self.shape, self.n_obs))
         if not self.layers:
             raise ValueError("a network needs at least one layer")
@@ -442,14 +442,15 @@ def branches(arch: str, shape, n_obs: int):
     """(obs_op, inhibit_op) of an ``arch`` layer on a spectrum grid ``shape``
     observed through ``n_obs`` samples: the first maps the samples to the
     flat grid, the second the grid to itself."""
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(shape)
     if arch not in ARCH_TABLE:
         raise ValueError(f"unknown architecture {arch!r}")
     row = ARCH_TABLE[arch]
     if len(shape) not in row.ranks:
         ranks = " or ".join(f"{r}-D" for r in row.ranks)
         raise ValueError(f"{arch} needs a {ranks} grid, not the {len(shape)}-D grid {shape}")
-    if min(shape) < 1 or n_obs < 1:
+    shape = _grid_shape(shape)
+    if n_obs < 1:
         raise ValueError(f"grid {shape} with {n_obs} observations is not a problem")
     return row.obs.on((n_obs,), (math.prod(shape),)), row.inhibit.on(shape, shape)
 

@@ -3,13 +3,20 @@
     minimise  0.5 * ||y - phi x||_2^2  +  lam * sum_i |x_i|
 
 over complex spectra, for one observation or a block of B columns side by
-side, in ``complex128`` and matrix-free (never the dense Gram).  An ISTA
-step takes two complex products: phi^H r, and phi x, whose residual serves
-the objective and the next step; FISTA adds the residual at its
-extrapolated point.  A step is thresholded by :func:`hunfold.cplx.shrink`
+side, in ``complex128``, never forming the Gram.  An ISTA step takes two
+products: phi^H r, and phi x, whose residual serves the objective and the
+next step; FISTA adds the residual at its extrapolated point.  A step is thresholded by :func:`hunfold.cplx.shrink`
 at one threshold per column, the rule the networks' layers apply.  Each
 column starts from zero and stops on its own relative objective-change
 test or at the iteration budget.
+
+The products take the dictionary's route
+(:attr:`~hunfold.harmonic.Dictionary.matrix_free`).  Below the crossover
+they are complex matrix products with ``phi`` and its contiguous conjugate
+transpose, and the step size 1/L comes from power iteration
+(:func:`~hunfold.cplx.lipschitz_constant`).  Above it they are FFTs on the
+grid, no ``phi`` is built, and L is ``total`` in closed form: the rows of
+an unnormalised DFT are orthogonal, so phi phi^H = total * I.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ __all__ = [
 ]
 
 # Power iteration returns a (certified) lower bound on the top eigenvalue;
-# a hair of inflation keeps the descent step non-expansive.
+# a hair of inflation keeps the descent step non-expansive.  The closed-form
+# L of the matrix-free route takes the same factor.
 _L_SAFETY = 1.0 + 1e-6
 
 
@@ -81,7 +89,7 @@ def objective(d: Dictionary, x: ComplexArray, y: ComplexArray, lam: float) -> fl
     if x.shape != (d.total,) or y.shape != (d.n_obs,):
         raise ValueError(f"shapes {x.shape}/{y.shape} do not fit dictionary "
                          f"({d.n_obs} x {d.total})")
-    r = y.z - d.phi.z @ x.z
+    r = y.z - (d.apply(x.z) if d.matrix_free else d.phi.z @ x.z)
     return float(0.5 * np.vdot(r, r).real + lam * np.sum(x.abs()))
 
 
@@ -89,8 +97,11 @@ def default_lambda(d: Dictionary, y: ComplexArray, scale: float = 0.1):
     """Scale-free penalty heuristic: scale * max |(phi^H y)_i|, one value per
     column for a block.  Any scale below 1 keeps the all-zero solution out.
     A weight that overflows raises NumericError."""
-    # |phi^H y| = |y^H phi|: the observations are conjugated, not phi
-    lam = scale * np.max(np.abs(np.conj(y.z).T @ d.phi.z), axis=-1)
+    if d.matrix_free:
+        lam = scale * np.max(np.abs(d.adjoint(y.z)), axis=0)
+    else:
+        # |phi^H y| = |y^H phi|: the observations are conjugated, not phi
+        lam = scale * np.max(np.abs(np.conj(y.z).T @ d.phi.z), axis=-1)
     if not np.isfinite(lam).all():
         raise NumericError("non-finite penalty weight (max |phi^H y| overflows)")
     return float(lam) if y.ndim == 1 else lam
@@ -114,10 +125,17 @@ def _solve(d: Dictionary, y: ComplexArray, cfg: SolverConfig,
     if np.ndim(cfg.lam) and len(cfg.lam) != n_cols:
         raise ValueError(f"{len(cfg.lam)} penalty weights for {n_cols} columns")
     lam = np.broadcast_to(cfg.lam, (n_cols,))
-    phi = d.phi.z
-    phi_h = np.ascontiguousarray(phi.conj().T)
-    big_l = (lipschitz_constant(d.phi).value * _L_SAFETY if cfg.lipschitz is None
-             else float(cfg.lipschitz))
+    if d.matrix_free:
+        fwd, adj = d.apply, d.adjoint
+    else:
+        phi = d.phi.z
+        fwd, adj = phi.__matmul__, np.ascontiguousarray(phi.conj().T).__matmul__
+    if cfg.lipschitz is not None:
+        big_l = float(cfg.lipschitz)
+    else:
+        # in closed form on the matrix-free route: the rows of an unnormalised
+        # DFT are orthogonal, so phi phi^H = total * I
+        big_l = (d.total if d.matrix_free else lipschitz_constant(d.phi).value) * _L_SAFETY
     thr = lam / big_l
     x_out = np.zeros((d.total, n_cols), dtype=np.complex128)
     iters = np.full(n_cols, cfg.max_iter)
@@ -129,11 +147,11 @@ def _solve(d: Dictionary, y: ComplexArray, cfg: SolverConfig,
     trace = [obj] if cfg.record_trace else None
     t_mom = 1.0
     for it in range(1, cfg.max_iter + 1):
-        v = phi_h @ r
+        v = adj(r)
         v /= big_l
         v += z
         x_new = soft_threshold_planes(v, thr)[0]
-        r = phi @ x_new
+        r = fwd(x_new)
         np.subtract(yc, r, out=r)
         new_obj = _half_sq_norms(r) + lam * np.abs(x_new).sum(axis=0)
         if not np.isfinite(new_obj).all():
@@ -161,7 +179,7 @@ def _solve(d: Dictionary, y: ComplexArray, cfg: SolverConfig,
             if cols.size == 0:
                 break
         if momentum:
-            r = phi @ z
+            r = fwd(z)
             np.subtract(yc, r, out=r)
     x_out[:, cols] = x
     if y.ndim == 1:

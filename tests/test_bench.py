@@ -261,6 +261,14 @@ def test_complexity_report_counts():
     assert rows[1][3] == 2 * rows[0][3] + 1
 
 
+@pytest.mark.parametrize("size", [16.5, np.float64(16.0), True])
+def test_complexity_report_refuses_a_grid_size_that_is_not_an_integer(size):
+    # a size was once taken through int(), so 16.5 reported a 16-cell grid
+    with pytest.raises(ValueError, match=rf"^grid size M must be an integer >= 1, "
+                                         rf"got {re.escape(repr(size))}$"):
+        complexity_report([size], 8, timing=False)
+
+
 def test_iq_round_trip_bit_exact(tmp_path):
     d = hf.build_dictionary((4, 8), hf.draw_sampling(32, 10, seed=5))
     ds = hf.gen_dataset(d, 3, 2, 0.05, seed=6)
@@ -445,6 +453,31 @@ def test_cli_ingest(tmp_path):
     y = ComplexArray(ds.obs.re[:, 1].copy(), ds.obs.im[:, 1].copy())
     y2, d2 = ingest_iq_grid(iq)
     assert np.array_equal(y2.re, y.re) and np.array_equal(y2.im, y.im)
+
+
+def test_cli_ingest_above_the_crossover_builds_no_phi(tmp_path, monkeypatch):
+    # a 64x64 grid at N=512: phi would hold 2M entries (32 MB); the solve
+    # takes its products by FFT and L in closed form
+    d = hf.build_dictionary((64, 64), hf.draw_sampling(4096, 512, seed=4))
+    assert d.matrix_free
+    support = np.array([70, 1500, 3001])
+    x = np.zeros(d.total, dtype=complex)
+    x[support] = [1.0, 0.8j, -0.9]
+    iq, out = tmp_path / "grid.hiq", tmp_path / "rec.csv"
+    write_iq_grid(iq, (64, 64), d.sampling.omega, ComplexArray(d.apply(x)))
+    seen = []
+
+    def ingest(path):
+        y, d = ingest_iq_grid(path)
+        seen.append(d)
+        return y, d
+
+    monkeypatch.setattr(cli, "ingest_iq_grid", ingest)
+    assert cli_main(["ingest", "--path", str(iq), "--budget", "100", "--out", str(out)]) == 0
+    assert "phi" not in seen[0].__dict__
+    mags = np.array([float(line.split(",")[3]) for line in out.read_text().split("\n")[1:-1]])
+    assert mags.shape == (4096,)
+    assert set(np.argsort(-mags)[:3].tolist()) == set(support.tolist())
 
 
 def test_cli_complexity_no_timing(tmp_path):

@@ -1,5 +1,6 @@
 """Dictionaries, Gram structure, synthetic instances and dataset files."""
 
+import re
 import struct
 
 import numpy as np
@@ -120,6 +121,44 @@ def test_build_dictionary_2d_full_is_kronecker():
     d = build_dictionary((m1, m2), draw_sampling(m1 * m2, m1 * m2, seed=0))
     ref = np.kron(fourier_matrix(m1).z, fourier_matrix(m2).z)
     assert np.max(np.abs(d.phi.z - ref)) < 1e-12 * m1 * m2
+
+
+@pytest.mark.parametrize("shape", [(16.7,), (4, 6.0), (True,), (4, "6")])
+def test_build_dictionary_refuses_a_grid_size_that_is_not_an_integer(shape):
+    # a size was once taken through int(), so (16.7,) built a 16-cell dictionary
+    name = "M" if len(shape) == 1 else "M2"
+    with pytest.raises(ValueError, match=rf"^grid size {name} must be an integer >= 1, "
+                                         rf"got {re.escape(repr(shape[-1]))}$"):
+        build_dictionary(shape, draw_sampling(16, 4, seed=0))
+
+
+# above the matrix-free crossover: 1-D of a power of two and of a prime
+# size, and a 2-D grid that is not square
+FREE_GRIDS = [((1024,), 128), ((1031,), 128), ((24, 40), 200)]
+
+
+@pytest.mark.parametrize("shape, n", FREE_GRIDS + [((4, 6), 12), ((32,), 12)])
+@pytest.mark.parametrize("cols", [(), (1,), (5,)])
+def test_fft_products_are_the_dense_ones(shape, n, cols):
+    d = build_dictionary(shape, draw_sampling(int(np.prod(shape)), n, seed=3))
+    assert d.matrix_free == (n * d.total > hf.harmonic.MATRIX_FREE_ENTRIES)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((d.total, *cols)) + 1j * rng.standard_normal((d.total, *cols))
+    r = rng.standard_normal((n, *cols)) + 1j * rng.standard_normal((n, *cols))
+    for got, want in ((d.apply(x), d.phi.z @ x), (d.adjoint(r), d.phi.z.conj().T @ r)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shape, n", FREE_GRIDS)
+def test_matrix_free_dictionary_builds_no_phi_until_asked(shape, n):
+    d = build_dictionary(shape, draw_sampling(int(np.prod(shape)), n, seed=3))
+    assert d.matrix_free
+    d.adjoint(d.apply(np.ones(d.total, dtype=np.complex128)))
+    assert "phi" not in d.__dict__
+    # the rows of an unnormalised DFT are orthogonal: phi phi^H = total * I
+    assert abs(lipschitz_constant(d.phi).value - d.total) <= 1e-8 * d.total
+    assert d.phi is d.phi
 
 
 def test_kronecker_row_identity_random_sampling():

@@ -287,3 +287,44 @@ def test_block_lambda_validation():
         SolverConfig(lam=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(lam=np.ones((2, 2)))
+
+
+def free_problem(shape, n, cols=(), k=5, sigma2=1e-4):
+    """A noisy problem on a grid above the matrix-free crossover, one
+    observation or a block of ``cols`` columns, observed by FFT."""
+    total = int(np.prod(shape))
+    d = hf.build_dictionary(shape, hf.draw_sampling(total, n, seed=5))
+    rng = np.random.default_rng(6)
+    x = np.zeros((total, *cols), dtype=complex)
+    for j in np.ndindex(*cols):
+        x[(rng.choice(total, k, replace=False), *j)] = gaussian(rng, (k,), np.sqrt(0.5))
+    y = d.apply(x) + gaussian(rng, (n, *cols), np.sqrt(sigma2 / 2.0))
+    assert d.matrix_free and "phi" not in d.__dict__
+    return d, ComplexArray(y)
+
+
+@pytest.mark.parametrize("shape, n", [((1024,), 128), ((24, 40), 200)])
+@pytest.mark.parametrize("cols", [(), (3,)])
+@pytest.mark.parametrize("solver", [ista, fista])
+def test_the_two_routes_solve_alike(monkeypatch, shape, n, cols, solver):
+    d, y = free_problem(shape, n, cols)
+    lam = default_lambda(d, y)
+    cfg = SolverConfig(lam=lam, max_iter=400)
+    free = solver(d, y, cfg)
+    assert "phi" not in d.__dict__
+    assert free.lipschitz == d.total * (1.0 + 1e-6)
+    monkeypatch.setattr(hf.harmonic, "MATRIX_FREE_ENTRIES", d.n_obs * d.total)
+    assert not d.matrix_free
+    dense_lam = default_lambda(d, y)
+    assert np.all(np.abs(dense_lam - lam) <= 1e-12 * lam)
+    dense = solver(d, y, cfg)
+    assert abs(dense.lipschitz - free.lipschitz) <= 1e-8 * free.lipschitz
+    got, want = free.x_hat.z, dense.x_hat.z
+    assert np.array_equal(got != 0, want != 0)
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    x = ComplexArray(want.reshape(d.total, -1)[:, 0])
+    y0 = ComplexArray(y.z.reshape(d.n_obs, -1)[:, 0])
+    lam0 = float(np.ravel(lam)[0])
+    dense_obj = objective(d, x, y0, lam0)
+    monkeypatch.undo()
+    assert abs(objective(d, x, y0, lam0) - dense_obj) <= 1e-12 * dense_obj
