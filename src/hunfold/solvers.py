@@ -5,10 +5,11 @@
 over complex spectra, for one observation or a block of B columns side by
 side, in ``complex128``, never forming the Gram.  An ISTA step takes two
 products: phi^H r, and phi x, whose residual serves the objective and the
-next step; FISTA adds the residual at its extrapolated point.  A step is thresholded by :func:`hunfold.cplx.shrink`
-at one threshold per column, the rule the networks' layers apply.  Each
-column starts from zero and stops on its own relative objective-change
-test or at the iteration budget.
+next step; FISTA adds the residual at its extrapolated point.  A step is
+thresholded by :func:`hunfold.cplx.shrink` at one threshold per column,
+the rule the networks' layers apply.  Each column starts from zero and
+stops on its own relative objective-change test or at the iteration
+budget.
 
 The products take the dictionary's route
 (:attr:`~hunfold.harmonic.Dictionary.matrix_free`).  Below the crossover
